@@ -1,4 +1,4 @@
-// Experiment E10: ablations over the design choices DESIGN.md calls out.
+// Experiment E10: ablations over the protocol's tunable design choices.
 //
 // (a) RIBLT shape: q and the cell multiplier (paper: q >= 3, m = 4 q^2 k).
 //     Sparser tables than 4q^2k risk 2-cores; larger q inflates comm.

@@ -1,9 +1,10 @@
 // Shared helpers for the experiment harness binaries.
 //
-// Each bench binary reproduces one experiment from DESIGN.md §4 and prints a
-// paper-style table: fixed-width columns, one row per parameter setting.
-// These are deliberately simple (no dependencies beyond the library) so the
-// tables are easy to diff against EXPERIMENTS.md.
+// Each bench binary reproduces one experiment (E1-E13, named with the claim
+// it checks in the binary's header comment) and prints a paper-style table:
+// fixed-width columns, one row per parameter setting. These are
+// deliberately simple (no dependencies beyond the library) so the tables are
+// easy to diff between runs.
 #ifndef RSR_BENCH_BENCH_UTIL_H_
 #define RSR_BENCH_BENCH_UTIL_H_
 

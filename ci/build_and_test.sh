@@ -7,7 +7,9 @@
 # shellcheck + scoped clang-format check — see docs/STATIC_ANALYSIS.md),
 # followed by a Debug + Address/UB-sanitizer configuration of the same test
 # suite, and a RelWithDebInfo + ThreadSanitizer leg over the concurrency
-# tests (the SyncServer mutate-while-sync interleaving).
+# tests (the SyncServer mutate-while-sync interleaving and the sketch
+# layer's reentrant decodes), with the end-to-end benchmark smoke pass after
+# the tier-1 leg.
 #
 # Usage: ci/build_and_test.sh
 # Environment:
@@ -49,6 +51,16 @@ cmake -B build -S . "${WERROR_FLAGS[@]}" "${TIMEOUT_FLAGS[@]}" \
   ${BENCH_FLAGS[@]+"${BENCH_FLAGS[@]}"}
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j --timeout "${CTEST_TIMEOUT}"
+
+# End-to-end benchmark smoke pass (bench/e2e/run.py --smoke): builds
+# bench_e2e from this checkout into .bench_build/ and runs every workload at
+# reduced size, including the traced replay-identity check. That replay calls
+# the sketch and protocol layers' public functions directly
+# (Riblt::InsertMany/DeleteMany/DecodeInto/WriteTo/ReadFrom and friends), so
+# a library refactor that breaks the benchmark's build or its byte-identical
+# replay fails here rather than at the next benchmark run.
+echo "==== End-to-end benchmark smoke pass (bench/e2e/run.py --smoke) ===="
+python3 bench/e2e/run.py --smoke
 
 # Static-analysis wall: runs against the compile_commands.json the tier-1
 # configure just exported. Placed after the tests so a plain compile error
@@ -114,10 +126,12 @@ RSR_WIRE_CODEC=compact ctest --test-dir build-asan --output-on-failure -j \
 # out under churn — SyncServerTest.ConcurrentChurnAndSync plus the adaptive
 # analogue SyncServerAdaptiveTest.ConcurrentAdaptiveSessions, where sessions
 # negotiate off one shared snapshot's estimators and fold into per-session
-# scratch — and the rest of the Sync suite). Scoped to -R 'Sync': that is
-# where the library spawns concurrent readers against a mutating writer; the
-# full suite under TSan would triple CI time re-checking single-threaded
-# code ASan already covers.
+# scratch — and the rest of the Sync suite), and the sketch layer's
+# per-thread scratch model (SketchReentrancyTest: concurrent
+# Riblt::DecodeInto on one const table, concurrent sharded builds). Scoped to
+# -R 'Sync|Reentrancy': that is where the library runs concurrent readers
+# against shared state; the full suite under TSan would triple CI time
+# re-checking single-threaded code ASan already covers.
 # RelWithDebInfo, not Debug: TSan's own slowdown on the protocol loops is
 # ~10x and needs -O2 to keep the leg fast.
 echo "==== RelWithDebInfo + TSan build + concurrency tests ===="
@@ -125,6 +139,6 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRSR_SANITIZE=thread "${WERROR_FLAGS[@]}" "${TIMEOUT_FLAGS[@]}"
 cmake --build build-tsan -j
 ctest --test-dir build-tsan --output-on-failure -j \
-  --timeout "${CTEST_TIMEOUT}" -R 'Sync'
+  --timeout "${CTEST_TIMEOUT}" -R 'Sync|Reentrancy'
 
 echo "==== CI OK ===="

@@ -13,15 +13,17 @@ bounded-work discipline rather than the C++ language:
                  is meaningless unless the caller checks or propagates the
                  poison flag.
 
-  bounds-check   Every `ReadFrom`/`Read*` decode body must bound each
-                 width/count field parsed off the wire before that field
-                 drives an allocation or a loop. Concretely: a variable
-                 assigned from a count-ish getter (GetVarint64/GetU16/
-                 GetU32/GetU64) must appear in a comparison, a std::min/
-                 clamp, or an Invalidate-guarded validation before it is
-                 used in resize/reserve/assign/new[]/vector(n) or as a loop
-                 bound. PR 9's 42 GB peel-oscillation hang is the bug class
-                 this kills.
+  bounds-check   Every function that parses a count off the wire — any
+                 name, not only `ReadFrom`/`Read*` decode bodies: protocol
+                 code parses message counts inline — must bound each
+                 width/count field before that field drives an allocation
+                 or a loop. Concretely: a variable assigned from a
+                 count-ish getter (GetVarint64/GetU16/GetU32/GetU64) must
+                 appear in a comparison, a std::min/clamp, a
+                 ByteReader::CountFits check, or an Invalidate-guarded
+                 validation before it is used in resize/reserve/assign/
+                 new[]/vector(n) or as a loop bound. A corrupt count that
+                 sizes a multi-GB allocation is the bug class this kills.
 
   bounded-peel   No unbounded `while` in any *Peel*/*Decode* routine: each
                  while loop must reference an extraction cap (an identifier
@@ -370,14 +372,11 @@ VALIDATE_RE_T = (
     r"|std::clamp\s*\([^)]*\b{var}\b"
     r"|std::max\s*(?:<[^>]*>)?\s*\([^)]*\b{var}\b"
     r"|RSR_CHECK[A-Z_]*\s*\([^)]*\b{var}\b"
+    r"|\bCountFits\s*\([^)]*\b{var}\b"
 )
-
-READ_FUNC_NAME_RE = re.compile(r"^Read[A-Z_]\w*$|^ReadFrom$|^Read$")
 
 
 def rule_bounds_check(func, lines_raw_by_no, lines_code, findings, path):
-    if not READ_FUNC_NAME_RE.match(func.name):
-        return
     body = body_code(func, lines_code)
     assigned = []  # (var, lineno_of_assignment, body_index)
     for idx, (no, code) in enumerate(body):

@@ -124,10 +124,10 @@ Result<EmdProtocolReport> FinishEmdProtocol(
       if (decoded_level == 0) {
         decoded_level = level;
         best = std::move(decoded);
-        // Coarser levels are not needed; keep scanning only to fill
-        // diagnostics cheaply? Decoding coarser levels costs little and the
-        // outcomes are useful to benches, so continue. (DecodeInto resets
-        // the moved-from result before reusing it.)
+        // The repair needs only this level, but the scan goes on: decoding
+        // the coarser levels costs little, and their outcomes fill the
+        // per-level diagnostics the benches report. (DecodeInto resets the
+        // moved-from result before reusing it.)
       }
     }
     if (level == 1) break;  // size_t guard
@@ -147,8 +147,8 @@ Result<EmdProtocolReport> FinishEmdProtocol(
   const PointStore& x_b = report.x_b;
 
   // Keep |X_A| <= |X_B| by trimming X_A (drop lexicographically largest —
-  // deterministic; see DESIGN.md "size repair"). The report's arena is
-  // copied only when a trim actually mutates it.
+  // deterministic; see "Size repair" in core/README.md). The report's arena
+  // is copied only when a trim actually mutates it.
   const PointStore* x_a = &report.x_a;
   PointStore trimmed;
   if (report.x_a.size() > x_b.size()) {

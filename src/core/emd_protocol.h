@@ -50,7 +50,8 @@ struct EmdProtocolReport {
   /// Points extracted at level i* (moved straight out of the store-native
   /// decode result; row order is extraction order).
   PointStore x_a, x_b;
-  /// Size repair bookkeeping (|X_A| != |X_B| handling; see DESIGN.md).
+  /// Size repair bookkeeping (|X_A| != |X_B| handling; see "Size repair"
+  /// in core/README.md).
   size_t trimmed_from_x_a = 0;
   size_t kept_in_y_b = 0;
   CommStats comm;

@@ -118,11 +118,8 @@ Result<GapPipelineResult> RunGapPipeline(
 
   // Bob: S'_B = S_B ∪ T_A (parsed from the wire).
   ByteReader reader(message.buffer());
-  uint64_t count = reader.GetVarint64();
   result.s_b_prime = bob.ToPointSet();
-  for (uint64_t i = 0; i < count; ++i) {
-    result.s_b_prime.push_back(Point::ReadFrom(&reader));
-  }
+  RSR_RETURN_NOT_OK(ReadPoints(&reader, &result.s_b_prime));
   RSR_RETURN_NOT_OK(reader.FinishAndCheckConsumed());
   return result;
 }

@@ -20,11 +20,11 @@ NaiveReport RunNaiveFullTransfer(const PointStore& alice, const PointStore& bob,
   report.comm = transcript.stats();
 
   ByteReader reader(message.buffer());
-  uint64_t count = reader.GetVarint64();
   PointSet received;
-  for (uint64_t i = 0; i < count; ++i) {
-    received.push_back(Point::ReadFrom(&reader));
-  }
+  const Status parsed = ReadPoints(&reader, &received);
+  // The message is this function's own encoding of `alice`, so a parse
+  // failure is a library bug rather than peer input.
+  RSR_CHECK(parsed.ok());
   if (union_mode) {
     report.s_b_prime = bob.ToPointSet();
     for (auto& p : received) report.s_b_prime.push_back(std::move(p));

@@ -6,14 +6,24 @@ namespace rsr {
 
 Point Point::ReadFrom(ByteReader* r) {
   uint64_t dim = r->GetVarint64();
-  // Guard against corrupt dimension values blowing up memory.
-  if (dim > (1u << 24)) {
+  // Guard against corrupt dimension values blowing up memory: each
+  // coordinate takes at least one byte.
+  if (dim > (1u << 24) || !r->CountFits(dim, 1)) {
     r->Invalidate();
     return Point();
   }
   std::vector<Coord> coords(static_cast<size_t>(dim));
   for (auto& c : coords) c = r->GetSignedVarint64();
   return Point(std::move(coords));
+}
+
+Status ReadPoints(ByteReader* r, PointSet* out) {
+  const uint64_t count = r->GetVarint64();
+  if (!r->CountFits(count, 1)) {
+    return Status::Corruption("point count exceeds the message");
+  }
+  for (uint64_t i = 0; i < count; ++i) out->push_back(Point::ReadFrom(r));
+  return r->status();
 }
 
 std::string Point::ToString() const {

@@ -18,6 +18,7 @@
 #include "hashing/hash64.h"
 #include "util/logging.h"
 #include "util/serialize.h"
+#include "util/status.h"
 
 namespace rsr {
 
@@ -102,6 +103,12 @@ class Point {
 
 /// A collection of points with common dimension.
 using PointSet = std::vector<Point>;
+
+/// Reads a varint count followed by that many Point::ReadFrom points,
+/// appending them to *out. A count the remaining bytes cannot hold (each
+/// point takes at least one byte) poisons the reader before it sizes the
+/// loop. Returns the reader's status.
+Status ReadPoints(ByteReader* r, PointSet* out);
 
 /// Batch content hashing: out[i] = points[i].ContentHash(salt), one call for
 /// a whole key-derivation loop (used by the sketch insert paths).

@@ -197,6 +197,8 @@ void PointStore::WriteTo(ByteWriter* w) const {
 
 PointStore PointStore::ReadFrom(ByteReader* r, size_t dim, size_t count) {
   PointStore store(dim);
+  // Each row is a dim varint plus dim coordinate varints, >= 1 byte apiece.
+  if (!r->CountFits(count, 1 + dim)) return store;
   store.Reserve(count);
   for (size_t i = 0; i < count; ++i) {
     uint64_t wire_dim = r->GetVarint64();

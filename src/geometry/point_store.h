@@ -217,8 +217,10 @@ class PointStore {
   /// Serialization. WritePointTo emits row i exactly like Point::WriteTo;
   /// WriteTo emits all rows back to back (callers prepend their own count,
   /// as they did with per-Point loops). ReadFrom consumes `count` points
-  /// written in that format; dimension mismatches or corrupt bytes poison
-  /// the reader (checked by the caller's FinishAndCheckConsumed/status).
+  /// written in that format; dimension mismatches, corrupt bytes, or a
+  /// `count` the remaining bytes cannot hold (checked before anything is
+  /// reserved) poison the reader (checked by the caller's
+  /// FinishAndCheckConsumed/status).
   void WritePointTo(ByteWriter* w, size_t i) const;
   void WriteTo(ByteWriter* w) const;
   static PointStore ReadFrom(ByteReader* r, size_t dim, size_t count);

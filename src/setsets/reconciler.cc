@@ -110,6 +110,19 @@ class SetReconstructor {
 
 }  // namespace
 
+namespace internal {
+
+Status ReadSets(ByteReader* r, size_t slots, std::vector<SlottedSet>* out) {
+  const uint64_t count = r->GetVarint64();
+  if (!r->CountFits(count, slots * sizeof(uint32_t))) {
+    return Status::Corruption("set count exceeds the message");
+  }
+  for (uint64_t i = 0; i < count; ++i) out->push_back(ReadSet(r, slots));
+  return r->status();
+}
+
+}  // namespace internal
+
 Result<SetsReconcilerReport> ReconcileSetsOfSets(
     const std::vector<SlottedSet>& alice_sets,
     const std::vector<SlottedSet>& bob_sets,
@@ -243,12 +256,8 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
     for (const auto& s : bob_sets) WriteSet(&msg, s);
     transcript.Send("B->A full-transfer", msg);
     ByteReader reader(msg.buffer());
-    uint64_t count = reader.GetVarint64();
     report.bob_sets.clear();
-    for (uint64_t i = 0; i < count; ++i) {
-      report.bob_sets.push_back(ReadSet(&reader, slots));
-    }
-    RSR_RETURN_NOT_OK(reader.status());
+    RSR_RETURN_NOT_OK(internal::ReadSets(&reader, slots, &report.bob_sets));
     report.full_transfer = true;
     report.comm = transcript.stats();
     return report;
@@ -314,11 +323,7 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
     for (size_t index : requested) WriteSet(&msg3, bob_sets[index]);
     transcript.Send("B->A diff-sets", msg3);
     ByteReader reader(msg3.buffer());
-    uint64_t count = reader.GetVarint64();
-    for (uint64_t i = 0; i < count; ++i) {
-      recovered.push_back(ReadSet(&reader, slots));
-    }
-    RSR_RETURN_NOT_OK(reader.status());
+    RSR_RETURN_NOT_OK(internal::ReadSets(&reader, slots, &recovered));
   } else {
     // ---- Phase 3 (fingerprint): element IBLT + per-set fingerprints. ----
     std::vector<SlottedSet> bob_diff_sets;
@@ -464,11 +469,7 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
       for (const auto& s : bob_diff_sets) WriteSet(&msg, s);
       transcript.Send("B->A diff-sets(fallback)", msg);
       ByteReader reader(msg.buffer());
-      uint64_t count = reader.GetVarint64();
-      for (uint64_t i = 0; i < count; ++i) {
-        recovered.push_back(ReadSet(&reader, slots));
-      }
-      RSR_RETURN_NOT_OK(reader.status());
+      RSR_RETURN_NOT_OK(internal::ReadSets(&reader, slots, &recovered));
       report.fallback_sets = bob_diff_sets.size();
     }
   }

@@ -3,7 +3,7 @@
 // The Gap protocol (Section 4.1) consumes the protocol of [MM18] as a black
 // box: Alice must recover Bob's multiset of keys with communication
 // proportional to the number of differing key entries. This module provides
-// two from-scratch implementations of that interface (see DESIGN.md §3):
+// two from-scratch implementations of that interface:
 //
 //   kVerbatim   — 3 messages. (1) Bob->Alice: IBLT of occurrence-salted set
 //                 signatures; (2) Alice->Bob: signatures she is missing;
@@ -34,6 +34,7 @@
 #include "core/transcript.h"
 #include "setsets/sethash.h"
 #include "util/random.h"
+#include "util/serialize.h"
 #include "util/status.h"
 #include "util/wire.h"
 
@@ -118,6 +119,16 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
     const std::vector<SlottedSet>& alice_sets,
     const std::vector<SlottedSet>& bob_sets,
     const SetsReconcilerParams& params);
+
+namespace internal {
+
+/// Reads a varint count followed by that many `slots`-entry sets (one u32
+/// per slot, slots >= 1), appending them to *out. A count the remaining
+/// bytes cannot hold poisons the reader before it sizes the loop. Returns
+/// the reader's status.
+Status ReadSets(ByteReader* r, size_t slots, std::vector<SlottedSet>* out);
+
+}  // namespace internal
 
 }  // namespace rsr
 

@@ -3,18 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <functional>
 
 #include "hashing/checksum.h"
-#include "util/parallel.h"
 
 namespace rsr {
 
 namespace {
-
-uint64_t ChecksumMask(int checksum_bytes) {
-  return checksum_bytes >= 8 ? ~uint64_t{0}
-                             : ((uint64_t{1} << (8 * checksum_bytes)) - 1);
-}
 
 inline size_t ValueWords(size_t num_cells, size_t value_size) {
   return (num_cells * value_size + 7) / 8;
@@ -22,33 +17,16 @@ inline size_t ValueWords(size_t num_cells, size_t value_size) {
 
 }  // namespace
 
-Iblt::Iblt(const IbltParams& params) : params_(params) {
-  RSR_CHECK(params.num_hashes >= 2);
-  RSR_CHECK(params.num_hashes <= kMaxHashes);
-  RSR_CHECK(params.num_cells > 0);
+Iblt::Iblt(const IbltParams& params)
+    : params_(params),
+      map_(params.num_cells, params.num_hashes, params.seed,
+           0x1b17a5e11b17ULL) {
   RSR_CHECK(params.checksum_bytes >= 1 && params.checksum_bytes <= 8);
-  size_t q = static_cast<size_t>(params.num_hashes);
-  cells_per_subtable_ = (params.num_cells + q - 1) / q;
-  if (cells_per_subtable_ == 0) cells_per_subtable_ = 1;
-  num_cells_ = cells_per_subtable_ * q;
+  num_cells_ = map_.num_cells();
   params_.num_cells = num_cells_;
-  subtable_mod_ = FastDiv61(cells_per_subtable_);
-  checksum_mask_ = ChecksumMask(params_.checksum_bytes);
+  checksum_mask_ =
+      sketch_internal::LowBits<uint64_t>(8 * params_.checksum_bytes);
   checksum_salt_ = ChecksumSalt(params_.seed);
-
-  Rng rng(params.seed ^ 0x1b17a5e11b17ULL);
-  for (size_t j = 0; j < q; ++j) {
-    // 3-independent cell indices suffice for peeling in practice; the
-    // polynomial family keeps both parties' functions identical by seed.
-    // The drawn coefficients are copied into the flat inline array that
-    // CellsOf evaluates (same RNG stream, same polynomials as ever).
-    KIndependentHash h = KIndependentHash::Draw(kIndexIndependence, &rng);
-    for (int i = 0; i < kIndexIndependence; ++i) {
-      index_coeffs_[j * kIndexIndependence + static_cast<size_t>(i)] =
-          h.coeffs()[i];
-    }
-  }
-
   arena_.assign(3 * num_cells_ + ValueWords(num_cells_, params_.value_size),
                 0);
 }
@@ -63,113 +41,23 @@ void Iblt::UpdateManySharded(std::span<const uint64_t> keys, int direction,
                              size_t num_shards, size_t num_threads) {
   RSR_CHECK_EQ(params_.value_size, 0u);
   if (keys.empty()) return;
-  const size_t total = num_cells_;
-  if (num_shards > total) num_shards = total;
-  if (num_shards <= 1) {
+  if (std::min(num_shards, num_cells_) <= 1) {  // a single shard
     UpdateMany(keys, direction);
     return;
   }
-  const size_t n = keys.size();
-  const size_t q = static_cast<size_t>(params_.num_hashes);
-
-  // Phase 1: hash every key once, sharded over keys (pooled buffers).
-  shard_scratch_.cells.resize(n * q);
-  shard_scratch_.checksums.resize(n);
-  uint32_t* const cell_idx = shard_scratch_.cells.data();
-  uint64_t* const checksums = shard_scratch_.checksums.data();
-  const uint64_t* const key_data = keys.data();
-  const uint64_t mask = checksum_mask_;
-  const uint64_t salt = checksum_salt_;
-  ParallelShards(n, num_threads, [&](size_t begin, size_t end) {
-    size_t cells[kMaxHashes];
-    for (size_t i = begin; i < end; ++i) {
-      CellsOf(key_data[i], cells);
-      for (size_t j = 0; j < q; ++j) {
-        cell_idx[i * q + j] = static_cast<uint32_t>(cells[j]);
-      }
-      checksums[i] = ChecksumWithSalt(key_data[i], salt) & mask;
-    }
-  });
-
-  // Cell blocks sized so one block's three slabs (~24 B/cell) stay
-  // L2-resident while its bucket is applied; pure function of the table
-  // geometry. See Riblt::UpdateManySharded for the full phase walkthrough.
-  constexpr size_t kCellBytes = 3 * sizeof(uint64_t);
-  size_t block_shift = 0;
-  while ((size_t{1} << (block_shift + 1)) * kCellBytes <= (size_t{1} << 19)) {
-    ++block_shift;
-  }
-  const size_t num_blocks = ((total - 1) >> block_shift) + 1;
-  if (num_shards > num_blocks) num_shards = num_blocks;
-
-  // Phase 2: stable counting sort of the n*q updates into per-block buckets
-  // as packed (cell << 32 | key index) words.
-  const size_t key_blocks = num_shards < n ? num_shards : n;
-  shard_scratch_.bucket_counts.assign(key_blocks * num_blocks, 0);
-  shard_scratch_.bucket_offsets.resize(key_blocks * num_blocks);
-  shard_scratch_.block_starts.resize(num_blocks + 1);
-  shard_scratch_.entries.resize(n * q);
-  uint32_t* const bucket_counts = shard_scratch_.bucket_counts.data();
-  size_t* const bucket_offsets = shard_scratch_.bucket_offsets.data();
-  size_t* const block_starts = shard_scratch_.block_starts.data();
-  uint64_t* const entries = shard_scratch_.entries.data();
-
-  ParallelShards(key_blocks, num_threads, [&](size_t kb_begin, size_t kb_end) {
-    for (size_t kb = kb_begin; kb < kb_end; ++kb) {
-      uint32_t* const cnt = bucket_counts + kb * num_blocks;
-      const size_t i_end = ShardBoundary(n, key_blocks, kb + 1);
-      for (size_t i = ShardBoundary(n, key_blocks, kb); i < i_end; ++i) {
-        for (size_t j = 0; j < q; ++j) {
-          ++cnt[cell_idx[i * q + j] >> block_shift];
-        }
-      }
-    }
-  });
-  size_t run = 0;
-  for (size_t b = 0; b < num_blocks; ++b) {
-    block_starts[b] = run;
-    for (size_t kb = 0; kb < key_blocks; ++kb) {
-      bucket_offsets[kb * num_blocks + b] = run;
-      run += bucket_counts[kb * num_blocks + b];
-    }
-  }
-  block_starts[num_blocks] = run;
-  ParallelShards(key_blocks, num_threads, [&](size_t kb_begin, size_t kb_end) {
-    for (size_t kb = kb_begin; kb < kb_end; ++kb) {
-      size_t* const cursor = bucket_offsets + kb * num_blocks;
-      const size_t i_end = ShardBoundary(n, key_blocks, kb + 1);
-      for (size_t i = ShardBoundary(n, key_blocks, kb); i < i_end; ++i) {
-        for (size_t j = 0; j < q; ++j) {
-          const uint32_t cell = cell_idx[i * q + j];
-          const size_t pos = cursor[cell >> block_shift]++;
-          entries[pos] = (static_cast<uint64_t>(cell) << 32) | i;
-        }
-      }
-    }
-  });
-
-  // Phase 3: each shard applies its contiguous range of blocks' buckets
-  // (disjoint writes, global key order per cell — byte-identical to the
-  // sequential build; see header comment).
+  // Blocks are sized for the three word slabs (~24 B/cell); the apply step
+  // is UpdateUnchecked's arithmetic verbatim.
   int64_t* const counts = Counts();
   uint64_t* const key_xors = KeyXors();
   uint64_t* const checksum_xors = ChecksumXors();
-  ParallelShards(num_shards, num_threads, [&](size_t s_begin, size_t s_end) {
-    for (size_t shard = s_begin; shard < s_end; ++shard) {
-      const size_t pos_begin =
-          block_starts[ShardBoundary(num_blocks, num_shards, shard)];
-      const size_t pos_end =
-          block_starts[ShardBoundary(num_blocks, num_shards, shard + 1)];
-      for (size_t pos = pos_begin; pos < pos_end; ++pos) {
-        const uint64_t e = entries[pos];
-        const size_t cell = e >> 32;
-        const size_t i = static_cast<uint32_t>(e);
+  const uint64_t* const key_data = keys.data();
+  sketch_internal::ShardedUpdate(
+      map_, keys, checksum_salt_, checksum_mask_, 3 * sizeof(uint64_t),
+      num_shards, num_threads, [&](size_t cell, size_t i, uint64_t checksum) {
         counts[cell] += direction;
         key_xors[cell] ^= key_data[i];
-        checksum_xors[cell] ^= checksums[i];
-      }
-    }
-  });
+        checksum_xors[cell] ^= checksum;
+      });
 }
 
 Status Iblt::CheckCompatible(const Iblt& other) const {
@@ -211,70 +99,28 @@ Status Iblt::SubtractInPlace(const Iblt& other) {
 // RSR_ZERO_ALLOC: warm folds reuse dst's arena
 // (IbltFoldTest.WarmFoldIntoPerformsZeroAllocations).
 Status Iblt::FoldInto(Iblt* dst) const {
-  if (dst->params_.num_hashes != params_.num_hashes ||
-      dst->params_.value_size != params_.value_size ||
-      dst->params_.checksum_bytes != params_.checksum_bytes ||
-      dst->params_.seed != params_.seed) {
-    return Status::InvalidArgument("IBLT parameter mismatch in FoldInto");
-  }
-  const size_t src_sub = cells_per_subtable_;
-  const size_t dst_sub = dst->cells_per_subtable_;
-  if (dst_sub == 0 || src_sub % dst_sub != 0) {
-    return Status::InvalidArgument(
-        "FoldInto target cells-per-subtable must divide the source's");
-  }
-  const size_t q = static_cast<size_t>(params_.num_hashes);
-  const size_t value_size = params_.value_size;
-  const size_t blocks = src_sub / dst_sub;
-  // Source subtable block r covers cells [r*dst_sub, (r+1)*dst_sub); cell
-  // r*dst_sub + i folds onto dst cell i. Counts add; key/checksum/value
-  // words XOR — both order-insensitive, so the result equals a cold build at
-  // dst's size (the index polynomials depend on the seed only). No
-  // allocation.
-  for (size_t j = 0; j < q; ++j) {
-    const size_t src_base = j * src_sub;
-    const size_t dst_base = j * dst_sub;
-    for (size_t r = 0; r < blocks; ++r) {
-      const size_t src_off = src_base + r * dst_sub;
-      const int64_t* const sc = Counts() + src_off;
-      const uint64_t* const sk = KeyXors() + src_off;
-      const uint64_t* const ss = ChecksumXors() + src_off;
-      int64_t* const dc = dst->Counts() + dst_base;
-      uint64_t* const dk = dst->KeyXors() + dst_base;
-      uint64_t* const dsum = dst->ChecksumXors() + dst_base;
-      if (r == 0) {
-        for (size_t i = 0; i < dst_sub; ++i) dc[i] = sc[i];
-        for (size_t i = 0; i < dst_sub; ++i) dk[i] = sk[i];
-        for (size_t i = 0; i < dst_sub; ++i) dsum[i] = ss[i];
-      } else {
-        for (size_t i = 0; i < dst_sub; ++i) dc[i] += sc[i];
-        for (size_t i = 0; i < dst_sub; ++i) dk[i] ^= sk[i];
-        for (size_t i = 0; i < dst_sub; ++i) dsum[i] ^= ss[i];
-      }
-      if (value_size > 0) {
-        const uint8_t* const sv = ValueXors() + src_off * value_size;
-        uint8_t* const dv = dst->ValueXors() + dst_base * value_size;
-        if (r == 0) {
-          for (size_t i = 0; i < dst_sub * value_size; ++i) dv[i] = sv[i];
-        } else {
-          for (size_t i = 0; i < dst_sub * value_size; ++i) dv[i] ^= sv[i];
-        }
-      }
-    }
-  }
+  const bool params_match = dst->params_.num_hashes == params_.num_hashes &&
+                            dst->params_.value_size == params_.value_size &&
+                            dst->params_.checksum_bytes ==
+                                params_.checksum_bytes &&
+                            dst->params_.seed == params_.seed;
+  // Counts add; key/checksum/value words XOR.
+  const size_t vs = params_.value_size;
+  RSR_RETURN_NOT_OK(sketch_internal::FoldCells(
+      map_, dst->map_, params_match, "IBLT parameter mismatch in FoldInto",
+      [&](size_t src_off, size_t dst_off, size_t len, bool first) {
+        using sketch_internal::FoldSlab;
+        FoldSlab(Counts() + src_off, dst->Counts() + dst_off, len, first,
+                 std::plus<>());
+        FoldSlab(KeyXors() + src_off, dst->KeyXors() + dst_off, len, first,
+                 std::bit_xor<>());
+        FoldSlab(ChecksumXors() + src_off, dst->ChecksumXors() + dst_off, len,
+                 first, std::bit_xor<>());
+        FoldSlab(ValueXors() + src_off * vs, dst->ValueXors() + dst_off * vs,
+                 len * vs, first, std::bit_xor<>());
+      }));
   dst->checksum_mask_ = checksum_mask_;  // folding preserves the domain
   return Status::OK();
-}
-
-Result<Iblt> Iblt::FoldTo(size_t num_cells) const {
-  if (num_cells == 0) {
-    return Status::InvalidArgument("FoldTo requires num_cells > 0");
-  }
-  IbltParams target = params_;
-  target.num_cells = num_cells;
-  Iblt dst(target);
-  RSR_RETURN_NOT_OK(FoldInto(&dst));
-  return dst;
 }
 
 IbltDecodeResult Iblt::Decode() const {
@@ -387,7 +233,7 @@ void Iblt::PeelInto(const Iblt* subtrahend, IbltDecodeResult* result) const {
     // purity only for the touched cells.
     int direction = entry.count > 0 ? -1 : +1;
     uint64_t checksum = ChecksumWithSalt(entry.key, salt) & eff_mask;
-    CellsOf(entry.key, cells);
+    map_.CellsOf(entry.key, cells);
     for (size_t j = 0; j < q; ++j) {
       size_t touched = cells[j];
       counts[touched] += direction;
@@ -472,31 +318,23 @@ void Iblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   const uint8_t* values = ValueXors();
   const int chk_bits =
       CompactChecksumBits(m, checksum_mask_, params_.checksum_bytes);
-  const uint64_t wire_mask =
-      chk_bits >= 64 ? ~uint64_t{0} : ((uint64_t{1} << chk_bits) - 1);
+  const uint64_t wire_mask = sketch_internal::LowBits<uint64_t>(chk_bits);
 
   size_t n_included = 0;
-  int64_t cnt_min_all = 0, cnt_max_all = 0;  // over all cells (dense)
-  int64_t cnt_min_inc = 0, cnt_max_inc = 0;  // over included cells (sparse)
-  bool have_inc = false;
-  uint64_t key_max_all = 0, key_max_inc = 0;
+  // Field ranges over all cells (dense) and over included cells (sparse).
+  // Keys ship unbased, so only their maxima matter.
+  sketch_internal::FieldRange<int64_t> cnt_all, cnt_inc;
+  sketch_internal::FieldRange<uint64_t> key_all, key_inc;
   // Common trailing-zero count of every nonzero key XOR, shipped once and
   // stripped from each key field. Strata estimator tables are the target:
   // every key in stratum s ends in exactly s trailing zeros, so their XORs
   // share >= s, and the stratum's cells each save s bits.
   int key_shift = 64;
-  // Pooled inclusion flags (encode runs on concurrent serving threads, so
-  // the pool is per thread, not per instance).
-  static thread_local std::vector<uint8_t> included_cells;
-  included_cells.assign(m, 0);
+  // Per-thread inclusion flags (encode runs on concurrent serving threads).
+  uint8_t* const included_cells = sketch_internal::CellFlags(m);
   for (size_t c = 0; c < m; ++c) {
-    if (c == 0) {
-      cnt_min_all = cnt_max_all = counts[0];
-    } else {
-      cnt_min_all = std::min(cnt_min_all, counts[c]);
-      cnt_max_all = std::max(cnt_max_all, counts[c]);
-    }
-    key_max_all = std::max(key_max_all, keys[c]);
+    cnt_all.Add(counts[c]);
+    key_all.Add(keys[c]);
     if (keys[c] != 0) {
       key_shift = std::min(key_shift, std::countr_zero(keys[c]));
     }
@@ -514,24 +352,14 @@ void Iblt::WriteTo(ByteWriter* w, WireCodec codec) const {
     if (!nonzero) continue;
     included_cells[c] = 1;
     ++n_included;
-    key_max_inc = std::max(key_max_inc, keys[c]);
-    if (!have_inc) {
-      cnt_min_inc = cnt_max_inc = counts[c];
-      have_inc = true;
-    } else {
-      cnt_min_inc = std::min(cnt_min_inc, counts[c]);
-      cnt_max_inc = std::max(cnt_max_inc, counts[c]);
-    }
+    cnt_inc.Add(counts[c]);
+    key_inc.Add(keys[c]);
   }
   if (key_shift == 64) key_shift = 0;  // no nonzero keys: nothing to strip
-  const int cnt_bits_dense = Width64(static_cast<uint64_t>(cnt_max_all) -
-                                     static_cast<uint64_t>(cnt_min_all));
-  const int cnt_bits_sparse =
-      have_inc ? Width64(static_cast<uint64_t>(cnt_max_inc) -
-                         static_cast<uint64_t>(cnt_min_inc))
-               : 0;
-  const int key_bits_dense = Width64(key_max_all >> key_shift);
-  const int key_bits_sparse = Width64(key_max_inc >> key_shift);
+  const int cnt_bits_dense = sketch_internal::SpreadBits(cnt_all);
+  const int cnt_bits_sparse = sketch_internal::SpreadBits(cnt_inc);
+  const int key_bits_dense = Width64(key_all.hi >> key_shift);
+  const int key_bits_sparse = Width64(key_inc.hi >> key_shift);
 
   const size_t dense_bits =
       m * static_cast<size_t>(cnt_bits_dense + key_bits_dense + chk_bits);
@@ -545,7 +373,7 @@ void Iblt::WriteTo(ByteWriter* w, WireCodec codec) const {
 
   const int cnt_bits = sparse ? cnt_bits_sparse : cnt_bits_dense;
   const int key_bits = sparse ? key_bits_sparse : key_bits_dense;
-  const int64_t cnt_base = sparse ? (have_inc ? cnt_min_inc : 0) : cnt_min_all;
+  const int64_t cnt_base = sparse ? cnt_inc.lo : cnt_all.lo;
   // Exact-size reserve (the 15 covers the fixed header fields plus the
   // worst-case cnt_base varint): the chosen candidate's byte count is known
   // before a single field is emitted, so a cold pooled writer allocates at
@@ -557,15 +385,7 @@ void Iblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   w->PutU8(static_cast<uint8_t>(cnt_bits));
   w->PutU8(static_cast<uint8_t>(key_bits));
   w->PutU8(static_cast<uint8_t>(key_shift));
-  if (sparse) {
-    for (size_t base = 0; base < m; base += 8) {
-      uint8_t bits = 0;
-      for (size_t i = 0; i < 8 && base + i < m; ++i) {
-        if (included_cells[base + i]) bits |= static_cast<uint8_t>(1u << i);
-      }
-      w->PutU8(bits);
-    }
-  }
+  if (sparse) sketch_internal::WriteCellBitmap(w, included_cells, m);
   for (size_t c = 0; c < m; ++c) {
     if (sparse && !included_cells[c]) continue;
     w->PutBits(static_cast<uint64_t>(counts[c]) -
@@ -623,26 +443,10 @@ Result<Iblt> Iblt::ReadFrom(ByteReader* r, const IbltParams& params,
     r->Invalidate();
     return Status::Corruption("invalid compact IBLT header");
   }
-  const uint64_t wire_mask =
-      chk_bits >= 64 ? ~uint64_t{0} : ((uint64_t{1} << chk_bits) - 1);
-  const bool sparse = mode == 1;
-  static thread_local std::vector<uint8_t> included;
-  included.assign(m, 1);
-  if (sparse) {
-    for (size_t base = 0; base < m; base += 8) {
-      uint8_t bits = r->GetU8();
-      for (size_t i = 0; i < 8; ++i) {
-        if (base + i < m) {
-          included[base + i] = (bits >> i) & 1;
-        } else if ((bits >> i) & 1) {
-          // Nonzero padding past the last cell: two distinct streams would
-          // decode identically, so reject for canonical round-trips.
-          r->Invalidate();
-        }
-      }
-    }
-    RSR_RETURN_NOT_OK(r->status());
-  }
+  const uint64_t wire_mask = sketch_internal::LowBits<uint64_t>(chk_bits);
+  const uint8_t* const included =
+      sketch_internal::ReadCellBitmap(r, m, /*sparse=*/mode == 1);
+  RSR_RETURN_NOT_OK(r->status());
   for (size_t c = 0; c < m; ++c) {
     if (!included[c]) continue;
     counts[c] = static_cast<int64_t>(static_cast<uint64_t>(cnt_base) +

@@ -12,13 +12,18 @@
 //   - Update/UpdateMany/CellsOf never allocate: cell indices live in a fixed
 //     inline array, the checksum mask is hoisted into the constructor, and
 //     values are raw byte spans.
+//   - The cell map, sharded build, fold loop and compact bitmap are the
+//     shared cell-table core (sketch/cell_table.h); this class adds the XOR
+//     cell algebra, its storage, the peel loop and the codec bodies.
 //   - Decode peels in place on a reusable scratch pool (no per-call copy of
 //     the Iblt object) with per-cell purity flags maintained incrementally.
-//     The pool is thread_local, so Decode/DecodeDiff are const AND reentrant:
-//     any number of threads may decode the same table (or disjoint tables)
-//     concurrently, and warm repeat decodes on one thread still allocate
-//     nothing. StrataEstimator::EstimateDiff inherits this — concurrent
-//     sessions negotiate against one shared snapshot's estimators.
+//     The pool is thread_local (no instance owns scratch, so copies and
+//     moves are the defaults; see sketch/cell_table.h): Decode/DecodeDiff
+//     are const AND reentrant across threads, and warm repeat decodes on one
+//     thread allocate nothing. A decode must not nest inside another decode
+//     on the same thread. StrataEstimator::EstimateDiff inherits this —
+//     concurrent sessions negotiate against one shared snapshot's
+//     estimators.
 //
 // NOTE (multiset semantics): two XOR-inserts of the same key self-cancel.
 // Callers reconciling multisets must salt keys with a canonical occurrence
@@ -27,16 +32,12 @@
 #ifndef RSR_SKETCH_IBLT_H_
 #define RSR_SKETCH_IBLT_H_
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "hashing/checksum.h"
-#include "hashing/kindependent.h"
-#include "sketch/cell_index.h"
-#include "util/fastdiv.h"
-#include "util/random.h"
+#include "sketch/cell_table.h"
 #include "util/serialize.h"
 #include "util/status.h"
 #include "util/wire.h"
@@ -76,40 +77,10 @@ struct IbltDecodeResult {
 
 class Iblt {
  public:
-  /// Upper bound on q. Cell indices for one key fit in a fixed inline array,
-  /// so deriving them never allocates.
-  static constexpr int kMaxHashes = 8;
+  /// Upper bound on q (see sketch_internal::kMaxHashes).
+  static constexpr int kMaxHashes = sketch_internal::kMaxHashes;
 
   explicit Iblt(const IbltParams& params);
-
-  /// Copies transfer the cell arena and hash configuration but NOT the
-  /// pooled shard scratch (snapshot copies are made to be read or
-  /// subtracted, and scratch regrows lazily on first use; decode scratch is
-  /// thread_local and never part of the instance). Moves keep everything.
-  Iblt(const Iblt& other)
-      : params_(other.params_),
-        num_cells_(other.num_cells_),
-        cells_per_subtable_(other.cells_per_subtable_),
-        subtable_mod_(other.subtable_mod_),
-        checksum_mask_(other.checksum_mask_),
-        checksum_salt_(other.checksum_salt_),
-        index_coeffs_(other.index_coeffs_),
-        arena_(other.arena_) {}
-  Iblt& operator=(const Iblt& other) {
-    if (this != &other) {
-      params_ = other.params_;
-      num_cells_ = other.num_cells_;
-      cells_per_subtable_ = other.cells_per_subtable_;
-      subtable_mod_ = other.subtable_mod_;
-      checksum_mask_ = other.checksum_mask_;
-      checksum_salt_ = other.checksum_salt_;
-      index_coeffs_ = other.index_coeffs_;
-      arena_ = other.arena_;
-    }
-    return *this;
-  }
-  Iblt(Iblt&&) = default;
-  Iblt& operator=(Iblt&&) = default;
 
   void Insert(uint64_t key) { Update(key, nullptr, +1); }
   void Delete(uint64_t key) { Update(key, nullptr, -1); }
@@ -135,15 +106,11 @@ class Iblt {
   void InsertMany(std::span<const uint64_t> keys) { UpdateMany(keys, +1); }
   void DeleteMany(std::span<const uint64_t> keys) { UpdateMany(keys, -1); }
 
-  /// Sharded intra-table batched update (value-less keys, like UpdateMany).
-  /// Mirrors Riblt::UpdateManySharded: hash every key once, stable-counting-
-  /// sort the pending updates into per-cell-block buckets as packed
-  /// (cell, key index) words, then each shard applies its contiguous range
-  /// of blocks (ShardBoundary over blocks). Each cell is written by exactly one shard
-  /// in global key order, and XOR/add cell arithmetic is order-insensitive
-  /// anyway, so the table is byte-identical to sequential UpdateMany for
-  /// every (num_shards, num_threads). All scratch is pooled on the
-  /// instance: warm repeat calls allocate nothing.
+  /// Sharded intra-table batched update (value-less keys, like UpdateMany),
+  /// run by the shared cell-table build (sketch_internal::ShardedUpdate).
+  /// Byte-identical to sequential UpdateMany for every
+  /// (num_shards, num_threads); scratch is pooled per thread, so warm repeat
+  /// calls allocate nothing.
   void UpdateManySharded(std::span<const uint64_t> keys, int direction,
                          size_t num_shards, size_t num_threads);
   void InsertManySharded(std::span<const uint64_t> keys, size_t num_shards,
@@ -161,16 +128,15 @@ class Iblt {
 
   /// Fold-down projection (XOR analogue of Riblt::FoldInto): overwrites
   /// `dst` (same num_hashes/value_size/checksum_bytes/seed) with this table
-  /// folded to dst's size — within each subtable, source cell i adds its
-  /// count into (and XORs its key/checksum/value words into) dst cell
-  /// i mod m', where dst's cells-per-subtable m' must divide ours. The cell
-  /// index polynomials depend on the seed only, so the folded table is
-  /// byte-identical to a cold build at dst's size. O(num_cells), no
-  /// rehashing, no allocation.
+  /// folded to dst's size, whose cells-per-subtable must divide ours
+  /// (sketch_internal::FoldCells). Counts add; key/checksum/value words XOR.
+  /// Byte-identical to a cold build at dst's size; no allocation.
   Status FoldInto(Iblt* dst) const;
   /// Convenience: folds into a fresh table of `num_cells` cells (rounded up
   /// to a multiple of num_hashes, like the constructor).
-  Result<Iblt> FoldTo(size_t num_cells) const;
+  Result<Iblt> FoldTo(size_t num_cells) const {
+    return sketch_internal::FoldTo(*this, num_cells);
+  }
 
   /// Peels the table (on a pooled scratch copy of the cell arena; the sketch
   /// itself stays intact). Returns entries with net counts +-1; the result is
@@ -186,7 +152,7 @@ class Iblt {
   size_t num_cells() const { return num_cells_; }
 
   /// Effective checksum mask. Locally-built tables carry the full
-  /// ChecksumMask(checksum_bytes); tables parsed from a compact stream carry
+  /// checksum_bytes-wide mask; tables parsed from a compact stream carry
   /// the narrower truncated mask, and every combining op (SubtractInPlace,
   /// DecodeDiff) works under the mask intersection — XOR commutes with
   /// masking, so a narrowed table is indistinguishable from one built narrow.
@@ -202,17 +168,9 @@ class Iblt {
                                WireCodec codec = DefaultWireCodec());
 
  private:
-  /// Degree of the cell-index polynomials (3-independent hashing; see the
-  /// constructor note). Their coefficients live in one flat array so CellsOf
-  /// shares the x^2 power across all q evaluations.
-  static constexpr int kIndexIndependence = 3;
-
   /// Update without the value/value_size contract check; UpdateMany hoists
   /// the check out of its per-key loop.
   void UpdateUnchecked(uint64_t key, const uint8_t* value, int direction);
-
-  /// Fills out[0..num_hashes) with the key's (distinct-subtable) cells.
-  void CellsOf(uint64_t key, size_t* out) const;
 
   Status CheckCompatible(const Iblt& other) const;
 
@@ -240,47 +198,15 @@ class Iblt {
 
   IbltParams params_;
   size_t num_cells_ = 0;
-  size_t cells_per_subtable_ = 0;
-  FastDiv61 subtable_mod_;      // division-free h % cells_per_subtable_
+  sketch_internal::CellMap map_;
   uint64_t checksum_mask_ = 0;  // hoisted from the per-update path
   uint64_t checksum_salt_ = 0;  // pre-mixed seed for key checksums
-  /// index_coeffs_[j*kIndexIndependence + i] multiplies x^i in subtable j's
-  /// index polynomial (flat, inline: no pointer chase on the hot path).
-  std::array<uint64_t, kIndexIndependence * kMaxHashes> index_coeffs_{};
   /// Single allocation: 3*num_cells_ words of counts/keys/checksums followed
   /// by ceil(num_cells_*value_size/8) words of value bytes.
   std::vector<uint64_t> arena_;
-
-  // Peel scratch is thread_local inside PeelInto (iblt.cc), NOT an instance
-  // member: decode must be reentrant across threads sharing one table
-  // (snapshot estimators), and per-thread pooling still keeps warm decodes
-  // allocation-free.
-
-  /// Pooled buffers for UpdateManySharded (see Riblt::ShardScratch).
-  struct ShardScratch {
-    std::vector<uint32_t> cells;        // n * num_hashes, key-major
-    std::vector<uint64_t> checksums;    // n
-    std::vector<uint32_t> bucket_counts;  // key_blocks x num_blocks
-    std::vector<size_t> bucket_offsets;   // key_blocks x num_blocks cursors
-    std::vector<size_t> block_starts;     // num_blocks + 1
-    std::vector<uint64_t> entries;        // n * num_hashes, cell<<32 | index
-  };
-  ShardScratch shard_scratch_;
 };
 
 // ---- Hot path (inline) ------------------------------------------------------
-
-inline void Iblt::CellsOf(uint64_t key, size_t* out) const {
-  const uint64_t xr = Mod61(key);
-  const uint64_t x2 = sketch_internal::SquareMod61(xr);
-  const size_t sub = cells_per_subtable_;
-  const uint64_t* c = index_coeffs_.data();
-  const size_t q = static_cast<size_t>(params_.num_hashes);
-  for (size_t j = 0; j < q; ++j, c += kIndexIndependence) {
-    uint64_t h = sketch_internal::EvalIndexPoly(c, xr, x2);
-    out[j] = j * sub + static_cast<size_t>(subtable_mod_.Mod(h));
-  }
-}
 
 // RSR_ZERO_ALLOC: the sketch hot path pinned by
 // SketchHotPathTest.IbltUpdateDoesNotAllocate.
@@ -293,15 +219,16 @@ inline void Iblt::Update(uint64_t key, const uint8_t* value, int direction) {
 inline void Iblt::UpdateUnchecked(uint64_t key, const uint8_t* value,
                                   int direction) {
   uint64_t checksum = ChecksumWithSalt(key, checksum_salt_) & checksum_mask_;
-  // Cell derivation is fused into the update loop (same math as CellsOf) so
-  // each cell's memory traffic overlaps the next polynomial evaluation. All
-  // member state is hoisted into locals: the slab stores go through uint64_t
-  // pointers that the compiler must otherwise assume alias the members.
+  // Cell derivation is fused into the update loop (same index function as
+  // CellMap::CellsOf) so each cell's memory traffic overlaps the next
+  // polynomial evaluation. All member state is hoisted into locals: the slab
+  // stores go through uint64_t pointers that the compiler must otherwise
+  // assume alias the members.
   const uint64_t xr = Mod61(key);
   const uint64_t x2 = sketch_internal::SquareMod61(xr);
-  const size_t sub = cells_per_subtable_;
-  const FastDiv61 mod = subtable_mod_;
-  const size_t q = static_cast<size_t>(params_.num_hashes);
+  const size_t sub = map_.cells_per_subtable();
+  const FastDiv61 mod = map_.subtable_mod();
+  const size_t q = map_.num_hashes();
   // __restrict: the slabs never alias the coefficient array or each other,
   // so the compiler may hoist coefficient loads past the slab stores.
   int64_t* __restrict counts = Counts();
@@ -309,11 +236,11 @@ inline void Iblt::UpdateUnchecked(uint64_t key, const uint8_t* value,
   uint64_t* __restrict checksums = ChecksumXors();
   uint8_t* __restrict values = ValueXors();
   const size_t value_size = params_.value_size;
-  const uint64_t* __restrict c = index_coeffs_.data();
+  const uint64_t* __restrict c = map_.coeffs();
   size_t base = 0;
-  for (size_t j = 0; j < q; ++j, c += kIndexIndependence, base += sub) {
-    uint64_t h = sketch_internal::EvalIndexPoly(c, xr, x2);
-    size_t cell = base + static_cast<size_t>(mod.Mod(h));
+  for (size_t j = 0; j < q;
+       ++j, c += sketch_internal::CellMap::kIndexIndependence, base += sub) {
+    size_t cell = sketch_internal::SubtableCell(c, xr, x2, mod, base);
     counts[cell] += direction;
     keys[cell] ^= key;
     checksums[cell] ^= checksum;

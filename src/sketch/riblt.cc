@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 
 #include "hashing/checksum.h"
-#include "sketch/cell_index.h"
-#include "util/parallel.h"
 
 namespace rsr {
 
@@ -16,8 +15,9 @@ namespace {
 // a 64-bit word, which keeps the wire format small, and 2^-32 per-peel
 // false-positive probability is far below the protocol's failure budget.
 // Takes the pre-mixed ChecksumSalt so hot loops skip one Mix64 per key.
+constexpr uint64_t kCellChecksumMask = 0xffffffffULL;
 inline uint64_t CellChecksum(uint64_t key, uint64_t mixed_salt) {
-  return ChecksumWithSalt(key, mixed_salt) & 0xffffffffULL;
+  return ChecksumWithSalt(key, mixed_salt) & kCellChecksumMask;
 }
 
 using U128 = unsigned __int128;
@@ -91,59 +91,26 @@ inline size_t Varint128Size(U128 v) {
 }
 
 inline size_t SignedVarint64Size(int64_t v) {
-  uint64_t z = (static_cast<uint64_t>(v) << 1) ^
-               static_cast<uint64_t>(v >> 63);  // zigzag
-  size_t n = 1;
-  while (z >= 0x80) {
-    z >>= 7;
-    ++n;
-  }
-  return n;
+  return Varint128Size((static_cast<uint64_t>(v) << 1) ^
+                       static_cast<uint64_t>(v >> 63));  // zigzag
 }
 
 }  // namespace
 
-Riblt::Riblt(const RibltParams& params) : params_(params) {
+Riblt::Riblt(const RibltParams& params)
+    : params_(params),
+      map_(params.num_cells, params.num_hashes, params.seed,
+           0x1ab17c0ffeeULL) {
   RSR_CHECK(params.num_hashes >= 3);  // Algorithm 1 requires q >= 3.
-  RSR_CHECK(params.num_hashes <= kMaxHashes);
-  RSR_CHECK(params.num_cells > 0);
   RSR_CHECK(params.dim > 0);
   RSR_CHECK(params.delta >= 1);
-  size_t q = static_cast<size_t>(params.num_hashes);
-  cells_per_subtable_ = (params.num_cells + q - 1) / q;
-  if (cells_per_subtable_ == 0) cells_per_subtable_ = 1;
-  size_t total = cells_per_subtable_ * q;
+  const size_t total = map_.num_cells();
   params_.num_cells = total;
-  subtable_mod_ = FastDiv61(cells_per_subtable_);
   checksum_salt_ = ChecksumSalt(params_.seed);
-
-  Rng rng(params.seed ^ 0x1ab17c0ffeeULL);
-  for (size_t j = 0; j < q; ++j) {
-    // Same RNG stream and polynomials as ever; coefficients are copied into
-    // the flat inline array that CellsOf evaluates.
-    KIndependentHash h = KIndependentHash::Draw(kIndexIndependence, &rng);
-    for (int i = 0; i < kIndexIndependence; ++i) {
-      index_coeffs_[j * kIndexIndependence + static_cast<size_t>(i)] =
-          h.coeffs()[i];
-    }
-  }
-
   counts_.assign(total, 0);
   key_sums_.assign(total, 0);
   checksum_sums_.assign(total, 0);
   value_sums_.assign(total * params_.dim, 0);
-}
-
-void Riblt::CellsOf(uint64_t key, size_t* out) const {
-  const uint64_t xr = Mod61(key);
-  const uint64_t x2 = sketch_internal::SquareMod61(xr);
-  const size_t sub = cells_per_subtable_;
-  const uint64_t* c = index_coeffs_.data();
-  const size_t q = static_cast<size_t>(params_.num_hashes);
-  for (size_t j = 0; j < q; ++j, c += kIndexIndependence) {
-    uint64_t h = sketch_internal::EvalIndexPoly(c, xr, x2);
-    out[j] = j * sub + static_cast<size_t>(subtable_mod_.Mod(h));
-  }
 }
 
 // RSR_ZERO_ALLOC: pinned by SketchHotPathTest.RibltUpdateDoesNotAllocate.
@@ -151,8 +118,8 @@ void Riblt::Update(uint64_t key, const Coord* value, int direction) {
   U128 key_term = key;
   U128 checksum_term = CellChecksum(key, checksum_salt_);
   size_t cells[kMaxHashes];
-  CellsOf(key, cells);
-  const size_t q = static_cast<size_t>(params_.num_hashes);
+  map_.CellsOf(key, cells);
+  const size_t q = map_.num_hashes();
   const size_t dim = params_.dim;
   for (size_t j = 0; j < q; ++j) {
     size_t cell = cells[j];
@@ -190,125 +157,28 @@ void Riblt::UpdateManySharded(std::span<const uint64_t> keys,
   RSR_CHECK_EQ(keys.size(), values.size());
   if (keys.empty()) return;
   RSR_CHECK_EQ(values.dim(), params_.dim);
-  const size_t total = counts_.size();
-  if (num_shards > total) num_shards = total;
-  if (num_shards <= 1) {
+  if (std::min(num_shards, counts_.size()) <= 1) {  // a single shard
     UpdateMany(keys, values, direction);
     return;
   }
-  const size_t n = keys.size();
-  const size_t q = static_cast<size_t>(params_.num_hashes);
+  // Blocks are sized for counts + key_sums + checksum_sums + value_sums; the
+  // apply step is Update's arithmetic verbatim (wrapping 128-bit sums, int64
+  // adds), so the table is byte-identical to UpdateMany's.
   const size_t dim = params_.dim;
-
-  // Phase 1: hash every key once — q cell indices plus the checksum term —
-  // sharded over keys. Pooled buffers: repeat calls with the same batch
-  // shape allocate nothing.
-  shard_scratch_.cells.resize(n * q);
-  shard_scratch_.checksums.resize(n);
-  uint32_t* const cell_idx = shard_scratch_.cells.data();
-  uint64_t* const checksums = shard_scratch_.checksums.data();
-  const uint64_t* const key_data = keys.data();
-  ParallelShards(n, num_threads, [&](size_t begin, size_t end) {
-    size_t cells[kMaxHashes];
-    for (size_t i = begin; i < end; ++i) {
-      CellsOf(key_data[i], cells);
-      for (size_t j = 0; j < q; ++j) {
-        cell_idx[i * q + j] = static_cast<uint32_t>(cells[j]);
-      }
-      checksums[i] = CellChecksum(key_data[i], checksum_salt_);
-    }
-  });
-
-  // Cell blocks: fixed-size sub-ranges sized so one block's slab slice
-  // (counts + key_sums + checksum_sums + value_sums) is ~0.5 MiB, i.e.
-  // comfortably L2-resident while a bucket is applied. Pure function of the
-  // table geometry — independent of num_shards and num_threads.
   const size_t cell_bytes =
       sizeof(int64_t) + 2 * sizeof(U128) + dim * sizeof(int64_t);
-  size_t block_shift = 0;
-  while ((size_t{1} << (block_shift + 1)) * cell_bytes <= (size_t{1} << 19)) {
-    ++block_shift;
-  }
-  const size_t num_blocks = ((total - 1) >> block_shift) + 1;
-  if (num_shards > num_blocks) num_shards = num_blocks;
-
-  // Phase 2: stable counting sort of the n*q pending updates into per-block
-  // buckets as packed (cell << 32 | key index) words — 8 bytes per update,
-  // so the partition itself is a light streaming pass. Key blocks give the
-  // scatter deterministic parallelism: per-(key block, cell block) counts
-  // turn into exact cursors, and each worker writes its own cursor ranges.
-  // Bucket order is (key block, key) = global key order — the sort is
-  // stable.
-  const size_t key_blocks = num_shards < n ? num_shards : n;
-  shard_scratch_.bucket_counts.assign(key_blocks * num_blocks, 0);
-  shard_scratch_.bucket_offsets.resize(key_blocks * num_blocks);
-  shard_scratch_.block_starts.resize(num_blocks + 1);
-  shard_scratch_.entries.resize(n * q);
-  uint32_t* const bucket_counts = shard_scratch_.bucket_counts.data();
-  size_t* const bucket_offsets = shard_scratch_.bucket_offsets.data();
-  size_t* const block_starts = shard_scratch_.block_starts.data();
-  uint64_t* const entries = shard_scratch_.entries.data();
-  const Coord* const rows = values.coord_data();
-
-  ParallelShards(key_blocks, num_threads, [&](size_t kb_begin, size_t kb_end) {
-    for (size_t kb = kb_begin; kb < kb_end; ++kb) {
-      uint32_t* const cnt = bucket_counts + kb * num_blocks;
-      const size_t i_end = ShardBoundary(n, key_blocks, kb + 1);
-      for (size_t i = ShardBoundary(n, key_blocks, kb); i < i_end; ++i) {
-        for (size_t j = 0; j < q; ++j) {
-          ++cnt[cell_idx[i * q + j] >> block_shift];
-        }
-      }
-    }
-  });
-  size_t run = 0;
-  for (size_t b = 0; b < num_blocks; ++b) {
-    block_starts[b] = run;
-    for (size_t kb = 0; kb < key_blocks; ++kb) {
-      bucket_offsets[kb * num_blocks + b] = run;
-      run += bucket_counts[kb * num_blocks + b];
-    }
-  }
-  block_starts[num_blocks] = run;
-  ParallelShards(key_blocks, num_threads, [&](size_t kb_begin, size_t kb_end) {
-    for (size_t kb = kb_begin; kb < kb_end; ++kb) {
-      size_t* const cursor = bucket_offsets + kb * num_blocks;
-      const size_t i_end = ShardBoundary(n, key_blocks, kb + 1);
-      for (size_t i = ShardBoundary(n, key_blocks, kb); i < i_end; ++i) {
-        for (size_t j = 0; j < q; ++j) {
-          const uint32_t cell = cell_idx[i * q + j];
-          const size_t pos = cursor[cell >> block_shift]++;
-          entries[pos] = (static_cast<uint64_t>(cell) << 32) | i;
-        }
-      }
-    }
-  });
-
-  // Phase 3: each shard owns a contiguous range of cell blocks and applies
-  // their buckets in order. Every cell is written by exactly one shard (no
-  // atomics) and sees its updates in global key order; the arithmetic
-  // (wrapping 128-bit sums, int64 adds) matches Update verbatim, so the
-  // table is byte-identical to UpdateMany's for every shard/thread count.
-  // The bucket reads stream and the cell writes stay inside one L2-sized
-  // block slice at a time — that locality is what keeps large-table builds
-  // fast even single-threaded.
   int64_t* const counts = counts_.data();
   U128* const key_sums = key_sums_.data();
   U128* const checksum_sums = checksum_sums_.data();
   int64_t* const value_sums = value_sums_.data();
-  ParallelShards(num_shards, num_threads, [&](size_t s_begin, size_t s_end) {
-    for (size_t shard = s_begin; shard < s_end; ++shard) {
-      const size_t pos_begin =
-          block_starts[ShardBoundary(num_blocks, num_shards, shard)];
-      const size_t pos_end =
-          block_starts[ShardBoundary(num_blocks, num_shards, shard + 1)];
-      for (size_t pos = pos_begin; pos < pos_end; ++pos) {
-        const uint64_t e = entries[pos];
-        const size_t cell = e >> 32;
-        const size_t i = static_cast<uint32_t>(e);
+  const uint64_t* const key_data = keys.data();
+  const Coord* const rows = values.coord_data();
+  sketch_internal::ShardedUpdate(
+      map_, keys, checksum_salt_, kCellChecksumMask, cell_bytes, num_shards,
+      num_threads, [&](size_t cell, size_t i, uint64_t checksum) {
         counts[cell] += direction;
         const U128 key_term = key_data[i];
-        const U128 checksum_term = checksums[i];
+        const U128 checksum_term = checksum;
         if (direction > 0) {
           key_sums[cell] += key_term;
           checksum_sums[cell] += checksum_term;
@@ -321,9 +191,7 @@ void Riblt::UpdateManySharded(std::span<const uint64_t> keys,
         for (size_t d = 0; d < dim; ++d) {
           vs[d] += direction > 0 ? value[d] : -value[d];
         }
-      }
-    }
-  });
+      });
 }
 
 Status Riblt::AddScaled(const Riblt& other, int64_t factor) {
@@ -356,67 +224,28 @@ Status Riblt::AddScaled(const Riblt& other, int64_t factor) {
 // RSR_ZERO_ALLOC: warm folds reuse dst's slabs
 // (RibltFoldTest.WarmFoldIntoPerformsZeroAllocations).
 Status Riblt::FoldInto(Riblt* dst) const {
-  if (dst->params_.num_hashes != params_.num_hashes ||
-      dst->params_.dim != params_.dim ||
-      dst->params_.delta != params_.delta ||
-      dst->params_.seed != params_.seed) {
-    return Status::InvalidArgument("RIBLT parameter mismatch in FoldInto");
-  }
-  const size_t src_sub = cells_per_subtable_;
-  const size_t dst_sub = dst->cells_per_subtable_;
-  if (dst_sub == 0 || src_sub % dst_sub != 0) {
-    return Status::InvalidArgument(
-        "FoldInto target cells-per-subtable must divide the source's");
-  }
+  const bool params_match = dst->params_.num_hashes == params_.num_hashes &&
+                            dst->params_.dim == params_.dim &&
+                            dst->params_.delta == params_.delta &&
+                            dst->params_.seed == params_.seed;
+  // Every slab adds (int64 adds, wrapping 128-bit adds).
+  const size_t dim = params_.dim;
+  const std::plus<> add;
+  RSR_RETURN_NOT_OK(sketch_internal::FoldCells(
+      map_, dst->map_, params_match, "RIBLT parameter mismatch in FoldInto",
+      [&](size_t src_off, size_t dst_off, size_t len, bool first) {
+        using sketch_internal::FoldSlab;
+        FoldSlab(&counts_[src_off], &dst->counts_[dst_off], len, first, add);
+        FoldSlab(&key_sums_[src_off], &dst->key_sums_[dst_off], len, first,
+                 add);
+        FoldSlab(&checksum_sums_[src_off], &dst->checksum_sums_[dst_off], len,
+                 first, add);
+        FoldSlab(&value_sums_[src_off * dim], &dst->value_sums_[dst_off * dim],
+                 len * dim, first, add);
+      }));
   dst->checksum_mask_ = checksum_mask_;
   dst->value_mask_ = value_mask_;
-  const size_t q = static_cast<size_t>(params_.num_hashes);
-  const size_t dim = params_.dim;
-  const size_t blocks = src_sub / dst_sub;
-  // Overwrite-then-accumulate, subtable by subtable. Block r of the source
-  // subtable covers cells [r*dst_sub, (r+1)*dst_sub); cell r*dst_sub + i
-  // lands on dst cell i (== (r*dst_sub + i) mod dst_sub), so each block adds
-  // slab-contiguously — no modulo in the loop. Sums are associative and
-  // commutative (int64 adds, wrapping 128-bit adds), so the fold equals a
-  // cold build at dst's size regardless of update order. No allocation.
-  for (size_t j = 0; j < q; ++j) {
-    const size_t src_base = j * src_sub;
-    const size_t dst_base = j * dst_sub;
-    for (size_t r = 0; r < blocks; ++r) {
-      const size_t src_off = src_base + r * dst_sub;
-      const int64_t* const sc = counts_.data() + src_off;
-      const U128* const sk = key_sums_.data() + src_off;
-      const U128* const ss = checksum_sums_.data() + src_off;
-      const int64_t* const sv = value_sums_.data() + src_off * dim;
-      int64_t* const dc = dst->counts_.data() + dst_base;
-      U128* const dk = dst->key_sums_.data() + dst_base;
-      U128* const dsum = dst->checksum_sums_.data() + dst_base;
-      int64_t* const dv = dst->value_sums_.data() + dst_base * dim;
-      if (r == 0) {
-        for (size_t i = 0; i < dst_sub; ++i) dc[i] = sc[i];
-        for (size_t i = 0; i < dst_sub; ++i) dk[i] = sk[i];
-        for (size_t i = 0; i < dst_sub; ++i) dsum[i] = ss[i];
-        for (size_t i = 0; i < dst_sub * dim; ++i) dv[i] = sv[i];
-      } else {
-        for (size_t i = 0; i < dst_sub; ++i) dc[i] += sc[i];
-        for (size_t i = 0; i < dst_sub; ++i) dk[i] += sk[i];
-        for (size_t i = 0; i < dst_sub; ++i) dsum[i] += ss[i];
-        for (size_t i = 0; i < dst_sub * dim; ++i) dv[i] += sv[i];
-      }
-    }
-  }
   return Status::OK();
-}
-
-Result<Riblt> Riblt::FoldTo(size_t num_cells) const {
-  if (num_cells == 0) {
-    return Status::InvalidArgument("FoldTo requires num_cells > 0");
-  }
-  RibltParams target = params_;
-  target.num_cells = num_cells;
-  Riblt dst(target);
-  RSR_RETURN_NOT_OK(FoldInto(&dst));
-  return dst;
 }
 
 Status Riblt::DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
@@ -436,22 +265,23 @@ Status Riblt::DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
   out->complete = false;
   out->peel_steps = 0;
 
-  // Peel on pooled scratch copies of the cell slabs; after the first call
-  // these are memcpys into existing capacity, not allocations.
-  scratch_.counts.assign(counts_.begin(), counts_.end());
-  scratch_.key_sums.assign(key_sums_.begin(), key_sums_.end());
-  scratch_.checksum_sums.assign(checksum_sums_.begin(), checksum_sums_.end());
-  scratch_.value_sums.assign(value_sums_.begin(), value_sums_.end());
-  int64_t* counts = scratch_.counts.data();
-  U128* key_sums = scratch_.key_sums.data();
-  U128* checksum_sums = scratch_.checksum_sums.data();
-  int64_t* value_sums = scratch_.value_sums.data();
+  // Peel on the result's pooled slab copies: once the result is warm these
+  // are memcpys into existing capacity, not allocations.
+  RibltPeelWorkspace& scratch = out->workspace;
+  scratch.counts.assign(counts_.begin(), counts_.end());
+  scratch.key_sums.assign(key_sums_.begin(), key_sums_.end());
+  scratch.checksum_sums.assign(checksum_sums_.begin(), checksum_sums_.end());
+  scratch.value_sums.assign(value_sums_.begin(), value_sums_.end());
+  int64_t* counts = scratch.counts.data();
+  U128* key_sums = scratch.key_sums.data();
+  U128* checksum_sums = scratch.checksum_sums.data();
+  int64_t* value_sums = scratch.value_sums.data();
 
   // FIFO breadth-first order (RIBLT requirement 1): cells become eligible in
   // the order they turn pure, and are processed first-come first-served.
-  scratch_.queue.clear();
-  scratch_.queued.assign(total, 0);
-  uint8_t* queued = scratch_.queued.data();
+  scratch.queue.clear();
+  scratch.queued.assign(total, 0);
+  uint8_t* queued = scratch.queued.data();
   size_t head = 0;
   int64_t copies;
   uint64_t key;
@@ -460,21 +290,21 @@ Status Riblt::DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
   for (size_t c = 0; c < total; ++c) {
     if (CellIsPure(counts, key_sums, checksum_sums, checksum_salt_, mask, c,
                    &copies, &key, &side)) {
-      scratch_.queue.push_back(static_cast<uint32_t>(c));
+      scratch.queue.push_back(static_cast<uint32_t>(c));
       queued[c] = 1;
     }
   }
 
-  scratch_.average.resize(dim);
-  scratch_.cell_values.resize(dim);
-  double* average = scratch_.average.data();
-  int64_t* cell_values = scratch_.cell_values.data();
+  scratch.average.resize(dim);
+  scratch.cell_values.resize(dim);
+  double* average = scratch.average.data();
+  int64_t* cell_values = scratch.cell_values.data();
   size_t cells[kMaxHashes];
   const size_t q = static_cast<size_t>(params_.num_hashes);
 
   size_t total_pairs = 0;
-  while (head < scratch_.queue.size()) {
-    size_t cell = scratch_.queue[head++];
+  while (head < scratch.queue.size()) {
+    size_t cell = scratch.queue[head++];
     queued[cell] = 0;
     if (!CellIsPure(counts, key_sums, checksum_sums, checksum_salt_, mask,
                     cell, &copies, &key, &side)) {
@@ -538,7 +368,7 @@ Status Riblt::DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
     U128 cell_key_sum = key_sums[cell];
     U128 cell_checksum_sum = checksum_sums[cell];
     for (size_t j = 0; j < dim; ++j) cell_values[j] = vs[j];
-    CellsOf(key, cells);
+    map_.CellsOf(key, cells);
     for (size_t j = 0; j < q; ++j) {
       size_t touched = cells[j];
       counts[touched] -= cell_count;
@@ -552,7 +382,7 @@ Status Riblt::DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
         int s2;
         if (CellIsPure(counts, key_sums, checksum_sums, checksum_salt_, mask,
                        touched, &c2, &k2, &s2)) {
-          scratch_.queue.push_back(static_cast<uint32_t>(touched));
+          scratch.queue.push_back(static_cast<uint32_t>(touched));
           queued[touched] = 1;
         }
       }
@@ -643,9 +473,7 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   //   val_bits u8) · [bitmap] · bitstream (cnt Δ, key Δ, chk residue,
   //   val residual Δs or mod residues per included cell) · zero-pad to byte.
   const int chk_bits = RibltCompactChecksumBits(m, checksum_mask_);
-  const U128 wire_mask = chk_bits >= 128
-                             ? ~static_cast<U128>(0)
-                             : (static_cast<U128>(1) << chk_bits) - 1;
+  const U128 wire_mask = sketch_internal::LowBits<U128>(chk_bits);
 
   // Count-slope predictor: val_mu[j] = (sum of value sums) / (sum of
   // counts), in wrapping arithmetic. Any slope round-trips exactly; a
@@ -675,35 +503,22 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
             static_cast<uint64_t>(val_mu[j]));
   };
 
-  static thread_local std::vector<uint8_t> included;
-  included.assign(m, 0);
-  // Stats over all cells (dense candidate) and included cells (sparse).
-  int64_t cmin_d = 0, cmax_d = 0, cmin_s = 0, cmax_s = 0;
-  U128 kmin_d = 0, kmax_d = 0, kmin_s = 0, kmax_s = 0;
-  static thread_local std::vector<int64_t> vmin_d, vmax_d, vmin_s, vmax_s;
-  vmin_d.assign(dim, 0);
-  vmax_d.assign(dim, 0);
-  vmin_s.assign(dim, 0);
-  vmax_s.assign(dim, 0);
+  uint8_t* const included = sketch_internal::CellFlags(m);
+  // Field ranges over all cells (dense candidate) and over included cells
+  // (sparse candidate).
+  using sketch_internal::FieldRange;
+  using sketch_internal::SpreadBits;
+  FieldRange<int64_t> cnt_d, cnt_s;
+  FieldRange<U128> key_d, key_s;
+  static thread_local std::vector<FieldRange<int64_t>> val_d, val_s;
+  val_d.assign(dim, {});
+  val_s.assign(dim, {});
   size_t n_included = 0;
-  bool first_s = true;
   for (size_t c = 0; c < m; ++c) {
     const int64_t* vs = &value_sums_[c * dim];
-    if (c == 0) {
-      cmin_d = cmax_d = counts_[0];
-      kmin_d = kmax_d = key_sums_[0];
-      for (size_t j = 0; j < dim; ++j) vmin_d[j] = vmax_d[j] = val_resid(0, j);
-    } else {
-      cmin_d = std::min(cmin_d, counts_[c]);
-      cmax_d = std::max(cmax_d, counts_[c]);
-      kmin_d = std::min(kmin_d, key_sums_[c]);
-      kmax_d = std::max(kmax_d, key_sums_[c]);
-      for (size_t j = 0; j < dim; ++j) {
-        const int64_t rv = val_resid(c, j);
-        vmin_d[j] = std::min(vmin_d[j], rv);
-        vmax_d[j] = std::max(vmax_d[j], rv);
-      }
-    }
+    cnt_d.Add(counts_[c]);
+    key_d.Add(key_sums_[c]);
+    for (size_t j = 0; j < dim; ++j) val_d[j].Add(val_resid(c, j));
     bool nonzero = counts_[c] != 0 || key_sums_[c] != 0 ||
                    (checksum_sums_[c] & wire_mask) != 0;
     if (!nonzero) {
@@ -717,32 +532,15 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
     if (!nonzero) continue;
     included[c] = 1;
     ++n_included;
-    if (first_s) {
-      first_s = false;
-      cmin_s = cmax_s = counts_[c];
-      kmin_s = kmax_s = key_sums_[c];
-      for (size_t j = 0; j < dim; ++j) vmin_s[j] = vmax_s[j] = val_resid(c, j);
-    } else {
-      cmin_s = std::min(cmin_s, counts_[c]);
-      cmax_s = std::max(cmax_s, counts_[c]);
-      kmin_s = std::min(kmin_s, key_sums_[c]);
-      kmax_s = std::max(kmax_s, key_sums_[c]);
-      for (size_t j = 0; j < dim; ++j) {
-        const int64_t rv = val_resid(c, j);
-        vmin_s[j] = std::min(vmin_s[j], rv);
-        vmax_s[j] = std::max(vmax_s[j], rv);
-      }
-    }
+    cnt_s.Add(counts_[c]);
+    key_s.Add(key_sums_[c]);
+    for (size_t j = 0; j < dim; ++j) val_s[j].Add(val_resid(c, j));
   }
 
-  auto range_bits64 = [](int64_t lo, int64_t hi) {
-    return static_cast<int>(std::bit_width(static_cast<uint64_t>(hi) -
-                                           static_cast<uint64_t>(lo)));
-  };
-  const int cnt_bits_d = range_bits64(cmin_d, cmax_d);
-  const int cnt_bits_s = n_included == 0 ? 0 : range_bits64(cmin_s, cmax_s);
-  const int key_bits_d = BitWidth128(kmax_d - kmin_d);
-  const int key_bits_s = n_included == 0 ? 0 : BitWidth128(kmax_s - kmin_s);
+  const int cnt_bits_d = SpreadBits(cnt_d);
+  const int cnt_bits_s = SpreadBits(cnt_s);
+  const int key_bits_d = BitWidth128(key_d.hi - key_d.lo);
+  const int key_bits_s = BitWidth128(key_s.hi - key_s.lo);
   const size_t base_bits_d =
       static_cast<size_t>(cnt_bits_d + key_bits_d + chk_bits);
   const size_t base_bits_s =
@@ -759,23 +557,20 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   size_t val_for_bits_d = 0, val_for_bits_s = 0;
   size_t val_for_hdr = 0;
   for (size_t j = 0; j < dim; ++j) {
-    val_for_bits_d += static_cast<size_t>(range_bits64(vmin_d[j], vmax_d[j]));
-    val_for_bits_s +=
-        n_included == 0
-            ? 0
-            : static_cast<size_t>(range_bits64(vmin_s[j], vmax_s[j]));
+    val_for_bits_d += static_cast<size_t>(SpreadBits(val_d[j]));
+    val_for_bits_s += static_cast<size_t>(SpreadBits(val_s[j]));
     val_for_hdr += SignedVarint64Size(val_mu[j]) + 1;
   }
   size_t val_for_hdr_d = val_for_hdr, val_for_hdr_s = val_for_hdr;
   for (size_t j = 0; j < dim; ++j) {
-    val_for_hdr_d += SignedVarint64Size(vmin_d[j]);
-    val_for_hdr_s += SignedVarint64Size(vmin_s[j]);
+    val_for_hdr_d += SignedVarint64Size(val_d[j].lo);
+    val_for_hdr_s += SignedVarint64Size(val_s[j].lo);
   }
   const size_t val_mod_bits = dim * static_cast<size_t>(wv_mod);
   const size_t hdr_d =
-      2 + SignedVarint64Size(cmin_d) + 1 + Varint128Size(kmin_d) + 1;
-  const size_t hdr_s = 2 + SignedVarint64Size(cmin_s) + 1 +
-                       Varint128Size(kmin_s) + 1 + (m + 7) / 8;
+      2 + SignedVarint64Size(cnt_d.lo) + 1 + Varint128Size(key_d.lo) + 1;
+  const size_t hdr_s = 2 + SignedVarint64Size(cnt_s.lo) + 1 +
+                       Varint128Size(key_s.lo) + 1 + (m + 7) / 8;
   // Four candidates: {dense, sparse} x {FoR values, mod values}; exact byte
   // counts, deterministic preference order on ties.
   const size_t size_df =
@@ -789,14 +584,12 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   const bool sparse = best != size_df && best != size_dm;
   const bool vmod = sparse ? best != size_sf : (best != size_df);
 
-  const int64_t cnt_base = sparse ? cmin_s : cmin_d;
+  const int64_t cnt_base = sparse ? cnt_s.lo : cnt_d.lo;
   const int cnt_bits = sparse ? cnt_bits_s : cnt_bits_d;
-  const U128 key_base = sparse ? kmin_s : kmin_d;
+  const U128 key_base = sparse ? key_s.lo : key_d.lo;
   const int key_bits = sparse ? key_bits_s : key_bits_d;
-  const std::vector<int64_t>& vmin = sparse ? vmin_s : vmin_d;
-  const std::vector<int64_t>& vmax = sparse ? vmax_s : vmax_d;
-  const uint64_t wv_mask = wv_mod >= 64 ? ~static_cast<uint64_t>(0)
-                                        : (uint64_t{1} << wv_mod) - 1;
+  const std::vector<FieldRange<int64_t>>& val = sparse ? val_s : val_d;
+  const uint64_t wv_mask = sketch_internal::LowBits<uint64_t>(wv_mod);
 
   // The candidate sizes above are exact, so one reserve covers the whole
   // encode: a cold pooled writer allocates at most once per table and a
@@ -814,22 +607,13 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
     w->PutU8(static_cast<uint8_t>(wv_mod));
   } else {
     for (size_t j = 0; j < dim; ++j) {
-      val_bits[j] = static_cast<uint8_t>(
-          sparse && n_included == 0 ? 0 : range_bits64(vmin[j], vmax[j]));
+      val_bits[j] = static_cast<uint8_t>(SpreadBits(val[j]));
       w->PutSignedVarint64(val_mu[j]);
-      w->PutSignedVarint64(vmin[j]);
+      w->PutSignedVarint64(val[j].lo);
       w->PutU8(val_bits[j]);
     }
   }
-  if (sparse) {
-    for (size_t base = 0; base < m; base += 8) {
-      uint8_t bits = 0;
-      for (size_t i = 0; i < 8 && base + i < m; ++i) {
-        if (included[base + i]) bits |= static_cast<uint8_t>(1u << i);
-      }
-      w->PutU8(bits);
-    }
-  }
+  if (sparse) sketch_internal::WriteCellBitmap(w, included, m);
   for (size_t c = 0; c < m; ++c) {
     if (sparse && !included[c]) continue;
     w->PutBits(static_cast<uint64_t>(counts_[c]) -
@@ -844,7 +628,7 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
         w->PutBits(static_cast<uint64_t>(vs[j]) & wv_mask, wv_mod);
       } else {
         w->PutBits(static_cast<uint64_t>(val_resid(c, j)) -
-                       static_cast<uint64_t>(vmin[j]),
+                       static_cast<uint64_t>(val[j].lo),
                    val_bits[j]);
       }
     }
@@ -909,26 +693,9 @@ Result<Riblt> Riblt::ReadFrom(ByteReader* r, const RibltParams& params,
       }
     }
   }
-  const U128 wire_mask = chk_bits >= 128
-                             ? ~static_cast<U128>(0)
-                             : (static_cast<U128>(1) << chk_bits) - 1;
-  const bool sparse = (mode & 1) != 0;
-  static thread_local std::vector<uint8_t> included;
-  included.assign(m, 1);
-  if (sparse) {
-    for (size_t base = 0; base < m; base += 8) {
-      uint8_t bits = r->GetU8();
-      for (size_t i = 0; i < 8; ++i) {
-        if (base + i < m) {
-          included[base + i] = (bits >> i) & 1;
-        } else if ((bits >> i) & 1) {
-          // Nonzero bitmap padding would let distinct streams decode
-          // identically; reject for canonical round-trips.
-          r->Invalidate();
-        }
-      }
-    }
-  }
+  const U128 wire_mask = sketch_internal::LowBits<U128>(chk_bits);
+  const uint8_t* const included =
+      sketch_internal::ReadCellBitmap(r, m, /*sparse=*/(mode & 1) != 0);
   RSR_RETURN_NOT_OK(r->status());
   for (size_t c = 0; c < m; ++c) {
     if (!included[c]) continue;
@@ -958,8 +725,7 @@ Result<Riblt> Riblt::ReadFrom(ByteReader* r, const RibltParams& params,
   RSR_RETURN_NOT_OK(r->status());
   table.checksum_mask_ &= wire_mask;
   if (vmod) {
-    table.value_mask_ &= wv_mod >= 64 ? ~static_cast<uint64_t>(0)
-                                      : (uint64_t{1} << wv_mod) - 1;
+    table.value_mask_ &= sketch_internal::LowBits<uint64_t>(wv_mod);
   }
   return table;
 }

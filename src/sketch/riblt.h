@@ -21,22 +21,24 @@
 // to the extracted values and the subtraction step forwards it to the key's
 // other cells.
 //
-// Engineering invariants mirror the classic IBLT (see sketch/README.md):
-// Update/UpdateMany never allocate (inline cell-index array, raw coordinate
-// spans), and Decode peels in place on a reusable scratch pool instead of
-// deep-copying the table, which makes Decode non-reentrant per instance.
+// Engineering invariants mirror the classic IBLT (see sketch/README.md): the
+// cell map, sharded build, fold loop and compact bitmap are the shared
+// cell-table core (sketch/cell_table.h); Update/UpdateMany never allocate
+// (inline cell-index array, raw coordinate spans); and DecodeInto peels in
+// place on a workspace pooled in the caller's RibltDecodeResult instead of
+// deep-copying the table, so it is const AND reentrant: any number of
+// threads may decode one table concurrently, each into its own result. No
+// instance owns scratch, so copies and moves are the defaults.
 #ifndef RSR_SKETCH_RIBLT_H_
 #define RSR_SKETCH_RIBLT_H_
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "geometry/point.h"
 #include "geometry/point_store.h"
-#include "hashing/kindependent.h"
-#include "util/fastdiv.h"
+#include "sketch/cell_table.h"
 #include "util/random.h"
 #include "util/serialize.h"
 #include "util/status.h"
@@ -57,6 +59,18 @@ struct RibltParams {
   uint64_t seed = 0;
 };
 
+/// Riblt::DecodeInto's peel workspace: mutable copies of the cell slabs, the
+/// FIFO queue, and per-peel buffers. Not decoded output.
+struct RibltPeelWorkspace {
+  std::vector<int64_t> counts;
+  std::vector<unsigned __int128> key_sums, checksum_sums;
+  std::vector<int64_t> value_sums;
+  std::vector<uint32_t> queue;  // FIFO via head index
+  std::vector<uint8_t> queued;
+  std::vector<double> average;       // dim-sized per-peel workspace
+  std::vector<int64_t> cell_values;  // dim-sized per-peel workspace
+};
+
 /// Store-native decode output. Extracted values land as rows in two columnar
 /// arenas — `inserted` for the inserting party (side +1, Alice in
 /// Algorithm 1), `deleted` for the deleting party (side -1, Bob) — with the
@@ -73,49 +87,21 @@ struct RibltDecodeResult {
   bool complete = false;
   /// Number of peeling rounds (BFS depth proxy) for diagnostics.
   size_t peel_steps = 0;
+  /// Reused by every DecodeInto into this result, so a warm result decodes
+  /// without allocating. Kept here, not on the table (DecodeInto stays const
+  /// and reentrant: concurrent decoders each own their result) and not in a
+  /// thread_local pool that outlives the exchange (on the emd_wide_prior
+  /// benchmark, 4-vCPU host under load, one raised peak RSS from 58 to 80 MB
+  /// through malloc-heap fragmentation).
+  RibltPeelWorkspace workspace;
 };
 
 class Riblt {
  public:
-  /// Upper bound on q; cell indices fit in a fixed inline array so the
-  /// update path never allocates.
-  static constexpr int kMaxHashes = 8;
+  /// Upper bound on q (see sketch_internal::kMaxHashes).
+  static constexpr int kMaxHashes = sketch_internal::kMaxHashes;
 
   explicit Riblt(const RibltParams& params);
-
-  /// Copies transfer the cell arrays and hash configuration but NOT the
-  /// pooled decode/shard scratch (snapshot copies serve reads; scratch
-  /// regrows lazily on the copy's first Decode). Moves keep everything.
-  Riblt(const Riblt& other)
-      : params_(other.params_),
-        cells_per_subtable_(other.cells_per_subtable_),
-        subtable_mod_(other.subtable_mod_),
-        checksum_salt_(other.checksum_salt_),
-        checksum_mask_(other.checksum_mask_),
-        value_mask_(other.value_mask_),
-        index_coeffs_(other.index_coeffs_),
-        counts_(other.counts_),
-        key_sums_(other.key_sums_),
-        checksum_sums_(other.checksum_sums_),
-        value_sums_(other.value_sums_) {}
-  Riblt& operator=(const Riblt& other) {
-    if (this != &other) {
-      params_ = other.params_;
-      cells_per_subtable_ = other.cells_per_subtable_;
-      subtable_mod_ = other.subtable_mod_;
-      checksum_salt_ = other.checksum_salt_;
-      checksum_mask_ = other.checksum_mask_;
-      value_mask_ = other.value_mask_;
-      index_coeffs_ = other.index_coeffs_;
-      counts_ = other.counts_;
-      key_sums_ = other.key_sums_;
-      checksum_sums_ = other.checksum_sums_;
-      value_sums_ = other.value_sums_;
-    }
-    return *this;
-  }
-  Riblt(Riblt&&) = default;
-  Riblt& operator=(Riblt&&) = default;
 
   /// Adds (key, value). Requires value.dim() == params.dim and coordinates in
   /// [0, delta].
@@ -146,24 +132,12 @@ class Riblt {
     UpdateMany(keys, values, -1);
   }
 
-  /// Sharded intra-table batched update. The cell array is partitioned into
-  /// `num_shards` contiguous sub-ranges (util/parallel.h ShardBoundary over
-  /// fixed-size cell blocks — a pure function of (num_cells, num_shards)
-  /// only). The batch runs in three deterministic phases: (1) hash every
-  /// key once (cell indices + checksum term, sharded over keys); (2)
-  /// partition the n*q pending updates into per-cell-block buckets via a
-  /// stable counting sort of compact (cell, key index) records; (3) each
-  /// shard applies its own blocks' buckets in order. Every cell is written by
-  /// exactly one shard — no atomics — and within each cell the updates
-  /// arrive in global key order (the counting sort is stable), so the
-  /// resulting table (and its WriteTo bytes) is IDENTICAL to sequential
-  /// UpdateMany for every (num_shards, num_threads) combination. Beyond
-  /// parallelism, the blocking converts the sequential build's
-  /// latency-bound random scatter over the whole table into streaming
-  /// bucket reads plus cache-resident cell writes, which speeds up large
-  /// tables even single-threaded (BM_RibltBuildSharded). All scratch is
-  /// pooled on the instance: repeat calls with the same batch shape
-  /// allocate nothing.
+  /// Sharded intra-table batched update (sketch_internal::ShardedUpdate).
+  /// The table and its WriteTo bytes are IDENTICAL to sequential UpdateMany
+  /// for every (num_shards, num_threads); the cell-block partition also
+  /// keeps large-table builds cache-resident, which helps even
+  /// single-threaded (BM_RibltBuildSharded). Scratch is pooled per thread:
+  /// repeat calls with the same batch shape allocate nothing.
   void UpdateManySharded(std::span<const uint64_t> keys,
                          const PointStore& values, int direction,
                          size_t num_shards, size_t num_threads);
@@ -185,31 +159,29 @@ class Riblt {
   Status AddScaled(const Riblt& other, int64_t factor);
 
   /// Fold-down projection: overwrites `dst` (same num_hashes/dim/delta/seed,
-  /// smaller or equal table) with this table folded to dst's size — within
-  /// each subtable, source cell i accumulates into dst cell i mod m', where
-  /// m' is dst's cells-per-subtable and must DIVIDE ours. Because a key's
-  /// cell index in subtable j is j*m + (h_j(key) mod m) with the polynomials
-  /// h_j drawn from the seed alone (independent of num_cells), and
-  /// (h mod m) mod m' == h mod m' whenever m' | m, the folded table is
-  /// cell-for-cell — and therefore WriteTo byte-for-byte — identical to a
-  /// cold build of every (key, value) update at dst's size. O(num_cells)
-  /// cell adds, zero rehashing, zero allocation: the warm adaptive serving
-  /// path projects a maintained cap-size table to the negotiated size per
-  /// session this way. Folding into an equal-size dst is a plain copy of the
-  /// cells.
+  /// smaller or equal table) with this table folded to dst's size, whose
+  /// cells-per-subtable must DIVIDE ours (sketch_internal::FoldCells); the
+  /// result is WriteTo byte-identical to a cold build at dst's size.
+  /// O(num_cells) cell adds, no allocation: the warm adaptive serving path
+  /// projects a maintained cap-size table to the negotiated size per
+  /// session this way. An equal-size dst receives a plain copy.
   Status FoldInto(Riblt* dst) const;
   /// Convenience: folds into a fresh table of `num_cells` cells (rounded up
   /// to a multiple of num_hashes, like the constructor; the rounded
   /// per-subtable size must divide ours).
-  Result<Riblt> FoldTo(size_t num_cells) const;
+  Result<Riblt> FoldTo(size_t num_cells) const {
+    return sketch_internal::FoldTo(*this, num_cells);
+  }
 
-  /// FIFO peeling (on a pooled scratch copy; the sketch stays intact). Caps:
-  /// decode fails (returns DecodeFailure) if more than max_pairs total or
-  /// max_per_side pairs for either side are extracted, or if the table does
-  /// not drain. `rng` drives the randomized rounding of averaged values
-  /// (decoder-local coins). *out is reset and refilled; extracted rows are
-  /// appended directly to its arenas, so with a warm (previously decoded
-  /// into) result the whole call performs zero heap allocations.
+  /// FIFO peeling on out->workspace's copy of the cells (the sketch stays
+  /// intact; concurrent decodes of one table into distinct results are
+  /// safe). Caps: decode fails (returns DecodeFailure) if more than
+  /// max_pairs total or max_per_side pairs for either side are extracted, or
+  /// if the table does not drain. `rng` drives the randomized rounding of
+  /// averaged values (decoder-local coins). *out is reset and refilled;
+  /// extracted rows are appended directly to its arenas, so with a warm
+  /// (previously decoded into) result the whole call performs zero heap
+  /// allocations.
   Status DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
                     RibltDecodeResult* out) const;
   /// Convenience wrapper: DecodeInto a fresh result.
@@ -245,57 +217,18 @@ class Riblt {
  private:
   using U128 = unsigned __int128;
 
-  /// Degree of the cell-index polynomials (3-independent hashing, matching
-  /// the classic IBLT); coefficients live in one flat inline array.
-  static constexpr int kIndexIndependence = 3;
-
-  /// Fills out[0..num_hashes) with the key's (distinct-subtable) cells.
-  void CellsOf(uint64_t key, size_t* out) const;
-
   RibltParams params_;
-  size_t cells_per_subtable_ = 0;
-  FastDiv61 subtable_mod_;      // division-free h % cells_per_subtable_
+  sketch_internal::CellMap map_;
   uint64_t checksum_salt_ = 0;  // pre-mixed seed for cell checksums
   /// See checksum_mask(); narrowed only by compact-stream parses and by
   /// combining with a narrowed operand.
   unsigned __int128 checksum_mask_ = ~static_cast<unsigned __int128>(0);
   /// See value_mask(); same narrowing rules as checksum_mask_.
   uint64_t value_mask_ = ~static_cast<uint64_t>(0);
-  /// index_coeffs_[j*kIndexIndependence + i] multiplies x^i in subtable j's
-  /// index polynomial.
-  std::array<uint64_t, kIndexIndependence * kMaxHashes> index_coeffs_{};
   std::vector<int64_t> counts_;
   std::vector<U128> key_sums_;
   std::vector<U128> checksum_sums_;
   std::vector<int64_t> value_sums_;  // flat: cell * dim + coordinate
-
-  /// Reusable peel buffers; sized on first Decode, then allocation-free
-  /// (apart from the extracted pairs themselves).
-  struct DecodeScratch {
-    std::vector<int64_t> counts;
-    std::vector<U128> key_sums;
-    std::vector<U128> checksum_sums;
-    std::vector<int64_t> value_sums;
-    std::vector<uint32_t> queue;  // FIFO via head index
-    std::vector<uint8_t> queued;
-    std::vector<double> average;      // dim-sized per-peel workspace
-    std::vector<int64_t> cell_values; // dim-sized per-peel workspace
-  };
-  mutable DecodeScratch scratch_;
-
-  /// Pooled buffers for UpdateManySharded (cell indices and key indices as
-  /// uint32: protocol tables and batches are far below 2^32). `entries`
-  /// holds the partitioned updates as packed (cell << 32 | key index)
-  /// words, bucketed by cell block in stable key order.
-  struct ShardScratch {
-    std::vector<uint32_t> cells;        // n * num_hashes, key-major
-    std::vector<uint64_t> checksums;    // n
-    std::vector<uint32_t> bucket_counts;  // key_blocks x num_blocks
-    std::vector<size_t> bucket_offsets;   // key_blocks x num_blocks cursors
-    std::vector<size_t> block_starts;     // num_blocks + 1
-    std::vector<uint64_t> entries;        // n * num_hashes
-  };
-  ShardScratch shard_scratch_;
 };
 
 }  // namespace rsr

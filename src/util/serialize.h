@@ -120,6 +120,15 @@ class ByteReader {
   /// rejects a parsed value. All subsequent reads return zeros.
   void Invalidate() { failed_ = true; }
 
+  /// Bounds a count parsed off the wire before it sizes a loop or an
+  /// allocation: every item occupies at least min_item_bytes (>= 1), so a
+  /// count above remaining() / min_item_bytes cannot be honest. Such a count
+  /// (or an already failed reader) poisons the reader and returns false.
+  bool CountFits(uint64_t count, size_t min_item_bytes) {
+    if (failed_ || count > remaining() / min_item_bytes) failed_ = true;
+    return !failed_;
+  }
+
   /// OK iff no read overran the buffer. Call after a decode sequence.
   Status status() const {
     if (failed_) return Status::Corruption("read past end of buffer");

@@ -1,9 +1,9 @@
 // Failure-injection tests: every degraded path must stay correct.
 //
-// The reconciler's contract (DESIGN.md §3) is unconditional correctness —
-// retries, per-set verbatim fallback, and full-transfer degradation only
-// trade communication. These tests force each path and verify the recovered
-// multiset is still exact.
+// The reconciler's contract (setsets/reconciler.h) is unconditional
+// correctness — retries, per-set verbatim fallback, and full-transfer
+// degradation only trade communication. These tests force each path and
+// verify the recovered multiset is still exact.
 #include <algorithm>
 
 #include <gtest/gtest.h>

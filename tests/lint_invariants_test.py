@@ -66,6 +66,16 @@ class BoundsCheckTest(unittest.TestCase):
     def test_good_validated_counts_pass(self):
         self.assertEqual(lint_fixture("good_bounds_check.cc"), [])
 
+    def test_bad_flags_counts_outside_read_functions(self):
+        # The rule covers any function that parses a count, not only
+        # Read*/ReadFrom bodies: protocol code parses message counts inline.
+        findings = lint_fixture("bad_bounds_check_protocol.cc")
+        self.assertEqual(rules_of(findings), ["bounds-check"])
+        self.assertIn("ApplyPeerMessage", findings[0].message)
+
+    def test_good_count_fits_passes(self):
+        self.assertEqual(lint_fixture("good_bounds_check_protocol.cc"), [])
+
 
 class BoundedPeelTest(unittest.TestCase):
     def test_bad_flags_capless_loop(self):
