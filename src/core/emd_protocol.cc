@@ -10,7 +10,6 @@
 #include "emd/emd.h"
 #include "hashing/hash64.h"
 #include "hashing/pairwise.h"
-#include "lsh/eval_pipeline.h"
 #include "lsh/mlsh.h"
 #include "sketch/riblt.h"
 #include "util/parallel.h"
@@ -217,14 +216,10 @@ Result<EmdProtocolReport> RunEmdProtocol(const PointStore& alice,
   // Both parties' level keys. Bob's are computed up front (they consume no
   // shared randomness) because the adaptive negotiation round needs them
   // before Alice's message exists.
-  EvalMatrix alice_evals;
-  EvaluateAllInto(alice, hashes.draws, params.num_threads, &alice_evals);
-  std::vector<uint64_t> alice_keys = ComputeEmdLevelKeys(
-      alice_evals, hashes.level_key_hash, prefix_lens, params.num_threads);
-  EvalMatrix bob_evals;
-  EvaluateAllInto(bob, hashes.draws, params.num_threads, &bob_evals);
-  std::vector<uint64_t> bob_keys = ComputeEmdLevelKeys(
-      bob_evals, hashes.level_key_hash, prefix_lens, params.num_threads);
+  std::vector<uint64_t> alice_keys =
+      EvaluateEmdLevelKeys(alice, hashes, prefix_lens, params.num_threads);
+  std::vector<uint64_t> bob_keys =
+      EvaluateEmdLevelKeys(bob, hashes, prefix_lens, params.num_threads);
 
   Transcript transcript;
 
@@ -310,11 +305,8 @@ Result<EmdProtocolReport> RunEmdProtocolPrebuilt(
   }
 
   EmdHashes hashes = MakeEmdHashes(params, derived);
-  EvalMatrix bob_evals;
-  EvaluateAllInto(bob, hashes.draws, params.num_threads, &bob_evals);
-  std::vector<uint64_t> bob_keys =
-      ComputeEmdLevelKeys(bob_evals, hashes.level_key_hash, alice.prefix_lens,
-                          params.num_threads);
+  std::vector<uint64_t> bob_keys = EvaluateEmdLevelKeys(
+      bob, hashes, alice.prefix_lens, params.num_threads);
 
   Transcript transcript;
   std::vector<size_t> level_cells(derived.levels, derived.cells);

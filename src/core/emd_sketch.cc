@@ -1,5 +1,6 @@
 #include "core/emd_sketch.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 
@@ -44,6 +45,38 @@ RibltParams EmdLevelRibltParams(const EmdProtocolParams& params,
   return level_params;
 }
 
+namespace {
+
+/// Masked level keys of `count` evaluation rows (row r at
+/// evals + r * evals_cols), written as rows [row0, row0 + count) of the
+/// level-major n-row key array `out`.
+void WriteLevelKeys(const uint64_t* evals, size_t evals_cols, size_t count,
+                    const PairwiseVectorHash& level_key_hash,
+                    const std::vector<size_t>& prefix_lens, size_t row0,
+                    size_t n, uint64_t* out) {
+  const size_t t = prefix_lens.size();
+  // Per-row scratch stays on the stack for any realistic level count
+  // (t = ceil(log2(D2/D1)) + 1), keeping the warm incremental path
+  // allocation-free; deeper ladders spill to the heap.
+  constexpr size_t kInlineLevels = 64;
+  uint64_t inline_keys[kInlineLevels];
+  std::vector<uint64_t> heap_keys;
+  uint64_t* row_keys = inline_keys;
+  if (t > kInlineLevels) {
+    heap_keys.resize(t);
+    row_keys = heap_keys.data();
+  }
+  for (size_t r = 0; r < count; ++r) {
+    level_key_hash.EvalPrefixes(evals + r * evals_cols, prefix_lens.data(), t,
+                                row_keys);
+    for (size_t level = 0; level < t; ++level) {
+      out[level * n + row0 + r] = row_keys[level] & kEmdLevelKeyMask;
+    }
+  }
+}
+
+}  // namespace
+
 void ComputeEmdLevelKeysInto(const EvalMatrix& evals,
                              const PairwiseVectorHash& level_key_hash,
                              const std::vector<size_t>& prefix_lens,
@@ -53,24 +86,8 @@ void ComputeEmdLevelKeysInto(const EvalMatrix& evals,
   if (t == 0 || n == 0) return;
   level_key_hash.Reserve(prefix_lens.back());  // thread safety
   ParallelShards(n, num_threads, [&](size_t begin, size_t end) {
-    // Per-row scratch stays on the stack for any realistic level count
-    // (t = ceil(log2(D2/D1)) + 1), keeping the warm incremental path
-    // allocation-free; deeper ladders spill to the heap.
-    constexpr size_t kInlineLevels = 64;
-    uint64_t inline_keys[kInlineLevels];
-    std::vector<uint64_t> heap_keys;
-    uint64_t* row_keys = inline_keys;
-    if (t > kInlineLevels) {
-      heap_keys.resize(t);
-      row_keys = heap_keys.data();
-    }
-    for (size_t i = begin; i < end; ++i) {
-      level_key_hash.EvalPrefixes(evals.row(i), prefix_lens.data(), t,
-                                  row_keys);
-      for (size_t level = 0; level < t; ++level) {
-        out[level * n + i] = row_keys[level] & kEmdLevelKeyMask;
-      }
-    }
+    WriteLevelKeys(evals.data() + begin * evals.cols(), evals.cols(),
+                   end - begin, level_key_hash, prefix_lens, begin, n, out);
   });
 }
 
@@ -80,6 +97,34 @@ std::vector<uint64_t> ComputeEmdLevelKeys(
   std::vector<uint64_t> keys(prefix_lens.size() * evals.rows());
   ComputeEmdLevelKeysInto(evals, level_key_hash, prefix_lens, num_threads,
                           keys.data());
+  return keys;
+}
+
+std::vector<uint64_t> EvaluateEmdLevelKeys(
+    const PointStore& points, const EmdHashes& hashes,
+    const std::vector<size_t>& prefix_lens, size_t num_threads) {
+  const size_t n = points.size();
+  const size_t s = hashes.draws.size();
+  const size_t t = prefix_lens.size();
+  std::vector<uint64_t> keys(t * n);
+  if (t == 0 || n == 0 || s == 0) return keys;
+  hashes.level_key_hash.Reserve(prefix_lens.back());  // thread safety
+  // Flat families read the store's lazily converted double plane; converting
+  // it here leaves the workers below only reading it.
+  if (hashes.draws[0]->SupportsFlatBatch()) points.DoublePlane();
+  // About 256 KiB of evaluations per block, so a block is hashed into keys
+  // while it is still in cache.
+  constexpr size_t kBlockEvals = size_t{1} << 15;
+  const size_t block = std::max<size_t>(16, kBlockEvals / s);
+  ParallelShards(n, num_threads, [&](size_t begin, size_t end) {
+    EvalMatrix evals;
+    for (size_t b = begin; b < end; b += block) {
+      const size_t len = std::min(block, end - b);
+      EvaluateRowsInto(points, b, len, hashes.draws, 1, &evals);
+      WriteLevelKeys(evals.data(), s, len, hashes.level_key_hash, prefix_lens,
+                     b, n, keys.data());
+    }
+  });
   return keys;
 }
 
@@ -99,10 +144,8 @@ Result<EmdSketchSet> BuildEmdSketches(const PointStore& alice,
   set.prefix_lens = EmdPrefixLens(derived);
 
   EmdHashes hashes = MakeEmdHashes(params, derived);
-  EvalMatrix evals;
-  EvaluateAllInto(alice, hashes.draws, params.num_threads, &evals);
-  std::vector<uint64_t> keys = ComputeEmdLevelKeys(
-      evals, hashes.level_key_hash, set.prefix_lens, params.num_threads);
+  std::vector<uint64_t> keys = EvaluateEmdLevelKeys(
+      alice, hashes, set.prefix_lens, params.num_threads);
 
   set.tables.reserve(derived.levels);
   for (size_t level = 1; level <= derived.levels; ++level) {

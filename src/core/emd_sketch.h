@@ -78,6 +78,18 @@ std::vector<uint64_t> ComputeEmdLevelKeys(
     const EvalMatrix& evals, const PairwiseVectorHash& level_key_hash,
     const std::vector<size_t>& prefix_lens, size_t num_threads);
 
+/// The level keys of every row of `points`, equal to ComputeEmdLevelKeys
+/// over an EvaluateAllInto matrix, computed one row block at a time: each
+/// shard evaluates a few rows into a small reused matrix and hashes them
+/// before the next block, so the n x s matrix (25 MB per party at n = 1024,
+/// s = 3072) never exists. Every whole-store key derivation in core/ uses
+/// this: a matrix that size, allocated and freed per exchange, left the
+/// malloc heap open to fragmentation by small allocations, and peak RSS then
+/// grew by a whole matrix for some inputs and not for others.
+std::vector<uint64_t> EvaluateEmdLevelKeys(
+    const PointStore& points, const EmdHashes& hashes,
+    const std::vector<size_t>& prefix_lens, size_t num_threads);
+
 /// A complete statically-sized Alice-side sketch set: one derived.cells-cell
 /// RIBLT per level (and, optionally, one strata estimator per level over the
 /// same level keys). Tables at level l+1 hold every input row keyed by its

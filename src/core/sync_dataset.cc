@@ -160,11 +160,8 @@ Result<SyncDataset> SyncDataset::Create(const PointStore& initial,
   // The cold build, inlined with the SAME calls and ordering as
   // BuildEmdSketches (sync_dataset_test pins byte-equality against it).
   const size_t t = derived.levels;
-  EvaluateAllInto(ds.rows_, ds.hashes_.draws, params.num_threads,
-                  &ds.eval_scratch_);
-  std::vector<uint64_t> keys =
-      ComputeEmdLevelKeys(ds.eval_scratch_, ds.hashes_.level_key_hash,
-                          ds.sketches_.prefix_lens, params.num_threads);
+  std::vector<uint64_t> keys = EvaluateEmdLevelKeys(
+      ds.rows_, ds.hashes_, ds.sketches_.prefix_lens, params.num_threads);
   ds.sketches_.tables.reserve(t);
   for (size_t level = 1; level <= t; ++level) {
     ds.sketches_.tables.emplace_back(

@@ -18,10 +18,9 @@
 //
 // Scratch model: no table instance owns scratch, so tables copy and move by
 // default, decodes are const and reentrant across threads, and warm repeat
-// calls allocate nothing. The pools are thread_local (the partition and
-// bitmap pools here, the Iblt peel pool in iblt.cc), except Riblt's peel
-// workspace, which lives in the caller's reusable RibltDecodeResult (see
-// riblt.h for why). Two rules follow for the thread_local pools:
+// calls allocate nothing. The pools are thread_local: the partition and
+// bitmap pools here, the peel pools in iblt.cc and riblt.cc. Two rules
+// follow:
 //   - A pooled operation must not nest inside another of the same kind on
 //     the same thread (e.g. an Iblt decode started from inside one).
 //   - Code running inside a ParallelShards worker must not name a

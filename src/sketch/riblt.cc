@@ -265,9 +265,18 @@ Status Riblt::DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
   out->complete = false;
   out->peel_steps = 0;
 
-  // Peel on the result's pooled slab copies: once the result is warm these
+  // Peel on this thread's pooled slab copies: once the pool is warm these
   // are memcpys into existing capacity, not allocations.
-  RibltPeelWorkspace& scratch = out->workspace;
+  struct DecodeScratch {
+    std::vector<int64_t> counts;
+    std::vector<U128> key_sums, checksum_sums;
+    std::vector<int64_t> value_sums;
+    std::vector<uint32_t> queue;  // FIFO via head index
+    std::vector<uint8_t> queued;
+    std::vector<double> average;       // dim-sized per-peel workspace
+    std::vector<int64_t> cell_values;  // dim-sized per-peel workspace
+  };
+  static thread_local DecodeScratch scratch;
   scratch.counts.assign(counts_.begin(), counts_.end());
   scratch.key_sums.assign(key_sums_.begin(), key_sums_.end());
   scratch.checksum_sums.assign(checksum_sums_.begin(), checksum_sums_.end());

@@ -25,10 +25,11 @@
 // cell map, sharded build, fold loop and compact bitmap are the shared
 // cell-table core (sketch/cell_table.h); Update/UpdateMany never allocate
 // (inline cell-index array, raw coordinate spans); and DecodeInto peels in
-// place on a workspace pooled in the caller's RibltDecodeResult instead of
-// deep-copying the table, so it is const AND reentrant: any number of
-// threads may decode one table concurrently, each into its own result. No
-// instance owns scratch, so copies and moves are the defaults.
+// place on a thread_local workspace instead of deep-copying the table, so it
+// is const AND reentrant: any number of threads may decode one table
+// concurrently, each into its own result. A decode must not nest inside
+// another Riblt decode on the same thread. No instance owns scratch, so
+// copies and moves are the defaults.
 #ifndef RSR_SKETCH_RIBLT_H_
 #define RSR_SKETCH_RIBLT_H_
 
@@ -59,18 +60,6 @@ struct RibltParams {
   uint64_t seed = 0;
 };
 
-/// Riblt::DecodeInto's peel workspace: mutable copies of the cell slabs, the
-/// FIFO queue, and per-peel buffers. Not decoded output.
-struct RibltPeelWorkspace {
-  std::vector<int64_t> counts;
-  std::vector<unsigned __int128> key_sums, checksum_sums;
-  std::vector<int64_t> value_sums;
-  std::vector<uint32_t> queue;  // FIFO via head index
-  std::vector<uint8_t> queued;
-  std::vector<double> average;       // dim-sized per-peel workspace
-  std::vector<int64_t> cell_values;  // dim-sized per-peel workspace
-};
-
 /// Store-native decode output. Extracted values land as rows in two columnar
 /// arenas — `inserted` for the inserting party (side +1, Alice in
 /// Algorithm 1), `deleted` for the deleting party (side -1, Bob) — with the
@@ -87,13 +76,6 @@ struct RibltDecodeResult {
   bool complete = false;
   /// Number of peeling rounds (BFS depth proxy) for diagnostics.
   size_t peel_steps = 0;
-  /// Reused by every DecodeInto into this result, so a warm result decodes
-  /// without allocating. Kept here, not on the table (DecodeInto stays const
-  /// and reentrant: concurrent decoders each own their result) and not in a
-  /// thread_local pool that outlives the exchange (on the emd_wide_prior
-  /// benchmark, 4-vCPU host under load, one raised peak RSS from 58 to 80 MB
-  /// through malloc-heap fragmentation).
-  RibltPeelWorkspace workspace;
 };
 
 class Riblt {
@@ -173,15 +155,15 @@ class Riblt {
     return sketch_internal::FoldTo(*this, num_cells);
   }
 
-  /// FIFO peeling on out->workspace's copy of the cells (the sketch stays
-  /// intact; concurrent decodes of one table into distinct results are
+  /// FIFO peeling on this thread's pooled copy of the cells (the sketch
+  /// stays intact; concurrent decodes of one table into distinct results are
   /// safe). Caps: decode fails (returns DecodeFailure) if more than
   /// max_pairs total or max_per_side pairs for either side are extracted, or
   /// if the table does not drain. `rng` drives the randomized rounding of
   /// averaged values (decoder-local coins). *out is reset and refilled;
   /// extracted rows are appended directly to its arenas, so with a warm
-  /// (previously decoded into) result the whole call performs zero heap
-  /// allocations.
+  /// (previously decoded into) result and a warm thread pool the whole call
+  /// performs zero heap allocations.
   Status DecodeInto(size_t max_pairs, size_t max_per_side, Rng* rng,
                     RibltDecodeResult* out) const;
   /// Convenience wrapper: DecodeInto a fresh result.

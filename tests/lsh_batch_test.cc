@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/emd_protocol.h"
+#include "core/emd_sketch.h"
 #include "core/gap_lowdim.h"
 #include "core/gap_protocol.h"
 #include "core/multiparty.h"
@@ -240,6 +241,45 @@ void ExpectSameComm(const CommStats& a, const CommStats& b) {
   for (size_t i = 0; i < a.messages.size(); ++i) {
     EXPECT_EQ(a.messages[i].label, b.messages[i].label);
     EXPECT_EQ(a.messages[i].bytes, b.messages[i].bytes);
+  }
+}
+
+// The blocked key path must equal the full-matrix path: wide priors (s in
+// the thousands: many blocks of a few rows) and narrow ones (small s: one
+// block per shard), row counts that leave a partial last block, every
+// metric, several thread counts.
+TEST(LshBatchTest, BlockedEmdLevelKeysMatchFullMatrix) {
+  for (MetricKind metric :
+       {MetricKind::kL1, MetricKind::kL2, MetricKind::kHamming}) {
+    const size_t dim = metric == MetricKind::kHamming ? 64 : 4;
+    const Coord delta = metric == MetricKind::kHamming ? 1 : 1023;
+    for (double d2 : {16.0, 8192.0}) {
+      for (size_t n : {size_t{1}, size_t{37}, size_t{301}}) {
+        Rng rng(n * 7 + static_cast<uint64_t>(d2));
+        PointStore store = GenerateUniformStore(n, dim, delta, &rng);
+        EmdProtocolParams params;
+        params.metric = metric;
+        params.dim = dim;
+        params.delta = delta;
+        params.k = 8;
+        params.d1 = 8;
+        params.d2 = d2;
+        params.seed = 99 + n;
+        auto derived = DeriveEmdParameters(params, n);
+        ASSERT_TRUE(derived.ok());
+        EmdHashes hashes = MakeEmdHashes(params, *derived);
+        std::vector<size_t> prefix_lens = EmdPrefixLens(*derived);
+        EvalMatrix matrix;
+        EvaluateAllInto(store, hashes.draws, 1, &matrix);
+        std::vector<uint64_t> reference =
+            ComputeEmdLevelKeys(matrix, hashes.level_key_hash, prefix_lens, 1);
+        for (size_t threads : {size_t{1}, size_t{3}, size_t{8}}) {
+          EXPECT_EQ(EvaluateEmdLevelKeys(store, hashes, prefix_lens, threads),
+                    reference)
+              << "s " << derived->s << " n " << n << " threads " << threads;
+        }
+      }
+    }
   }
 }
 

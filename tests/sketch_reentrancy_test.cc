@@ -1,7 +1,7 @@
 // Concurrency contract of the sketch layer's scratch model (see
 // sketch/cell_table.h): no table owns scratch, so
 //   - Riblt::DecodeInto on one const table is reentrant: concurrent decodes,
-//     each into its own result (which pools the peel workspace), reproduce a
+//     each into its own result (peeling on per-thread pools), reproduce a
 //     single-threaded decode exactly (pairs, keys, peel steps), given the
 //     same rounding coins;
 //   - sharded builds running on several threads at once each partition in
