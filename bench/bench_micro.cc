@@ -1,6 +1,7 @@
 // Experiment E11: microbenchmarks (google-benchmark) for the hashing, LSH,
 // sketch, and matching primitives — the engineering baseline behind the
 // protocol-level time bounds of Theorems 3.4 and 4.2.
+#include <algorithm>
 #include <map>
 #include <memory>
 
@@ -166,6 +167,56 @@ void BM_PairwisePrefixesScalar(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PairwisePrefixesScalar);
+
+void BM_PairwisePrefixesWide(benchmark::State& state) {
+  // Level keys at the emd_wide_prior shape: 1024 rows of s = 3073 MLSH
+  // values, 11 geometric prefixes (D2/D1 = 1024). Time is per row block.
+  constexpr size_t kRows = 1024;
+  constexpr size_t kS = 3073;
+  Rng rng(4);
+  PairwiseVectorHash h = PairwiseVectorHash::Draw(&rng);
+  std::vector<uint64_t> rows(kRows * kS);
+  for (uint64_t& v : rows) v = rng.Next();
+  std::vector<size_t> lens;
+  for (size_t level = 0; level < 11; ++level) {
+    lens.push_back(std::max<size_t>(
+        1, (kS * (size_t{1} << level) + 512) / 1024));
+  }
+  lens.back() = kS;
+  std::vector<uint64_t> keys(kRows * lens.size());
+  h.Reserve(kS);
+  for (auto _ : state) {
+    for (size_t r = 0; r < kRows; ++r) {
+      h.EvalPrefixes(rows.data() + r * kS, lens.data(), lens.size(),
+                     keys.data() + r * lens.size());
+    }
+    benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRows));
+}
+BENCHMARK(BM_PairwisePrefixesWide)->Unit(benchmark::kMillisecond);
+
+void BM_PairwiseEvalBatchShort(benchmark::State& state) {
+  // The Gap protocol's slot hashes: m = 4 entries per row out of an
+  // h * m = 64-wide evaluation row, 2048 rows.
+  constexpr size_t kRows = 2048;
+  constexpr size_t kStride = 64;
+  Rng rng(6);
+  PairwiseVectorHash h = PairwiseVectorHash::Draw(&rng);
+  std::vector<uint64_t> rows(kRows * kStride);
+  for (uint64_t& v : rows) v = rng.Next();
+  std::vector<uint64_t> keys(kRows);
+  for (auto _ : state) {
+    h.EvalBatch(rows.data(), kRows, kStride, 4, keys.data());
+    benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRows));
+}
+BENCHMARK(BM_PairwiseEvalBatchShort);
 
 void BM_EvaluateAll(benchmark::State& state) {
   // The EMD protocol's point-hashing stage: n=4096 points x s=64 MLSH draws
@@ -521,6 +572,29 @@ void BM_EmdKAll(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EmdKAll)->Arg(32)->Arg(64);
+
+void BM_RepairMatch(benchmark::State& state) {
+  // Algorithm 1's repair step at the emd_large_diff / serve_churn shapes:
+  // the decoded X_B (rows, copies of S_B points as in a real exchange)
+  // matched at minimum l2 cost into all of S_B (cols), dim 16.
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const size_t cols = static_cast<size_t>(state.range(1));
+  Rng rng(18);
+  PointStore s_b = GenerateUniformStore(cols, 16, 1023, &rng);
+  PointStore x_b(16);
+  for (size_t r = 0; r < rows; ++r) x_b.Append(s_b[rng.Below(cols)]);
+  Metric metric(MetricKind::kL2);
+  for (auto _ : state) {
+    AssignmentResult assignment =
+        MinCostAssignment(DistanceMatrix(x_b, s_b, metric));
+    benchmark::DoNotOptimize(assignment.row_to_col.data());
+    benchmark::DoNotOptimize(assignment.cost);
+  }
+}
+BENCHMARK(BM_RepairMatch)
+    ->Args({256, 8192})
+    ->Args({48, 32768})
+    ->Unit(benchmark::kMillisecond);
 
 // ---- Maintained sketches (core/sync_dataset.h, core/sync_server.h) ------
 

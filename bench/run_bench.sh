@@ -1,23 +1,27 @@
 #!/usr/bin/env bash
 # Runs the google-benchmark microbenchmark suite (bench_micro) in JSON mode
-# and writes BENCH_micro.json at the repo root: the perf trajectory record
-# that future PRs compare against (see bench/baselines/ for pre-refactor
-# snapshots, e.g. BENCH_micro_pre_sync_server.json from before the
-# maintained-sketch serving path landed).
+# and writes BENCH_micro.json at the repo root: the layer-level record that
+# later changes compare against. The record names its host in `context`
+# (num_cpus, cpu_features, batch_kernel); compare only runs from like hosts.
+# bench/baselines/ holds the one prior baseline (BENCH_micro_prior.json) and
+# a table of headline medians from earlier snapshots (README.md there).
 #
-# bench_micro now includes the maintained-sketch group (BM_SyncDatasetInsert,
-# BM_SessionSyncWarm, BM_SessionSyncRebuild); the standalone bench_server
-# binary sweeps maintained-vs-rebuilt serving across churn rates and is run
-# directly (./build/bench_server), not through this script.
+# Layer groups: the key hash (BM_PairwisePrefixes*,
+# BM_PairwiseEvalBatchShort), batch LSH (BM_EvaluateAll*,
+# BM_StoreEvaluateAll), sketches (BM_Iblt*, BM_Riblt*), repair matching
+# (BM_RepairMatch, BM_Emd*), and maintained serving (BM_SyncDatasetInsert,
+# BM_SessionSync*). The standalone bench_server binary sweeps
+# maintained-vs-rebuilt serving across churn rates and is run directly
+# (./build/bench_server), not through this script.
 #
 # Usage:
 #   bench/run_bench.sh [output.json]
 # Environment:
 #   BUILD_DIR   build directory (default: build)
-#   FILTER      --benchmark_filter regex (default: all benchmarks). The
-#               bench_lsh group (BM_GridEvalBatch, BM_PairwisePrefixes*,
-#               BM_EvaluateAll*) compares the batch LSH pipeline against the
-#               preserved scalar baselines: FILTER='EvaluateAll|Prefixes'.
+#   FILTER      --benchmark_filter regex (default: all benchmarks), e.g.
+#               FILTER='Prefixes|RepairMatch' for the two exchange hot loops,
+#               or FILTER='EvaluateAll|Prefixes' to compare the batch LSH
+#               pipeline against the preserved scalar baselines.
 #   MIN_TIME    --benchmark_min_time per benchmark, seconds (default: 0.2)
 #   REPS        --benchmark_repetitions; > 1 also reports mean/median/min
 #               aggregates (default: 1). Use >= 5 on machines with frequency

@@ -22,20 +22,26 @@ AssignmentResult MinCostAssignment(const CostMatrix& cost) {
   std::vector<double> u(rows + 1, 0.0), v(cols + 1, 0.0);
   std::vector<size_t> match_col(cols + 1, 0);  // col -> row (0 = unmatched)
   std::vector<size_t> way(cols + 1, 0);
+  // Per-row search state, reset for each row instead of reallocated.
+  std::vector<double> minv(cols + 1);
+  std::vector<char> used(cols + 1);
 
   for (size_t i = 1; i <= rows; ++i) {
     match_col[0] = i;
     size_t j0 = 0;
-    std::vector<double> minv(cols + 1, kInf);
-    std::vector<char> used(cols + 1, 0);
+    std::fill(minv.begin(), minv.end(), kInf);
+    std::fill(used.begin(), used.end(), 0);
     do {
       used[j0] = 1;
-      size_t i0 = match_col[j0];
+      const size_t i0 = match_col[j0];
+      // The scan reads one cost row and one row potential throughout.
+      const double* cost_row = cost[i0 - 1].data();
+      const double u_i0 = u[i0];
       size_t j1 = 0;
       double delta = kInf;
       for (size_t j = 1; j <= cols; ++j) {
         if (used[j]) continue;
-        double cur = cost[i0 - 1][j - 1] - u[i0] - v[j];
+        double cur = cost_row[j - 1] - u_i0 - v[j];
         if (cur < minv[j]) {
           minv[j] = cur;
           way[j] = j0;

@@ -29,6 +29,14 @@ struct AssignmentResult {
 
 /// Minimum-cost perfect matching of all rows into distinct columns.
 /// Requires rows() >= 1 and rows() <= cols().
+///
+/// Arithmetic contract: the e-maxx Hungarian with potentials u (rows) and
+/// v (columns). Rows are inserted in index order; each scan computes the
+/// reduced cost as (cost[i0][j] - u[i0]) - v[j] in that order, and among
+/// equal minima the lowest column index wins (strict `<`). The result,
+/// including which of several optimal matchings is returned, is a
+/// deterministic function of the matrix, and `cost` is the sum of the
+/// matched entries in row order. Scratch is O(cols) per call.
 AssignmentResult MinCostAssignment(const CostMatrix& cost);
 
 struct PartialMatchingResult {

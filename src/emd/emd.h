@@ -36,6 +36,17 @@ class PointRows {
 };
 
 /// Builds the dense distance matrix cost[i][j] = f(x_i, y_j).
+///
+/// Arithmetic contract: every entry is bit-identical to
+/// metric.Distance(x[i], y[j], dim), for every input. Each row of x is
+/// computed against blocks of 8 rows of y with 8 independent accumulators
+/// (the tail columns one at a time), and each pair runs the row kernel's
+/// exact operations in coordinate order: l2 takes the int64 difference,
+/// converts it to double, squares and adds it to a double sum starting at
+/// 0.0, then takes sqrt; l1 sums |int64 difference| and Hamming counts
+/// unequal coordinates, both in exact integer arithmetic (an l1 sum past
+/// 2^63 wraps modulo 2^64) converted to double once. There is one code
+/// path per metric; no input range selects another.
 CostMatrix DistanceMatrix(PointRows x, PointRows y, const Metric& metric);
 
 /// Exact EMD; requires |x| == |y| >= 1.

@@ -1,33 +1,24 @@
 #include "geometry/metric.h"
 
 #include <cmath>
-#include <cstdlib>
+
+#include "geometry/distance_kernels.h"
 
 namespace rsr {
 
 double HammingDistance(const Coord* a, const Coord* b, size_t dim) {
-  int64_t count = 0;
-  for (size_t i = 0; i < dim; ++i) {
-    count += (a[i] != b[i]) ? 1 : 0;
-  }
-  return static_cast<double>(count);
+  return geometry_internal::PairDistance<geometry_internal::HammingPair>(
+      a, b, dim);
 }
 
 double L1Distance(const Coord* a, const Coord* b, size_t dim) {
-  int64_t sum = 0;
-  for (size_t i = 0; i < dim; ++i) {
-    sum += std::llabs(a[i] - b[i]);
-  }
-  return static_cast<double>(sum);
+  return geometry_internal::PairDistance<geometry_internal::L1Pair>(a, b,
+                                                                    dim);
 }
 
 double L2Distance(const Coord* a, const Coord* b, size_t dim) {
-  double sum = 0.0;
-  for (size_t i = 0; i < dim; ++i) {
-    double diff = static_cast<double>(a[i] - b[i]);
-    sum += diff * diff;
-  }
-  return std::sqrt(sum);
+  return geometry_internal::PairDistance<geometry_internal::L2Pair>(a, b,
+                                                                    dim);
 }
 
 double HammingDistance(const Point& a, const Point& b) {

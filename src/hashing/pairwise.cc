@@ -4,6 +4,69 @@
 
 namespace rsr {
 
+namespace {
+
+/// The accumulation core of every PairwiseVectorHash evaluation:
+/// (s + sum_{j<count} a_j * (x_j mod p)) mod p, for s < p. Whole 8-entry
+/// blocks spread their terms over four independent 128-bit lanes (term j to
+/// lane j % 4), so consecutive multiply-adds do not wait on each other, and
+/// end with one Mod61 per lane; the tail of at most 7 entries accumulates on
+/// lane 0, so a short row (the Gap protocol's 4 entries) stays one plain
+/// chain. One more Mod61 reduces the four-lane sum. The sum is exact modular
+/// arithmetic and Mod61 returns the canonical residue, so neither the lane
+/// split nor the fold schedule can reach the result. A key of length len is
+/// Mod61(Accumulate(..., b) + salt * (len mod p)), and EvalPrefixes extends
+/// one prefix's sum to the next by passing it back in as s.
+///
+/// Magnitudes (p = 2^61 - 1; coefficients and residues are at most p - 1,
+/// so each term is at most (p-1)^2 = 2^122 - 2^63 + 4): lanes start at most
+/// p - 1 (s or 0); inside a block a lane gains 2 terms, so it stays at most
+/// (p-1) + 2(p-1)^2 < 2^123 before its fold back to at most p - 1; the tail
+/// leaves lane 0 at most (p-1) + 7(p-1)^2. The final four-lane sum is at
+/// most 4(p-1) + 7(p-1)^2 = 7 * 2^122 - 6 * 2^63 + 20 < 2^125, and a key's
+/// Mod61(sum + salt * (len mod p)) input is below 2^123: every Mod61 input is
+/// inside its exact range.
+///
+/// Forced inline: as an out-of-line call per row it doubled the cost of the
+/// Gap protocol's 4-entry rows.
+[[gnu::always_inline]] inline uint64_t Accumulate(const uint64_t* a,
+                                                  const uint64_t* x,
+                                                  size_t count, uint64_t s) {
+  // a_j * (x_j mod p): x_j = hi * 2^61 + lo with hi <= 7, so lo + hi < 2p
+  // and one conditional subtraction gives Mod61's canonical residue without
+  // 128-bit shifts on the per-entry path.
+  auto term = [a, x](size_t j) {
+    uint64_t r = (x[j] & kMersenne61) + (x[j] >> 61);
+    if (r >= kMersenne61) r -= kMersenne61;
+    return static_cast<unsigned __int128>(a[j]) * r;
+  };
+  unsigned __int128 l0 = s, l1 = 0, l2 = 0, l3 = 0;
+  size_t j = 0;
+  for (; j + 8 <= count; j += 8) {
+    l0 += term(j);
+    l1 += term(j + 1);
+    l2 += term(j + 2);
+    l3 += term(j + 3);
+    l0 += term(j + 4);
+    l1 += term(j + 5);
+    l2 += term(j + 6);
+    l3 += term(j + 7);
+    l0 = Mod61(l0);
+    l1 = Mod61(l1);
+    l2 = Mod61(l2);
+    l3 = Mod61(l3);
+  }
+  for (; j < count; ++j) l0 += term(j);
+  return Mod61(l0 + l1 + l2 + l3);
+}
+
+/// salt * (len mod p) < 2^122: the length term mixed into every key.
+unsigned __int128 LengthTerm(uint64_t salt, size_t len) {
+  return static_cast<unsigned __int128>(salt) * Mod61(len);
+}
+
+}  // namespace
+
 PairwiseHash PairwiseHash::Draw(Rng* rng) {
   uint64_t a = 1 + rng->Below(kMersenne61 - 1);
   uint64_t b = rng->Below(kMersenne61);
@@ -47,44 +110,26 @@ uint64_t PairwiseVectorHash::Eval(const std::vector<uint64_t>& v,
                                   size_t len) const {
   RSR_DCHECK(len <= v.size());
   EnsureMultipliers(len);
-  unsigned __int128 acc = b_;
-  for (size_t i = 0; i < len; ++i) {
-    acc += static_cast<unsigned __int128>(coeffs_[i]) * Mod61(v[i]);
-    if (i % 4 == 3) acc = Mod61(acc);  // keep the accumulator small
-  }
-  // Mix in the length so prefixes of different lengths are independent-ish.
-  acc += static_cast<unsigned __int128>(length_salt_) * Mod61(len);
-  return Mod61(acc);
+  return Mod61(Accumulate(coeffs_.data(), v.data(), len, b_) +
+               LengthTerm(length_salt_, len));
 }
 
 void PairwiseVectorHash::EvalPrefixes(const uint64_t* v, const size_t* lens,
                                       size_t num_prefixes,
                                       uint64_t* out) const {
   if (num_prefixes == 0) return;
-  const size_t max_len = lens[num_prefixes - 1];
-  EnsureMultipliers(max_len);
+  EnsureMultipliers(lens[num_prefixes - 1]);
   const uint64_t* coeffs = coeffs_.data();
-  const uint64_t salt = length_salt_;
-  // Invariant: acc == Eval's accumulator after the first i entries, with the
-  // same every-4th-entry fold, so each emitted key equals Eval(v, len)
-  // bit-for-bit (Mod61 always returns the canonical representative, so the
-  // fold schedule cannot leak into the output). Everything stays < 2^125,
-  // within Mod61's folding range.
-  unsigned __int128 acc = b_;
-  size_t next = 0;
-  while (next < num_prefixes && lens[next] == 0) {
-    out[next++] = Mod61(acc);
+  // One walk along the prefix chain: sum holds b plus the terms of the first
+  // `done` entries, and each requested length extends it and emits its key.
+  uint64_t sum = b_;
+  size_t done = 0;
+  for (size_t t = 0; t < num_prefixes; ++t) {
+    RSR_DCHECK(lens[t] >= done);  // lens must be nondecreasing
+    sum = Accumulate(coeffs + done, v + done, lens[t] - done, sum);
+    done = lens[t];
+    out[t] = Mod61(sum + LengthTerm(length_salt_, done));
   }
-  for (size_t i = 0; i < max_len && next < num_prefixes; ++i) {
-    RSR_DCHECK(lens[next] >= i + 1);  // lens must be nondecreasing
-    acc += static_cast<unsigned __int128>(coeffs[i]) * Mod61(v[i]);
-    if (i % 4 == 3) acc = Mod61(acc);
-    while (next < num_prefixes && lens[next] == i + 1) {
-      out[next++] =
-          Mod61(acc + static_cast<unsigned __int128>(salt) * Mod61(i + 1));
-    }
-  }
-  RSR_DCHECK(next == num_prefixes);
 }
 
 void PairwiseVectorHash::EvalBatch(const uint64_t* rows, size_t n,
@@ -92,17 +137,13 @@ void PairwiseVectorHash::EvalBatch(const uint64_t* rows, size_t n,
                                    uint64_t* out) const {
   EnsureMultipliers(len);
   const uint64_t* coeffs = coeffs_.data();
-  const unsigned __int128 length_term =
-      static_cast<unsigned __int128>(length_salt_) * Mod61(len);
+  const unsigned __int128 length_term = LengthTerm(length_salt_, len);
+  // A local copy: stores to out[] could alias b_, which would otherwise be
+  // reloaded for every row.
+  const uint64_t b = b_;
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t* v = rows + i * row_stride;
-    unsigned __int128 acc = b_;
-    for (size_t j = 0; j < len; ++j) {
-      acc += static_cast<unsigned __int128>(coeffs[j]) * Mod61(v[j]);
-      if (j % 4 == 3) acc = Mod61(acc);
-    }
-    acc += length_term;
-    out[i] = Mod61(acc);
+    out[i] = Mod61(Accumulate(coeffs, rows + i * row_stride, len, b) +
+                   length_term);
   }
 }
 

@@ -19,10 +19,14 @@ namespace rsr {
 /// The Mersenne prime 2^61 - 1 used for modular hashing.
 constexpr uint64_t kMersenne61 = (uint64_t{1} << 61) - 1;
 
-/// x mod 2^61-1 for x < 2^123 (folded reduction). Inline: this is the
-/// innermost step of every hash evaluation in the library.
-/// Correct up to 2^123: hi = x >> 61 < 2^62 so hi >> 61 <= 1, giving
-/// r <= 2p + 1 before the two conditional subtractions.
+/// x mod 2^61-1, exact for every x < 2^125. Inline: this is the innermost
+/// step of every hash evaluation in the library.
+/// Proof: write x = hi * 2^61 + lo with lo < 2^61; x < 2^125 makes hi < 2^64,
+/// so the cast below keeps all of it. Since 2^61 = 1 (mod p),
+/// x = hi + lo = (hi >> 61) + (hi & p) + lo (mod p), and that sum r is at most
+/// 7 + 2p < 3p, so two conditional subtractions leave the canonical residue.
+/// For x >= 2^125 the cast drops 8 * (x >> 125) (mod p), which is never 0,
+/// so the result is wrong.
 inline uint64_t Mod61(unsigned __int128 x) {
   // Fold twice: each fold removes 61 bits.
   uint64_t lo = static_cast<uint64_t>(x & kMersenne61);
@@ -79,7 +83,9 @@ class PairwiseVectorHash {
   static PairwiseVectorHash Draw(Rng* rng);
 
   /// Hash the first `len` entries of v. Distinct (vector, len) pairs collide
-  /// with probability ~2^-61. Output is 61 bits.
+  /// with probability ~2^-61. Output is 61 bits. Eval, EvalPrefixes and
+  /// EvalBatch share one accumulation core (interleaved 128-bit lanes, see
+  /// pairwise.cc) and agree bit for bit.
   uint64_t Eval(const std::vector<uint64_t>& v, size_t len) const;
   uint64_t Eval(const std::vector<uint64_t>& v) const {
     return Eval(v, v.size());

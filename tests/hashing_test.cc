@@ -70,6 +70,24 @@ TEST(PairwiseTest, Mod61Identities) {
   EXPECT_EQ(Mod61(big + 17), 17u);
 }
 
+TEST(PairwiseTest, Mod61ExactBelow2To125) {
+  // Mod61's contract (pairwise.h): exact for every x < 2^125, the bound the
+  // level-key lanes are sized against.
+  const unsigned __int128 p = kMersenne61;
+  const unsigned __int128 top = (static_cast<unsigned __int128>(1) << 125) - 1;
+  for (unsigned __int128 k = 0; k < 64; ++k) {
+    EXPECT_EQ(Mod61(top - k), static_cast<uint64_t>((top - k) % p));
+  }
+  Rng rng(21);
+  for (int i = 0; i < 200000; ++i) {
+    // Random widths, so small and near-bound inputs both occur.
+    const unsigned __int128 x =
+        ((static_cast<unsigned __int128>(rng.Next()) << 64) | rng.Next()) >>
+        (3 + rng.Below(125));
+    ASSERT_EQ(Mod61(x), static_cast<uint64_t>(x % p));
+  }
+}
+
 TEST(PairwiseTest, MulAddMod61MatchesNaive) {
   Rng rng(3);
   for (int i = 0; i < 500; ++i) {
@@ -228,6 +246,125 @@ TEST(TabulationTest, UniformLowBits) {
   }
   for (int c : counts) {
     EXPECT_NEAR(c, kSamples / kBuckets, 5 * std::sqrt(kSamples / kBuckets));
+  }
+}
+
+// ---------------------------------------------- textbook vector hash --
+
+/// The vector hash's public definition evaluated term by term with
+/// unsigned __int128 `%`, independent of the library's lane and fold
+/// schedule. Parameters are read back through plain Eval on unit vectors:
+/// b = Eval(0, 0), salt = Eval(0, 1) - b, a_i = Eval(e_i, L) - Eval(0, L).
+class TextbookVectorHash {
+ public:
+  TextbookVectorHash(const PairwiseVectorHash& h, size_t max_len) {
+    std::vector<uint64_t> unit(max_len, 0);
+    b_ = h.Eval(unit, 0);
+    salt_ = Sub(h.Eval(unit, 1), b_);
+    const uint64_t zero_at_max = h.Eval(unit, max_len);
+    for (size_t i = 0; i < max_len; ++i) {
+      unit[i] = 1;
+      coeffs_.push_back(Sub(h.Eval(unit, max_len), zero_at_max));
+      unit[i] = 0;
+    }
+  }
+
+  uint64_t Key(const uint64_t* v, size_t len) const {
+    const unsigned __int128 p = kMersenne61;
+    unsigned __int128 sum = b_;
+    for (size_t i = 0; i < len; ++i) {
+      const unsigned __int128 term = coeffs_[i] * (v[i] % p) % p;
+      sum = (sum + term) % p;
+    }
+    const unsigned __int128 length_term = salt_ * (len % p) % p;
+    sum = (sum + length_term) % p;
+    return static_cast<uint64_t>(sum);
+  }
+
+ private:
+  static uint64_t Sub(uint64_t a, uint64_t b) {
+    return a >= b ? a - b : a + kMersenne61 - b;
+  }
+
+  uint64_t b_ = 0;
+  uint64_t salt_ = 0;
+  std::vector<uint64_t> coeffs_;
+};
+
+/// Rows whose entries come from {0, p-1, p, 2^64-1, random}: all-extreme
+/// rows push every lane to its largest terms, mixed rows cover the rest.
+std::vector<std::vector<uint64_t>> ExtremeRows(size_t len, Rng* rng) {
+  const uint64_t specials[] = {0, kMersenne61 - 1, kMersenne61, ~uint64_t{0}};
+  std::vector<std::vector<uint64_t>> rows;
+  for (uint64_t special : specials) rows.emplace_back(len, special);
+  for (int r = 0; r < 4; ++r) {
+    std::vector<uint64_t> row(len);
+    for (uint64_t& v : row) {
+      const uint64_t pick = rng->Below(5);
+      v = pick < 4 ? specials[pick] : rng->Next();
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(PairwiseVectorTest, EvalMatchesTextbookDefinition) {
+  constexpr size_t kMaxLen = 3073;  // s of the emd_wide_prior workload
+  Rng rng(23);
+  PairwiseVectorHash h = PairwiseVectorHash::Draw(&rng);
+  TextbookVectorHash ref(h, kMaxLen);
+  std::vector<size_t> lens = {0};
+  for (size_t len = 1; len <= 40; ++len) lens.push_back(len);
+  lens.push_back(kMaxLen);
+  for (const auto& row : ExtremeRows(kMaxLen, &rng)) {
+    for (size_t len : lens) {
+      ASSERT_EQ(h.Eval(row, len), ref.Key(row.data(), len)) << "len " << len;
+    }
+  }
+}
+
+TEST(PairwiseVectorTest, EvalPrefixesMatchesTextbookDefinition) {
+  constexpr size_t kMaxLen = 3073;
+  Rng rng(24);
+  PairwiseVectorHash h = PairwiseVectorHash::Draw(&rng);
+  TextbookVectorHash ref(h, kMaxLen);
+  // Every length 0..40 (0 and several others duplicated), then a geometric
+  // ladder up to s with a duplicated top, as Algorithm 1's levels produce.
+  std::vector<size_t> lens = {0, 0};
+  for (size_t len = 1; len <= 40; ++len) {
+    lens.push_back(len);
+    if (len % 7 == 0) lens.push_back(len);
+  }
+  lens.insert(lens.end(), {48, 96, 192, 384, 768, 1537, 3073, 3073});
+  std::vector<uint64_t> keys(lens.size());
+  for (const auto& row : ExtremeRows(kMaxLen, &rng)) {
+    h.EvalPrefixes(row.data(), lens.data(), lens.size(), keys.data());
+    for (size_t t = 0; t < lens.size(); ++t) {
+      ASSERT_EQ(keys[t], ref.Key(row.data(), lens[t])) << "len " << lens[t];
+    }
+  }
+}
+
+TEST(PairwiseVectorTest, EvalBatchMatchesTextbookDefinition) {
+  constexpr size_t kMaxLen = 3073;
+  Rng rng(25);
+  PairwiseVectorHash h = PairwiseVectorHash::Draw(&rng);
+  TextbookVectorHash ref(h, kMaxLen);
+  const std::vector<std::vector<uint64_t>> rows = ExtremeRows(kMaxLen, &rng);
+  std::vector<uint64_t> matrix;
+  for (const auto& row : rows) {
+    matrix.insert(matrix.end(), row.begin(), row.end());
+  }
+  std::vector<uint64_t> out(rows.size());
+  std::vector<size_t> lens = {0};
+  for (size_t len = 1; len <= 40; ++len) lens.push_back(len);
+  lens.push_back(kMaxLen);
+  for (size_t len : lens) {
+    h.EvalBatch(matrix.data(), rows.size(), kMaxLen, len, out.data());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      ASSERT_EQ(out[r], ref.Key(rows[r].data(), len))
+          << "row " << r << " len " << len;
+    }
   }
 }
 
