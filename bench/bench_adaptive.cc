@@ -169,7 +169,7 @@ void CodecBreakdown() {
   std::map<std::string, size_t> sizes[2];
   std::vector<std::string> order;
   bool identical = true;
-  PointSet decoded_classic;
+  PointStore decoded_classic;
   for (int which = 0; which < 2; ++which) {
     EmdProtocolParams params;
     params.metric = MetricKind::kL2;
@@ -203,8 +203,8 @@ void CodecBreakdown() {
       sizes[which][m.label] += body;
       if (which == 0) order.push_back(m.label);
     }
-    PointSet repaired = report->s_b_prime;
-    std::sort(repaired.begin(), repaired.end());
+    PointStore repaired = report->s_b_prime;
+    repaired.SortLex();
     if (which == 0) {
       decoded_classic = std::move(repaired);
     } else {

@@ -8,6 +8,7 @@
 //     the "soft membership" curve separating r1 from r2 at the recommended
 //     amplification.
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "core/twoway.h"
@@ -96,10 +97,12 @@ void DsBloomCurve() {
     int accepted = 0;
     double votes = 0;
     const int kProbes = 200;
+    std::vector<Coord> probe(dim);
     for (int i = 0; i < kProbes; ++i) {
-      Point base = points.MakePoint(rng.Below(points.size()));
-      Point q = PerturbPoint(base, MetricKind::kHamming,
-                             static_cast<double>(dist), 1, &rng);
+      const Coord* base = points.row(rng.Below(points.size()));
+      PerturbRowInto(base, dim, MetricKind::kHamming,
+                     static_cast<double>(dist), 1, &rng, probe.data());
+      const Point q(probe);
       accepted += filter.QueryNear(q);
       votes += filter.VoteFraction(q);
     }

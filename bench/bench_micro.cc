@@ -14,7 +14,6 @@
 #include "lsh/batch_kernels.h"
 #include "hashing/kindependent.h"
 #include "hashing/pairwise.h"
-#include "hashing/tabulation.h"
 #include "lsh/bit_sampling.h"
 #include "lsh/eval_pipeline.h"
 #include "lsh/grid.h"
@@ -61,17 +60,6 @@ void BM_KIndependentHash(benchmark::State& state) {
 }
 BENCHMARK(BM_KIndependentHash)->Arg(3)->Arg(5);
 
-void BM_TabulationHash(benchmark::State& state) {
-  Rng rng(3);
-  TabulationHash h = TabulationHash::Draw(&rng);
-  uint64_t x = 999;
-  for (auto _ : state) {
-    x = h.Eval(x);
-    benchmark::DoNotOptimize(x);
-  }
-}
-BENCHMARK(BM_TabulationHash);
-
 void BM_PairwiseVectorHash(benchmark::State& state) {
   Rng rng(4);
   PairwiseVectorHash h = PairwiseVectorHash::Draw(&rng);
@@ -87,7 +75,7 @@ void BM_LshEval(benchmark::State& state, const LshFamily& family,
                 size_t dim, Coord delta) {
   Rng rng(5);
   auto h = family.Draw(&rng);
-  Point p = GenerateUniform(1, dim, delta, &rng)[0];
+  Point p = GenerateUniformStore(1, dim, delta, &rng).MakePoint(0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(h->Eval(p));
   }
@@ -116,7 +104,7 @@ BENCHMARK(BM_PStableEval);
 // BM_EvaluateAllScalar preserves the pre-batch EMD hot loop (one virtual
 // Eval per (point, draw), one heap row per point) as the comparison
 // baseline; BM_EvaluateAll is the shipping pipeline (EvaluateAllInto:
-// function-major EvalBatch into one flat matrix). Same for the
+// function-major batch calls into one flat matrix). Same for the
 // per-level-key pair BM_PairwisePrefixesScalar / BM_PairwisePrefixes.
 
 void BM_GridEvalBatch(benchmark::State& state) {
@@ -124,10 +112,10 @@ void BM_GridEvalBatch(benchmark::State& state) {
   GridFamily family(8, 32.0);
   Rng rng(5);
   auto h = family.Draw(&rng);
-  PointSet points = GenerateUniform(4096, 8, 1023, &rng);
+  PointStore points = GenerateUniformStore(4096, 8, 1023, &rng);
   std::vector<uint64_t> out(points.size());
   for (auto _ : state) {
-    h->EvalBatch(points, out.data());
+    h->EvalCoordBatch(points.coord_data(), points.size(), 8, out.data(), 1);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -221,20 +209,19 @@ BENCHMARK(BM_PairwiseEvalBatchShort);
 void BM_EvaluateAll(benchmark::State& state) {
   // The EMD protocol's point-hashing stage: n=4096 points x s=64 MLSH draws
   // (2-stable family, the bench_emd_l2 configuration) via the batch
-  // pipeline, fed from a scattered PointSet. The per-iteration copy into a
-  // fresh arena reproduces what the retired EvaluateAllInto(PointSet)
-  // adapter paid, so the BM_StoreEvaluateAll comparison stays meaningful.
+  // pipeline, fed from a fresh copy of the arena every iteration (a copy
+  // does not carry the cached double plane), so the BM_StoreEvaluateAll
+  // comparison stays meaningful.
   // Time is per full matrix; items/sec counts (point, draw) pairs.
   Rng rng(16);
   std::unique_ptr<MlshFamily> family = MakeMlshFamily(MetricKind::kL2, 8, 32.0);
   Rng draw_rng(17);
   std::vector<std::unique_ptr<LshFunction>> draws =
       DrawMany(*family, 64, &draw_rng);
-  PointSet points = GenerateUniform(4096, 8, 1023, &rng);
+  const PointStore points = GenerateUniformStore(4096, 8, 1023, &rng);
   EvalMatrix matrix;
   for (auto _ : state) {
-    PointStore store(8);
-    store.AppendMany(points);
+    PointStore store = points;
     EvaluateAllInto(store, draws, /*num_threads=*/1, &matrix);
     benchmark::DoNotOptimize(matrix.data());
     benchmark::ClobberMemory();
@@ -251,7 +238,11 @@ void BM_EvaluateAllScalar(benchmark::State& state) {
   Rng draw_rng(17);
   std::vector<std::unique_ptr<LshFunction>> draws =
       DrawMany(*family, 64, &draw_rng);
-  PointSet points = GenerateUniform(4096, 8, 1023, &rng);
+  const PointStore store = GenerateUniformStore(4096, 8, 1023, &rng);
+  std::vector<Point> points;
+  for (size_t i = 0; i < store.size(); ++i) {
+    points.push_back(store.MakePoint(i));
+  }
   for (auto _ : state) {
     std::vector<std::vector<uint64_t>> evals(points.size());
     for (size_t i = 0; i < points.size(); ++i) {
@@ -272,9 +263,9 @@ BENCHMARK(BM_EvaluateAllScalar);
 //
 // BM_StoreEvaluateAll is the store-native protocol hot path: the double
 // plane is built once per store, so a warm fill does zero per-point work
-// beyond the kernels themselves. Compare against BM_EvaluateAll (the
-// PointSet adapter, which copies into a temporary arena per call) and the
-// preserved BM_EvaluateAllScalar.
+// beyond the kernels themselves. Compare against BM_EvaluateAll (a fresh
+// arena copy per call, so a cold double plane every time) and the preserved
+// BM_EvaluateAllScalar.
 
 void BM_PointStoreAppend(benchmark::State& state) {
   // Per-point append rate into a reserved arena (the generator hot path).
@@ -414,7 +405,7 @@ void BM_RibltInsert(benchmark::State& state) {
   params.seed = 9;
   Riblt table(params);
   Rng rng(10);
-  Point p = GenerateUniform(1, 8, 1023, &rng)[0];
+  Point p = GenerateUniformStore(1, 8, 1023, &rng).MakePoint(0);
   uint64_t key = 1;
   for (auto _ : state) {
     table.Insert(key++, p);
@@ -434,7 +425,8 @@ void BM_RibltDecode(benchmark::State& state) {
   Riblt table(params);
   Rng rng(12);
   for (int i = 0; i < 16; ++i) {
-    table.Insert(rng.Next(), GenerateUniform(1, 8, 1023, &rng)[0]);
+    table.Insert(rng.Next(),
+                 GenerateUniformStore(1, 8, 1023, &rng).MakePoint(0));
   }
   for (auto _ : state) {
     Rng decode_rng(13);
@@ -456,7 +448,8 @@ void BM_RibltDecodeStore(benchmark::State& state) {
   Riblt table(params);
   Rng rng(12);
   for (int i = 0; i < 16; ++i) {
-    table.Insert(rng.Next(), GenerateUniform(1, 8, 1023, &rng)[0]);
+    table.Insert(rng.Next(),
+                 GenerateUniformStore(1, 8, 1023, &rng).MakePoint(0));
   }
   RibltDecodeResult result;
   for (auto _ : state) {
@@ -552,8 +545,8 @@ BENCHMARK(BM_RibltFold)
 void BM_EmdExact(benchmark::State& state) {
   Rng rng(14);
   size_t n = static_cast<size_t>(state.range(0));
-  PointSet x = GenerateUniform(n, 4, 1023, &rng);
-  PointSet y = GenerateUniform(n, 4, 1023, &rng);
+  PointStore x = GenerateUniformStore(n, 4, 1023, &rng);
+  PointStore y = GenerateUniformStore(n, 4, 1023, &rng);
   Metric metric(MetricKind::kL2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(EmdExact(x, y, metric));
@@ -564,8 +557,8 @@ BENCHMARK(BM_EmdExact)->Arg(32)->Arg(128);
 void BM_EmdKAll(benchmark::State& state) {
   Rng rng(15);
   size_t n = static_cast<size_t>(state.range(0));
-  PointSet x = GenerateUniform(n, 4, 1023, &rng);
-  PointSet y = GenerateUniform(n, 4, 1023, &rng);
+  PointStore x = GenerateUniformStore(n, 4, 1023, &rng);
+  PointStore y = GenerateUniformStore(n, 4, 1023, &rng);
   Metric metric(MetricKind::kL2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(EmdKAll(x, y, metric));
@@ -616,12 +609,11 @@ EmdProtocolParams SyncBenchParams() {
 
 PointStore DistinctBenchRows(size_t count, uint64_t seed) {
   Rng rng(seed);
-  PointSet points = GenerateUniform(count * 2, 4, 1023, &rng);
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
+  PointStore points = GenerateUniformStore(count * 2, 4, 1023, &rng);
+  points.SortLexAndDedup();
   RSR_CHECK(points.size() >= count);  // dim 4, delta 1023: ~2^40 row space
-  points.resize(count);
-  return PointStore::FromPointSet(4, points);
+  points.Truncate(count);
+  return points;
 }
 
 struct SyncBenchState {

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench_util.h"
 #include "lsh/mlsh.h"
@@ -31,8 +32,11 @@ void RunFamily(MetricKind kind, size_t dim, Coord delta, double w) {
   Rng workload_rng(kind == MetricKind::kHamming ? 11 : 22);
   for (int step = 1; step <= 7; ++step) {
     double target = params.r * 0.13 * step;
-    Point x = GenerateUniform(1, dim, delta, &workload_rng)[0];
-    Point y = PerturbPoint(x, kind, target, delta, &workload_rng);
+    Point x = GenerateUniformStore(1, dim, delta, &workload_rng).MakePoint(0);
+    std::vector<Coord> perturbed(dim);
+    PerturbRowInto(x.coords().data(), dim, kind, target, delta, &workload_rng,
+                   perturbed.data());
+    Point y(std::move(perturbed));
     double f = metric.Distance(x, y);
     if (f <= 0 || f > params.r) continue;
 

@@ -61,12 +61,11 @@ EmdProtocolParams ServerParams() {
 /// and out as churn (each replacement swaps a pair's resident half).
 PointStore DistinctRows(size_t count, uint64_t seed) {
   Rng rng(seed);
-  PointSet points = GenerateUniform(count * 2, kDim, 1023, &rng);
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
+  PointStore points = GenerateUniformStore(count * 2, kDim, 1023, &rng);
+  points.SortLexAndDedup();
   RSR_CHECK(points.size() >= count);
-  points.resize(count);
-  return PointStore::FromPointSet(kDim, points);
+  points.Truncate(count);
+  return points;
 }
 
 /// Runs `sync` cycles until the time budget is spent; returns syncs/sec.
@@ -338,7 +337,7 @@ void ServerCodecBreakdown(const PointStore& pool) {
   std::map<std::string, size_t> sizes[2];
   std::vector<std::string> order;
   bool identical = true;
-  PointSet decoded_classic;
+  PointStore decoded_classic;
   for (int which = 0; which < 2; ++which) {
     EmdProtocolParams params = AdaptiveSweepParams();
     params.codec = which == 0 ? WireCodec::kClassic : WireCodec::kCompact;
@@ -368,8 +367,8 @@ void ServerCodecBreakdown(const PointStore& pool) {
       sizes[which][m.label] += body;
       if (which == 0) order.push_back(m.label);
     }
-    PointSet repaired = report->s_b_prime;
-    std::sort(repaired.begin(), repaired.end());
+    PointStore repaired = report->s_b_prime;
+    repaired.SortLex();
     if (which == 0) {
       decoded_classic = std::move(repaired);
     } else {

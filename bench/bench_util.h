@@ -58,31 +58,13 @@ inline Stats Summarize(std::vector<double> values) {
 }
 
 /// Max over a in alice of min distance to s_b_prime (Gap model check).
-inline double WorstCaseGap(const PointSet& alice, const PointSet& s_b_prime,
+inline double WorstCaseGap(const PointStore& alice, const PointStore& s_b_prime,
                            const Metric& metric) {
-  double worst = 0;
-  for (const Point& a : alice) {
-    double best = 1e300;
-    for (const Point& b : s_b_prime) {
-      best = std::min(best, metric.Distance(a, b));
-    }
-    worst = std::max(worst, best);
-  }
-  return worst;
-}
-
-/// Store-native form: alice rows against a repaired PointSet.
-inline double WorstCaseGap(const PointStore& alice, const PointSet& s_b_prime,
-                           const Metric& metric) {
-  RSR_DCHECK(s_b_prime.empty() || alice.empty() ||
-             s_b_prime[0].dim() == alice.dim());
   double worst = 0;
   for (size_t i = 0; i < alice.size(); ++i) {
     double best = 1e300;
-    for (const Point& b : s_b_prime) {
-      best = std::min(best,
-                      metric.Distance(alice.row(i), b.coords().data(),
-                                      alice.dim()));
+    for (size_t j = 0; j < s_b_prime.size(); ++j) {
+      best = std::min(best, metric.Distance(alice[i], s_b_prime[j]));
     }
     worst = std::max(worst, best);
   }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verify (Release build + full CTest run; -Wall
+# CI entry point: tier-1 verify (Release build of the library, tests,
+# benches and examples + full CTest run + one run of every example; -Wall
 # -Wextra are enabled unconditionally by CMakeLists.txt, and the strict
 # warning wall -Wconversion/-Wsign-conversion/... by the default-ON
 # RSR_STRICT_WARNINGS option), the static-analysis wall
@@ -18,10 +19,13 @@
 #                 lacks. =1: missing tools FAIL the run. =0: skip the
 #                 static-analysis wall entirely (the strict warning wall
 #                 still applies — it is part of the compile).
-#   RSR_BENCH=1   additionally configure with -DRSR_BUILD_BENCH=ON and
-#                 FAIL LOUDLY if google-benchmark is missing (a requested
+#   RSR_BENCH=1   FAIL LOUDLY if google-benchmark is missing (a requested
 #                 bench build must never silently skip bench_micro — that
-#                 would let a perf PR land with no numbers).
+#                 would let a perf PR land with no numbers). The tier-1 leg
+#                 always builds bench/*.cc and examples/ (-DRSR_BUILD_BENCH=ON
+#                 -DRSR_BUILD_EXAMPLES=ON), so an API change cannot leave
+#                 them broken; without RSR_BENCH=1 only bench_micro may be
+#                 skipped, and only when google-benchmark is absent.
 #   RSR_WERROR=1  (default) configure with -DRSR_WERROR=ON so every warning
 #                 is an error; API sweeps cannot leave unused parameters or
 #                 dead overload remnants behind. Set RSR_WERROR=0 to relax
@@ -35,9 +39,9 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.." || exit 1
 
-BENCH_FLAGS=()
+BENCH_FLAGS=(-DRSR_BUILD_BENCH=ON -DRSR_BUILD_EXAMPLES=ON)
 if [[ "${RSR_BENCH:-0}" == "1" ]]; then
-  BENCH_FLAGS=(-DRSR_BUILD_BENCH=ON -DRSR_REQUIRE_BENCHMARK=ON)
+  BENCH_FLAGS+=(-DRSR_REQUIRE_BENCHMARK=ON)
 fi
 WERROR_FLAGS=(-DRSR_WERROR=ON)
 if [[ "${RSR_WERROR:-1}" == "0" ]]; then
@@ -48,9 +52,17 @@ TIMEOUT_FLAGS=(-DRSR_TEST_TIMEOUT="${CTEST_TIMEOUT}")
 
 echo "==== Release build + tests (tier-1 verify) ===="
 cmake -B build -S . "${WERROR_FLAGS[@]}" "${TIMEOUT_FLAGS[@]}" \
-  ${BENCH_FLAGS[@]+"${BENCH_FLAGS[@]}"}
+  "${BENCH_FLAGS[@]}"
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j --timeout "${CTEST_TIMEOUT}"
+
+# Every example runs once to completion; an example exits non-zero when its
+# exchange fails.
+echo "==== Examples (each example_* once) ===="
+for example in build/example_*; do
+  echo "---- ${example} ----"
+  "${example}"
+done
 
 # End-to-end benchmark smoke pass (bench/e2e/run.py --smoke): builds
 # bench_e2e from this checkout into .bench_build/ and runs every workload at

@@ -17,8 +17,8 @@
 
 namespace {
 
-// Row-view helper: works for PointStore-vs-PointStore and
-// PointStore-vs-PointSet without materializing any Point.
+// Max over rows of `from` of the distance to the nearest row of `to`, read
+// through row views without materializing any Point.
 double WorstGap(const rsr::PointStore& from, const rsr::PointStore& to,
                 const rsr::Metric& metric) {
   double worst = 0;
@@ -26,19 +26,6 @@ double WorstGap(const rsr::PointStore& from, const rsr::PointStore& to,
     double best = 1e300;
     for (size_t j = 0; j < to.size(); ++j) {
       best = std::min(best, metric.Distance(from[i], to[j]));
-    }
-    worst = std::max(worst, best);
-  }
-  return worst;
-}
-
-double WorstGap(const rsr::PointStore& from, const rsr::PointSet& to,
-                const rsr::Metric& metric) {
-  double worst = 0;
-  for (size_t i = 0; i < from.size(); ++i) {
-    double best = 1e300;
-    for (const auto& b : to) {
-      best = std::min(best, metric.Distance(b, from[i]));
     }
     worst = std::max(worst, best);
   }

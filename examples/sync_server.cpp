@@ -19,7 +19,6 @@
 //
 // Build & run:  cmake -B build -DRSR_BUILD_EXAMPLES=ON && cmake --build build
 //               && ./build/example_sync_server
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -53,15 +52,14 @@ int main() {
 
   // kRecords resident rows plus kRounds future arrivals, all distinct.
   Rng rng(99);
-  PointSet points = GenerateUniform(2 * (kRecords + kRounds), 3, 1023, &rng);
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-  if (points.size() < kRecords + kRounds) {
+  PointStore pool =
+      GenerateUniformStore(2 * (kRecords + kRounds), 3, 1023, &rng);
+  pool.SortLexAndDedup();
+  if (pool.size() < kRecords + kRounds) {
     std::printf("not enough distinct rows generated\n");
     return 1;
   }
-  points.resize(kRecords + kRounds);
-  PointStore pool = PointStore::FromPointSet(3, points);
+  pool.Truncate(kRecords + kRounds);
   PointStore initial(3);
   for (size_t i = 0; i < kRecords; ++i) initial.Append(pool[i]);
 

@@ -27,7 +27,7 @@ struct MultiscaleEmdParams {
 
 struct MultiscaleEmdReport {
   bool failure = false;
-  PointSet s_b_prime;
+  PointStore s_b_prime;
   /// 0-based index of the interval whose output was used.
   size_t chosen_interval = 0;
   std::vector<EmdProtocolReport> intervals;

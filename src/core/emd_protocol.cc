@@ -183,13 +183,12 @@ Result<EmdProtocolReport> FinishEmdProtocol(
     }
   }
 
-  report.s_b_prime.reserve(n);
+  report.s_b_prime = PointStore(bob.dim());
+  report.s_b_prime.Reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (!removed[i]) report.s_b_prime.push_back(bob.MakePoint(i));
+    if (!removed[i]) report.s_b_prime.Append(bob.row(i));
   }
-  for (size_t i = 0; i < x_a->size(); ++i) {
-    report.s_b_prime.push_back(x_a->MakePoint(i));
-  }
+  report.s_b_prime.AppendStore(*x_a);
   RSR_CHECK_EQ(report.s_b_prime.size(), n);
   return report;
 }

@@ -38,8 +38,8 @@ struct EmdLevelOutcome {
 struct EmdProtocolReport {
   /// True iff no level decoded (the protocol "reports failure").
   bool failure = false;
-  /// Bob's output set (|S'_B| = n on success).
-  PointSet s_b_prime;
+  /// Bob's output set (|S'_B| = n on success; dim-0 and empty on failure).
+  PointStore s_b_prime;
   /// i*, 1-based; 0 on failure.
   size_t decoded_level = 0;
   std::vector<EmdLevelOutcome> levels;

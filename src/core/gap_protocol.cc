@@ -88,6 +88,7 @@ Result<GapPipelineResult> RunGapPipeline(
 
   std::vector<size_t> match_count(bob_recovered.size(), 0);
   std::vector<size_t> touched;
+  std::vector<size_t> far_rows;
   for (const auto& [key, owners] : alice_by_key) {
     touched.clear();
     size_t best = 0;
@@ -104,23 +105,36 @@ Result<GapPipelineResult> RunGapPipeline(
     for (size_t b : touched) match_count[b] = 0;
     if (static_cast<double>(best) < config.tau) {
       ++result.far_keys;
-      for (size_t i : owners) result.transmitted.push_back(alice.MakePoint(i));
+      far_rows.insert(far_rows.end(), owners.begin(), owners.end());
     }
   }
+
+  // Either side may be empty (and then possibly dimensionless); the other
+  // one carries the protocol's dimension.
+  const size_t dim = alice.empty() ? bob.dim() : alice.dim();
+  result.transmitted = PointStore(dim);
+  result.transmitted.Reserve(far_rows.size());
+  for (size_t i : far_rows) result.transmitted.Append(alice.row(i));
 
   // ---- Round 4: Alice transmits T_A. ----
   ByteWriter message;
   message.PutVarint64(result.transmitted.size());
-  for (const Point& p : result.transmitted) p.WriteTo(&message);
+  result.transmitted.WriteTo(&message);
   Transcript transcript;
   transcript.Send("A->B far elements", message);
   result.comm.Append(transcript.stats());
 
-  // Bob: S'_B = S_B ∪ T_A (parsed from the wire).
+  // Bob: S'_B = S_B ∪ T_A (parsed from the wire). The output is reserved
+  // from the parsed rows, never from the raw wire count.
   ByteReader reader(message.buffer());
-  result.s_b_prime = bob.ToPointSet();
-  RSR_RETURN_NOT_OK(ReadPoints(&reader, &result.s_b_prime));
+  const uint64_t count = reader.GetVarint64();
+  const PointStore t_a =
+      PointStore::ReadFrom(&reader, dim, static_cast<size_t>(count));
   RSR_RETURN_NOT_OK(reader.FinishAndCheckConsumed());
+  result.s_b_prime = PointStore(dim);
+  result.s_b_prime.Reserve(bob.size() + t_a.size());
+  result.s_b_prime.AppendStore(bob);
+  result.s_b_prime.AppendStore(t_a);
   return result;
 }
 

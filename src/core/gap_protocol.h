@@ -14,7 +14,6 @@
 
 #include "core/params.h"
 #include "core/transcript.h"
-#include "geometry/point.h"
 #include "geometry/point_store.h"
 #include "setsets/reconciler.h"
 #include "util/status.h"
@@ -60,10 +59,10 @@ struct GapDerived {
 };
 
 struct GapProtocolReport {
-  /// Bob's final set S_B ∪ T_A.
-  PointSet s_b_prime;
+  /// Bob's final set S_B ∪ T_A: Bob's rows, then T_A in wire order.
+  PointStore s_b_prime;
   /// T_A: Alice's transmitted elements.
-  PointSet transmitted;
+  PointStore transmitted;
   /// Number of Alice's distinct keys flagged far.
   size_t far_keys = 0;
   GapDerived derived;
@@ -90,8 +89,8 @@ struct GapPipelineConfig {
 };
 
 struct GapPipelineResult {
-  PointSet s_b_prime;
-  PointSet transmitted;
+  PointStore s_b_prime;
+  PointStore transmitted;
   size_t far_keys = 0;
   SetsReconcilerReport reconciliation;
   CommStats comm;

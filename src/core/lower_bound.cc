@@ -80,15 +80,15 @@ Result<IndexInstance> BuildIndexInstance(const std::vector<bool>& x,
 }
 
 Result<bool> SolveIndexFromGapOutput(const IndexInstance& instance,
-                                     const PointSet& s_b_prime) {
+                                     const PointStore& s_b_prime) {
   PointRef target_prefix = instance.alice[instance.query_index];
   for (size_t i = instance.bob.size(); i < s_b_prime.size(); ++i) {
-    const Point& candidate = s_b_prime[i];
+    const PointRef candidate = s_b_prime[i];
     double min_dist = 1e300;
     for (size_t j = 0; j < instance.bob.size(); ++j) {
       min_dist = std::min(
-          min_dist, HammingDistance(candidate.coords().data(),
-                                    instance.bob.row(j), instance.dim));
+          min_dist, HammingDistance(candidate.data(), instance.bob.row(j),
+                                    instance.dim));
     }
     if (min_dist < static_cast<double>(instance.r2)) continue;
     // Verify the code prefix matches c_i, then read the final bit.

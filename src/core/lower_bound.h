@@ -46,7 +46,7 @@ Result<IndexInstance> BuildIndexInstance(const std::vector<bool>& x,
 /// one at distance >= r2 from all of S_B whose code prefix matches c_i;
 /// return its final bit.
 Result<bool> SolveIndexFromGapOutput(const IndexInstance& instance,
-                                     const PointSet& s_b_prime);
+                                     const PointStore& s_b_prime);
 
 /// One-round strawman within a fixed bit budget: Alice sends a Bloom filter
 /// of her exact points; Bob answers whether (c_i || 1) tests positive.

@@ -24,7 +24,7 @@ void RunBroadcastRound(const std::vector<PointStore>& deduped,
                        const MultiPartyParams& params, size_t num_cells,
                        uint64_t decode_salt, Transcript* transcript,
                        std::vector<char>* ok, std::vector<Status>* hard_error,
-                       std::vector<PointSet>* additions) {
+                       std::vector<PointStore>* additions) {
   const size_t s = deduped.size();
   RibltParams sketch_params;
   sketch_params.num_cells = num_cells;
@@ -57,7 +57,7 @@ void RunBroadcastRound(const std::vector<PointStore>& deduped,
       params.max_decode > 0 ? params.max_decode : num_cells;
   ok->assign(s, 0);
   hard_error->assign(s, Status());
-  additions->assign(s, PointSet());
+  additions->assign(s, PointStore(params.dim));
   // Each party's combine + decode is independent of every other party's, so
   // the loop shards across threads; per-party outcomes land in disjoint
   // slots (ok is a char array — vector<bool> is a bitfield and not safe for
@@ -104,13 +104,14 @@ void RunBroadcastRound(const std::vector<PointStore>& deduped,
       for (size_t p = 0; p < order.size(); ++p) order[p] = p;
       std::sort(order.begin(), order.end(),
                 [&keys](size_t a, size_t b) { return keys[a] < keys[b]; });
+      (*additions)[i].Reserve(order.size());
       uint64_t last_key = 0;
       bool have_last = false;
       for (size_t p : order) {
         if (have_last && keys[p] == last_key) continue;
         last_key = keys[p];
         have_last = true;
-        (*additions)[i].push_back(decoded->inserted.MakePoint(p));
+        (*additions)[i].Append(decoded->inserted[p]);
       }
     }
   });
@@ -217,7 +218,7 @@ Result<MultiPartyReport> RunMultiPartyUnion(
 
   std::vector<char> ok;
   std::vector<Status> hard_error;
-  std::vector<PointSet> additions;
+  std::vector<PointStore> additions;
   RunBroadcastRound(deduped, party_keys, params, cells, 0xdeca, &transcript,
                     &ok, &hard_error, &additions);
 
@@ -244,15 +245,14 @@ Result<MultiPartyReport> RunMultiPartyUnion(
   report.party_ok.assign(s, false);
   report.all_ok = true;
   for (size_t i = 0; i < s; ++i) {
-    report.final_sets[i] = deduped[i].ToPointSet();
     report.party_ok[i] = ok[i] != 0;
-    if (!ok[i]) {
-      report.all_ok = false;
-      continue;
-    }
-    for (Point& p : additions[i]) {
-      report.final_sets[i].push_back(std::move(p));
-    }
+    if (!ok[i]) report.all_ok = false;
+    // A party that failed to decode has no additions: it keeps its input.
+    PointStore& final_set = report.final_sets[i];
+    final_set = PointStore(params.dim);
+    final_set.Reserve(deduped[i].size() + additions[i].size());
+    final_set.AppendStore(deduped[i]);
+    final_set.AppendStore(additions[i]);
   }
   return report;
 }

@@ -57,7 +57,7 @@ struct MultiPartyParams {
 
 struct MultiPartyReport {
   /// Per party: its input set extended with every decoded missing element.
-  std::vector<PointSet> final_sets;
+  std::vector<PointStore> final_sets;
   /// Per party: whether its combined sketch decoded (failure leaves the
   /// party with its input set).
   std::vector<bool> party_ok;

@@ -19,15 +19,22 @@ NaiveReport RunNaiveFullTransfer(const PointStore& alice, const PointStore& bob,
   transcript.Send("A->B full point set", message);
   report.comm = transcript.stats();
 
+  // Either side may be empty (and then possibly dimensionless); the other
+  // one carries the dimension. Two empty sides leave an empty result.
+  const size_t dim = alice.empty() ? bob.dim() : alice.dim();
+  if (dim == 0) return report;
   ByteReader reader(message.buffer());
-  PointSet received;
-  const Status parsed = ReadPoints(&reader, &received);
+  const uint64_t count = reader.GetVarint64();
+  PointStore received =
+      PointStore::ReadFrom(&reader, dim, static_cast<size_t>(count));
   // The message is this function's own encoding of `alice`, so a parse
   // failure is a library bug rather than peer input.
-  RSR_CHECK(parsed.ok());
+  RSR_CHECK(reader.FinishAndCheckConsumed().ok());
   if (union_mode) {
-    report.s_b_prime = bob.ToPointSet();
-    for (auto& p : received) report.s_b_prime.push_back(std::move(p));
+    report.s_b_prime = PointStore(dim);
+    report.s_b_prime.Reserve(bob.size() + received.size());
+    report.s_b_prime.AppendStore(bob);
+    report.s_b_prime.AppendStore(received);
   } else {
     report.s_b_prime = std::move(received);
   }
@@ -48,16 +55,15 @@ void PackRowInto(const Coord* row, size_t dim, uint8_t* out) {
   }
 }
 
-Point UnpackPoint(const std::vector<uint8_t>& bytes, size_t dim) {
-  std::vector<Coord> coords(dim, 0);
+/// Inverse of PackRowInto: writes the dim coordinates packed in `bytes`.
+void UnpackRowInto(const std::vector<uint8_t>& bytes, size_t dim, Coord* out) {
   for (size_t j = 0; j < dim; ++j) {
     uint64_t v = 0;
     for (size_t b = 0; b < 8; ++b) {
       v |= static_cast<uint64_t>(bytes[j * 8 + b]) << (8 * b);
     }
-    coords[j] = static_cast<Coord>(v);
+    out[j] = static_cast<Coord>(v);
   }
-  return Point(std::move(coords));
 }
 
 /// Occurrence-salted content keys (canonical order: lexicographic). The
@@ -181,10 +187,10 @@ Result<ExactReconReport> RunExactIbltReconciliation(
   report.diff_size = decoded.entries.size();
 
   std::vector<char> removed(bob_sorted.size(), 0);
-  PointSet additions;
+  size_t inserted = 0;
   for (const IbltEntry& entry : decoded.entries) {
     if (entry.count > 0) {
-      additions.push_back(UnpackPoint(entry.value, params.dim));
+      ++inserted;
     } else {
       auto it = bob_key_to_index.find(entry.key);
       if (it == bob_key_to_index.end()) {
@@ -193,10 +199,18 @@ Result<ExactReconReport> RunExactIbltReconciliation(
       removed[it->second] = 1;
     }
   }
+  const size_t kept =
+      static_cast<size_t>(std::count(removed.begin(), removed.end(), 0));
+  report.s_b_prime = PointStore(params.dim);
+  report.s_b_prime.Reserve(kept + inserted);
   for (size_t i = 0; i < bob_sorted.size(); ++i) {
-    if (!removed[i]) report.s_b_prime.push_back(bob_sorted.MakePoint(i));
+    if (!removed[i]) report.s_b_prime.Append(bob_sorted.row(i));
   }
-  for (auto& p : additions) report.s_b_prime.push_back(std::move(p));
+  for (const IbltEntry& entry : decoded.entries) {
+    if (entry.count > 0) {
+      UnpackRowInto(entry.value, params.dim, report.s_b_prime.AppendRow());
+    }
+  }
   return report;
 }
 

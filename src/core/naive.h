@@ -10,14 +10,13 @@
 
 #include "core/adaptive.h"
 #include "core/transcript.h"
-#include "geometry/point.h"
 #include "geometry/point_store.h"
 #include "util/status.h"
 
 namespace rsr {
 
 struct NaiveReport {
-  PointSet s_b_prime;
+  PointStore s_b_prime;
   CommStats comm;
 };
 
@@ -45,8 +44,9 @@ struct ExactReconParams {
 struct ExactReconReport {
   /// True iff the IBLT failed to decode (difference exceeded capacity).
   bool failure = false;
-  /// On success equals S_A exactly.
-  PointSet s_b_prime;
+  /// On success equals S_A as a multiset: Bob's kept rows in sorted order,
+  /// then the decoded insertions.
+  PointStore s_b_prime;
   size_t diff_size = 0;
   CommStats comm;
 };

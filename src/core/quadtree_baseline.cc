@@ -131,7 +131,7 @@ Result<QuadtreeEmdReport> RunQuadtreeEmdProtocol(
     report.decoded_level = level;
     // Repair: remove Bob's matched-away points, add Alice's cell centers.
     std::vector<size_t> to_remove;
-    PointSet to_add;
+    PointStore to_add(params.dim);
     Coord half = level == 0 ? 0 : (Coord{1} << (level - 1));
     for (const IbltEntry& entry : decoded.entries) {
       if (entry.count < 0) {
@@ -142,13 +142,12 @@ Result<QuadtreeEmdReport> RunQuadtreeEmdProtocol(
         to_remove.push_back(it->second);
       } else {
         std::vector<uint64_t> cells = UnpackCells(entry.value, params.dim);
-        std::vector<Coord> coords(params.dim);
+        Coord* row = to_add.AppendRow();
         for (size_t j = 0; j < params.dim; ++j) {
           Coord center = static_cast<Coord>(cells[j] << level) + half -
                          shift[j];
-          coords[j] = std::clamp<Coord>(center, 0, params.delta);
+          row[j] = std::clamp<Coord>(center, 0, params.delta);
         }
-        to_add.push_back(Point(std::move(coords)));
       }
     }
     // Keep |S'_B| = n: pair removals with additions.
@@ -157,10 +156,12 @@ Result<QuadtreeEmdReport> RunQuadtreeEmdProtocol(
     report.added = moves;
     std::vector<char> removed(n, 0);
     for (size_t i = 0; i < moves; ++i) removed[to_remove[i]] = 1;
+    report.s_b_prime = PointStore(params.dim);
+    report.s_b_prime.Reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      if (!removed[i]) report.s_b_prime.push_back(bob.MakePoint(i));
+      if (!removed[i]) report.s_b_prime.Append(bob.row(i));
     }
-    for (size_t i = 0; i < moves; ++i) report.s_b_prime.push_back(to_add[i]);
+    for (size_t i = 0; i < moves; ++i) report.s_b_prime.Append(to_add[i]);
     RSR_CHECK_EQ(report.s_b_prime.size(), n);
     return report;
   }

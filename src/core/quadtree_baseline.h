@@ -11,7 +11,6 @@
 #define RSR_CORE_QUADTREE_BASELINE_H_
 
 #include "core/transcript.h"
-#include "geometry/point.h"
 #include "geometry/point_store.h"
 #include "util/status.h"
 
@@ -31,7 +30,7 @@ struct QuadtreeEmdParams {
 
 struct QuadtreeEmdReport {
   bool failure = false;
-  PointSet s_b_prime;
+  PointStore s_b_prime;
   /// Chosen level l* (cell side 2^l); 0 is the finest.
   size_t decoded_level = 0;
   size_t levels = 0;

@@ -21,9 +21,9 @@ namespace rsr {
 
 struct TwoWayGapReport {
   /// Alice's final set: S_A ∪ T_B.
-  PointSet s_a_final;
+  PointStore s_a_final;
   /// Bob's final set: S_B ∪ T_A.
-  PointSet s_b_final;
+  PointStore s_b_final;
   GapProtocolReport a_to_b;  // Alice transmits to Bob
   GapProtocolReport b_to_a;  // Bob transmits to Alice
   CommStats comm;            // both directions
@@ -40,8 +40,8 @@ Result<TwoWayGapReport> RunTwoWayGapProtocol(const PointStore& alice,
 
 struct TwoWayEmdReport {
   /// Alice's repaired copy of Bob's data, and vice versa.
-  PointSet s_a_final;
-  PointSet s_b_final;
+  PointStore s_a_final;
+  PointStore s_b_final;
   MultiscaleEmdReport a_to_b;
   MultiscaleEmdReport b_to_a;
   bool failure = false;  // either direction failed

@@ -6,24 +6,10 @@
 
 namespace rsr {
 
-PointRows::PointRows(const PointSet& points) {
-  rows_.reserve(points.size());
-  for (const Point& p : points) {
-    rows_.push_back(p.coords().data());
-    dim_ = p.dim();
-  }
-}
-
-PointRows::PointRows(const PointStore& points) {
-  rows_.reserve(points.size());
-  dim_ = points.dim();
-  for (size_t i = 0; i < points.size(); ++i) rows_.push_back(points.row(i));
-}
-
 namespace {
 
 template <typename Pair>
-void FillDistances(const PointRows& x, const PointRows& y, size_t dim,
+void FillDistances(const PointStore& x, const PointStore& y, size_t dim,
                    CostMatrix* cost) {
   // Eight columns per block: enough independent sums to cover the add
   // latency, few enough that they stay in registers.
@@ -32,14 +18,14 @@ void FillDistances(const PointRows& x, const PointRows& y, size_t dim,
   const size_t full = cols - cols % kBlock;
   for (size_t i = 0; i < x.size(); ++i) {
     double* out = (*cost)[i].data();
-    const Coord* xi = x[i];
+    const Coord* xi = x.row(i);
     const Coord* block[kBlock] = {};
     for (size_t j = 0; j < full; j += kBlock) {
-      for (size_t k = 0; k < kBlock; ++k) block[k] = y[j + k];
+      for (size_t k = 0; k < kBlock; ++k) block[k] = y.row(j + k);
       geometry_internal::DistanceBlock<Pair, kBlock>(xi, block, dim, out + j);
     }
     for (size_t j = full; j < cols; ++j) {
-      block[0] = y[j];
+      block[0] = y.row(j);
       geometry_internal::DistanceBlock<Pair, 1>(xi, block, dim, out + j);
     }
   }
@@ -47,7 +33,8 @@ void FillDistances(const PointRows& x, const PointRows& y, size_t dim,
 
 }  // namespace
 
-CostMatrix DistanceMatrix(PointRows x, PointRows y, const Metric& metric) {
+CostMatrix DistanceMatrix(const PointStore& x, const PointStore& y,
+                          const Metric& metric) {
   RSR_DCHECK(x.size() == 0 || y.size() == 0 || x.dim() == y.dim());
   const size_t dim = x.size() > 0 ? x.dim() : y.dim();
   CostMatrix cost(x.size(), std::vector<double>(y.size(), 0.0));
@@ -65,13 +52,15 @@ CostMatrix DistanceMatrix(PointRows x, PointRows y, const Metric& metric) {
   return cost;
 }
 
-double EmdExact(PointRows x, PointRows y, const Metric& metric) {
+double EmdExact(const PointStore& x, const PointStore& y,
+                const Metric& metric) {
   RSR_CHECK_EQ(x.size(), y.size());
   RSR_CHECK(x.size() > 0);
   return MinCostAssignment(DistanceMatrix(x, y, metric)).cost;
 }
 
-double EmdK(PointRows x, PointRows y, const Metric& metric, size_t k) {
+double EmdK(const PointStore& x, const PointStore& y, const Metric& metric,
+            size_t k) {
   RSR_CHECK_EQ(x.size(), y.size());
   RSR_CHECK(x.size() > 0);
   RSR_CHECK_LT(k, x.size());
@@ -80,7 +69,8 @@ double EmdK(PointRows x, PointRows y, const Metric& metric, size_t k) {
   return partial.costs[x.size() - k];
 }
 
-std::vector<double> EmdKAll(PointRows x, PointRows y, const Metric& metric) {
+std::vector<double> EmdKAll(const PointStore& x, const PointStore& y,
+                            const Metric& metric) {
   RSR_CHECK_EQ(x.size(), y.size());
   RSR_CHECK(x.size() > 0);
   PartialMatchingResult partial = MinCostPartialCosts(

@@ -7,18 +7,18 @@
 
 namespace rsr {
 
-double GreedyEmdUpperBound(const PointSet& x, const PointSet& y,
+double GreedyEmdUpperBound(const PointStore& x, const PointStore& y,
                            const Metric& metric) {
   RSR_CHECK_EQ(x.size(), y.size());
   RSR_CHECK(!x.empty());
   std::vector<char> used(y.size(), 0);
   double total = 0.0;
-  for (const Point& p : x) {
+  for (size_t i = 0; i < x.size(); ++i) {
     double best = std::numeric_limits<double>::infinity();
     size_t best_index = 0;
     for (size_t j = 0; j < y.size(); ++j) {
       if (used[j]) continue;
-      double d = metric.Distance(p, y[j]);
+      double d = metric.Distance(x[i], y[j]);
       if (d < best) {
         best = d;
         best_index = j;

@@ -11,12 +11,12 @@
 #define RSR_EMD_GREEDY_H_
 
 #include "geometry/metric.h"
-#include "geometry/point.h"
+#include "geometry/point_store.h"
 
 namespace rsr {
 
 /// Upper bound on EMD(x, y); requires |x| == |y| >= 1.
-double GreedyEmdUpperBound(const PointSet& x, const PointSet& y,
+double GreedyEmdUpperBound(const PointStore& x, const PointStore& y,
                            const Metric& metric);
 
 }  // namespace rsr

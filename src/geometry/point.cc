@@ -17,15 +17,6 @@ Point Point::ReadFrom(ByteReader* r) {
   return Point(std::move(coords));
 }
 
-Status ReadPoints(ByteReader* r, PointSet* out) {
-  const uint64_t count = r->GetVarint64();
-  if (!r->CountFits(count, 1)) {
-    return Status::Corruption("point count exceeds the message");
-  }
-  for (uint64_t i = 0; i < count; ++i) out->push_back(Point::ReadFrom(r));
-  return r->status();
-}
-
 std::string Point::ToString() const {
   std::ostringstream os;
   os << "(";
@@ -35,22 +26,6 @@ std::string Point::ToString() const {
   }
   os << ")";
   return os.str();
-}
-
-void ContentHashMany(const Point* points, size_t n, uint64_t salt,
-                     uint64_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const std::vector<Coord>& coords = points[i].coords();
-    out[i] = geometry_internal::RowContentHash(coords.data(), coords.size(),
-                                               salt);
-  }
-}
-
-void ValidatePointSet(const PointSet& points, size_t dim, Coord delta) {
-  for (const Point& p : points) {
-    RSR_CHECK_EQ(p.dim(), dim);
-    RSR_CHECK(geometry_internal::RowInDomain(p.coords().data(), dim, delta));
-  }
 }
 
 }  // namespace rsr

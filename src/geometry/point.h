@@ -4,9 +4,10 @@
 // paper's clamping of extracted RIBLT values into [0, Delta]. Binary Hamming
 // space {0,1}^d is the special case Delta = 1.
 //
-// Point is the owning, per-point representation (one heap row each); bulk
-// data lives in the columnar PointStore (point_store.h), which shares the
-// row-level primitives below so the two representations hash, validate, and
+// Point is the owning single-point value type (one heap row). Every bulk
+// point set -- protocol inputs, sketch values, decode results and report
+// fields -- is a columnar PointStore (point_store.h), which shares the
+// row-level primitives below, so a Point and a store row hash, validate and
 // serialize identically by construction.
 #ifndef RSR_GEOMETRY_POINT_H_
 #define RSR_GEOMETRY_POINT_H_
@@ -18,7 +19,6 @@
 #include "hashing/hash64.h"
 #include "util/logging.h"
 #include "util/serialize.h"
-#include "util/status.h"
 
 namespace rsr {
 
@@ -27,7 +27,7 @@ using Coord = int64_t;
 namespace geometry_internal {
 
 /// Shared row primitives: Point, PointRef, and PointStore all delegate here,
-/// so the owning and columnar representations cannot drift.
+/// so a single point and a store row cannot drift.
 
 /// True iff every coordinate in [row, row + n) lies in [0, delta].
 inline bool RowInDomain(const Coord* row, size_t n, Coord delta) {
@@ -100,25 +100,6 @@ class Point {
  private:
   std::vector<Coord> coords_;
 };
-
-/// A collection of points with common dimension.
-using PointSet = std::vector<Point>;
-
-/// Reads a varint count followed by that many Point::ReadFrom points,
-/// appending them to *out. A count the remaining bytes cannot hold (each
-/// point takes at least one byte) poisons the reader before it sizes the
-/// loop. Returns the reader's status.
-Status ReadPoints(ByteReader* r, PointSet* out);
-
-/// Batch content hashing: out[i] = points[i].ContentHash(salt), one call for
-/// a whole key-derivation loop (used by the sketch insert paths).
-void ContentHashMany(const Point* points, size_t n, uint64_t salt,
-                     uint64_t* out);
-
-/// CHECK-fails unless all points share dimension `dim` and lie in [0,delta]^d.
-/// Thin per-point wrapper over the same row predicate PointStore::InDomainAll
-/// uses (geometry_internal::RowInDomain), so the two validation paths agree.
-void ValidatePointSet(const PointSet& points, size_t dim, Coord delta);
 
 }  // namespace rsr
 

@@ -51,19 +51,6 @@ void PointStore::Append(const Coord* coords) {
   std::memcpy(row, coords, dim_ * sizeof(Coord));
 }
 
-// RSR_ZERO_ALLOC: pinned by PointStoreTest.AppendManyAfterReserveDoesNotAllocate.
-void PointStore::AppendMany(const PointSet& points) {
-  if (points.empty()) return;
-  if (dim_ == 0) dim_ = points[0].dim();
-  RSR_CHECK(dim_ > 0);
-  coords_.reserve(coords_.size() + points.size() * dim_);
-  for (const Point& p : points) {
-    RSR_CHECK_EQ(p.dim(), dim_);
-    coords_.insert(coords_.end(), p.coords().begin(), p.coords().end());
-  }
-  size_ += points.size();
-}
-
 void PointStore::AppendStore(const PointStore& other) {
   RSR_CHECK(&other != this);
   if (other.empty()) return;
@@ -166,25 +153,6 @@ void PointStore::SortLexAndDedup() {
   }
   size_ = kept;
   coords_.resize(kept * dim);
-}
-
-PointSet PointStore::ToPointSet() const {
-  PointSet out;
-  out.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) out.push_back(MakePoint(i));
-  return out;
-}
-
-PointStore PointStore::FromPointSet(size_t dim, const PointSet& points) {
-  PointStore store(dim);
-  store.AppendMany(points);
-  return store;
-}
-
-PointStore PointStore::FromPointSet(const PointSet& points) {
-  PointStore store;
-  store.AppendMany(points);
-  return store;
 }
 
 void PointStore::WritePointTo(ByteWriter* w, size_t i) const {

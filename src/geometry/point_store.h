@@ -1,11 +1,8 @@
 // Columnar, arena-backed storage for fixed-dimension point sets.
 //
-// `PointSet = std::vector<Point>` gives every point its own heap-allocated
-// coordinate vector, so the protocol hot loops ("for each point: hash /
-// insert / compare") chase one pointer per point and the batched LSH
-// pipeline had to flatten coordinates into a contiguous double matrix on
-// every run. PointStore replaces that representation with two parallel
-// arenas:
+// PointStore is the library's one bulk point type: protocol inputs,
+// generator outputs, sketch values, decode results and every report's final
+// set are stores. A store keeps two parallel arenas:
 //
 //   coords : one contiguous Coord buffer, row-major (size() x dim())
 //   doubles: the same rows pre-converted to double, built lazily and cached
@@ -20,9 +17,9 @@
 // (Append/sort/dedup), exactly like iterators into a std::vector.
 //
 // Wire-format contract: WritePointTo/WriteTo/ReadFrom produce and consume
-// bytes IDENTICAL to the legacy per-`Point` format (dim varint, then one
-// zigzag varint per coordinate), so protocols that switched to stores emit
-// bit-identical transcripts (asserted by pointstore_test).
+// bytes IDENTICAL to Point::WriteTo/ReadFrom (dim varint, then one zigzag
+// varint per coordinate), so a store row and a Point are interchangeable on
+// the wire (asserted by pointstore_test).
 #ifndef RSR_GEOMETRY_POINT_STORE_H_
 #define RSR_GEOMETRY_POINT_STORE_H_
 
@@ -80,7 +77,7 @@ class PointRef {
 class PointStore {
  public:
   /// An empty store of unspecified dimension; usable only after assignment
-  /// or the first dimension-setting operation (AppendMany/ReadFrom).
+  /// or the first dimension-setting operation (AppendStore).
   PointStore() = default;
   explicit PointStore(size_t dim) : dim_(dim) { RSR_CHECK(dim > 0); }
 
@@ -156,11 +153,9 @@ class PointStore {
     RSR_CHECK_EQ(p.dim(), dim_);
     Append(p.coords().data());
   }
-  /// Bulk append. A default-constructed store adopts the dimension of the
-  /// first point; a dimensioned store requires every point to match.
-  void AppendMany(const PointSet& points);
-  /// `other` must be a different store (self-append would read the arena
-  /// while growing it).
+  /// Bulk append. A default-constructed store adopts the dimension of
+  /// `other`. `other` must be a different store (self-append would read the
+  /// arena while growing it).
   void AppendStore(const PointStore& other);
 
   /// Removes row i by moving the last row into its slot (order-changing,
@@ -181,8 +176,8 @@ class PointStore {
   /// tests pinning the dirty-tail fast path.
   size_t cached_plane_rows() const { return double_rows_; }
 
-  /// out[i] = (*this)[i].ContentHash(salt); bit-identical to the per-Point
-  /// ContentHashMany.
+  /// out[i] = (*this)[i].ContentHash(salt); bit-identical to
+  /// Point::ContentHash on the same coordinates.
   void ContentHashMany(uint64_t salt, uint64_t* out) const;
 
   /// True iff every coordinate of every row lies in [0, delta].
@@ -201,18 +196,13 @@ class PointStore {
   }
 
   /// Sorts rows lexicographically — the multiset ordering is identical to
-  /// std::sort on the equivalent PointSet.
+  /// std::sort on the equivalent std::vector<Point>.
   void SortLex();
   /// SortLex, then removes adjacent duplicate rows (set semantics).
   void SortLexAndDedup();
 
-  /// Conversions to/from the legacy representation.
+  /// Row i as an owning Point (one allocation).
   Point MakePoint(size_t i) const { return (*this)[i].ToPoint(); }
-  PointSet ToPointSet() const;
-  static PointStore FromPointSet(size_t dim, const PointSet& points);
-  /// Adopts the first point's dimension; an empty set yields an empty,
-  /// dimensionless store.
-  static PointStore FromPointSet(const PointSet& points);
 
   /// Serialization. WritePointTo emits row i exactly like Point::WriteTo;
   /// WriteTo emits all rows back to back (callers prepend their own count,
@@ -237,9 +227,8 @@ class PointStore {
   mutable size_t double_rows_ = 0;
 };
 
-/// CHECK-fails unless the store has dimension `dim` and all coordinates lie
-/// in [0, delta]^d — the store-native twin of ValidatePointSet (both rest on
-/// the same row predicate, so the two paths cannot drift).
+/// CHECK-fails unless the store is empty or has dimension `dim`, and all
+/// coordinates lie in [0, delta]^d.
 void ValidatePointStore(const PointStore& store, size_t dim, Coord delta);
 
 }  // namespace rsr

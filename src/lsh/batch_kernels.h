@@ -1,9 +1,9 @@
 // Shared interleaved inner loops for the drawn-function batch paths.
 //
 // Each kernel is templated on a row accessor (size_t i -> pointer whose
-// elements convert to double), so one body serves both the Point path
-// (const Coord* rows from scattered heap vectors) and the flat path
-// (contiguous pre-converted double rows). Points run 4- or 8-way
+// elements convert to double), so one body serves the arena path (raw
+// const Coord* rows of a PointStore) and the flat path (contiguous
+// pre-converted double rows). Points run 4- or 8-way
 // interleaved: each point's serial dependency chain (HashCombine chain,
 // dot-product accumulation) keeps its exact scalar operation order — so
 // results are bit-identical to Eval — but independent points overlap in the

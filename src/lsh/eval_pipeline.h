@@ -3,8 +3,8 @@
 //
 // EvaluateAllInto replaces the historical per-point nested loop
 //   for point i: for draw g: evals[i][g] = functions[g]->Eval(points[i])
-// (n * s virtual calls, one heap row per point) with one EvalBatch virtual
-// call per (function, shard): the drawn parameters are loaded once per
+// (n * s virtual calls, one heap row per point) with one batch virtual call
+// per (function, shard): the drawn parameters are loaded once per
 // function and streamed over the points, and all n * s results land in a
 // single row-major uint64_t buffer. Results are bit-identical to the scalar
 // loop for every family, seed, and thread count (lsh_batch_test).

@@ -4,13 +4,6 @@
 
 namespace rsr {
 
-void LshFunction::EvalBatch(const Point* points, size_t n, uint64_t* out,
-                            size_t out_stride) const {
-  for (size_t i = 0; i < n; ++i) {
-    out[i * out_stride] = Eval(points[i]);
-  }
-}
-
 void LshFunction::EvalFlatBatch(const double* coords, size_t n, size_t dim,
                                 uint64_t* out, size_t out_stride) const {
   (void)coords;

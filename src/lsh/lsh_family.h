@@ -38,41 +38,34 @@ struct MlshParams {
 
 /// A single drawn hash function.
 ///
-/// Eval is the scalar reference; EvalBatch is the hot path used by the
-/// protocol pipelines: one virtual call per *function* instead of one per
-/// (point, function), with the drawn parameters hoisted out of the point
-/// loop. Every override must produce bucket ids bit-identical to Eval
-/// (enforced by lsh_batch_test), so transcripts never depend on which path
-/// a caller takes.
+/// Eval is the scalar reference; the batch entry points are the hot paths
+/// used by the protocol pipelines: one virtual call per *function* instead
+/// of one per (point, function), with the drawn parameters hoisted out of
+/// the point loop. Each batch path reads one PointStore layout: raw integer
+/// rows (EvalCoordBatch), the store's row-major double plane
+/// (EvalFlatBatch), or a column-major double block (EvalColsBatch). Every
+/// override must produce bucket ids bit-identical to Eval (enforced by
+/// lsh_batch_test), so transcripts never depend on which path a caller
+/// takes.
 class LshFunction {
  public:
   virtual ~LshFunction() = default;
   virtual uint64_t Eval(const Point& x) const = 0;
 
-  /// Writes Eval(points[i]) to out[i * out_stride] for i in [0, n). The
-  /// stride lets callers fill one column of a row-major evaluation matrix
-  /// without a scatter pass. Default: scalar loop over Eval.
-  virtual void EvalBatch(const Point* points, size_t n, uint64_t* out,
-                         size_t out_stride) const;
-
-  /// Convenience: contiguous batch over a whole point set.
-  void EvalBatch(const PointSet& points, uint64_t* out) const {
-    EvalBatch(points.data(), points.size(), out, 1);
-  }
-
   /// True iff EvalFlatBatch is implemented. Families whose arithmetic starts
   /// from double coordinates (grid, one-sided grid, 2-stable) support it;
-  /// the pipeline then converts each point block to a flat double matrix
-  /// ONCE instead of re-reading Point heap rows and re-converting int64
-  /// coordinates in every one of the s function passes. int64 -> double is a
-  /// single well-defined rounding, so hoisting it cannot change any bucket
-  /// id. Families that consume raw integer coordinates (bit sampling) stay
-  /// on the Point path.
+  /// the pipeline then reads the store's cached double plane instead of
+  /// re-converting int64 coordinates in every one of the s function passes.
+  /// int64 -> double is a single well-defined rounding, so hoisting it
+  /// cannot change any bucket id. Families that consume raw integer
+  /// coordinates (bit sampling) stay on EvalCoordBatch.
   virtual bool SupportsFlatBatch() const { return false; }
 
-  /// Like EvalBatch over a row-major n x dim matrix of pre-converted double
-  /// coordinates (coords[i * dim + j] == (double)points[i][j]). Only valid
-  /// when SupportsFlatBatch(); the default CHECK-fails.
+  /// Writes Eval(x_i) to out[i * out_stride] for the n points of a
+  /// row-major n x dim matrix of pre-converted double coordinates
+  /// (coords[i * dim + j] == (double)x_i[j]). The stride lets callers fill
+  /// one column of a row-major evaluation matrix without a scatter pass.
+  /// Only valid when SupportsFlatBatch(); the default CHECK-fails.
   virtual void EvalFlatBatch(const double* coords, size_t n, size_t dim,
                              uint64_t* out, size_t out_stride) const;
 
@@ -89,7 +82,7 @@ class LshFunction {
                              size_t dim, uint64_t* out,
                              size_t out_stride) const;
 
-  /// Like EvalBatch over a row-major n x dim matrix of raw integer
+  /// Like EvalFlatBatch over a row-major n x dim matrix of raw integer
   /// coordinates (one PointStore arena: coords + i * dim is point i's row).
   /// Every family overrides this allocation-free (the batch kernels are
   /// templated on the row accessor); the default materializes a temporary

@@ -26,16 +26,8 @@ class OneSidedGridFunction : public LshFunction {
   }
 
   // Function-major hot paths with interleaved HashCombine chains; same
-  // rounding and per-point operation order as Eval (see grid.cc notes). The
-  // contiguous-row paths use the runtime-dispatched (AVX2-capable) kernels.
-  void EvalBatch(const Point* points, size_t n, uint64_t* out,
-                 size_t out_stride) const override {
-    RSR_DCHECK(n == 0 || points[0].dim() == offsets_.size());
-    lsh_internal::GridHashBatch(
-        [points](size_t i) { return points[i].coords().data(); }, n,
-        offsets_.data(), offsets_.size(), w_, salt_, out, out_stride);
-  }
-
+  // rounding and per-point operation order as Eval (see grid.cc notes). All
+  // three paths use the runtime-dispatched (AVX2-capable) kernels.
   bool SupportsFlatBatch() const override { return true; }
   void EvalFlatBatch(const double* coords, size_t n, size_t dim, uint64_t* out,
                      size_t out_stride) const override {

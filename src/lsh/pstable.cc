@@ -29,16 +29,8 @@ class PStableFunction : public LshFunction {
   // whole point range, and points run interleaved (batch_kernels.h) so their
   // serial dot-product chains overlap instead of stalling on FMA latency.
   // Each point's accumulation order and the final `/ w` division match Eval
-  // exactly, so the lattice cell is bit-identical. The contiguous-row paths
-  // use the runtime-dispatched (AVX2-capable) kernels.
-  void EvalBatch(const Point* points, size_t n, uint64_t* out,
-                 size_t out_stride) const override {
-    RSR_DCHECK(n == 0 || points[0].dim() == direction_.size());
-    lsh_internal::DotCellBatch(
-        [points](size_t i) { return points[i].coords().data(); }, n,
-        direction_.data(), direction_.size(), offset_, w_, out, out_stride);
-  }
-
+  // exactly, so the lattice cell is bit-identical. All three paths use the
+  // runtime-dispatched (AVX2-capable) kernels.
   bool SupportsFlatBatch() const override { return true; }
   void EvalFlatBatch(const double* coords, size_t n, size_t dim, uint64_t* out,
                      size_t out_stride) const override {

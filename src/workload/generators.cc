@@ -22,10 +22,6 @@ PointStore GenerateUniformStore(size_t n, size_t dim, Coord delta, Rng* rng) {
   return store;
 }
 
-PointSet GenerateUniform(size_t n, size_t dim, Coord delta, Rng* rng) {
-  return GenerateUniformStore(n, dim, delta, rng).ToPointSet();
-}
-
 void PerturbRowInto(const Coord* p, size_t dim, MetricKind metric,
                     double radius, Coord delta, Rng* rng, Coord* out) {
   std::copy(p, p + dim, out);
@@ -88,14 +84,6 @@ void PerturbRowInto(const Coord* p, size_t dim, MetricKind metric,
       break;
     }
   }
-}
-
-Point PerturbPoint(const Point& p, MetricKind metric, double radius,
-                   Coord delta, Rng* rng) {
-  std::vector<Coord> coords(p.dim());
-  PerturbRowInto(p.coords().data(), p.dim(), metric, radius, delta, rng,
-                 coords.data());
-  return Point(std::move(coords));
 }
 
 Result<NoisyPairStoreWorkload> GenerateNoisyPairStore(
@@ -165,18 +153,6 @@ Result<NoisyPairStoreWorkload> GenerateNoisyPairStore(
   return workload;
 }
 
-Result<NoisyPairWorkload> GenerateNoisyPair(const NoisyPairConfig& config) {
-  RSR_ASSIGN_OR_RETURN(NoisyPairStoreWorkload stores,
-                       GenerateNoisyPairStore(config));
-  NoisyPairWorkload workload;
-  workload.alice = stores.alice.ToPointSet();
-  workload.bob = stores.bob.ToPointSet();
-  workload.ground = stores.ground.ToPointSet();
-  workload.alice_outliers = stores.alice_outliers.ToPointSet();
-  workload.bob_outliers = stores.bob_outliers.ToPointSet();
-  return workload;
-}
-
 PointStore GenerateClustersStore(const ClusterConfig& config) {
   Rng rng(config.seed);
   PointStore centers = GenerateUniformStore(config.num_clusters, config.dim,
@@ -196,10 +172,6 @@ PointStore GenerateClustersStore(const ClusterConfig& config) {
     }
   }
   return points;
-}
-
-PointSet GenerateClusters(const ClusterConfig& config) {
-  return GenerateClustersStore(config).ToPointSet();
 }
 
 }  // namespace rsr

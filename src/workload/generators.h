@@ -9,15 +9,11 @@
 // (the r2 regime / the k far points). This realizes exactly the promise
 // structure of Definition 4.1 and the EMD_k decomposition of Section 3.
 //
-// Generators emit PointStore arenas natively (benches and examples never
-// materialize vector<Point>); the PointSet-returning functions are thin
-// adapters over the same code paths, so both draw IDENTICAL points from a
-// given seed (the RNG consumption is shared by construction).
+// Generators emit PointStore arenas, filled in place row by row.
 #ifndef RSR_WORKLOAD_GENERATORS_H_
 #define RSR_WORKLOAD_GENERATORS_H_
 
 #include "geometry/metric.h"
-#include "geometry/point.h"
 #include "geometry/point_store.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -28,17 +24,12 @@ namespace rsr {
 void GenerateUniformInto(size_t n, size_t dim, Coord delta, Rng* rng,
                          PointStore* out);
 PointStore GenerateUniformStore(size_t n, size_t dim, Coord delta, Rng* rng);
-/// Legacy adapter; same RNG stream, same points.
-PointSet GenerateUniform(size_t n, size_t dim, Coord delta, Rng* rng);
 
 /// Perturbs the `dim`-coordinate row `p` by at most `radius` under the
 /// metric (exact budget for Hamming/l1; l2 offsets are verified and rescaled
 /// after rounding), writing the result to `out` (may not alias `p`).
 void PerturbRowInto(const Coord* p, size_t dim, MetricKind metric,
                     double radius, Coord delta, Rng* rng, Coord* out);
-/// Legacy adapter over PerturbRowInto.
-Point PerturbPoint(const Point& p, MetricKind metric, double radius,
-                   Coord delta, Rng* rng);
 
 struct NoisyPairConfig {
   MetricKind metric = MetricKind::kL2;
@@ -65,19 +56,9 @@ struct NoisyPairStoreWorkload {
   PointStore bob_outliers;    // also appended to bob
 };
 
-struct NoisyPairWorkload {
-  PointSet alice;
-  PointSet bob;
-  PointSet ground;          // shared ground truth (size n - outliers)
-  PointSet alice_outliers;  // also appended to alice
-  PointSet bob_outliers;    // also appended to bob
-};
-
 /// Builds a workload; OutOfRange if outlier separation cannot be met.
 Result<NoisyPairStoreWorkload> GenerateNoisyPairStore(
     const NoisyPairConfig& config);
-/// Legacy adapter; identical points for a given config.
-Result<NoisyPairWorkload> GenerateNoisyPair(const NoisyPairConfig& config);
 
 struct ClusterConfig {
   size_t dim = 0;
@@ -90,7 +71,6 @@ struct ClusterConfig {
 
 /// Gaussian clusters around uniform centers (used by the examples).
 PointStore GenerateClustersStore(const ClusterConfig& config);
-PointSet GenerateClusters(const ClusterConfig& config);
 
 }  // namespace rsr
 

@@ -536,12 +536,12 @@ TEST(ExactIbltAdaptiveTest, ShrinksSketchForSmallDifference) {
   EXPECT_EQ(adaptive->comm.rounds(), 2);
   EXPECT_LT(adaptive->comm.total_bytes(), statik->comm.total_bytes());
   // On success the output is S_A exactly (as a multiset).
-  PointSet expect = alice.ToPointSet();
-  std::sort(expect.begin(), expect.end());
-  PointSet got_static = statik->s_b_prime;
-  std::sort(got_static.begin(), got_static.end());
-  PointSet got_adaptive = adaptive->s_b_prime;
-  std::sort(got_adaptive.begin(), got_adaptive.end());
+  PointStore expect = alice;
+  expect.SortLex();
+  PointStore got_static = statik->s_b_prime;
+  got_static.SortLex();
+  PointStore got_adaptive = adaptive->s_b_prime;
+  got_adaptive.SortLex();
   EXPECT_EQ(got_adaptive, expect);
   EXPECT_EQ(got_adaptive, got_static);
 }

@@ -119,7 +119,7 @@ TEST(NaiveTest, ReplaceModeYieldsAliceExactly) {
   PointStore a = GenerateUniformStore(16, 3, 63, &rng);
   PointStore b = GenerateUniformStore(16, 3, 63, &rng);
   NaiveReport report = RunNaiveFullTransfer(a, b, /*union_mode=*/false);
-  EXPECT_EQ(report.s_b_prime, a.ToPointSet());
+  EXPECT_EQ(report.s_b_prime, a);
   EXPECT_EQ(report.comm.rounds(), 1);
   EXPECT_GT(report.comm.total_bytes(), 16u * 3u);
 }
@@ -132,32 +132,56 @@ TEST(NaiveTest, UnionModeKeepsBob) {
   EXPECT_EQ(report.s_b_prime.size(), 9u);
 }
 
+TEST(NaiveTest, EmptySideTakesTheOtherSidesDimension) {
+  // Either side may be empty, as a dimensionless PointStore() or as a
+  // PointStore(d); the result carries the dimension of the other side.
+  Rng rng(12);
+  const PointStore points = GenerateUniformStore(7, 3, 63, &rng);
+  for (const PointStore& empty : {PointStore(), PointStore(3)}) {
+    for (bool union_mode : {false, true}) {
+      NaiveReport to_empty_bob =
+          RunNaiveFullTransfer(points, empty, union_mode);
+      EXPECT_EQ(to_empty_bob.s_b_prime.dim(), 3u);
+      EXPECT_EQ(to_empty_bob.s_b_prime, points);
+
+      NaiveReport from_empty_alice =
+          RunNaiveFullTransfer(empty, points, union_mode);
+      EXPECT_EQ(from_empty_alice.s_b_prime.dim(), 3u);
+      if (union_mode) {
+        EXPECT_EQ(from_empty_alice.s_b_prime, points);  // Bob kept
+      } else {
+        EXPECT_TRUE(from_empty_alice.s_b_prime.empty());  // replaced by {}
+      }
+    }
+  }
+  // Two dimensionless empty sides leave an empty, dimensionless result.
+  NaiveReport nothing = RunNaiveFullTransfer(PointStore(), PointStore(), true);
+  EXPECT_TRUE(nothing.s_b_prime.empty());
+  EXPECT_EQ(nothing.s_b_prime.dim(), 0u);
+}
+
 // ------------------------------------------------------------ exact IBLT --
 
 TEST(ExactReconTest, RecoversExactDifferences) {
   Rng rng(5);
-  PointSet shared = GenerateUniform(60, 2, 255, &rng);
-  PointSet alice = shared, bob = shared;
-  PointSet alice_extra = GenerateUniform(3, 2, 255, &rng);
-  PointSet bob_extra = GenerateUniform(3, 2, 255, &rng);
-  for (const auto& p : alice_extra) alice.push_back(p);
-  for (const auto& p : bob_extra) bob.push_back(p);
+  PointStore shared = GenerateUniformStore(60, 2, 255, &rng);
+  PointStore alice = shared, bob = shared;
+  alice.AppendStore(GenerateUniformStore(3, 2, 255, &rng));
+  bob.AppendStore(GenerateUniformStore(3, 2, 255, &rng));
 
   ExactReconParams params;
   params.dim = 2;
   params.delta = 255;
   params.num_cells = 32;
   params.seed = 6;
-  auto report = RunExactIbltReconciliation(PointStore::FromPointSet(alice),
-                                           PointStore::FromPointSet(bob),
-                                           params);
+  auto report = RunExactIbltReconciliation(alice, bob, params);
   ASSERT_TRUE(report.ok());
   ASSERT_FALSE(report->failure);
   EXPECT_EQ(report->diff_size, 6u);
-  PointSet got = report->s_b_prime;
-  PointSet want = alice;
-  std::sort(got.begin(), got.end());
-  std::sort(want.begin(), want.end());
+  PointStore got = report->s_b_prime;
+  PointStore want = alice;
+  got.SortLex();
+  want.SortLex();
   EXPECT_EQ(got, want);
 }
 
@@ -202,25 +226,58 @@ TEST(ExactReconTest, UndersizedTableReportsFailure) {
 }
 
 TEST(ExactReconTest, DuplicatePointsHandledViaSalting) {
-  PointSet alice = {Point({std::vector<Coord>{1, 1}}),
-                    Point({std::vector<Coord>{1, 1}}),
-                    Point({std::vector<Coord>{2, 2}})};
-  PointSet bob = {Point({std::vector<Coord>{1, 1}})};
+  PointStore alice(2);
+  alice.Append(Point({1, 1}));
+  alice.Append(Point({1, 1}));
+  alice.Append(Point({2, 2}));
+  PointStore bob(2);
+  bob.Append(Point({1, 1}));
   ExactReconParams params;
   params.dim = 2;
   params.delta = 10;
   params.num_cells = 32;
   params.seed = 11;
-  auto report = RunExactIbltReconciliation(PointStore::FromPointSet(alice),
-                                           PointStore::FromPointSet(bob),
-                                           params);
+  auto report = RunExactIbltReconciliation(alice, bob, params);
   ASSERT_TRUE(report.ok());
   ASSERT_FALSE(report->failure);
-  PointSet got = report->s_b_prime;
-  std::sort(got.begin(), got.end());
-  PointSet want = alice;
-  std::sort(want.begin(), want.end());
+  PointStore got = report->s_b_prime;
+  got.SortLex();
+  PointStore want = alice;
+  want.SortLex();
   EXPECT_EQ(got, want);
+}
+
+TEST(ExactReconTest, EmptySideKeepsTheParamsDimension) {
+  // S'_B is built with params.dim even when an input is a dimensionless
+  // PointStore(): an empty Bob receives all of Alice, an empty Alice leaves
+  // Bob with nothing.
+  Rng rng(13);
+  const PointStore points = GenerateUniformStore(9, 2, 255, &rng);
+  PointStore sorted = points;
+  sorted.SortLex();
+  ExactReconParams params;
+  params.dim = 2;
+  params.delta = 255;
+  params.num_cells = 32;
+  params.seed = 14;
+  for (const PointStore& empty : {PointStore(), PointStore(2)}) {
+    auto to_empty_bob = RunExactIbltReconciliation(points, empty, params);
+    ASSERT_TRUE(to_empty_bob.ok()) << to_empty_bob.status().ToString();
+    ASSERT_FALSE(to_empty_bob->failure);
+    EXPECT_EQ(to_empty_bob->diff_size, 9u);
+    EXPECT_EQ(to_empty_bob->s_b_prime.dim(), 2u);
+    PointStore got = to_empty_bob->s_b_prime;
+    got.SortLex();
+    EXPECT_EQ(got, sorted);
+
+    auto from_empty_alice = RunExactIbltReconciliation(empty, points, params);
+    ASSERT_TRUE(from_empty_alice.ok())
+        << from_empty_alice.status().ToString();
+    ASSERT_FALSE(from_empty_alice->failure);
+    EXPECT_EQ(from_empty_alice->diff_size, 9u);
+    EXPECT_EQ(from_empty_alice->s_b_prime.dim(), 2u);
+    EXPECT_TRUE(from_empty_alice->s_b_prime.empty());
+  }
 }
 
 // ------------------------------------------------------- lower bound F --

@@ -54,15 +54,6 @@ uint64_t DigestOf(const PointStore& points) {
   return d.Value();
 }
 
-uint64_t DigestOf(const PointSet& points) {
-  Digest d;
-  d.Word(points.size());
-  for (const Point& p : points) {
-    for (Coord c : p.coords()) d.Word(static_cast<uint64_t>(c));
-  }
-  return d.Value();
-}
-
 uint64_t DigestOf(const std::vector<uint64_t>& words) {
   Digest d;
   d.Word(words.size());

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "core/emd_multiscale.h"
 #include "core/emd_protocol.h"
 #include "emd/emd.h"
@@ -185,7 +186,7 @@ TEST(EmdProtocolTest, OutputSizeAlwaysN) {
     ASSERT_TRUE(report.ok());
     if (!report->failure) {
       EXPECT_EQ(report->s_b_prime.size(), workload->alice.size());
-      ValidatePointSet(report->s_b_prime, 3, 127);
+      ValidatePointStore(report->s_b_prime, 3, 127);
     }
   }
 }
@@ -316,6 +317,46 @@ TEST(MultiscaleTest, CommIsSumOfIntervalMessages) {
   EXPECT_EQ(report->comm.total_bytes(), sum);
   EXPECT_EQ(report->intervals.size(),
             static_cast<size_t>(report->comm.rounds()));
+}
+
+// ---- Output assembly allocations --
+
+/// Heap allocations of one warm RunEmdProtocol over an n-point noisy pair
+/// (L2, dim 16, 8 outliers, D1 = 8, D2 = 8192); -1 if the exchange fails.
+/// The first run warms the thread-local pools, the second is counted.
+long long WarmEmdAllocations(size_t n) {
+  NoisyPairConfig config;
+  config.metric = MetricKind::kL2;
+  config.dim = 16;
+  config.delta = 1023;
+  config.n = n;
+  config.outliers = 8;
+  config.noise = 2.0;
+  config.outlier_dist = 200;
+  config.seed = 515;
+  auto workload = GenerateNoisyPairStore(config);
+  if (!workload.ok()) return -1;
+  EmdProtocolParams params = BaseParams(MetricKind::kL2, 16, 1023, 8, 516);
+  params.d1 = 8;
+  params.d2 = 8192;
+  auto warm = RunEmdProtocol(workload->alice, workload->bob, params);
+  if (!warm.ok() || warm->failure) return -1;
+  const long long before = testing::AllocationCount();
+  auto report = RunEmdProtocol(workload->alice, workload->bob, params);
+  const long long count = testing::AllocationCount() - before;
+  if (!report.ok() || report->failure) return -1;
+  EXPECT_EQ(report->s_b_prime.size(), n);
+  return count;
+}
+
+TEST(EmdProtocolTest, OutputAssemblyAllocationsDoNotGrowWithN) {
+  // S'_B is assembled into one reserved arena: an 8x larger exchange may
+  // not cost one allocation per output row.
+  const long long small = WarmEmdAllocations(512);
+  const long long large = WarmEmdAllocations(4096);
+  ASSERT_GT(small, 0);
+  ASSERT_GT(large, 0);
+  EXPECT_LT(large - small, 64) << "n=512: " << small << ", n=4096: " << large;
 }
 
 }  // namespace

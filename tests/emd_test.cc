@@ -165,52 +165,52 @@ TEST(PartialTest, RectangularWide) {
 
 // ----------------------------------------------------------------- EMD --
 
-PointSet Pts(std::vector<std::vector<Coord>> raw) {
-  PointSet out;
-  for (auto& coords : raw) out.push_back(Point(std::move(coords)));
+PointStore Pts(std::vector<std::vector<Coord>> raw) {
+  PointStore out(raw[0].size());
+  for (auto& coords : raw) out.Append(Point(std::move(coords)));
   return out;
 }
 
 TEST(EmdTest, IdenticalSetsZero) {
   Rng rng(7);
-  PointSet x = GenerateUniform(10, 3, 50, &rng);
+  PointStore x = GenerateUniformStore(10, 3, 50, &rng);
   EXPECT_EQ(EmdExact(x, x, Metric(MetricKind::kL1)), 0.0);
 }
 
 TEST(EmdTest, SinglePair) {
-  PointSet x = Pts({{0, 0}});
-  PointSet y = Pts({{3, 4}});
+  PointStore x = Pts({{0, 0}});
+  PointStore y = Pts({{3, 4}});
   EXPECT_DOUBLE_EQ(EmdExact(x, y, Metric(MetricKind::kL2)), 5.0);
   EXPECT_DOUBLE_EQ(EmdExact(x, y, Metric(MetricKind::kL1)), 7.0);
 }
 
 TEST(EmdTest, PicksOptimalPairing) {
-  PointSet x = Pts({{0}, {10}});
-  PointSet y = Pts({{11}, {1}});
+  PointStore x = Pts({{0}, {10}});
+  PointStore y = Pts({{11}, {1}});
   // Optimal pairing: 0<->1 and 10<->11, cost 2 (not 11 + 9).
   EXPECT_DOUBLE_EQ(EmdExact(x, y, Metric(MetricKind::kL1)), 2.0);
 }
 
 TEST(EmdTest, SymmetricInArguments) {
   Rng rng(8);
-  PointSet x = GenerateUniform(8, 2, 40, &rng);
-  PointSet y = GenerateUniform(8, 2, 40, &rng);
+  PointStore x = GenerateUniformStore(8, 2, 40, &rng);
+  PointStore y = GenerateUniformStore(8, 2, 40, &rng);
   Metric metric(MetricKind::kL2);
   EXPECT_NEAR(EmdExact(x, y, metric), EmdExact(y, x, metric), 1e-9);
 }
 
 TEST(EmdKTest, ZeroKEqualsEmd) {
   Rng rng(9);
-  PointSet x = GenerateUniform(7, 2, 30, &rng);
-  PointSet y = GenerateUniform(7, 2, 30, &rng);
+  PointStore x = GenerateUniformStore(7, 2, 30, &rng);
+  PointStore y = GenerateUniformStore(7, 2, 30, &rng);
   Metric metric(MetricKind::kL1);
   EXPECT_NEAR(EmdK(x, y, metric, 0), EmdExact(x, y, metric), 1e-9);
 }
 
 TEST(EmdKTest, RemovingOutlierDropsCost) {
   // One far outlier in x: EMD_1 excludes it entirely.
-  PointSet x = Pts({{0}, {1}, {1000}});
-  PointSet y = Pts({{0}, {1}, {2}});
+  PointStore x = Pts({{0}, {1}, {1000}});
+  PointStore y = Pts({{0}, {1}, {2}});
   Metric metric(MetricKind::kL1);
   EXPECT_DOUBLE_EQ(EmdK(x, y, metric, 0), 998.0);
   EXPECT_DOUBLE_EQ(EmdK(x, y, metric, 1), 0.0);
@@ -218,8 +218,8 @@ TEST(EmdKTest, RemovingOutlierDropsCost) {
 
 TEST(EmdKTest, MonotoneNonincreasingInK) {
   Rng rng(10);
-  PointSet x = GenerateUniform(9, 2, 50, &rng);
-  PointSet y = GenerateUniform(9, 2, 50, &rng);
+  PointStore x = GenerateUniformStore(9, 2, 50, &rng);
+  PointStore y = GenerateUniformStore(9, 2, 50, &rng);
   std::vector<double> all = EmdKAll(x, y, Metric(MetricKind::kL2));
   for (size_t k = 1; k < all.size(); ++k) {
     EXPECT_LE(all[k], all[k - 1] + 1e-9);
@@ -228,8 +228,8 @@ TEST(EmdKTest, MonotoneNonincreasingInK) {
 
 TEST(EmdKTest, AllValuesMatchSingleQueries) {
   Rng rng(11);
-  PointSet x = GenerateUniform(6, 2, 50, &rng);
-  PointSet y = GenerateUniform(6, 2, 50, &rng);
+  PointStore x = GenerateUniformStore(6, 2, 50, &rng);
+  PointStore y = GenerateUniformStore(6, 2, 50, &rng);
   Metric metric(MetricKind::kL1);
   std::vector<double> all = EmdKAll(x, y, metric);
   for (size_t k = 0; k < x.size(); ++k) {
@@ -242,8 +242,8 @@ TEST(EmdKTest, DefinitionViaExhaustiveSubsets) {
   // against BruteForcePartial on the distance matrix.
   Rng rng(12);
   for (int trial = 0; trial < 10; ++trial) {
-    PointSet x = GenerateUniform(5, 2, 20, &rng);
-    PointSet y = GenerateUniform(5, 2, 20, &rng);
+    PointStore x = GenerateUniformStore(5, 2, 20, &rng);
+    PointStore y = GenerateUniformStore(5, 2, 20, &rng);
     Metric metric(MetricKind::kL1);
     CostMatrix cost = DistanceMatrix(x, y, metric);
     for (size_t k = 0; k < 5; ++k) {
@@ -255,12 +255,12 @@ TEST(EmdKTest, DefinitionViaExhaustiveSubsets) {
 
 TEST(EmdTest, DistanceMatrixShape) {
   Rng rng(13);
-  PointSet x = GenerateUniform(3, 2, 10, &rng);
-  PointSet y = GenerateUniform(5, 2, 10, &rng);
+  PointStore x = GenerateUniformStore(3, 2, 10, &rng);
+  PointStore y = GenerateUniformStore(5, 2, 10, &rng);
   CostMatrix cost = DistanceMatrix(x, y, Metric(MetricKind::kL2));
   ASSERT_EQ(cost.size(), 3u);
   ASSERT_EQ(cost[0].size(), 5u);
-  EXPECT_DOUBLE_EQ(cost[1][2], L2Distance(x[1], y[2]));
+  EXPECT_DOUBLE_EQ(cost[1][2], L2Distance(x.row(1), y.row(2), 2));
 }
 
 }  // namespace

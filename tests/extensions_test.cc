@@ -14,15 +14,13 @@
 namespace rsr {
 namespace {
 
-double WorstCaseGap(const PointStore& from, const PointSet& to,
+double WorstCaseGap(const PointStore& from, const PointStore& to,
                     const Metric& metric) {
   double worst = 0;
   for (size_t i = 0; i < from.size(); ++i) {
     double best = 1e300;
-    for (const Point& b : to) {
-      best = std::min(best,
-                      metric.Distance(from.row(i), b.coords().data(),
-                                      from.dim()));
+    for (size_t j = 0; j < to.size(); ++j) {
+      best = std::min(best, metric.Distance(from[i], to[j]));
     }
     worst = std::max(worst, best);
   }
@@ -61,6 +59,36 @@ TEST(TwoWayGapTest, BothDirectionsCovered) {
   EXPECT_LE(WorstCaseGap(workload->bob, report->s_b_final, metric), 0.0);
   EXPECT_LE(WorstCaseGap(workload->bob, report->s_a_final, metric), 200.0);
   EXPECT_LE(WorstCaseGap(workload->alice, report->s_a_final, metric), 0.0);
+}
+
+TEST(TwoWayGapTest, EmptySideReceivesTheOtherSet) {
+  // With Bob empty (dimensionless or not), the forward direction sends all
+  // of Alice and the backward one sends nothing: both final sets hold
+  // Alice's points, with the protocol's dimension.
+  const size_t d = 32;
+  Rng rng(15);
+  const PointStore points = GenerateUniformStore(24, d, 1, &rng);
+  PointStore sorted = points;
+  sorted.SortLex();
+  GapProtocolParams params;
+  params.metric = MetricKind::kHamming;
+  params.dim = d;
+  params.delta = 1;
+  params.r1 = 2;
+  params.r2 = 12;
+  params.k = 1;
+  params.seed = 16;
+  for (const PointStore& empty : {PointStore(), PointStore(d)}) {
+    auto report = RunTwoWayGapProtocol(points, empty, params);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->s_b_final.dim(), d);
+    EXPECT_EQ(report->s_a_final.dim(), d);
+    PointStore got = report->s_b_final;
+    got.SortLex();
+    EXPECT_EQ(got, sorted);
+    EXPECT_TRUE(report->b_to_a.transmitted.empty());
+    EXPECT_EQ(report->s_a_final, points);
+  }
 }
 
 TEST(TwoWayGapTest, CommIsSumOfDirections) {
@@ -117,9 +145,9 @@ TEST(TwoWayGapTest, FinalSetsNeedNotMatch) {
   params.seed = 23;
   auto report = RunTwoWayGapProtocol(workload->alice, workload->bob, params);
   ASSERT_TRUE(report.ok());
-  PointSet a = report->s_a_final, b = report->s_b_final;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
+  PointStore a = report->s_a_final, b = report->s_b_final;
+  a.SortLex();
+  b.SortLex();
   EXPECT_NE(a, b);  // noisy copies remain distinct on each side
 }
 
@@ -188,23 +216,29 @@ TEST_F(DsBloomTest, RecommendedAmplificationSeparatesRates) {
 TEST_F(DsBloomTest, InsertedPointsAlwaysNear) {
   DistanceSensitiveBloomFilter filter(family_, lsh_, SetParams(31));
   Rng rng(32);
-  PointSet points = GenerateUniform(kSetSize, 64, 1, &rng);
-  for (const Point& p : points) filter.Insert(p);
-  for (const Point& p : points) {
-    EXPECT_EQ(filter.VoteFraction(p), 1.0);
-    EXPECT_TRUE(filter.QueryNear(p));
+  PointStore points = GenerateUniformStore(kSetSize, 64, 1, &rng);
+  for (size_t i = 0; i < points.size(); ++i) {
+    filter.Insert(points.MakePoint(i));
+  }
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(filter.VoteFraction(points.MakePoint(i)), 1.0);
+    EXPECT_TRUE(filter.QueryNear(points.MakePoint(i)));
   }
 }
 
 TEST_F(DsBloomTest, ClosePointsUsuallyNear) {
   DistanceSensitiveBloomFilter filter(family_, lsh_, SetParams(33));
   Rng rng(34);
-  PointSet points = GenerateUniform(kSetSize, 64, 1, &rng);
-  for (const Point& p : points) filter.Insert(p);
+  PointStore points = GenerateUniformStore(kSetSize, 64, 1, &rng);
+  for (size_t i = 0; i < points.size(); ++i) {
+    filter.Insert(points.MakePoint(i));
+  }
   int near = 0;
-  for (const Point& p : points) {
-    Point q = PerturbPoint(p, MetricKind::kHamming, 2, 1, &rng);
-    near += filter.QueryNear(q);
+  std::vector<Coord> q(64);
+  for (size_t i = 0; i < points.size(); ++i) {
+    PerturbRowInto(points.row(i), 64, MetricKind::kHamming, 2, 1, &rng,
+                   q.data());
+    near += filter.QueryNear(Point(q));
   }
   EXPECT_GE(near, 36);  // >= 90%
 }
@@ -212,16 +246,18 @@ TEST_F(DsBloomTest, ClosePointsUsuallyNear) {
 TEST_F(DsBloomTest, FarPointsUsuallyRejected) {
   DistanceSensitiveBloomFilter filter(family_, lsh_, SetParams(35));
   Rng rng(36);
-  PointSet points = GenerateUniform(kSetSize, 64, 1, &rng);
-  for (const Point& p : points) filter.Insert(p);
+  PointStore points = GenerateUniformStore(kSetSize, 64, 1, &rng);
+  for (size_t i = 0; i < points.size(); ++i) {
+    filter.Insert(points.MakePoint(i));
+  }
   // Probes at Hamming distance >= r2 from every inserted point.
   int accepted = 0, probes = 0, attempts = 0;
   while (probes < 30 && attempts < 20000) {
     ++attempts;
-    Point q = GenerateUniform(1, 64, 1, &rng)[0];
+    Point q = GenerateUniformStore(1, 64, 1, &rng).MakePoint(0);
     bool far = true;
-    for (const Point& p : points) {
-      if (HammingDistance(p, q) < 26) {
+    for (size_t i = 0; i < points.size(); ++i) {
+      if (HammingDistance(points.row(i), q.coords().data(), 64) < 26) {
         far = false;
         break;
       }
@@ -242,7 +278,7 @@ TEST_F(DsBloomTest, AmplificationSharpensSeparation) {
   DistanceSensitiveBloomFilter f1(family_, lsh_, g1);
   DistanceSensitiveBloomFilter f2(family_, lsh_, g2);
   Rng rng(38);
-  Point p = GenerateUniform(1, 64, 1, &rng)[0];
+  Point p = GenerateUniformStore(1, 64, 1, &rng).MakePoint(0);
   f1.Insert(p);
   f2.Insert(p);
   std::vector<Coord> far_coords = p.coords();

@@ -142,10 +142,9 @@ TEST(FallbackTest, GapProtocolSurvivesTinySketchHints) {
   Metric metric(MetricKind::kHamming);
   for (size_t i = 0; i < workload->alice.size(); ++i) {
     double best = 1e300;
-    for (const Point& b : report->s_b_prime) {
-      best = std::min(best, metric.Distance(workload->alice.row(i),
-                                            b.coords().data(),
-                                            workload->alice.dim()));
+    for (size_t j = 0; j < report->s_b_prime.size(); ++j) {
+      best = std::min(best, metric.Distance(workload->alice[i],
+                                            report->s_b_prime[j]));
     }
     EXPECT_LE(best, 40.0);
   }

@@ -48,13 +48,13 @@ std::vector<uint8_t> Bytes(const Iblt& table) {
 /// A recorded update stream replayable against tables of any size: `n`
 /// inserts and `n_del` deletes of uniform points under distinct keys.
 struct RibltWorkload {
-  PointSet inserted, deleted;
+  PointStore inserted, deleted;
   void ApplyTo(Riblt* table) const {
     for (size_t i = 0; i < inserted.size(); ++i) {
-      table->Insert(1000 + i, inserted[i]);
+      table->Insert(1000 + i, inserted.MakePoint(i));
     }
     for (size_t i = 0; i < deleted.size(); ++i) {
-      table->Delete(5000 + i, deleted[i]);
+      table->Delete(5000 + i, deleted.MakePoint(i));
     }
   }
 };
@@ -62,8 +62,8 @@ struct RibltWorkload {
 RibltWorkload MakeWorkload(size_t n, size_t n_del, uint64_t seed) {
   Rng rng(seed);
   RibltWorkload w;
-  w.inserted = GenerateUniform(n, 2, 100, &rng);
-  w.deleted = GenerateUniform(n_del, 2, 100, &rng);
+  w.inserted = GenerateUniformStore(n, 2, 100, &rng);
+  w.deleted = GenerateUniformStore(n_del, 2, 100, &rng);
   return w;
 }
 
@@ -103,13 +103,9 @@ TEST(RibltFoldTest, FoldFromShardedBuildMatchesColdSequentialBuild) {
   // The maintained cap tables may have been built via InsertManySharded;
   // folding such a table must still match a cold sequential build.
   Rng rng(21);
-  PointSet points = GenerateUniform(64, 2, 100, &rng);
-  PointStore store(2);
+  PointStore store = GenerateUniformStore(64, 2, 100, &rng);
   std::vector<uint64_t> keys;
-  for (size_t i = 0; i < points.size(); ++i) {
-    store.Append(points[i]);
-    keys.push_back(2000 + i);
-  }
+  for (size_t i = 0; i < store.size(); ++i) keys.push_back(2000 + i);
   Riblt cap(MakeRibltParams(288));
   cap.InsertManySharded(keys, store, /*num_shards=*/4, /*num_threads=*/2);
   auto folded = cap.FoldTo(36);
@@ -160,19 +156,19 @@ TEST(RibltFoldTest, FoldedTableDecodesTheDifference) {
   // A small symmetric difference decodes identically from a folded table and
   // from a cold-built one (same decoder coins).
   Rng rng(51);
-  PointSet shared = GenerateUniform(50, 2, 100, &rng);
-  PointSet alice_only = GenerateUniform(3, 2, 100, &rng);
-  PointSet bob_only = GenerateUniform(3, 2, 100, &rng);
+  PointStore shared = GenerateUniformStore(50, 2, 100, &rng);
+  PointStore alice_only = GenerateUniformStore(3, 2, 100, &rng);
+  PointStore bob_only = GenerateUniformStore(3, 2, 100, &rng);
   auto build = [&](Riblt* table) {
     for (size_t i = 0; i < shared.size(); ++i) {
-      table->Insert(100 + i, shared[i]);
-      table->Delete(100 + i, shared[i]);
+      table->Insert(100 + i, shared.MakePoint(i));
+      table->Delete(100 + i, shared.MakePoint(i));
     }
     for (size_t i = 0; i < alice_only.size(); ++i) {
-      table->Insert(7000 + i, alice_only[i]);
+      table->Insert(7000 + i, alice_only.MakePoint(i));
     }
     for (size_t i = 0; i < bob_only.size(); ++i) {
-      table->Delete(8000 + i, bob_only[i]);
+      table->Delete(8000 + i, bob_only.MakePoint(i));
     }
   };
   Riblt cap(MakeRibltParams(576));

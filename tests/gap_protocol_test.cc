@@ -16,14 +16,13 @@ namespace rsr {
 namespace {
 
 /// Max over a in alice of min distance to s_b_prime.
-double WorstCaseGap(const PointStore& alice, const PointSet& s_b_prime,
+double WorstCaseGap(const PointStore& alice, const PointStore& s_b_prime,
                     const Metric& metric) {
   double worst = 0;
   for (size_t i = 0; i < alice.size(); ++i) {
     double best = 1e300;
-    for (const Point& b : s_b_prime) {
-      best = std::min(best, metric.Distance(alice.row(i), b.coords().data(),
-                                            alice.dim()));
+    for (size_t j = 0; j < s_b_prime.size(); ++j) {
+      best = std::min(best, metric.Distance(alice[i], s_b_prime[j]));
     }
     worst = std::max(worst, best);
   }
@@ -69,6 +68,36 @@ TEST(GapProtocolTest, IdenticalSetsTransmitNothing) {
   EXPECT_EQ(report->transmitted.size(), 0u);
   EXPECT_EQ(report->far_keys, 0u);
   EXPECT_EQ(report->s_b_prime.size(), pts.size());
+}
+
+TEST(GapProtocolTest, EmptySideExchanges) {
+  // Either side may be empty, as a dimensionless PointStore() or as a
+  // PointStore(d). An empty Bob receives all of Alice; an empty Alice leaves
+  // Bob's set as it is. Either way the outputs carry the protocol's d.
+  const size_t d = 32;
+  Rng rng(41);
+  const PointStore points = GenerateUniformStore(64, d, 1, &rng);
+  PointStore sorted = points;
+  sorted.SortLex();
+  const GapProtocolParams params = HammingParams(d, 2, 12, 1, 42);
+  for (const PointStore& empty : {PointStore(), PointStore(d)}) {
+    auto to_empty_bob = RunGapProtocol(points, empty, params);
+    ASSERT_TRUE(to_empty_bob.ok()) << to_empty_bob.status().ToString();
+    EXPECT_EQ(to_empty_bob->transmitted.dim(), d);
+    EXPECT_EQ(to_empty_bob->s_b_prime.dim(), d);
+    EXPECT_EQ(to_empty_bob->s_b_prime, to_empty_bob->transmitted);
+    PointStore got = to_empty_bob->transmitted;
+    got.SortLex();
+    EXPECT_EQ(got, sorted);  // T_A = all of Alice
+
+    auto from_empty_alice = RunGapProtocol(empty, points, params);
+    ASSERT_TRUE(from_empty_alice.ok())
+        << from_empty_alice.status().ToString();
+    EXPECT_EQ(from_empty_alice->transmitted.dim(), d);
+    EXPECT_EQ(from_empty_alice->s_b_prime.dim(), d);
+    EXPECT_TRUE(from_empty_alice->transmitted.empty());
+    EXPECT_EQ(from_empty_alice->s_b_prime, points);  // S'_B = S_B
+  }
 }
 
 TEST(GapProtocolTest, GuaranteeHoldsWithOutliersHamming) {
@@ -150,7 +179,7 @@ TEST(GapProtocolTest, SBPrimeIsSupersetOfBob) {
   ASSERT_TRUE(report.ok());
   ASSERT_GE(report->s_b_prime.size(), workload->bob.size());
   for (size_t i = 0; i < workload->bob.size(); ++i) {
-    EXPECT_EQ(report->s_b_prime[i], workload->bob.MakePoint(i));
+    EXPECT_EQ(report->s_b_prime[i], workload->bob[i]);
   }
   EXPECT_EQ(report->s_b_prime.size(),
             workload->bob.size() + report->transmitted.size());
@@ -315,9 +344,8 @@ TEST(LowDimGapTest, OneSidedErrorNeverMissesFarPoints) {
     // Alice's outlier is >= 400 > r2 away from everything of Bob's; with
     // p2 = 0 its key shares no entry with any Bob key, so it MUST be sent.
     bool found = false;
-    Point outlier = workload->alice_outliers.MakePoint(0);
-    for (const Point& p : report->transmitted) {
-      if (p == outlier) found = true;
+    for (size_t i = 0; i < report->transmitted.size(); ++i) {
+      if (report->transmitted[i] == workload->alice_outliers[0]) found = true;
     }
     EXPECT_TRUE(found) << "trial " << trial;
   }

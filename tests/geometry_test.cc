@@ -116,8 +116,9 @@ TEST_P(MetricAxiomsTest, SymmetryIdentityTriangle) {
   Metric metric(GetParam());
   Rng rng(42);
   for (int trial = 0; trial < 300; ++trial) {
-    PointSet pts = GenerateUniform(3, 6, 50, &rng);
-    const Point &x = pts[0], &y = pts[1], &z = pts[2];
+    PointStore pts = GenerateUniformStore(3, 6, 50, &rng);
+    const Point x = pts.MakePoint(0), y = pts.MakePoint(1);
+    const Point z = pts.MakePoint(2);
     EXPECT_DOUBLE_EQ(metric.Distance(x, y), metric.Distance(y, x));
     EXPECT_EQ(metric.Distance(x, x), 0.0);
     EXPECT_GE(metric.Distance(x, y), 0.0);

@@ -1,5 +1,5 @@
 // Unit tests for hashing/: mixers, pairwise and k-independent families,
-// checksums, tabulation hashing.
+// checksums.
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -12,7 +12,6 @@
 #include "hashing/hash64.h"
 #include "hashing/kindependent.h"
 #include "hashing/pairwise.h"
-#include "hashing/tabulation.h"
 #include "util/random.h"
 
 namespace rsr {
@@ -218,35 +217,6 @@ TEST(ChecksumTest, DistinctKeysDistinctChecksums) {
 
 TEST(ChecksumTest, SaltChangesChecksum) {
   EXPECT_NE(KeyChecksum(5, 1), KeyChecksum(5, 2));
-}
-
-// ------------------------------------------------------------ Tabulation --
-
-TEST(TabulationTest, Deterministic) {
-  Rng rng(15);
-  TabulationHash h = TabulationHash::Draw(&rng);
-  EXPECT_EQ(h.Eval(999), h.Eval(999));
-}
-
-TEST(TabulationTest, SingleByteChangesHash) {
-  Rng rng(16);
-  TabulationHash h = TabulationHash::Draw(&rng);
-  EXPECT_NE(h.Eval(0x00), h.Eval(0x01));
-  EXPECT_NE(h.Eval(0x00), h.Eval(0x0100));
-}
-
-TEST(TabulationTest, UniformLowBits) {
-  Rng rng(17);
-  TabulationHash h = TabulationHash::Draw(&rng);
-  const int kBuckets = 8;
-  std::vector<int> counts(kBuckets, 0);
-  const int kSamples = 16000;
-  for (int i = 0; i < kSamples; ++i) {
-    counts[h.Eval(static_cast<uint64_t>(i)) % kBuckets]++;
-  }
-  for (int c : counts) {
-    EXPECT_NEAR(c, kSamples / kBuckets, 5 * std::sqrt(kSamples / kBuckets));
-  }
 }
 
 // ---------------------------------------------- textbook vector hash --

@@ -17,14 +17,13 @@
 namespace rsr {
 namespace {
 
-double WorstCaseGap(const PointStore& alice, const PointSet& s_b_prime,
+double WorstCaseGap(const PointStore& alice, const PointStore& s_b_prime,
                     const Metric& metric) {
   double worst = 0;
   for (size_t i = 0; i < alice.size(); ++i) {
     double best = 1e300;
-    for (const Point& b : s_b_prime) {
-      best = std::min(best, metric.Distance(alice.row(i), b.coords().data(),
-                                            alice.dim()));
+    for (size_t j = 0; j < s_b_prime.size(); ++j) {
+      best = std::min(best, metric.Distance(alice[i], s_b_prime[j]));
     }
     worst = std::max(worst, best);
   }
@@ -204,11 +203,10 @@ TEST(IntegrationTest, TranscriptBytesArePositiveAndAdditive) {
 }
 
 TEST(IntegrationTest, StoreWorkloadDrivesWholePipelineIdentically) {
-  // End-to-end representation identity: the PointSet generators draw the
-  // same points as the store generators, and a store converted from that
-  // PointSet output must drive the multiscale EMD and Gap protocols
-  // (threads 1 and 8) byte-identically to the natively generated arena.
-  // However the arena was built, it must be invisible on the wire.
+  // End-to-end build-path identity: a store rebuilt point by point from
+  // owning Points must drive the multiscale EMD and Gap protocols (threads 1
+  // and 8) byte-identically to the natively generated arena. However the
+  // arena was built, it must be invisible on the wire.
   NoisyPairConfig config;
   config.metric = MetricKind::kL2;
   config.dim = 3;
@@ -219,13 +217,16 @@ TEST(IntegrationTest, StoreWorkloadDrivesWholePipelineIdentically) {
   config.outlier_dist = 120;
   config.seed = 424242;
   auto stores = GenerateNoisyPairStore(config);
-  auto sets = GenerateNoisyPair(config);
   ASSERT_TRUE(stores.ok());
-  ASSERT_TRUE(sets.ok());
-  ASSERT_EQ(stores->alice.ToPointSet(), sets->alice);
-  ASSERT_EQ(stores->bob.ToPointSet(), sets->bob);
-  PointStore alice_converted = PointStore::FromPointSet(3, sets->alice);
-  PointStore bob_converted = PointStore::FromPointSet(3, sets->bob);
+  auto rebuild = [](const PointStore& store) {
+    PointStore out(store.dim());
+    for (size_t i = 0; i < store.size(); ++i) out.Append(store.MakePoint(i));
+    return out;
+  };
+  const PointStore alice_converted = rebuild(stores->alice);
+  const PointStore bob_converted = rebuild(stores->bob);
+  ASSERT_EQ(alice_converted, stores->alice);
+  ASSERT_EQ(bob_converted, stores->bob);
 
   for (size_t threads : {size_t{1}, size_t{8}}) {
     MultiscaleEmdParams emd;
@@ -265,10 +266,10 @@ TEST(IntegrationTest, StoreWorkloadDrivesWholePipelineIdentically) {
     EXPECT_EQ(gap_stores->comm.total_bytes(), gap_sets->comm.total_bytes());
   }
 
-  // The evaluation oracles read either representation identically.
+  // The evaluation oracles read either build identically.
   Metric metric(MetricKind::kL2);
   EXPECT_EQ(EmdK(stores->alice, stores->bob, metric, 2),
-            EmdK(sets->alice, sets->bob, metric, 2));
+            EmdK(alice_converted, bob_converted, metric, 2));
 }
 
 TEST(IntegrationTest, FullyDeterministicAcrossModules) {

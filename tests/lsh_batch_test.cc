@@ -1,6 +1,6 @@
 // Exhaustive scalar-vs-batch equivalence for the LSH evaluation pipeline.
 //
-// The batch paths (LshFunction::EvalBatch, EvaluateAllInto,
+// The batch paths (LshFunction::EvalCoordBatch/EvalFlatBatch, EvaluateAllInto,
 // PairwiseVectorHash::EvalPrefixes/EvalBatch, PairwiseHash::EvalMany) are
 // pure re-schedulings of the scalar reference implementations: every bucket
 // id, prefix key, and protocol transcript must be bit-identical for every
@@ -40,19 +40,20 @@ std::vector<std::unique_ptr<LshFamily>> AllFamilies(size_t dim, Coord delta) {
   return families;
 }
 
-TEST(LshBatchTest, EvalBatchMatchesScalarForAllFamilies) {
+TEST(LshBatchTest, EvalCoordBatchMatchesScalarForAllFamilies) {
   const size_t dim = 6;
   const Coord delta = 1023;
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed);
-    PointSet points = GenerateUniform(129, dim, delta, &rng);
+    PointStore points = GenerateUniformStore(129, dim, delta, &rng);
     for (const auto& family : AllFamilies(dim, delta)) {
       for (int draw = 0; draw < 8; ++draw) {
         std::unique_ptr<LshFunction> fn = family->Draw(&rng);
         std::vector<uint64_t> batch(points.size());
-        fn->EvalBatch(points, batch.data());
+        fn->EvalCoordBatch(points.coord_data(), points.size(), dim,
+                           batch.data(), 1);
         for (size_t i = 0; i < points.size(); ++i) {
-          ASSERT_EQ(batch[i], fn->Eval(points[i]))
+          ASSERT_EQ(batch[i], fn->Eval(points.MakePoint(i)))
               << family->Name() << " seed " << seed << " point " << i;
         }
       }
@@ -60,17 +61,19 @@ TEST(LshBatchTest, EvalBatchMatchesScalarForAllFamilies) {
   }
 }
 
-TEST(LshBatchTest, EvalBatchHonorsStride) {
+TEST(LshBatchTest, EvalCoordBatchHonorsStride) {
   const size_t dim = 4;
   Rng rng(11);
-  PointSet points = GenerateUniform(33, dim, 255, &rng);
+  PointStore points = GenerateUniformStore(33, dim, 255, &rng);
   for (const auto& family : AllFamilies(dim, 255)) {
     std::unique_ptr<LshFunction> fn = family->Draw(&rng);
     const size_t stride = 7;
     std::vector<uint64_t> strided(points.size() * stride, 0xabababababababab);
-    fn->EvalBatch(points.data(), points.size(), strided.data(), stride);
+    fn->EvalCoordBatch(points.coord_data(), points.size(), dim, strided.data(),
+                       stride);
     for (size_t i = 0; i < points.size(); ++i) {
-      EXPECT_EQ(strided[i * stride], fn->Eval(points[i])) << family->Name();
+      EXPECT_EQ(strided[i * stride], fn->Eval(points.MakePoint(i)))
+          << family->Name();
       // Untouched gap entries prove the write pattern is exactly strided.
       if (stride > 1 && i * stride + 1 < strided.size()) {
         EXPECT_EQ(strided[i * stride + 1], 0xababababababababULL);
@@ -82,7 +85,7 @@ TEST(LshBatchTest, EvalBatchHonorsStride) {
 TEST(LshBatchTest, EvalFlatBatchMatchesScalar) {
   const size_t dim = 6;
   Rng rng(51);
-  PointSet points = GenerateUniform(67, dim, 1023, &rng);
+  PointStore points = GenerateUniformStore(67, dim, 1023, &rng);
   std::vector<double> flat(points.size() * dim);
   for (size_t i = 0; i < points.size(); ++i) {
     for (size_t j = 0; j < dim; ++j) {
@@ -98,7 +101,7 @@ TEST(LshBatchTest, EvalFlatBatchMatchesScalar) {
     std::vector<uint64_t> out(points.size());
     fn->EvalFlatBatch(flat.data(), points.size(), dim, out.data(), 1);
     for (size_t i = 0; i < points.size(); ++i) {
-      ASSERT_EQ(out[i], fn->Eval(points[i])) << family->Name();
+      ASSERT_EQ(out[i], fn->Eval(points.MakePoint(i))) << family->Name();
     }
   }
 }
@@ -106,26 +109,25 @@ TEST(LshBatchTest, EvalFlatBatchMatchesScalar) {
 TEST(LshBatchTest, EvaluateAllIntoMatchesScalarForEveryThreadCount) {
   const size_t dim = 5;
   Rng rng(21);
-  PointSet points = GenerateUniform(97, dim, 511, &rng);
+  PointStore store = GenerateUniformStore(97, dim, 511, &rng);
   for (const auto& family : AllFamilies(dim, 511)) {
     Rng draw_rng(31);
     std::vector<std::unique_ptr<LshFunction>> functions =
         DrawMany(*family, 13, &draw_rng);
     // Scalar reference: the historical nested loop.
-    std::vector<std::vector<uint64_t>> reference(points.size());
-    for (size_t i = 0; i < points.size(); ++i) {
+    std::vector<std::vector<uint64_t>> reference(store.size());
+    for (size_t i = 0; i < store.size(); ++i) {
       reference[i].resize(functions.size());
       for (size_t g = 0; g < functions.size(); ++g) {
-        reference[i][g] = functions[g]->Eval(points[i]);
+        reference[i][g] = functions[g]->Eval(store.MakePoint(i));
       }
     }
-    PointStore store = PointStore::FromPointSet(dim, points);
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       EvalMatrix matrix;
       EvaluateAllInto(store, functions, threads, &matrix);
-      ASSERT_EQ(matrix.rows(), points.size());
+      ASSERT_EQ(matrix.rows(), store.size());
       ASSERT_EQ(matrix.cols(), functions.size());
-      for (size_t i = 0; i < points.size(); ++i) {
+      for (size_t i = 0; i < store.size(); ++i) {
         for (size_t g = 0; g < functions.size(); ++g) {
           ASSERT_EQ(matrix.at(i, g), reference[i][g])
               << family->Name() << " threads " << threads;
@@ -202,11 +204,11 @@ TEST(LshBatchTest, BatchSignatureAndContentHashHelpersMatchScalar) {
     EXPECT_EQ(sigs[i], SetSignature(sets[i], 0xfeedULL));
   }
 
-  PointSet points = GenerateUniform(23, 4, 1023, &rng);
+  PointStore points = GenerateUniformStore(23, 4, 1023, &rng);
   std::vector<uint64_t> hashes(points.size());
-  ContentHashMany(points.data(), points.size(), 0xabcULL, hashes.data());
+  points.ContentHashMany(0xabcULL, hashes.data());
   for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(hashes[i], points[i].ContentHash(0xabcULL));
+    EXPECT_EQ(hashes[i], points.MakePoint(i).ContentHash(0xabcULL));
   }
 }
 
@@ -225,11 +227,14 @@ TEST(LshBatchTest, DsBloomInsertManyMatchesInsert) {
   DistanceSensitiveBloomFilter one_by_one(family, lsh, params);
   DistanceSensitiveBloomFilter batched(family, lsh, params);
   Rng rng(9);
-  PointSet points = GenerateUniform(64, dim, 1, &rng);
-  for (const Point& p : points) one_by_one.Insert(p);
-  batched.InsertMany(PointStore::FromPointSet(dim, points));
-  PointSet queries = GenerateUniform(128, dim, 1, &rng);
-  for (const Point& q : queries) {
+  PointStore points = GenerateUniformStore(64, dim, 1, &rng);
+  for (size_t i = 0; i < points.size(); ++i) {
+    one_by_one.Insert(points.MakePoint(i));
+  }
+  batched.InsertMany(points);
+  PointStore queries = GenerateUniformStore(128, dim, 1, &rng);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Point q = queries.MakePoint(i);
     ASSERT_EQ(one_by_one.VoteFraction(q), batched.VoteFraction(q));
   }
 }
@@ -289,11 +294,10 @@ TEST(LshBatchTest, EmdTranscriptIdenticalForEveryThreadCount) {
     const size_t dim = metric == MetricKind::kHamming ? 64 : 3;
     const Coord delta = metric == MetricKind::kHamming ? 1 : 63;
     Rng rng(42);
-    PointSet alice_set = GenerateUniform(48, dim, delta, &rng);
-    PointSet bob_set = alice_set;
-    bob_set[0] = GenerateUniform(1, dim, delta, &rng)[0];  // one difference
-    PointStore alice = PointStore::FromPointSet(dim, alice_set);
-    PointStore bob = PointStore::FromPointSet(dim, bob_set);
+    PointStore alice = GenerateUniformStore(48, dim, delta, &rng);
+    // Bob = Alice with row 0 replaced: one difference.
+    PointStore bob = GenerateUniformStore(1, dim, delta, &rng);
+    for (size_t i = 1; i < alice.size(); ++i) bob.Append(alice.row(i));
     EmdProtocolParams params;
     params.metric = metric;
     params.dim = dim;
@@ -372,14 +376,10 @@ TEST(LshBatchTest, LowDimGapTranscriptIdenticalForEveryThreadCount) {
 
 TEST(LshBatchTest, MultiPartyIdenticalForEveryThreadCount) {
   Rng rng(45);
-  PointSet base = GenerateUniform(20, 3, 127, &rng);
-  std::vector<PointSet> party_sets(3, base);
-  party_sets[0].pop_back();
-  party_sets[1].push_back(GenerateUniform(1, 3, 127, &rng)[0]);
-  std::vector<PointStore> parties;
-  for (const PointSet& set : party_sets) {
-    parties.push_back(PointStore::FromPointSet(3, set));
-  }
+  PointStore base = GenerateUniformStore(20, 3, 127, &rng);
+  std::vector<PointStore> parties(3, base);
+  parties[0].Truncate(base.size() - 1);
+  parties[1].AppendStore(GenerateUniformStore(1, 3, 127, &rng));
   MultiPartyParams params;
   params.dim = 3;
   params.delta = 127;

@@ -4,6 +4,7 @@
 // verified empirically against the analytic parameters.
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,20 @@ double EmpiricalCollision(const LshFamily& family, const Point& x,
   return static_cast<double>(hits) / draws;
 }
 
+/// One uniform point: the single row of a one-row generator draw.
+Point UniformPoint(size_t dim, Coord delta, Rng* rng) {
+  return GenerateUniformStore(1, dim, delta, rng).MakePoint(0);
+}
+
+/// x perturbed within `radius` under `metric` (PerturbRowInto on one row).
+Point Perturbed(const Point& x, MetricKind metric, double radius, Coord delta,
+                Rng* rng) {
+  std::vector<Coord> out(x.dim());
+  PerturbRowInto(x.coords().data(), x.dim(), metric, radius, delta, rng,
+                 out.data());
+  return Point(std::move(out));
+}
+
 /// Margin: 5 sigma of a binomial proportion estimate.
 double Margin(double p, int draws) {
   return 5.0 * std::sqrt(std::max(p * (1 - p), 1e-4) / draws) + 0.01;
@@ -43,7 +58,7 @@ double Margin(double p, int draws) {
 TEST(BitSamplingTest, EqualPointsAlwaysCollide) {
   BitSamplingFamily family(16, 32.0);
   Rng rng(1);
-  Point x = GenerateUniform(1, 16, 1, &rng)[0];
+  Point x = UniformPoint(16, 1, &rng);
   EXPECT_EQ(EmpiricalCollision(family, x, x, 500, 2), 1.0);
 }
 
@@ -52,9 +67,9 @@ TEST(BitSamplingTest, CollisionMatchesAnalytic) {
   const double w = 64.0;
   BitSamplingFamily family(d, w);
   Rng rng(3);
-  Point x = GenerateUniform(1, d, 1, &rng)[0];
+  Point x = UniformPoint(d, 1, &rng);
   for (int dist : {1, 4, 8, 16}) {
-    Point y = PerturbPoint(x, MetricKind::kHamming, dist, 1, &rng);
+    Point y = Perturbed(x, MetricKind::kHamming, dist, 1, &rng);
     ASSERT_EQ(HammingDistance(x, y), dist);
     double expect = family.CollisionProbability(dist);
     double got = EmpiricalCollision(family, x, y, kDraws,
@@ -80,7 +95,7 @@ TEST(BitSamplingTest, RequiresWidthAtLeastDim) {
 TEST(GridTest, EqualPointsAlwaysCollide) {
   GridFamily family(4, 10.0);
   Rng rng(4);
-  Point x = GenerateUniform(1, 4, 100, &rng)[0];
+  Point x = UniformPoint(4, 100, &rng);
   EXPECT_EQ(EmpiricalCollision(family, x, x, 500, 5), 1.0);
 }
 
@@ -158,9 +173,9 @@ TEST_P(MlshSandwichTest, CollisionProbabilityIsSandwiched) {
   Rng rng(1234);
 
   for (int trial = 0; trial < 6; ++trial) {
-    Point x = GenerateUniform(1, c.dim, c.delta, &rng)[0];
+    Point x = UniformPoint(c.dim, c.delta, &rng);
     double radius = params.r * (0.1 + 0.13 * trial);
-    Point y = PerturbPoint(x, c.metric, radius, c.delta, &rng);
+    Point y = Perturbed(x, c.metric, radius, c.delta, &rng);
     double f = metric.Distance(x, y);
     if (f <= 0 || f > params.r) continue;
     double lower = std::pow(params.p, f);
@@ -191,8 +206,8 @@ TEST(OneSidedGridTest, NeverCollidesBeyondR2) {
   Rng rng(55);
   // Property: points at l1 distance > r2 never share a bucket.
   for (int trial = 0; trial < 40; ++trial) {
-    Point x = GenerateUniform(1, d, 500, &rng)[0];
-    Point y = GenerateUniform(1, d, 500, &rng)[0];
+    Point x = UniformPoint(d, 500, &rng);
+    Point y = UniformPoint(d, 500, &rng);
     if (L1Distance(x, y) <= r2) continue;
     for (int draw = 0; draw < 50; ++draw) {
       auto h = family.Draw(&rng);

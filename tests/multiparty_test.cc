@@ -14,23 +14,17 @@
 namespace rsr {
 namespace {
 
-PointSet SortedUnion(const std::vector<PointSet>& parties) {
-  PointSet all;
-  for (const auto& set : parties) {
-    all.insert(all.end(), set.begin(), set.end());
-  }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
+PointStore SortedUnion(const std::vector<PointStore>& parties) {
+  PointStore all(2);
+  for (const auto& set : parties) all.AppendStore(set);
+  all.SortLexAndDedup();
   return all;
 }
 
-std::vector<PointStore> ToStores(const std::vector<PointSet>& parties) {
-  std::vector<PointStore> stores;
-  stores.reserve(parties.size());
-  for (const PointSet& set : parties) {
-    stores.push_back(PointStore::FromPointSet(2, set));
-  }
-  return stores;
+/// The distinct rows of `set`, sorted.
+PointStore Distinct(PointStore set) {
+  set.SortLexAndDedup();
+  return set;
 }
 
 MultiPartyParams MakeParams(size_t cells, uint64_t seed = 9) {
@@ -42,15 +36,14 @@ MultiPartyParams MakeParams(size_t cells, uint64_t seed = 9) {
   return params;
 }
 
-std::vector<PointSet> MakeParties(size_t s, size_t shared, size_t unique_each,
-                                  uint64_t seed) {
+std::vector<PointStore> MakeParties(size_t s, size_t shared,
+                                    size_t unique_each, uint64_t seed) {
   Rng rng(seed);
-  PointSet common = GenerateUniform(shared, 2, 1023, &rng);
-  std::vector<PointSet> parties(s);
+  PointStore common = GenerateUniformStore(shared, 2, 1023, &rng);
+  std::vector<PointStore> parties(s);
   for (auto& set : parties) {
     set = common;
-    PointSet extra = GenerateUniform(unique_each, 2, 1023, &rng);
-    set.insert(set.end(), extra.begin(), extra.end());
+    set.AppendStore(GenerateUniformStore(unique_each, 2, 1023, &rng));
   }
   return parties;
 }
@@ -65,9 +58,9 @@ TEST(MultiPartyTest, RejectsDegenerateInputs) {
 
 TEST(MultiPartyTest, IdenticalPartiesNoWork) {
   Rng rng(1);
-  PointSet shared = GenerateUniform(50, 2, 1023, &rng);
-  std::vector<PointSet> parties(4, shared);
-  auto report = RunMultiPartyUnion(ToStores(parties), MakeParams(36));
+  PointStore shared = GenerateUniformStore(50, 2, 1023, &rng);
+  std::vector<PointStore> parties(4, shared);
+  auto report = RunMultiPartyUnion(parties, MakeParams(36));
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->all_ok);
   for (const auto& final_set : report->final_sets) {
@@ -80,17 +73,14 @@ class MultiPartyCountTest : public ::testing::TestWithParam<size_t> {};
 TEST_P(MultiPartyCountTest, EveryPartyGetsTheUnion) {
   const size_t s = GetParam();
   auto parties = MakeParties(s, 60, 3, 100 + s);
-  PointSet want = SortedUnion(parties);
+  PointStore want = SortedUnion(parties);
   // Decode load per party <= (s-1)*3 missing + own 3 surplus; size with the
   // paper's 4 q^2 margin.
-  auto report = RunMultiPartyUnion(ToStores(parties), MakeParams(36 * (s * 3 + 3)));
+  auto report = RunMultiPartyUnion(parties, MakeParams(36 * (s * 3 + 3)));
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->all_ok);
   for (size_t i = 0; i < s; ++i) {
-    PointSet got = report->final_sets[i];
-    std::sort(got.begin(), got.end());
-    got.erase(std::unique(got.begin(), got.end()), got.end());
-    EXPECT_EQ(got, want) << "party " << i;
+    EXPECT_EQ(Distinct(report->final_sets[i]), want) << "party " << i;
   }
 }
 
@@ -100,35 +90,51 @@ INSTANTIATE_TEST_SUITE_P(PartyCounts, MultiPartyCountTest,
 TEST(MultiPartyTest, PartialOverlapPatterns) {
   // Element multiplicities 1..s-1 all survive cancellation correctly.
   Rng rng(2);
-  PointSet base = GenerateUniform(40, 2, 1023, &rng);
-  PointSet extras = GenerateUniform(6, 2, 1023, &rng);
-  std::vector<PointSet> parties(4, base);
-  parties[0].push_back(extras[0]);                       // multiplicity 1
-  parties[1].push_back(extras[1]);
-  parties[1].push_back(extras[2]);
-  parties[2].push_back(extras[2]);                       // multiplicity 2
-  parties[0].push_back(extras[3]);
-  parties[1].push_back(extras[3]);
-  parties[2].push_back(extras[3]);                       // multiplicity 3
-  auto report = RunMultiPartyUnion(ToStores(parties), MakeParams(36 * 16));
+  PointStore base = GenerateUniformStore(40, 2, 1023, &rng);
+  PointStore extras = GenerateUniformStore(6, 2, 1023, &rng);
+  std::vector<PointStore> parties(4, base);
+  parties[0].Append(extras[0]);                          // multiplicity 1
+  parties[1].Append(extras[1]);
+  parties[1].Append(extras[2]);
+  parties[2].Append(extras[2]);                          // multiplicity 2
+  parties[0].Append(extras[3]);
+  parties[1].Append(extras[3]);
+  parties[2].Append(extras[3]);                          // multiplicity 3
+  auto report = RunMultiPartyUnion(parties, MakeParams(36 * 16));
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->all_ok);
-  PointSet want = SortedUnion(parties);
+  PointStore want = SortedUnion(parties);
   for (const auto& final_set : report->final_sets) {
-    PointSet got = final_set;
-    std::sort(got.begin(), got.end());
-    got.erase(std::unique(got.begin(), got.end()), got.end());
-    EXPECT_EQ(got, want);
+    EXPECT_EQ(Distinct(final_set), want);
+  }
+}
+
+TEST(MultiPartyTest, EmptyPartyReceivesTheUnion) {
+  // A party may join with nothing, as PointStore() or PointStore(dim); its
+  // final set is the union, built with the protocol's dimension.
+  Rng rng(4);
+  PointStore base = GenerateUniformStore(12, 2, 1023, &rng);
+  for (const PointStore& empty : {PointStore(), PointStore(2)}) {
+    std::vector<PointStore> parties{base, base, empty};
+    parties[1].Append(GenerateUniformStore(1, 2, 1023, &rng)[0]);
+    auto report = RunMultiPartyUnion(parties, MakeParams(36 * 16));
+    ASSERT_TRUE(report.ok());
+    ASSERT_TRUE(report->all_ok);
+    PointStore want = SortedUnion(parties);
+    for (const auto& final_set : report->final_sets) {
+      EXPECT_EQ(final_set.dim(), 2u);
+      EXPECT_EQ(Distinct(final_set), want);
+    }
   }
 }
 
 TEST(MultiPartyTest, WithinPartyDuplicatesCollapse) {
   Rng rng(3);
-  PointSet base = GenerateUniform(10, 2, 1023, &rng);
-  std::vector<PointSet> parties(3, base);
-  parties[1].push_back(base[0]);  // duplicate of a shared point
-  parties[1].push_back(base[0]);
-  auto report = RunMultiPartyUnion(ToStores(parties), MakeParams(36 * 4));
+  PointStore base = GenerateUniformStore(10, 2, 1023, &rng);
+  std::vector<PointStore> parties(3, base);
+  parties[1].Append(base[0]);  // duplicate of a shared point
+  parties[1].Append(base[0]);
+  auto report = RunMultiPartyUnion(parties, MakeParams(36 * 4));
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->all_ok);
   for (const auto& final_set : report->final_sets) {
@@ -138,7 +144,7 @@ TEST(MultiPartyTest, WithinPartyDuplicatesCollapse) {
 
 TEST(MultiPartyTest, UndersizedSketchFailsHonestly) {
   auto parties = MakeParties(3, 20, 30, 7);  // 90+ diff mass
-  auto report = RunMultiPartyUnion(ToStores(parties), MakeParams(24));
+  auto report = RunMultiPartyUnion(parties, MakeParams(24));
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->all_ok);
   // Failed parties keep their input sets (no garbage).
@@ -151,7 +157,7 @@ TEST(MultiPartyTest, UndersizedSketchFailsHonestly) {
 
 TEST(MultiPartyTest, CommIsOneBroadcastPerParty) {
   auto parties = MakeParties(5, 30, 2, 11);
-  auto report = RunMultiPartyUnion(ToStores(parties), MakeParams(36 * 12));
+  auto report = RunMultiPartyUnion(parties, MakeParams(36 * 12));
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->comm.rounds(), 5);
   EXPECT_EQ(report->used_cells, 36u * 12u);
@@ -162,15 +168,15 @@ TEST(MultiPartyTest, CommIsOneBroadcastPerParty) {
 
 TEST(MultiPartyTest, AdaptiveShrinksSketchesAndStillReachesTheUnion) {
   auto parties = MakeParties(4, 60, 3, 21);
-  PointSet want = SortedUnion(parties);
+  PointStore want = SortedUnion(parties);
 
   // A deliberately generous static cap: the hub's estimated difference mass
   // (sum_j est(|S_0 delta S_j|) ~ 18) should negotiate far below it.
   MultiPartyParams static_params = MakeParams(4096, 19);
   MultiPartyParams adaptive_params = static_params;
   adaptive_params.adaptive.enabled = true;
-  auto fixed = RunMultiPartyUnion(ToStores(parties), static_params);
-  auto adaptive = RunMultiPartyUnion(ToStores(parties), adaptive_params);
+  auto fixed = RunMultiPartyUnion(parties, static_params);
+  auto adaptive = RunMultiPartyUnion(parties, adaptive_params);
   ASSERT_TRUE(fixed.ok());
   ASSERT_TRUE(adaptive.ok());
   ASSERT_TRUE(fixed->all_ok);
@@ -191,20 +197,17 @@ TEST(MultiPartyTest, AdaptiveShrinksSketchesAndStillReachesTheUnion) {
   EXPECT_EQ(adaptive->comm.rounds(), fixed->comm.rounds() + 4);
 
   for (size_t i = 0; i < parties.size(); ++i) {
-    PointSet got = adaptive->final_sets[i];
-    std::sort(got.begin(), got.end());
-    got.erase(std::unique(got.begin(), got.end()), got.end());
-    EXPECT_EQ(got, want) << "party " << i;
+    EXPECT_EQ(Distinct(adaptive->final_sets[i]), want) << "party " << i;
   }
 }
 
 TEST(MultiPartyTest, AdaptiveIdenticalPartiesHitTheFloor) {
   Rng rng(23);
-  PointSet shared = GenerateUniform(50, 2, 1023, &rng);
-  std::vector<PointSet> parties(3, shared);
+  PointStore shared = GenerateUniformStore(50, 2, 1023, &rng);
+  std::vector<PointStore> parties(3, shared);
   MultiPartyParams params = MakeParams(4096, 27);
   params.adaptive.enabled = true;
-  auto report = RunMultiPartyUnion(ToStores(parties), params);
+  auto report = RunMultiPartyUnion(parties, params);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->all_ok);
   // Zero estimated difference clamps to the floor, not to zero cells.
@@ -221,20 +224,17 @@ TEST(MultiPartyTest, AdaptiveUndersizeRetriesAtTheStaticCap) {
   // retry signal must re-broadcast at the static cap and succeed — adaptive
   // may never lose a union that static sizing would have reconciled.
   auto parties = MakeParties(3, 20, 30, 7);
-  PointSet want = SortedUnion(parties);
+  PointStore want = SortedUnion(parties);
   MultiPartyParams params = MakeParams(3600, 7);
   params.adaptive.enabled = true;
   params.adaptive.cell_multiplier = 0.0001;
-  auto report = RunMultiPartyUnion(ToStores(parties), params);
+  auto report = RunMultiPartyUnion(parties, params);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->retried);
   EXPECT_EQ(report->used_cells, 3600u);
   ASSERT_TRUE(report->all_ok);
   for (const auto& final_set : report->final_sets) {
-    PointSet got = final_set;
-    std::sort(got.begin(), got.end());
-    got.erase(std::unique(got.begin(), got.end()), got.end());
-    EXPECT_EQ(got, want);
+    EXPECT_EQ(Distinct(final_set), want);
   }
 }
 
@@ -242,7 +242,7 @@ TEST(MultiPartyTest, AdaptiveUndersizeRetriesAtTheStaticCap) {
 
 TEST(GreedyEmdTest, ZeroOnIdenticalSets) {
   Rng rng(4);
-  PointSet x = GenerateUniform(30, 3, 255, &rng);
+  PointStore x = GenerateUniformStore(30, 3, 255, &rng);
   EXPECT_EQ(GreedyEmdUpperBound(x, x, Metric(MetricKind::kL1)), 0.0);
 }
 
@@ -251,8 +251,8 @@ TEST(GreedyEmdTest, UpperBoundsExact) {
   Metric metric(MetricKind::kL2);
   for (int trial = 0; trial < 40; ++trial) {
     size_t n = 2 + rng.Below(12);
-    PointSet x = GenerateUniform(n, 2, 255, &rng);
-    PointSet y = GenerateUniform(n, 2, 255, &rng);
+    PointStore x = GenerateUniformStore(n, 2, 255, &rng);
+    PointStore y = GenerateUniformStore(n, 2, 255, &rng);
     double exact = EmdExact(x, y, metric);
     double greedy = GreedyEmdUpperBound(x, y, metric);
     EXPECT_GE(greedy, exact - 1e-9) << "trial " << trial;
@@ -270,7 +270,7 @@ TEST(GreedyEmdTest, TightOnWellSeparatedMatchings) {
   config.outliers = 0;
   config.noise = 1.0;
   config.seed = 12;
-  auto workload = GenerateNoisyPair(config);
+  auto workload = GenerateNoisyPairStore(config);
   ASSERT_TRUE(workload.ok());
   Metric metric(MetricKind::kL2);
   double exact = EmdExact(workload->alice, workload->bob, metric);

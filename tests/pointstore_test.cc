@@ -1,8 +1,9 @@
-// PointStore contract tests: the columnar arena must be indistinguishable
-// from the legacy vector<Point> representation everywhere it matters —
-// wire bytes, content hashes, ordering — while the hot paths (AppendMany,
-// EvaluateAllInto, Riblt::InsertMany) perform zero per-point allocations
-// (counted via the shared operator-new overrides in alloc_counter.cc).
+// PointStore contract tests: a store row must be indistinguishable from the
+// single-point Point type everywhere it matters — wire bytes, content
+// hashes, ordering — while the hot paths (AppendStore, EvaluateAllInto,
+// Riblt::InsertMany) perform zero per-point allocations (counted via the
+// shared operator-new overrides in alloc_counter.cc).
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,8 +23,9 @@ namespace {
 
 using ::rsr::testing::AllocationCount;
 
-PointSet WithDuplicatesAndNegatives(size_t n, size_t dim, Rng* rng) {
-  PointSet points;
+/// A reference vector of owning Points, with many duplicate rows.
+std::vector<Point> WithDuplicatesAndNegatives(size_t n, size_t dim, Rng* rng) {
+  std::vector<Point> points;
   for (size_t i = 0; i < n; ++i) {
     std::vector<Coord> coords(dim);
     for (auto& c : coords) {
@@ -34,10 +36,16 @@ PointSet WithDuplicatesAndNegatives(size_t n, size_t dim, Rng* rng) {
   return points;
 }
 
+PointStore StoreOf(size_t dim, const std::vector<Point>& points) {
+  PointStore store(dim);
+  for (const Point& p : points) store.Append(p);
+  return store;
+}
+
 TEST(PointStoreTest, SerializationByteIdenticalToLegacyPointFormat) {
   Rng rng(1);
-  PointSet points = WithDuplicatesAndNegatives(65, 5, &rng);
-  PointStore store = PointStore::FromPointSet(5, points);
+  std::vector<Point> points = WithDuplicatesAndNegatives(65, 5, &rng);
+  PointStore store = StoreOf(5, points);
 
   ByteWriter legacy;
   for (const Point& p : points) p.WriteTo(&legacy);
@@ -59,7 +67,7 @@ TEST(PointStoreTest, SerializationByteIdenticalToLegacyPointFormat) {
     EXPECT_EQ(parsed.MakePoint(i), points[i]) << i;
   }
 
-  // Legacy reader parses the store's bytes.
+  // Point's reader parses the store's bytes.
   ByteReader point_reader(columnar.buffer());
   for (size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(Point::ReadFrom(&point_reader), points[i]) << i;
@@ -79,26 +87,21 @@ TEST(PointStoreTest, ReadFromRejectsDimensionMismatch) {
 
 TEST(PointStoreTest, ContentHashManyMatchesPerPointContentHash) {
   Rng rng(3);
-  PointSet points = GenerateUniform(57, 6, 1023, &rng);
-  PointStore store = PointStore::FromPointSet(6, points);
+  PointStore store = GenerateUniformStore(57, 6, 1023, &rng);
   std::vector<uint64_t> store_hashes(store.size());
   store.ContentHashMany(0xabcULL, store_hashes.data());
-  std::vector<uint64_t> point_hashes(points.size());
-  ContentHashMany(points.data(), points.size(), 0xabcULL,
-                  point_hashes.data());
-  for (size_t i = 0; i < points.size(); ++i) {
-    ASSERT_EQ(store_hashes[i], point_hashes[i]) << i;
-    ASSERT_EQ(store_hashes[i], points[i].ContentHash(0xabcULL)) << i;
+  for (size_t i = 0; i < store.size(); ++i) {
+    ASSERT_EQ(store_hashes[i], store.MakePoint(i).ContentHash(0xabcULL)) << i;
     ASSERT_EQ(store_hashes[i], store[i].ContentHash(0xabcULL)) << i;
   }
 }
 
 TEST(PointStoreTest, SortAndDedupMatchStdSortOnPointSet) {
   Rng rng(4);
-  PointSet points = WithDuplicatesAndNegatives(120, 3, &rng);
-  PointStore store = PointStore::FromPointSet(3, points);
+  std::vector<Point> points = WithDuplicatesAndNegatives(120, 3, &rng);
+  PointStore store = StoreOf(3, points);
 
-  PointSet sorted = points;
+  std::vector<Point> sorted = points;
   std::sort(sorted.begin(), sorted.end());
   PointStore store_sorted = store;
   store_sorted.SortLex();
@@ -107,7 +110,7 @@ TEST(PointStoreTest, SortAndDedupMatchStdSortOnPointSet) {
     ASSERT_EQ(store_sorted.MakePoint(i), sorted[i]) << i;
   }
 
-  PointSet deduped = sorted;
+  std::vector<Point> deduped = sorted;
   deduped.erase(std::unique(deduped.begin(), deduped.end()), deduped.end());
   store.SortLexAndDedup();
   ASSERT_EQ(store.size(), deduped.size());
@@ -118,8 +121,8 @@ TEST(PointStoreTest, SortAndDedupMatchStdSortOnPointSet) {
 
 TEST(PointStoreTest, PointRefComparisonsMatchPointSemantics) {
   Rng rng(5);
-  PointSet points = WithDuplicatesAndNegatives(40, 4, &rng);
-  PointStore store = PointStore::FromPointSet(4, points);
+  std::vector<Point> points = WithDuplicatesAndNegatives(40, 4, &rng);
+  PointStore store = StoreOf(4, points);
   for (size_t i = 0; i < points.size(); ++i) {
     for (size_t j = 0; j < points.size(); ++j) {
       ASSERT_EQ(store[i] == store[j], points[i] == points[j]);
@@ -136,9 +139,7 @@ TEST(PointStoreTest, InDomainAllMatchesPerPointInDomain) {
   for (size_t i = 0; i < store.size(); ++i) {
     EXPECT_EQ(store[i].InDomain(100), store.MakePoint(i).InDomain(100));
   }
-  // ValidatePointStore accepts exactly what ValidatePointSet accepts.
   ValidatePointStore(store, 4, 255);
-  ValidatePointSet(store.ToPointSet(), 4, 255);
 }
 
 TEST(PointStoreTest, DoublePlaneTracksMutation) {
@@ -159,12 +160,13 @@ TEST(PointStoreTest, DoublePlaneTracksMutation) {
 
 TEST(PointStoreTest, AppendManyAfterReserveDoesNotAllocate) {
   Rng rng(8);
-  PointSet points = GenerateUniform(512, 4, 255, &rng);
+  const PointStore points = GenerateUniformStore(512, 4, 255, &rng);
   PointStore store(4);
   store.Reserve(points.size());
   long long before = AllocationCount();
-  store.AppendMany(points);
+  store.AppendStore(points);
   EXPECT_EQ(AllocationCount(), before);
+  EXPECT_EQ(store, points);
   // Raw-row appends are allocation-free too.
   long long before_rows = AllocationCount();
   PointStore copy(4);
@@ -217,47 +219,6 @@ TEST(PointStoreTest, WarmEvaluateAllIntoAndInsertManyDoNotAllocate) {
   before = AllocationCount();
   EvaluateAllInto(store, bit_draws, /*num_threads=*/1, &matrix);
   EXPECT_EQ(AllocationCount(), before);
-}
-
-TEST(PointStoreTest, StoreGeneratorsMatchLegacyGenerators) {
-  // Same seed => identical points through either representation (the
-  // PointSet generators are adapters over the store-native code).
-  Rng rng_a(12);
-  Rng rng_b(12);
-  PointStore store = GenerateUniformStore(33, 5, 511, &rng_a);
-  PointSet points = GenerateUniform(33, 5, 511, &rng_b);
-  ASSERT_EQ(store.size(), points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    ASSERT_EQ(store.MakePoint(i), points[i]) << i;
-  }
-
-  NoisyPairConfig config;
-  config.metric = MetricKind::kL2;
-  config.dim = 3;
-  config.delta = 255;
-  config.n = 24;
-  config.outliers = 2;
-  config.noise = 2.0;
-  config.outlier_dist = 60;
-  config.seed = 4242;
-  auto stores = GenerateNoisyPairStore(config);
-  auto sets = GenerateNoisyPair(config);
-  ASSERT_TRUE(stores.ok());
-  ASSERT_TRUE(sets.ok());
-  ASSERT_EQ(stores->alice.ToPointSet(), sets->alice);
-  ASSERT_EQ(stores->bob.ToPointSet(), sets->bob);
-  ASSERT_EQ(stores->ground.ToPointSet(), sets->ground);
-  ASSERT_EQ(stores->alice_outliers.ToPointSet(), sets->alice_outliers);
-  ASSERT_EQ(stores->bob_outliers.ToPointSet(), sets->bob_outliers);
-
-  ClusterConfig clusters;
-  clusters.dim = 4;
-  clusters.delta = 127;
-  clusters.num_clusters = 3;
-  clusters.points_per_cluster = 5;
-  clusters.seed = 77;
-  ASSERT_EQ(GenerateClustersStore(clusters).ToPointSet(),
-            GenerateClusters(clusters));
 }
 
 // ------------------------------------------- dirty-tail double plane --

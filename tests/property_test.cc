@@ -64,7 +64,7 @@ TEST_P(EmdProtocolGridTest, InvariantsHold) {
 
   // Invariant 1: |S'_B| == n and all points in the domain.
   ASSERT_EQ(report->s_b_prime.size(), n);
-  ValidatePointSet(report->s_b_prime, dim, delta);
+  ValidatePointStore(report->s_b_prime, dim, delta);
   // Invariant 2: Theorem 3.4's form — the result is never worse than both
   // the starting distance (with slack for extraction rounding) and the
   // O(log n) * EMD_k bound. (The repair CAN slightly exceed `before` on
@@ -130,15 +130,14 @@ TEST_P(GapProtocolGridTest, GuaranteeAndSupersetHold) {
   // Superset: S'_B extends S_B verbatim.
   ASSERT_GE(report->s_b_prime.size(), workload->bob.size());
   for (size_t i = 0; i < workload->bob.size(); ++i) {
-    EXPECT_EQ(report->s_b_prime[i], workload->bob.MakePoint(i));
+    EXPECT_EQ(report->s_b_prime[i], workload->bob[i]);
   }
   // Guarantee: every Alice point within r2 of S'_B.
   for (size_t i = 0; i < workload->alice.size(); ++i) {
     double best = 1e300;
-    for (const Point& b : report->s_b_prime) {
-      best = std::min(best, metric.Distance(workload->alice.row(i),
-                                            b.coords().data(),
-                                            workload->alice.dim()));
+    for (size_t j = 0; j < report->s_b_prime.size(); ++j) {
+      best = std::min(best, metric.Distance(workload->alice[i],
+                                            report->s_b_prime[j]));
     }
     EXPECT_LE(best, r2 + 1e-9);
   }
@@ -197,15 +196,17 @@ TEST(SketchAlgebraTest, RibltStateIsOrderInvariant) {
   params.delta = 100;
   params.seed = 9;
   Rng rng(10);
-  PointSet values = GenerateUniform(20, 3, 100, &rng);
+  PointStore values = GenerateUniformStore(20, 3, 100, &rng);
   std::vector<uint64_t> keys(20);
   for (auto& k : keys) k = rng.Next();
 
   Riblt forward(params), shuffled(params);
-  for (size_t i = 0; i < keys.size(); ++i) forward.Insert(keys[i], values[i]);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    forward.Insert(keys[i], values.MakePoint(i));
+  }
   std::vector<size_t> order(keys.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = order.size() - 1 - i;
-  for (size_t i : order) shuffled.Insert(keys[i], values[i]);
+  for (size_t i : order) shuffled.Insert(keys[i], values.MakePoint(i));
 
   ByteWriter wf, ws;
   forward.WriteTo(&wf);
@@ -227,7 +228,7 @@ TEST(SketchAlgebraTest, RibltDecodeConservesMultiset) {
   std::map<uint64_t, int64_t> net;
   for (int i = 0; i < 10; ++i) {
     uint64_t key = 100 + rng.Below(12);  // deliberately collide keys
-    Point value = GenerateUniform(1, 2, 50, &rng)[0];
+    Point value = GenerateUniformStore(1, 2, 50, &rng).MakePoint(0);
     if (rng.Bernoulli(0.5)) {
       table.Insert(key, value);
       net[key] += 1;
@@ -284,7 +285,7 @@ TEST(WireRobustnessTest, TruncatedRibltFailsCleanly) {
   Riblt table(params);
   Rng rng(24);
   for (int i = 0; i < 6; ++i) {
-    table.Insert(rng.Next(), GenerateUniform(1, 2, 50, &rng)[0]);
+    table.Insert(rng.Next(), GenerateUniformStore(1, 2, 50, &rng).MakePoint(0));
   }
   ByteWriter w;
   table.WriteTo(&w);
@@ -305,7 +306,7 @@ TEST(WireRobustnessTest, CorruptedRibltDecodeIsSafe) {
   Riblt table(params);
   Rng rng(26);
   for (int i = 0; i < 6; ++i) {
-    table.Insert(rng.Next(), GenerateUniform(1, 2, 50, &rng)[0]);
+    table.Insert(rng.Next(), GenerateUniformStore(1, 2, 50, &rng).MakePoint(0));
   }
   ByteWriter w;
   table.WriteTo(&w);

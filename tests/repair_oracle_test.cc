@@ -182,17 +182,6 @@ TEST(RepairOracleTest, DistanceMatrixMatchesPerPairDistanceBitForBit) {
   }
 }
 
-TEST(RepairOracleTest, DistanceMatrixAcceptsPointSets) {
-  Rng rng(32);
-  PointStore x = ExtremeStore(4, 5, 1023, &rng);
-  PointStore y = ExtremeStore(11, 5, 1023, &rng);
-  const Metric metric(MetricKind::kL2);
-  const CostMatrix from_sets =
-      DistanceMatrix(x.ToPointSet(), y.ToPointSet(), metric);
-  const CostMatrix from_stores = DistanceMatrix(x, y, metric);
-  EXPECT_EQ(from_sets, from_stores);
-}
-
 /// Compares both routines on `reps` matrices of every shape rows x cols
 /// with rows in {1, cols / 2, cols}, entries drawn by `draw`.
 template <typename Draw>

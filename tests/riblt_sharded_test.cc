@@ -166,11 +166,10 @@ TEST(RibltShardedTest, EmdTranscriptIdenticalForEveryShardCount) {
   const size_t dim = 3;
   const Coord delta = 63;
   Rng rng(42);
-  PointSet alice_set = GenerateUniform(48, dim, delta, &rng);
-  PointSet bob_set = alice_set;
-  bob_set[0] = GenerateUniform(1, dim, delta, &rng)[0];
-  PointStore alice = PointStore::FromPointSet(dim, alice_set);
-  PointStore bob = PointStore::FromPointSet(dim, bob_set);
+  PointStore alice = GenerateUniformStore(48, dim, delta, &rng);
+  // Bob = Alice with row 0 replaced by a fresh point.
+  PointStore bob = GenerateUniformStore(1, dim, delta, &rng);
+  for (size_t i = 1; i < alice.size(); ++i) bob.Append(alice.row(i));
   EmdProtocolParams params;
   params.metric = MetricKind::kL2;
   params.dim = dim;

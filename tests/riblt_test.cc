@@ -63,12 +63,12 @@ TEST(RibltTest, ExactRecoveryUniqueKeys) {
 TEST(RibltTest, EqualPairsCancelCompletely) {
   Riblt table(MakeParams(72, 3, 50));
   Rng rng(3);
-  PointSet points = GenerateUniform(30, 3, 50, &rng);
+  PointStore points = GenerateUniformStore(30, 3, 50, &rng);
   for (size_t i = 0; i < points.size(); ++i) {
-    table.Insert(1000 + i, points[i]);
+    table.Insert(1000 + i, points.MakePoint(i));
   }
   for (size_t i = 0; i < points.size(); ++i) {
-    table.Delete(1000 + i, points[i]);
+    table.Delete(1000 + i, points.MakePoint(i));
   }
   auto result = table.Decode(100, 100, &rng);
   ASSERT_TRUE(result.ok());
@@ -193,10 +193,10 @@ TEST(RibltTest, MixedCancellationWithNoise) {
   const size_t n = 40;
   Riblt table(MakeParams(9 * 8, 2, 100, 3, 77));
   Rng rng(10);
-  PointSet base = GenerateUniform(n, 2, 99, &rng);
+  PointStore base = GenerateUniformStore(n, 2, 99, &rng);
   for (size_t i = 0; i < n; ++i) {
-    table.Insert(100 + i, base[i]);
-    std::vector<Coord> noisy_coords = base[i].coords();
+    table.Insert(100 + i, base.MakePoint(i));
+    std::vector<Coord> noisy_coords = base.MakePoint(i).coords();
     noisy_coords[0] = std::min<Coord>(noisy_coords[0] + 1, 100);
     Point noisy(std::move(noisy_coords));
     table.Delete(100 + i, noisy);
@@ -356,8 +356,10 @@ TEST_P(RibltSizeTest, PaperSizingDecodesReliably) {
     Rng rng(static_cast<uint64_t>(6000 + trial));
     // 2k Alice-only and 2k Bob-only pairs (the protocol's worst case).
     for (size_t i = 0; i < 2 * k; ++i) {
-      table.Insert(rng.Next(), GenerateUniform(1, 2, 100, &rng)[0]);
-      table.Delete(rng.Next(), GenerateUniform(1, 2, 100, &rng)[0]);
+      table.Insert(rng.Next(),
+                   GenerateUniformStore(1, 2, 100, &rng).MakePoint(0));
+      table.Delete(rng.Next(),
+                   GenerateUniformStore(1, 2, 100, &rng).MakePoint(0));
     }
     auto result = table.Decode(4 * k, 2 * k, &rng);
     if (!result.ok()) {

@@ -196,7 +196,7 @@ TEST(SimdDispatchTest, AllFamiliesBatchPathsMatchEvalAcrossDims) {
         dim, static_cast<double>(2 * dim)));
     Rng rng(1000 + dim);
     const size_t n = 33;
-    PointSet points = GenerateUniform(n, dim, 255, &rng);
+    PointStore points = GenerateUniformStore(n, dim, 255, &rng);
     std::vector<double> flat(n * dim);
     const size_t col_stride = n + 3;
     std::vector<double> cols(dim * col_stride, -7.0);
@@ -210,11 +210,11 @@ TEST(SimdDispatchTest, AllFamiliesBatchPathsMatchEvalAcrossDims) {
       for (int draw = 0; draw < 3; ++draw) {
         std::unique_ptr<LshFunction> fn = family->Draw(&rng);
         std::vector<uint64_t> want(n);
-        for (size_t i = 0; i < n; ++i) want[i] = fn->Eval(points[i]);
+        for (size_t i = 0; i < n; ++i) want[i] = fn->Eval(points.MakePoint(i));
 
         std::vector<uint64_t> got(n, kSentinel);
-        fn->EvalBatch(points, got.data());
-        EXPECT_EQ(got, want) << family->Name() << " EvalBatch dim " << dim;
+        fn->EvalCoordBatch(points.coord_data(), n, dim, got.data(), 1);
+        EXPECT_EQ(got, want) << family->Name() << " EvalCoordBatch dim " << dim;
 
         if (!fn->SupportsFlatBatch()) continue;
         got.assign(n, kSentinel);

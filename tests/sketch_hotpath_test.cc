@@ -94,7 +94,7 @@ TEST(SketchHotPathTest, RibltUpdateDoesNotAllocate) {
   params.seed = 8;
   Riblt table(params);
   Rng rng(9);
-  Point p = GenerateUniform(1, 8, 1023, &rng)[0];
+  Point p = GenerateUniformStore(1, 8, 1023, &rng).MakePoint(0);
   long long before = AllocationCount();
   for (int i = 0; i < 10000; ++i) {
     table.Update(rng.Next(), p.coords().data(), +1);

@@ -4,6 +4,7 @@
 // surviving rows — across level ladders, shard counts, and thread counts —
 // and warm mutations perform zero heap allocations (alloc_counter.cc).
 #include <algorithm>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -40,15 +41,18 @@ EmdProtocolParams MakeParams(size_t d2, size_t shards, size_t threads,
 /// distinct content-hash keys, which Create requires).
 PointStore DistinctPool(size_t count, uint64_t seed) {
   Rng rng(seed);
-  PointSet points = GenerateUniform(count * 2, 3, 1023, &rng);
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
+  PointStore points = GenerateUniformStore(count * 2, 3, 1023, &rng);
+  points.SortLexAndDedup();
   RSR_CHECK(points.size() >= count);
-  points.resize(count);
-  for (size_t i = points.size(); i > 1; --i) {
-    std::swap(points[i - 1], points[rng.Below(i)]);
+  std::vector<size_t> order(count);
+  std::iota(order.begin(), order.end(), size_t{0});
+  for (size_t i = count; i > 1; --i) {
+    std::swap(order[i - 1], order[rng.Below(i)]);
   }
-  return PointStore::FromPointSet(3, points);
+  PointStore pool(3);
+  pool.Reserve(count);
+  for (size_t i : order) pool.Append(points.row(i));
+  return pool;
 }
 
 /// The core invariant: maintained cells == cold-build cells, byte for byte.
@@ -115,15 +119,15 @@ TEST(SyncDatasetTest, IncrementalMatchesColdBuildAcrossConfigs) {
         ExpectMatchesColdBuild(*ds, params);
 
         // The surviving rows are exactly (initial u inserts) \ deletions.
-        PointSet want;
+        PointStore want(3);
         for (size_t i = 18; i < 116; ++i) {
           if (i == 100) continue;
-          want.push_back(pool.MakePoint(i));
+          want.Append(pool[i]);
         }
-        for (size_t i = 118; i < 136; ++i) want.push_back(pool.MakePoint(i));
-        std::sort(want.begin(), want.end());
-        PointSet got = ds->rows().ToPointSet();
-        std::sort(got.begin(), got.end());
+        for (size_t i = 118; i < 136; ++i) want.Append(pool[i]);
+        want.SortLex();
+        PointStore got = ds->rows();
+        got.SortLex();
         EXPECT_EQ(got, want);
       }
     }

@@ -4,6 +4,7 @@
 // be race-free (this file is the CI TSan gate: ctest -R 'Sync').
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -33,15 +34,18 @@ EmdProtocolParams ServerParams(uint64_t seed = 31) {
 
 PointStore DistinctPool(size_t count, uint64_t seed) {
   Rng rng(seed);
-  PointSet points = GenerateUniform(count * 2, 3, 1023, &rng);
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
+  PointStore points = GenerateUniformStore(count * 2, 3, 1023, &rng);
+  points.SortLexAndDedup();
   RSR_CHECK(points.size() >= count);
-  points.resize(count);
-  for (size_t i = points.size(); i > 1; --i) {
-    std::swap(points[i - 1], points[rng.Below(i)]);
+  std::vector<size_t> order(count);
+  std::iota(order.begin(), order.end(), size_t{0});
+  for (size_t i = count; i > 1; --i) {
+    std::swap(order[i - 1], order[rng.Below(i)]);
   }
-  return PointStore::FromPointSet(3, points);
+  PointStore pool(3);
+  pool.Reserve(count);
+  for (size_t i : order) pool.Append(points.row(i));
+  return pool;
 }
 
 TEST(SyncServerTest, SessionMatchesOneShotProtocol) {
@@ -66,6 +70,53 @@ TEST(SyncServerTest, SessionMatchesOneShotProtocol) {
   EXPECT_EQ(served->level_cells, one_shot->level_cells);
   EXPECT_EQ(served->comm.total_bits(), one_shot->comm.total_bits());
   EXPECT_EQ(served->comm.rounds(), one_shot->comm.rounds());
+}
+
+// Heap allocations of one warm SyncSession::Run against an n-point noisy
+// pair (L2, dim 16, 8 outliers, D1 = 8, D2 = 8192); -1 if the exchange
+// fails. The first run warms the session's scratch, the second is counted.
+long long WarmSessionAllocations(size_t n) {
+  NoisyPairConfig config;
+  config.metric = MetricKind::kL2;
+  config.dim = 16;
+  config.delta = 1023;
+  config.n = n;
+  config.outliers = 8;
+  config.noise = 2.0;
+  config.outlier_dist = 200;
+  config.seed = 515;
+  auto workload = GenerateNoisyPairStore(config);
+  if (!workload.ok()) return -1;
+  EmdProtocolParams params;
+  params.metric = MetricKind::kL2;
+  params.dim = 16;
+  params.delta = 1023;
+  params.k = 8;
+  params.d1 = 8;
+  params.d2 = 8192;
+  params.seed = 516;
+  auto ds = SyncDataset::Create(workload->alice, params);
+  if (!ds.ok()) return -1;
+  SyncServer server(std::move(*ds));
+  SyncSession session = server.OpenSession();
+  auto warm = session.Run(workload->bob);
+  if (!warm.ok() || warm->failure) return -1;
+  const long long before = testing::AllocationCount();
+  auto report = session.Run(workload->bob);
+  const long long count = testing::AllocationCount() - before;
+  if (!report.ok() || report->failure) return -1;
+  EXPECT_EQ(report->s_b_prime.size(), n);
+  return count;
+}
+
+TEST(SyncServerTest, WarmSessionAllocationsDoNotGrowWithN) {
+  // Like the one-shot protocol, a served exchange assembles S'_B into one
+  // reserved arena: no allocation per output row.
+  const long long small = WarmSessionAllocations(512);
+  const long long large = WarmSessionAllocations(4096);
+  ASSERT_GT(small, 0);
+  ASSERT_GT(large, 0);
+  EXPECT_LT(large - small, 64) << "n=512: " << small << ", n=4096: " << large;
 }
 
 TEST(SyncServerTest, SnapshotSerializesIdenticalSketchMessage) {

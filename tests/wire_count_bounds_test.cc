@@ -67,16 +67,6 @@ TEST(WireCountBoundsTest, PointReadFromRejectsForgedDimensionWithoutAllocating) 
   EXPECT_EQ(p.dim(), 0u);
 }
 
-TEST(WireCountBoundsTest, ReadPointsRejectsForgedCount) {
-  const std::vector<uint8_t> bytes = ForgedMessage(kForgedCount);
-  ByteReader r(bytes);
-  PointSet out;
-  Status status = ReadPoints(&r, &out);
-  EXPECT_EQ(status.code(), StatusCode::kCorruption);
-  EXPECT_TRUE(r.failed());
-  EXPECT_TRUE(out.empty());
-}
-
 TEST(WireCountBoundsTest, ReadSetsRejectsForgedCount) {
   const std::vector<uint8_t> bytes = ForgedMessage(kForgedCount);
   ByteReader r(bytes);
@@ -89,24 +79,26 @@ TEST(WireCountBoundsTest, ReadSetsRejectsForgedCount) {
 
 TEST(WireCountBoundsTest, HonestMessagesStillParse) {
   ByteWriter w;
-  const PointSet points = {Point({1, 2, 3}), Point({4, 5, 6})};
+  const std::vector<Point> points = {Point({1, 2, 3}), Point({4, 5, 6})};
+  PointStore store(3);
+  for (const Point& p : points) store.Append(p);
   w.PutVarint64(points.size());
   for (const Point& p : points) p.WriteTo(&w);
   // Two 2-slot sets, one u32 per slot.
   w.PutVarint64(2);
   for (uint32_t v : {7u, 8u, 9u, 10u}) w.PutU32(v);
-  PointStore::FromPointSet(points).WriteTo(&w);
+  store.WriteTo(&w);
 
+  // Per-Point bytes parse as a store, and store bytes as Points.
   ByteReader r(w.buffer());
-  PointSet read_points;
-  ASSERT_TRUE(ReadPoints(&r, &read_points).ok());
-  EXPECT_EQ(read_points, points);
+  const uint64_t count = r.GetVarint64();
+  ASSERT_EQ(count, points.size());
+  EXPECT_EQ(PointStore::ReadFrom(&r, 3, points.size()), store);
   std::vector<SlottedSet> sets;
   ASSERT_TRUE(internal::ReadSets(&r, 2, &sets).ok());
   EXPECT_EQ(sets, (std::vector<SlottedSet>{{7, 8}, {9, 10}}));
-  PointStore store = PointStore::ReadFrom(&r, 3, points.size());
+  for (const Point& p : points) EXPECT_EQ(Point::ReadFrom(&r), p);
   EXPECT_TRUE(r.FinishAndCheckConsumed().ok());
-  EXPECT_EQ(store, PointStore::FromPointSet(points));
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 // Tests for workload/generators.h: domain validity, noise budgets, outlier
 // separation, determinism.
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "geometry/metric.h"
@@ -10,18 +12,18 @@ namespace {
 
 TEST(GenerateUniformTest, SizeDimDomain) {
   Rng rng(1);
-  PointSet pts = GenerateUniform(50, 4, 31, &rng);
+  PointStore pts = GenerateUniformStore(50, 4, 31, &rng);
   ASSERT_EQ(pts.size(), 50u);
-  ValidatePointSet(pts, 4, 31);
+  ValidatePointStore(pts, 4, 31);
 }
 
 TEST(GenerateUniformTest, CoversDomainEdges) {
   Rng rng(2);
   bool saw_zero = false, saw_max = false;
-  PointSet pts = GenerateUniform(2000, 1, 7, &rng);
-  for (const Point& p : pts) {
-    saw_zero |= (p[0] == 0);
-    saw_max |= (p[0] == 7);
+  PointStore pts = GenerateUniformStore(2000, 1, 7, &rng);
+  for (size_t i = 0; i < pts.size(); ++i) {
+    saw_zero |= (pts[i][0] == 0);
+    saw_max |= (pts[i][0] == 7);
   }
   EXPECT_TRUE(saw_zero);
   EXPECT_TRUE(saw_max);
@@ -35,11 +37,12 @@ TEST_P(PerturbTest, StaysWithinRadiusAndDomain) {
   Rng rng(3);
   Coord delta = kind == MetricKind::kHamming ? 1 : 100;
   for (int trial = 0; trial < 200; ++trial) {
-    Point p = GenerateUniform(1, 6, delta, &rng)[0];
+    const PointStore p = GenerateUniformStore(1, 6, delta, &rng);
     double radius = 1.0 + static_cast<double>(rng.Below(5));
-    Point q = PerturbPoint(p, kind, radius, delta, &rng);
-    EXPECT_LE(metric.Distance(p, q), radius + 1e-9);
-    EXPECT_TRUE(q.InDomain(delta));
+    std::vector<Coord> q(6);
+    PerturbRowInto(p.row(0), 6, kind, radius, delta, &rng, q.data());
+    EXPECT_LE(metric.Distance(p.row(0), q.data(), 6), radius + 1e-9);
+    EXPECT_TRUE(PointRef(q.data(), 6).InDomain(delta));
   }
 }
 
@@ -49,9 +52,10 @@ INSTANTIATE_TEST_SUITE_P(AllMetrics, PerturbTest,
 
 TEST(PerturbTest, HammingBudgetIsExactAwayFromClamps) {
   Rng rng(4);
-  Point p = GenerateUniform(1, 64, 1, &rng)[0];
-  Point q = PerturbPoint(p, MetricKind::kHamming, 5, 1, &rng);
-  EXPECT_EQ(HammingDistance(p, q), 5.0);
+  const PointStore p = GenerateUniformStore(1, 64, 1, &rng);
+  std::vector<Coord> q(64);
+  PerturbRowInto(p.row(0), 64, MetricKind::kHamming, 5, 1, &rng, q.data());
+  EXPECT_EQ(HammingDistance(p.row(0), q.data(), 64), 5.0);
 }
 
 TEST(NoisyPairTest, SizesAndDomains) {
@@ -64,15 +68,15 @@ TEST(NoisyPairTest, SizesAndDomains) {
   config.noise = 2;
   config.outlier_dist = 0;
   config.seed = 5;
-  auto workload = GenerateNoisyPair(config);
+  auto workload = GenerateNoisyPairStore(config);
   ASSERT_TRUE(workload.ok());
   EXPECT_EQ(workload->alice.size(), 20u);
   EXPECT_EQ(workload->bob.size(), 20u);
   EXPECT_EQ(workload->ground.size(), 17u);
   EXPECT_EQ(workload->alice_outliers.size(), 3u);
   EXPECT_EQ(workload->bob_outliers.size(), 3u);
-  ValidatePointSet(workload->alice, 3, 63);
-  ValidatePointSet(workload->bob, 3, 63);
+  ValidatePointStore(workload->alice, 3, 63);
+  ValidatePointStore(workload->bob, 3, 63);
 }
 
 TEST(NoisyPairTest, GroundPairsWithinTwiceNoise) {
@@ -84,7 +88,7 @@ TEST(NoisyPairTest, GroundPairsWithinTwiceNoise) {
   config.outliers = 0;
   config.noise = 3;
   config.seed = 6;
-  auto workload = GenerateNoisyPair(config);
+  auto workload = GenerateNoisyPairStore(config);
   ASSERT_TRUE(workload.ok());
   Metric metric(MetricKind::kL2);
   for (size_t i = 0; i < workload->ground.size(); ++i) {
@@ -103,18 +107,20 @@ TEST(NoisyPairTest, OutlierSeparationEnforced) {
   config.noise = 1;
   config.outlier_dist = 150;
   config.seed = 7;
-  auto workload = GenerateNoisyPair(config);
+  auto workload = GenerateNoisyPairStore(config);
   ASSERT_TRUE(workload.ok());
   Metric metric(MetricKind::kL1);
-  for (const Point& o : workload->alice_outliers) {
-    for (const Point& b : workload->bob) {
-      EXPECT_GE(metric.Distance(o, b), 150.0);
+  for (size_t i = 0; i < workload->alice_outliers.size(); ++i) {
+    for (size_t j = 0; j < workload->bob.size(); ++j) {
+      EXPECT_GE(metric.Distance(workload->alice_outliers[i], workload->bob[j]),
+                150.0);
     }
   }
-  for (const Point& o : workload->bob_outliers) {
-    for (const Point& a : workload->alice) {
+  for (size_t i = 0; i < workload->bob_outliers.size(); ++i) {
+    for (size_t j = 0; j < workload->alice.size(); ++j) {
       // Alice's own outliers were placed before Bob's with mutual checks.
-      EXPECT_GE(metric.Distance(o, a), 150.0);
+      EXPECT_GE(metric.Distance(workload->bob_outliers[i], workload->alice[j]),
+                150.0);
     }
   }
 }
@@ -129,7 +135,7 @@ TEST(NoisyPairTest, ImpossibleSeparationFails) {
   config.noise = 0;
   config.outlier_dist = 10;  // impossible: beyond the diameter
   config.seed = 8;
-  EXPECT_FALSE(GenerateNoisyPair(config).ok());
+  EXPECT_FALSE(GenerateNoisyPairStore(config).ok());
 }
 
 TEST(NoisyPairTest, DeterministicBySeed) {
@@ -142,8 +148,8 @@ TEST(NoisyPairTest, DeterministicBySeed) {
   config.noise = 2;
   config.outlier_dist = 30;
   config.seed = 9;
-  auto w1 = GenerateNoisyPair(config);
-  auto w2 = GenerateNoisyPair(config);
+  auto w1 = GenerateNoisyPairStore(config);
+  auto w2 = GenerateNoisyPairStore(config);
   ASSERT_TRUE(w1.ok());
   ASSERT_TRUE(w2.ok());
   EXPECT_EQ(w1->alice, w2->alice);
@@ -152,12 +158,12 @@ TEST(NoisyPairTest, DeterministicBySeed) {
 
 TEST(NoisyPairTest, ValidatesConfig) {
   NoisyPairConfig config;
-  EXPECT_FALSE(GenerateNoisyPair(config).ok());  // dim == 0
+  EXPECT_FALSE(GenerateNoisyPairStore(config).ok());  // dim == 0
   config.dim = 2;
   config.delta = 10;
   config.n = 4;
   config.outliers = 5;  // more outliers than points
-  EXPECT_FALSE(GenerateNoisyPair(config).ok());
+  EXPECT_FALSE(GenerateNoisyPairStore(config).ok());
 }
 
 TEST(ClustersTest, ShapeAndDomain) {
@@ -168,9 +174,9 @@ TEST(ClustersTest, ShapeAndDomain) {
   config.points_per_cluster = 8;
   config.spread = 3.0;
   config.seed = 10;
-  PointSet pts = GenerateClusters(config);
+  PointStore pts = GenerateClustersStore(config);
   EXPECT_EQ(pts.size(), 40u);
-  ValidatePointSet(pts, 3, 255);
+  ValidatePointStore(pts, 3, 255);
 }
 
 }  // namespace
