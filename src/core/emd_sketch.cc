@@ -109,9 +109,6 @@ std::vector<uint64_t> EvaluateEmdLevelKeys(
   std::vector<uint64_t> keys(t * n);
   if (t == 0 || n == 0 || s == 0) return keys;
   hashes.level_key_hash.Reserve(prefix_lens.back());  // thread safety
-  // Flat families read the store's lazily converted double plane; converting
-  // it here leaves the workers below only reading it.
-  if (hashes.draws[0]->SupportsFlatBatch()) points.DoublePlane();
   // About 256 KiB of evaluations per block, so a block is hashed into keys
   // while it is still in cache.
   constexpr size_t kBlockEvals = size_t{1} << 15;

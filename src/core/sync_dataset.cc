@@ -217,7 +217,7 @@ void SyncDataset::ApplyInserts(std::span<const uint64_t> insert_keys) {
   const size_t n0 = rows_.size() - m;  // rows already appended by the caller
 
   // One pass through the dispatched batch kernels over the appended tail;
-  // the dirty-tail double plane makes the conversion O(m · dim).
+  // the pipeline converts only the rows it evaluates, O(m · dim).
   EvaluateRowsInto(rows_, n0, m, hashes_.draws, params_.num_threads,
                    &eval_scratch_);
   batch_keys_.resize(t * m);

@@ -14,10 +14,10 @@ std::shared_ptr<const SyncSnapshot> SyncServer::AcquireSnapshot() {
   snap->sketches.n = live.n;
   snap->sketches.derived = live.derived;
   snap->sketches.prefix_lens = live.prefix_lens;
-  // Deep copy of the cell arrays (Riblt's copy constructor skips the pooled
-  // scratch) and the per-level estimators — the estimators are tiny next to
-  // the tables and let adaptive sessions negotiate off the pinned state
-  // (EstimateDiff is const + reentrant, so the snapshot stays lock-free).
+  // Deep copy of the cell arrays and the per-level estimators — the
+  // estimators are tiny next to the tables and let adaptive sessions
+  // negotiate off the pinned state (EstimateDiff is const + reentrant, so
+  // the snapshot stays lock-free).
   snap->sketches.tables = live.tables;
   snap->sketches.estimators = live.estimators;
   cached_ = std::move(snap);

@@ -7,9 +7,8 @@
 //   - Mutations (Insert/Delete/ApplyBatch) run under the server mutex, one
 //     writer at a time, delegating to the dataset's incremental updates.
 //   - AcquireSnapshot() returns a shared_ptr<const SyncSnapshot>: a deep
-//     copy of the level tables' cell arrays (Riblt's copy constructor skips
-//     the pooled decode scratch, so the copy is exactly the cells — ~levels
-//     x cells x cell bytes, no rebuild, no hashing). The copy is cached and
+//     copy of the level tables' cell arrays (~levels x cells x cell bytes,
+//     no rebuild, no hashing). The copy is cached and
 //     tagged with the dataset's generation counter: repeat acquisitions
 //     between mutations share one snapshot, so the steady-state cost of a
 //     sync under low churn is zero copies.
@@ -86,10 +85,9 @@ class SyncSession {
   /// runs off the snapshot's estimators and the negotiated tables are folded
   /// from the snapshot's cap-size tables into this session's pooled scratch —
   /// O(levels * cap) per sync regardless of n, and allocation-free once the
-  /// scratch shapes are warm. The snapshot side stays shared and read-only;
-  /// `client` is the caller's store and must not be shared between
-  /// concurrent Run calls — evaluation lazily builds its cached double plane
-  /// (mutable, unsynced).
+  /// scratch shapes are warm. The snapshot side stays shared and read-only,
+  /// and so does `client`: Run only reads it, so concurrent sessions may
+  /// run against one const store.
   Result<EmdProtocolReport> Run(const PointStore& client) {
     return RunEmdProtocolPrebuilt(snapshot_->sketches, client,
                                   snapshot_->params, &scratch_);

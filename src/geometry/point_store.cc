@@ -60,47 +60,15 @@ void PointStore::AppendStore(const PointStore& other) {
   size_ += other.size_;
 }
 
-const double* PointStore::DoublePlane() const {
-  if (double_rows_ < size_) {
-    // Convert only the rows appended since the last call (the whole store on
-    // the first call). Appends keep the clean prefix valid, so the steady-
-    // state cost of "append one row, refresh plane" is O(dim), not O(n·dim).
-    doubles_.resize(size_ * dim_);
-    for (size_t i = double_rows_ * dim_; i < coords_.size(); ++i) {
-      doubles_[i] = static_cast<double>(coords_[i]);
-    }
-    double_rows_ = size_;
-  }
-  return doubles_.data();
-}
-
 void PointStore::RemoveRowSwap(size_t i) {
   RSR_DCHECK(i < size_);
   const size_t last = size_ - 1;
   if (i != last) {
     std::memcpy(coords_.data() + i * dim_, coords_.data() + last * dim_,
                 dim_ * sizeof(Coord));
-    if (i < double_rows_) {
-      // Keep the plane's clean prefix valid for the overwritten row: either
-      // the last row's plane entries already exist (copy them) or the last
-      // row was still unconverted tail (convert its coords in place).
-      if (last < double_rows_) {
-        std::memcpy(doubles_.data() + i * dim_, doubles_.data() + last * dim_,
-                    dim_ * sizeof(double));
-      } else {
-        for (size_t j = 0; j < dim_; ++j) {
-          doubles_[i * dim_ + j] =
-              static_cast<double>(coords_[last * dim_ + j]);
-        }
-      }
-    }
   }
   --size_;
   coords_.resize(size_ * dim_);
-  if (double_rows_ > size_) {
-    double_rows_ = size_;
-    doubles_.resize(double_rows_ * dim_);
-  }
 }
 
 // RSR_ZERO_ALLOC: part of the warm EMD pipeline pinned by
@@ -118,8 +86,6 @@ bool PointStore::InDomainAll(Coord delta) const {
 
 void PointStore::SortLex() {
   if (size_ <= 1) return;
-  doubles_.clear();
-  double_rows_ = 0;
   std::vector<uint32_t> order(size_);
   std::iota(order.begin(), order.end(), 0u);
   const Coord* base = coords_.data();

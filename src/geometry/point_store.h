@@ -2,15 +2,12 @@
 //
 // PointStore is the library's one bulk point type: protocol inputs,
 // generator outputs, sketch values, decode results and every report's final
-// set are stores. A store keeps two parallel arenas:
-//
-//   coords : one contiguous Coord buffer, row-major (size() x dim())
-//   doubles: the same rows pre-converted to double, built lazily and cached
-//            (the exact matrix EvalFlatBatch consumes). The cache tracks a
-//            clean-row watermark, so appends do NOT discard it: the next
-//            DoublePlane() call converts only the appended tail (the
-//            incremental-dataset fast path). Only mutations that rewrite
-//            existing rows (sort, dedup, assignment) rebuild from scratch.
+// set are stores. A store keeps one arena: a contiguous Coord buffer,
+// row-major (size() x dim()). Consumers that compute on doubles convert
+// while reading it; the LSH pipeline transposes each point block straight
+// from the arena into column-major doubles (lsh/eval_pipeline.h), so no
+// converted copy lives in the store and a const store is safe to share
+// across threads.
 //
 // Views (PointRef) are non-owning and cheap: a pointer into the arena plus
 // the shared dimension. They are invalidated by any mutation of the store
@@ -81,25 +78,6 @@ class PointStore {
   PointStore() = default;
   explicit PointStore(size_t dim) : dim_(dim) { RSR_CHECK(dim > 0); }
 
-  /// Copies transfer the coordinate arena but NOT the cached double plane
-  /// (copies are usually made to mutate — sort, dedup, append — which would
-  /// drop the cache anyway; the copy rebuilds it on first DoublePlane()).
-  /// Moves keep the plane.
-  PointStore(const PointStore& other)
-      : dim_(other.dim_), size_(other.size_), coords_(other.coords_) {}
-  PointStore& operator=(const PointStore& other) {
-    if (this != &other) {
-      dim_ = other.dim_;
-      size_ = other.size_;
-      coords_ = other.coords_;
-      doubles_.clear();
-      double_rows_ = 0;
-    }
-    return *this;
-  }
-  PointStore(PointStore&&) = default;
-  PointStore& operator=(PointStore&&) = default;
-
   size_t dim() const { return dim_; }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -112,15 +90,10 @@ class PointStore {
   }
   bool operator!=(const PointStore& other) const { return !(*this == other); }
 
-  void Reserve(size_t n) {
-    coords_.reserve(n * dim_);
-    if (!doubles_.empty()) doubles_.reserve(n * dim_);
-  }
+  void Reserve(size_t n) { coords_.reserve(n * dim_); }
   void Clear() {
     size_ = 0;
     coords_.clear();
-    doubles_.clear();
-    double_rows_ = 0;
   }
 
   /// Row views. The returned pointers/refs are invalidated by mutation.
@@ -133,9 +106,7 @@ class PointStore {
   const Coord* coord_data() const { return coords_.data(); }
 
   /// Appends one point and returns its writable row (the caller fills the
-  /// dim() slots). With capacity Reserved, appends never allocate. A cached
-  /// double plane is NOT discarded: it keeps covering the pre-append rows,
-  /// and the next DoublePlane() call converts just the appended tail.
+  /// dim() slots). With capacity Reserved, appends never allocate.
   Coord* AppendRow() {
     RSR_DCHECK(dim_ > 0);  // a default-constructed store has no row width
     coords_.resize(coords_.size() + dim_);
@@ -159,22 +130,8 @@ class PointStore {
   void AppendStore(const PointStore& other);
 
   /// Removes row i by moving the last row into its slot (order-changing,
-  /// O(dim)). A cached double plane stays valid: the overwritten row's plane
-  /// entries are patched and the watermark clamped, so no full rebuild.
-  /// Invalidates views of row i and of the last row.
+  /// O(dim)). Invalidates views of row i and of the last row.
   void RemoveRowSwap(size_t i);
-
-  /// Row-major size() x dim() matrix of the coordinates converted to double
-  /// (the layout LshFunction::EvalFlatBatch consumes). Built lazily on first
-  /// use and cached until the store mutates. NOT thread-safe on the building
-  /// call: pipelines must touch it once before fanning out workers
-  /// (EvaluateAllInto does).
-  const double* DoublePlane() const;
-
-  /// Rows currently covered by the cached double plane (the clean-prefix
-  /// watermark). 0 means "not built"; size() means fully cached. Exposed for
-  /// tests pinning the dirty-tail fast path.
-  size_t cached_plane_rows() const { return double_rows_; }
 
   /// out[i] = (*this)[i].ContentHash(salt); bit-identical to
   /// Point::ContentHash on the same coordinates.
@@ -184,15 +141,11 @@ class PointStore {
   bool InDomainAll(Coord delta) const;
 
   /// Drops every row past the first n (no-op when n >= size()). Capacity is
-  /// kept; a cached double plane survives as its valid prefix.
+  /// kept.
   void Truncate(size_t n) {
     if (n >= size_) return;
     size_ = n;
     coords_.resize(n * dim_);
-    if (double_rows_ > n) {
-      double_rows_ = n;
-      doubles_.resize(n * dim_);
-    }
   }
 
   /// Sorts rows lexicographically — the multiset ordering is identical to
@@ -219,12 +172,6 @@ class PointStore {
   size_t dim_ = 0;
   size_t size_ = 0;
   std::vector<Coord> coords_;
-  /// Cached double plane covering the first double_rows_ rows (invariant:
-  /// doubles_.size() == double_rows_ * dim_). double_rows_ == 0 means "not
-  /// built"; appends leave the clean prefix in place and DoublePlane()
-  /// converts only the tail beyond the watermark.
-  mutable std::vector<double> doubles_;
-  mutable size_t double_rows_ = 0;
 };
 
 /// CHECK-fails unless the store is empty or has dimension `dim`, and all

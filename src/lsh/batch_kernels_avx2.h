@@ -1,8 +1,8 @@
-// AVX2 entry points for the contiguous-row batch kernels.
+// AVX2 entry points for the column-major batch kernels.
 //
 // These are the vector twins of the scalar templates in batch_kernels.h,
-// specialized to the two row layouts the store-native pipeline actually
-// feeds: the cached double plane (Flat) and the raw Coord arena (Coord).
+// specialized to the one layout the eval pipeline feeds the double-based
+// families: a column-major block transposed from the integer arena.
 // Callers never invoke them directly — batch_kernels.cc selects them at
 // runtime (util/cpu_features.h) — except the bit-identity tests, which pin
 // scalar == AVX2 on every family regardless of the dispatch decision.
@@ -19,8 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "geometry/point.h"
-
 namespace rsr {
 namespace lsh_internal {
 
@@ -28,22 +26,9 @@ namespace lsh_internal {
 /// enabled (the dispatcher requires this on top of the CPUID probe).
 extern const bool kAvx2KernelsCompiled;
 
-void GridHashFlatAvx2(const double* coords, size_t n, size_t dim,
-                      const double* offsets, double w, uint64_t salt,
-                      uint64_t* out, size_t out_stride);
-void GridHashCoordAvx2(const Coord* coords, size_t n, size_t dim,
-                       const double* offsets, double w, uint64_t salt,
-                       uint64_t* out, size_t out_stride);
-void DotCellFlatAvx2(const double* coords, size_t n, size_t dim,
-                     const double* direction, double offset, double w,
-                     uint64_t* out, size_t out_stride);
-void DotCellCoordAvx2(const Coord* coords, size_t n, size_t dim,
-                      const double* direction, double offset, double w,
-                      uint64_t* out, size_t out_stride);
-
-/// Column-major (cols[j * col_stride + i]) variants: the layout the eval
-/// pipeline pre-transposes each point block into, where a 4-point lane load
-/// is one contiguous vmovupd with no shuffles. Fastest kernels in the table.
+/// Column-major input (cols[j * col_stride + i]): the layout the eval
+/// pipeline transposes each point block into, where a 4-point lane load is
+/// one contiguous vmovupd with no shuffles.
 void GridHashColsAvx2(const double* cols, size_t col_stride, size_t n,
                       size_t dim, const double* offsets, double w,
                       uint64_t salt, uint64_t* out, size_t out_stride);

@@ -19,8 +19,8 @@ class BitSamplingFunction : public LshFunction {
   }
 
   // Arena path: a strided gather straight out of the PointStore rows. Bit
-  // sampling consumes raw integer coordinates, so this (not the double
-  // plane) is its store-native batch. The coordinate-index offset is folded
+  // sampling consumes raw integer coordinates, so this (not a column block
+  // of doubles) is its store-native batch. The coordinate-index offset is folded
   // into the base pointer once and both cursors step by their strides, so
   // the per-point loop carries no index arithmetic beyond two adds, and the
   // index (or the constant-0 branch) is resolved once per batch.

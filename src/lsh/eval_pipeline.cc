@@ -6,6 +6,9 @@
 
 namespace rsr {
 
+// RSR_ZERO_ALLOC: *out is the caller's scratch matrix and the transpose
+// buffer is pooled per thread, so a warm single-thread call allocates
+// nothing (PointStoreTest.WarmEvaluateAllIntoAndInsertManyDoNotAllocate).
 void EvaluateRowsInto(
     const PointStore& points, size_t row_begin, size_t row_count,
     const std::vector<std::unique_ptr<LshFunction>>& functions,
@@ -17,18 +20,12 @@ void EvaluateRowsInto(
   if (n == 0 || s == 0) return;
   uint64_t* data = out->mutable_data();
   const size_t dim = points.dim();
-  // All draws come from one family, so one representative decides the path.
-  // Flat families read the store's cached double plane (no per-run flatten
-  // copy — the store converts coordinates once, the first time any pipeline
-  // asks); integer-coordinate families stream the arena directly. Both are
-  // touched here, before the fan-out, so workers only ever read.
-  const bool flat = functions[0]->SupportsFlatBatch();
-  // Base pointers are offset to row_begin so the block loop below can index
-  // rows [0, row_count) uniformly. DoublePlane() converts at most the dirty
-  // tail (see PointStore), so a tail evaluation right after appends costs
-  // O(row_count · dim) conversion, not O(n · dim).
-  const double* plane =
-      flat ? points.DoublePlane() + row_begin * dim : nullptr;
+  // All draws come from one family, so one representative decides the
+  // layout: double-based families read column blocks transposed from the
+  // arena, integer-coordinate families read the arena rows directly. The
+  // base pointer is offset to row_begin so the block loop below indexes
+  // rows [0, row_count) uniformly.
+  const bool cols = functions[0]->SupportsColsBatch();
   const Coord* arena = points.coord_data() + row_begin * dim;
   // Block the point range so one block's matrix slice (block * s * 8 bytes)
   // stays L1-resident across all s strided column writes; without blocking
@@ -36,44 +33,44 @@ void EvaluateRowsInto(
   // n x s buffer. The column path re-touches its slice with SIMD-rate
   // stores, so it wants the slice well inside L1 (16 KiB); the coord path's
   // scalar kernels tolerate a larger footprint and prefer fewer virtual
-  // calls. The transpose scratch is a fixed stack buffer (this pipeline is
-  // allocation-free when warm — pinned by pointstore_test), which bounds
-  // block * dim; dims too large for it take the row-major flat path instead.
-  constexpr size_t kColsScratchDoubles = 4096;  // 32 KiB per worker
-  const bool cols_path = flat && dim > 0 && dim <= kColsScratchDoubles / 16;
-  size_t block = ((flat && cols_path) ? (size_t{1} << 11) : (size_t{1} << 13)) /
-                 (s > 0 ? s : 1);
+  // calls. A transposed block is kept near 32 KiB, but never below one
+  // 4-point AVX2 lane group, whatever the dim.
+  constexpr size_t kColsBlockDoubles = 4096;
+  size_t block = (cols ? size_t{1} << 11 : size_t{1} << 13) / s;
   if (block < 16) block = 16;
-  if (cols_path && block * dim > kColsScratchDoubles) {
-    block = kColsScratchDoubles / dim;  // >= 16 by the cols_path bound
+  if (cols && block * dim > kColsBlockDoubles) {
+    block = std::max<size_t>(4, kColsBlockDoubles / dim / 4 * 4);
   }
   ParallelShards(n, num_threads, [&](size_t begin, size_t end) {
-    // Column path: transpose each block of double-plane rows to column-major
-    // ONCE (cols[j * len + i]), amortized over all s function passes. The
-    // SIMD column kernels then load 4 consecutive points' coordinate j with
-    // one contiguous vector load — no per-pass gathers or shuffles.
-    alignas(32) double cols[kColsScratchDoubles];
+    // Column path: transpose each block of arena rows to column-major
+    // doubles ONCE (col_block[j * len + i]), amortized over all s function
+    // passes. The SIMD column kernels then load 4 consecutive points'
+    // coordinate j with one contiguous vector load. Each thread keeps its
+    // own buffer, so workers share nothing but the read-only store.
+    static thread_local std::vector<double> cols_scratch;
+    if (cols && cols_scratch.size() < block * dim) {
+      cols_scratch.resize(block * dim);
+    }
+    double* const col_block = cols_scratch.data();
     for (size_t b = begin; b < end; b += block) {
       const size_t len = std::min(block, end - b);
-      if (cols_path) {
-        const double* rows = plane + b * dim;
+      const Coord* rows = arena + b * dim;
+      if (cols) {
         for (size_t j = 0; j < dim; ++j) {
-          double* col = cols + j * len;
-          for (size_t i = 0; i < len; ++i) col[i] = rows[i * dim + j];
+          double* col = col_block + j * len;
+          for (size_t i = 0; i < len; ++i) {
+            col[i] = static_cast<double>(rows[i * dim + j]);
+          }
         }
       }
       // Function-major within the block: one virtual call per function, with
       // its drawn parameters hoisted for the whole point range.
       for (size_t g = 0; g < s; ++g) {
-        if (cols_path) {
-          functions[g]->EvalColsBatch(cols, len, len, dim, data + b * s + g,
-                                      s);
-        } else if (flat) {
-          functions[g]->EvalFlatBatch(plane + b * dim, len, dim,
+        if (cols) {
+          functions[g]->EvalColsBatch(col_block, len, len, dim,
                                       data + b * s + g, s);
         } else {
-          functions[g]->EvalCoordBatch(arena + b * dim, len, dim,
-                                       data + b * s + g, s);
+          functions[g]->EvalCoordBatch(rows, len, dim, data + b * s + g, s);
         }
       }
     }

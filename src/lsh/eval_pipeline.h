@@ -60,10 +60,12 @@ class EvalMatrix {
 /// writes a disjoint strided column slice, so the matrix is bit-identical
 /// for every thread count.
 ///
-/// Store-native hot path: flat-capable families stream the store's cached
-/// double plane (built once per store, not per run), all others stream the
-/// raw coordinate arena via EvalCoordBatch. With a warm store and a sized
-/// matrix the whole fill performs zero per-point allocations.
+/// Store-native hot path: double-based families (SupportsColsBatch) read
+/// each point block transposed from the coordinate arena into a per-thread
+/// column buffer, converting int64 -> double on the way; all others stream
+/// the arena via EvalCoordBatch. The store is only read, so one const store
+/// may be evaluated from several threads at once. With a sized matrix a
+/// warm single-thread fill performs zero allocations.
 void EvaluateAllInto(const PointStore& points,
                      const std::vector<std::unique_ptr<LshFunction>>& functions,
                      size_t num_threads, EvalMatrix* out);

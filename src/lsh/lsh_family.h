@@ -41,53 +41,42 @@ struct MlshParams {
 /// Eval is the scalar reference; the batch entry points are the hot paths
 /// used by the protocol pipelines: one virtual call per *function* instead
 /// of one per (point, function), with the drawn parameters hoisted out of
-/// the point loop. Each batch path reads one PointStore layout: raw integer
-/// rows (EvalCoordBatch), the store's row-major double plane
-/// (EvalFlatBatch), or a column-major double block (EvalColsBatch). Every
-/// override must produce bucket ids bit-identical to Eval (enforced by
-/// lsh_batch_test), so transcripts never depend on which path a caller
-/// takes.
+/// the point loop. Each family computes on one coordinate layout: raw
+/// integer rows of a PointStore arena (EvalCoordBatch, bit sampling) or a
+/// column-major double block (EvalColsBatch, grid, one-sided grid and
+/// 2-stable). Every override must produce bucket ids bit-identical to Eval
+/// (enforced by lsh_batch_test), so transcripts never depend on which path a
+/// caller takes.
 class LshFunction {
  public:
   virtual ~LshFunction() = default;
   virtual uint64_t Eval(const Point& x) const = 0;
 
-  /// True iff EvalFlatBatch is implemented. Families whose arithmetic starts
+  /// True iff EvalColsBatch is implemented. Families whose arithmetic starts
   /// from double coordinates (grid, one-sided grid, 2-stable) support it;
-  /// the pipeline then reads the store's cached double plane instead of
-  /// re-converting int64 coordinates in every one of the s function passes.
-  /// int64 -> double is a single well-defined rounding, so hoisting it
-  /// cannot change any bucket id. Families that consume raw integer
-  /// coordinates (bit sampling) stay on EvalCoordBatch.
-  virtual bool SupportsFlatBatch() const { return false; }
+  /// the pipeline then transposes each point block from the integer arena
+  /// into doubles once and amortizes that over all s function passes.
+  /// int64 -> double is a single well-defined rounding, so converting during
+  /// the transpose cannot change any bucket id. Families that consume raw
+  /// integer coordinates (bit sampling) stay on EvalCoordBatch.
+  virtual bool SupportsColsBatch() const { return false; }
 
-  /// Writes Eval(x_i) to out[i * out_stride] for the n points of a
-  /// row-major n x dim matrix of pre-converted double coordinates
-  /// (coords[i * dim + j] == (double)x_i[j]). The stride lets callers fill
-  /// one column of a row-major evaluation matrix without a scatter pass.
-  /// Only valid when SupportsFlatBatch(); the default CHECK-fails.
-  virtual void EvalFlatBatch(const double* coords, size_t n, size_t dim,
-                             uint64_t* out, size_t out_stride) const;
-
-  /// Like EvalFlatBatch, but over COLUMN-major double coordinates:
-  /// cols[j * col_stride + i] == (double)points[i][j]. This is the layout
-  /// the eval pipeline pre-transposes each point block into (once, amortized
-  /// over all s drawn functions), and the layout the SIMD kernels want — a
-  /// vector lane load of consecutive points' coordinate j is one contiguous
-  /// load. Only valid when SupportsFlatBatch(). The default gathers rows
-  /// into a temporary and defers to EvalFlatBatch (correct for any flat
-  /// family, but allocating); the built-in flat families override it with
-  /// the dispatched column kernels.
+  /// Writes Eval(x_i) to out[i * out_stride] for n points held COLUMN-major
+  /// as doubles: cols[j * col_stride + i] == (double)x_i[j]. This is the
+  /// layout the eval pipeline transposes each point block into, and the
+  /// layout the SIMD kernels want: a vector lane load of consecutive points'
+  /// coordinate j is one contiguous load. The stride lets callers fill one
+  /// column of a row-major evaluation matrix without a scatter pass. Only
+  /// valid when SupportsColsBatch(); the default CHECK-fails.
   virtual void EvalColsBatch(const double* cols, size_t col_stride, size_t n,
                              size_t dim, uint64_t* out,
                              size_t out_stride) const;
 
-  /// Like EvalFlatBatch over a row-major n x dim matrix of raw integer
+  /// Like EvalColsBatch over a row-major n x dim matrix of raw integer
   /// coordinates (one PointStore arena: coords + i * dim is point i's row).
-  /// Every family overrides this allocation-free (the batch kernels are
-  /// templated on the row accessor); the default materializes a temporary
-  /// Point per row, which is correct for exotic families but slow. Results
-  /// are bit-identical to Eval, like every other batch path.
+  /// Bit sampling overrides this allocation-free; the default materializes a
+  /// temporary Point per row, which is correct for every family but slow.
+  /// Results are bit-identical to Eval, like every other batch path.
   virtual void EvalCoordBatch(const Coord* coords, size_t n, size_t dim,
                               uint64_t* out, size_t out_stride) const;
 };

@@ -25,30 +25,16 @@ class OneSidedGridFunction : public LshFunction {
     return h;
   }
 
-  // Function-major hot paths with interleaved HashCombine chains; same
-  // rounding and per-point operation order as Eval (see grid.cc notes). All
-  // three paths use the runtime-dispatched (AVX2-capable) kernels.
-  bool SupportsFlatBatch() const override { return true; }
-  void EvalFlatBatch(const double* coords, size_t n, size_t dim, uint64_t* out,
-                     size_t out_stride) const override {
-    RSR_DCHECK(dim == offsets_.size());
-    lsh_internal::GridHashFlat(coords, n, dim, offsets_.data(), w_, salt_, out,
-                               out_stride);
-  }
-
+  // Function-major hot path with interleaved HashCombine chains; same
+  // rounding and per-point operation order as Eval (see grid.cc notes),
+  // through the runtime-dispatched (AVX2-capable) column kernel.
+  bool SupportsColsBatch() const override { return true; }
   void EvalColsBatch(const double* cols, size_t col_stride, size_t n,
                      size_t dim, uint64_t* out,
                      size_t out_stride) const override {
     RSR_DCHECK(dim == offsets_.size());
     lsh_internal::GridHashCols(cols, col_stride, n, dim, offsets_.data(), w_,
                                salt_, out, out_stride);
-  }
-
-  void EvalCoordBatch(const Coord* coords, size_t n, size_t dim, uint64_t* out,
-                      size_t out_stride) const override {
-    RSR_DCHECK(dim == offsets_.size());
-    lsh_internal::GridHashCoord(coords, n, dim, offsets_.data(), w_, salt_, out,
-                                out_stride);
   }
 
  private:

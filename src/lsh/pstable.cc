@@ -29,29 +29,15 @@ class PStableFunction : public LshFunction {
   // whole point range, and points run interleaved (batch_kernels.h) so their
   // serial dot-product chains overlap instead of stalling on FMA latency.
   // Each point's accumulation order and the final `/ w` division match Eval
-  // exactly, so the lattice cell is bit-identical. All three paths use the
-  // runtime-dispatched (AVX2-capable) kernels.
-  bool SupportsFlatBatch() const override { return true; }
-  void EvalFlatBatch(const double* coords, size_t n, size_t dim, uint64_t* out,
-                     size_t out_stride) const override {
-    RSR_DCHECK(dim == direction_.size());
-    lsh_internal::DotCellFlat(coords, n, dim, direction_.data(), offset_, w_,
-                              out, out_stride);
-  }
-
+  // exactly, so the lattice cell is bit-identical. The column block goes
+  // through the runtime-dispatched (AVX2-capable) kernel.
+  bool SupportsColsBatch() const override { return true; }
   void EvalColsBatch(const double* cols, size_t col_stride, size_t n,
                      size_t dim, uint64_t* out,
                      size_t out_stride) const override {
     RSR_DCHECK(dim == direction_.size());
     lsh_internal::DotCellCols(cols, col_stride, n, dim, direction_.data(),
                               offset_, w_, out, out_stride);
-  }
-
-  void EvalCoordBatch(const Coord* coords, size_t n, size_t dim, uint64_t* out,
-                      size_t out_stride) const override {
-    RSR_DCHECK(dim == direction_.size());
-    lsh_internal::DotCellCoord(coords, n, dim, direction_.data(), offset_, w_,
-                               out, out_stride);
   }
 
  private:

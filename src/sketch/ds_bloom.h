@@ -56,11 +56,11 @@ class DistanceSensitiveBloomFilter {
 
   void Insert(const Point& p);
 
-  /// Store-native batch insert via the function-major LSH pipeline: per
-  /// (bank, draw) one batch evaluation over the whole set instead of a
-  /// virtual call per point — flat-capable draws stream the store's double
-  /// plane, others its coordinate arena. Final bank contents are
-  /// bit-identical to repeated Insert (bit OR commutes).
+  /// Store-native batch insert: one EvaluateAllInto pass over all drawn
+  /// functions (one batch call per draw instead of a virtual call per
+  /// point), then each bank folds its draws per point in Insert's order.
+  /// Final bank contents are bit-identical to repeated Insert (bit OR
+  /// commutes).
   void InsertMany(const PointStore& points);
 
   /// Fraction of banks whose addressed bit is set for p.

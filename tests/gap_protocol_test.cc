@@ -5,11 +5,16 @@
 // S_A is within r2 of some point of S'_B = S_B ∪ T_A.
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/gap_lowdim.h"
 #include "core/gap_protocol.h"
+#include "hashing/hash64.h"
+#include "hashing/pairwise.h"
 #include "workload/generators.h"
 
 namespace rsr {
@@ -368,6 +373,144 @@ TEST(LowDimGapTest, DerivedHScalesWithRhoHat) {
   ASSERT_TRUE(rt.ok());
   ASSERT_TRUE(rl.ok());
   EXPECT_GT(rt->derived.h, rl->derived.h);
+}
+
+// ---- Far detection against a plain oracle ---------------------------------
+//
+// internal::RunGapPipeline flags an Alice key far when its best slot-match
+// count against Bob's recovered keys is below tau. The oracle recomputes
+// Alice's keys by the scalar definition
+//   keys[i][j] = (uint32) H_j(Eval_{jm}(p_i) ... Eval_{jm+m-1}(p_i)),
+// with H_j drawn from Rng(Mix64(seed) ^ 0x6a9) as the pipeline draws them,
+// and compares each distinct key against every recovered Bob key, slot by
+// slot. Far rows are expected grouped by key in key order, rows ascending
+// within a key.
+
+constexpr size_t kOracleDim = 64;
+constexpr size_t kOracleH = 8;
+constexpr size_t kOracleM = 2;
+constexpr uint64_t kOracleSeed = 77;
+
+std::vector<SlottedSet> OracleKeys(
+    const PointStore& points,
+    const std::vector<std::unique_ptr<LshFunction>>& functions) {
+  Rng shared(Mix64(kOracleSeed) ^ 0x6a9);
+  std::vector<PairwiseVectorHash> slot_hashes;
+  for (size_t j = 0; j < kOracleH; ++j) {
+    slot_hashes.push_back(PairwiseVectorHash::Draw(&shared));
+  }
+  std::vector<SlottedSet> keys(points.size(), SlottedSet(kOracleH));
+  for (size_t i = 0; i < points.size(); ++i) {
+    const Point p = points.MakePoint(i);
+    for (size_t j = 0; j < kOracleH; ++j) {
+      std::vector<uint64_t> batch(kOracleM);
+      for (size_t t = 0; t < kOracleM; ++t) {
+        batch[t] = functions[j * kOracleM + t]->Eval(p);
+      }
+      keys[i][j] = static_cast<uint32_t>(slot_hashes[j].Eval(batch));
+    }
+  }
+  return keys;
+}
+
+// Runs the pipeline at threshold tau and checks far_keys and transmitted
+// against the oracle; returns the number of transmitted rows.
+size_t ExpectFarDetectionMatchesOracle(const PointStore& alice,
+                                       const PointStore& bob, double tau) {
+  auto lsh = MakeGapLsh(MetricKind::kHamming, kOracleDim, 2, 16);
+  EXPECT_TRUE(lsh.ok());
+  if (!lsh.ok()) return 0;
+  Rng draw_rng(kOracleSeed);
+  const std::vector<std::unique_ptr<LshFunction>> functions =
+      DrawMany(*lsh->family, kOracleH * kOracleM, &draw_rng);
+  internal::GapPipelineConfig config;
+  config.h = kOracleH;
+  config.m = kOracleM;
+  config.tau = tau;
+  config.reconciler.sig_cells = 64;
+  config.reconciler.elem_cells = 256;
+  config.reconciler.seed = 78;
+  config.seed = kOracleSeed;
+  auto result = internal::RunGapPipeline(alice, bob, functions, config);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return 0;
+
+  // Bob's recovered keys are his keys by the scalar definition, as a
+  // multiset.
+  std::vector<SlottedSet> recovered = result->reconciliation.bob_sets;
+  std::vector<SlottedSet> bob_keys = OracleKeys(bob, functions);
+  std::sort(recovered.begin(), recovered.end());
+  std::sort(bob_keys.begin(), bob_keys.end());
+  EXPECT_EQ(recovered, bob_keys) << "tau " << tau;
+
+  std::map<SlottedSet, std::vector<size_t>> rows_by_key;
+  const std::vector<SlottedSet> alice_keys = OracleKeys(alice, functions);
+  for (size_t i = 0; i < alice_keys.size(); ++i) {
+    rows_by_key[alice_keys[i]].push_back(i);
+  }
+  size_t far_keys = 0;
+  PointStore far_rows(kOracleDim);
+  for (const auto& [key, rows] : rows_by_key) {
+    size_t best = 0;
+    for (const SlottedSet& bob_key : result->reconciliation.bob_sets) {
+      size_t count = 0;
+      for (size_t j = 0; j < kOracleH; ++j) count += key[j] == bob_key[j];
+      best = std::max(best, count);
+    }
+    if (static_cast<double>(best) < tau) {
+      ++far_keys;
+      for (size_t i : rows) far_rows.Append(alice.row(i));
+    }
+  }
+  EXPECT_EQ(result->far_keys, far_keys) << "tau " << tau;
+  EXPECT_EQ(result->transmitted, far_rows) << "tau " << tau;
+  return result->transmitted.size();
+}
+
+TEST(GapFarOracleTest, FarDetectionMatchesPlainOracle) {
+  Rng rng(79);
+  const PointStore bob = GenerateUniformStore(20, kOracleDim, 1, &rng);
+  // Alice: 8 of Bob's rows, 8 rows one bit away from Bob's, 6 random rows,
+  // and 3 duplicated rows, so some keys have several owners.
+  PointStore alice(kOracleDim);
+  for (size_t i = 0; i < 8; ++i) alice.Append(bob.row(i));
+  for (size_t i = 8; i < 16; ++i) {
+    Coord* row = alice.AppendRow();
+    std::copy(bob.row(i), bob.row(i) + kOracleDim, row);
+    row[i] ^= 1;
+  }
+  alice.AppendStore(GenerateUniformStore(6, kOracleDim, 1, &rng));
+  for (size_t i : {size_t{2}, size_t{9}, size_t{17}}) {
+    const Point dup = alice.MakePoint(i);
+    alice.Append(dup);
+  }
+
+  const double h = static_cast<double>(kOracleH);
+  size_t previous = 0;
+  // tau <= 1 flags only keys sharing no slot with any Bob key; tau = h
+  // flags every key without an exact match. More rows go far as tau grows.
+  for (double tau : {0.0, 0.5, 1.0, h / 2 + 0.5, h - 1, h}) {
+    const size_t sent = ExpectFarDetectionMatchesOracle(alice, bob, tau);
+    EXPECT_GE(sent, previous) << "tau " << tau;
+    previous = sent;
+  }
+  // Alice's copies of Bob's rows match exactly, so even tau = h keeps them.
+  EXPECT_LT(previous, alice.size());
+  EXPECT_GT(previous, 0u);
+}
+
+TEST(GapFarOracleTest, EmptySidesMatchPlainOracle) {
+  Rng rng(80);
+  const PointStore points = GenerateUniformStore(12, kOracleDim, 1, &rng);
+  const PointStore empty(kOracleDim);
+  const double h = static_cast<double>(kOracleH);
+  for (double tau : {0.5, 1.0, h}) {
+    // An empty Bob leaves every Alice key at best count 0: all far.
+    EXPECT_EQ(ExpectFarDetectionMatchesOracle(points, empty, tau),
+              points.size());
+    // An empty Alice has nothing to flag.
+    EXPECT_EQ(ExpectFarDetectionMatchesOracle(empty, points, tau), 0u);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Exhaustive scalar-vs-batch equivalence for the LSH evaluation pipeline.
 //
-// The batch paths (LshFunction::EvalCoordBatch/EvalFlatBatch, EvaluateAllInto,
+// The batch paths (LshFunction::EvalCoordBatch/EvalColsBatch, EvaluateAllInto,
 // PairwiseVectorHash::EvalPrefixes/EvalBatch, PairwiseHash::EvalMany) are
 // pure re-schedulings of the scalar reference implementations: every bucket
 // id, prefix key, and protocol transcript must be bit-identical for every
@@ -82,30 +82,6 @@ TEST(LshBatchTest, EvalCoordBatchHonorsStride) {
   }
 }
 
-TEST(LshBatchTest, EvalFlatBatchMatchesScalar) {
-  const size_t dim = 6;
-  Rng rng(51);
-  PointStore points = GenerateUniformStore(67, dim, 1023, &rng);
-  std::vector<double> flat(points.size() * dim);
-  for (size_t i = 0; i < points.size(); ++i) {
-    for (size_t j = 0; j < dim; ++j) {
-      flat[i * dim + j] = static_cast<double>(points[i][j]);
-    }
-  }
-  for (const auto& family : AllFamilies(dim, 1023)) {
-    std::unique_ptr<LshFunction> fn = family->Draw(&rng);
-    if (!fn->SupportsFlatBatch()) {
-      EXPECT_EQ(family->Name(), "bit_sampling");  // raw-coordinate family
-      continue;
-    }
-    std::vector<uint64_t> out(points.size());
-    fn->EvalFlatBatch(flat.data(), points.size(), dim, out.data(), 1);
-    for (size_t i = 0; i < points.size(); ++i) {
-      ASSERT_EQ(out[i], fn->Eval(points.MakePoint(i))) << family->Name();
-    }
-  }
-}
-
 TEST(LshBatchTest, EvaluateAllIntoMatchesScalarForEveryThreadCount) {
   const size_t dim = 5;
   Rng rng(21);
@@ -131,6 +107,39 @@ TEST(LshBatchTest, EvaluateAllIntoMatchesScalarForEveryThreadCount) {
         for (size_t g = 0; g < functions.size(); ++g) {
           ASSERT_EQ(matrix.at(i, g), reference[i][g])
               << family->Name() << " threads " << threads;
+        }
+      }
+    }
+  }
+}
+
+// Every column family at dims above 256, where a 32 KiB block holds fewer
+// than 16 rows, up to one where a single row no longer fits 32 KiB: the
+// pipeline must still transpose blocks of at least 4 rows and match scalar
+// Eval.
+TEST(LshBatchTest, EvaluateAllIntoMatchesScalarAtHighDims) {
+  for (size_t dim : {size_t{257}, size_t{1024}, size_t{4100}}) {
+    Rng rng(dim);
+    PointStore store = GenerateUniformStore(23, dim, 1023, &rng);
+    std::vector<std::unique_ptr<LshFamily>> families;
+    families.push_back(std::make_unique<GridFamily>(dim, 17.5));
+    families.push_back(std::make_unique<OneSidedGridFamily>(dim, 64.0, 2));
+    families.push_back(std::make_unique<PStableFamily>(dim, 9.25));
+    for (const auto& family : families) {
+      std::vector<std::unique_ptr<LshFunction>> functions =
+          DrawMany(*family, 5, &rng);
+      ASSERT_TRUE(functions[0]->SupportsColsBatch()) << family->Name();
+      for (size_t threads : {size_t{1}, size_t{3}}) {
+        EvalMatrix matrix;
+        EvaluateAllInto(store, functions, threads, &matrix);
+        ASSERT_EQ(matrix.rows(), store.size());
+        for (size_t i = 0; i < store.size(); ++i) {
+          const Point p = store.MakePoint(i);
+          for (size_t g = 0; g < functions.size(); ++g) {
+            ASSERT_EQ(matrix.at(i, g), functions[g]->Eval(p))
+                << family->Name() << " dim " << dim << " threads " << threads
+                << " point " << i;
+          }
         }
       }
     }
@@ -236,6 +245,41 @@ TEST(LshBatchTest, DsBloomInsertManyMatchesInsert) {
   for (size_t i = 0; i < queries.size(); ++i) {
     const Point q = queries.MakePoint(i);
     ASSERT_EQ(one_by_one.VoteFraction(q), batched.VoteFraction(q));
+  }
+}
+
+// The same check for the families InsertMany evaluates through transposed
+// column blocks.
+TEST(LshBatchTest, DsBloomInsertManyMatchesInsertForColumnFamilies) {
+  const size_t dim = 16;
+  std::vector<std::unique_ptr<LshFamily>> families;
+  families.push_back(std::make_unique<GridFamily>(dim, 64.0));
+  families.push_back(std::make_unique<PStableFamily>(dim, 32.0));
+  LshParams lsh;
+  lsh.p1 = 0.9;
+  lsh.p2 = 0.5;
+  DsBloomParams params;
+  params.num_banks = 8;
+  params.hashes_per_bank = 3;
+  params.bits_per_bank = 256;
+  params.expected_set_size = 64;
+  params.seed = 99;
+  for (const auto& family : families) {
+    DistanceSensitiveBloomFilter one_by_one(*family, lsh, params);
+    DistanceSensitiveBloomFilter batched(*family, lsh, params);
+    Rng rng(10);
+    PointStore points = GenerateUniformStore(67, dim, 255, &rng);
+    for (size_t i = 0; i < points.size(); ++i) {
+      one_by_one.Insert(points.MakePoint(i));
+    }
+    batched.InsertMany(points);
+    PointStore queries = GenerateUniformStore(128, dim, 255, &rng);
+    queries.AppendStore(points);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const Point q = queries.MakePoint(i);
+      ASSERT_EQ(one_by_one.VoteFraction(q), batched.VoteFraction(q))
+          << family->Name() << " query " << i;
+    }
   }
 }
 

@@ -142,22 +142,6 @@ TEST(PointStoreTest, InDomainAllMatchesPerPointInDomain) {
   ValidatePointStore(store, 4, 255);
 }
 
-TEST(PointStoreTest, DoublePlaneTracksMutation) {
-  Rng rng(7);
-  PointStore store = GenerateUniformStore(9, 3, 1000, &rng);
-  const double* plane = store.DoublePlane();
-  for (size_t i = 0; i < store.size(); ++i) {
-    for (size_t j = 0; j < 3; ++j) {
-      ASSERT_EQ(plane[i * 3 + j], static_cast<double>(store.row(i)[j]));
-    }
-  }
-  // Mutation invalidates and rebuilds.
-  Coord extra[3] = {1, -2, 3};
-  store.Append(extra);
-  plane = store.DoublePlane();
-  EXPECT_EQ(plane[9 * 3 + 1], -2.0);
-}
-
 TEST(PointStoreTest, AppendManyAfterReserveDoesNotAllocate) {
   Rng rng(8);
   const PointStore points = GenerateUniformStore(512, 4, 255, &rng);
@@ -181,9 +165,10 @@ TEST(PointStoreTest, AppendManyAfterReserveDoesNotAllocate) {
 
 TEST(PointStoreTest, WarmEvaluateAllIntoAndInsertManyDoNotAllocate) {
   // The EMD protocol hot path over a store: LSH matrix fill + keyed RIBLT
-  // insertion. After one warm-up run (matrix sized, double plane built,
-  // store arena final) the whole pipeline must perform ZERO allocations —
-  // this is the "per-run flatten copy eliminated" acceptance check.
+  // insertion. After one warm-up run (matrix sized, the thread's transpose
+  // buffer grown, store arena final) the whole pipeline must perform ZERO
+  // allocations — this is the "per-run flatten copy eliminated" acceptance
+  // check.
   Rng rng(9);
   PointStore store = GenerateUniformStore(256, 8, 1023, &rng);
   PStableFamily family(8, 32.0);
@@ -221,74 +206,46 @@ TEST(PointStoreTest, WarmEvaluateAllIntoAndInsertManyDoNotAllocate) {
   EXPECT_EQ(AllocationCount(), before);
 }
 
-// ------------------------------------------- dirty-tail double plane --
+// ------------------------------------------------ in-place row edits --
 
-void ExpectPlaneMatchesCoords(const PointStore& store) {
-  const double* plane = store.DoublePlane();
-  ASSERT_EQ(store.cached_plane_rows(), store.size());
-  for (size_t i = 0; i < store.size(); ++i) {
-    for (size_t j = 0; j < store.dim(); ++j) {
-      ASSERT_EQ(plane[i * store.dim() + j],
-                static_cast<double>(store.row(i)[j]))
-          << "row " << i << " dim " << j;
-    }
-  }
-}
-
-TEST(PointStoreTest, AppendKeepsTheCleanPlanePrefix) {
-  Rng rng(31);
-  PointStore store = GenerateUniformStore(6, 3, 1000, &rng);
-  EXPECT_EQ(store.cached_plane_rows(), 0u);  // lazily built
-  store.DoublePlane();
-  EXPECT_EQ(store.cached_plane_rows(), 6u);
-
-  // Appends leave the watermark (and the converted prefix) in place...
-  Coord extra[3] = {4, 5, 6};
-  store.Append(extra);
-  store.AppendRow()[0] = 7;
-  EXPECT_EQ(store.cached_plane_rows(), 6u);
-  // ...and the next DoublePlane() converts exactly the tail.
-  ExpectPlaneMatchesCoords(store);
-
-  // Row-rewriting mutations still drop the whole cache.
-  store.SortLex();
-  EXPECT_EQ(store.cached_plane_rows(), 0u);
-  ExpectPlaneMatchesCoords(store);
-
-  // Truncate keeps the surviving prefix converted.
-  store.Truncate(3);
-  EXPECT_EQ(store.cached_plane_rows(), 3u);
-  ExpectPlaneMatchesCoords(store);
-}
-
-TEST(PointStoreTest, RemoveRowSwapKeepsThePlaneValid) {
+TEST(PointStoreTest, RemoveRowSwapAndTruncateKeepRowOrder) {
   Rng rng(32);
   PointStore store = GenerateUniformStore(8, 2, 500, &rng);
-  store.DoublePlane();
+  const PointStore original = store;
 
-  // Swap-remove inside the converted prefix: plane row patched in place.
-  Point moved = store.MakePoint(7);
+  // Swap-remove moves the last row into the vacated slot; every other row
+  // stays where it was.
   store.RemoveRowSwap(2);
-  EXPECT_EQ(store.size(), 7u);
-  EXPECT_EQ(store.cached_plane_rows(), 7u);
-  EXPECT_EQ(store.MakePoint(2), moved);
-  ExpectPlaneMatchesCoords(store);
+  ASSERT_EQ(store.size(), 7u);
+  for (size_t i = 0; i < store.size(); ++i) {
+    EXPECT_EQ(store.MakePoint(i), original.MakePoint(i == 2 ? 7 : i)) << i;
+  }
 
-  // Removing the last row just shrinks the watermark.
+  // Removing the last row just shrinks the store.
   store.RemoveRowSwap(store.size() - 1);
-  EXPECT_EQ(store.cached_plane_rows(), 6u);
-  ExpectPlaneMatchesCoords(store);
+  EXPECT_EQ(store.size(), 6u);
 
-  // Swap-remove that moves an UNCONVERTED tail row into the converted
-  // prefix: the implementation must convert it on the spot.
+  // Rows appended after earlier removals move the same way.
   Coord a[2] = {11, -3};
   Coord b[2] = {21, 9};
   store.Append(a);
   store.Append(b);
-  ASSERT_LT(store.cached_plane_rows(), store.size());
   store.RemoveRowSwap(0);
   EXPECT_EQ(store.MakePoint(0), Point({21, 9}));
-  ExpectPlaneMatchesCoords(store);
+  EXPECT_EQ(store.MakePoint(store.size() - 1), Point({11, -3}));
+
+  // Truncate keeps the surviving prefix in order, is a no-op past the end,
+  // and later appends land right after the prefix.
+  const PointStore before_trim = store;
+  store.Truncate(3);
+  ASSERT_EQ(store.size(), 3u);
+  for (size_t i = 0; i < store.size(); ++i) {
+    EXPECT_EQ(store.MakePoint(i), before_trim.MakePoint(i)) << i;
+  }
+  store.Truncate(5);
+  EXPECT_EQ(store.size(), 3u);
+  store.Append(a);
+  EXPECT_EQ(store.MakePoint(3), Point({11, -3}));
 }
 
 }  // namespace

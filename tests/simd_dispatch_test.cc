@@ -5,10 +5,10 @@
 // dispatcher — so the vector code is exercised even when the suite runs
 // under RSR_FORCE_SCALAR=1 (the forced-scalar CI leg) and falls back to
 // the scalar forwarders cleanly where AVX2 was not compiled. Coverage:
-// dims {1, 3, 7, 8, 64, 65}, batch sizes straddling every 4/8/16-way
-// unroll boundary, output strides > 1, both row layouts (double plane,
-// Coord arena) plus the column-major pipeline layout, and all four LSH
-// families end-to-end against the virtual Eval reference.
+// dims {1, 3, 7, 8, 64, 65, 257, 1024}, batch sizes straddling every
+// 4/8/16-way unroll boundary, output strides > 1, the column-major pipeline
+// layout against the row-major scalar reference, and all four LSH families
+// end-to-end against the virtual Eval reference.
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -31,7 +31,7 @@ namespace {
 
 using lsh_internal::ColRowView;
 
-constexpr size_t kDims[] = {1, 3, 7, 8, 64, 65};
+constexpr size_t kDims[] = {1, 3, 7, 8, 64, 65, 257, 1024};
 // Straddles the 4-way (grid), 8-way (dot row), and 16-way (dot cols)
 // unrolls plus their scalar tails.
 constexpr size_t kSizes[] = {0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33};
@@ -50,7 +50,6 @@ TEST(SimdDispatchTest, DispatchMatchesCpuAndOverride) {
 
 struct KernelInputs {
   std::vector<double> flat;     // n x dim, row-major
-  std::vector<Coord> coords;    // n x dim, row-major
   std::vector<double> cols;     // dim x col_stride, column-major
   size_t col_stride = 0;
   std::vector<double> offsets;  // dim
@@ -64,7 +63,6 @@ KernelInputs MakeInputs(size_t n, size_t dim, size_t col_pad, uint64_t seed) {
   KernelInputs in;
   Rng rng(seed);
   in.flat.resize(n * dim);
-  in.coords.resize(n * dim);
   in.col_stride = n + col_pad;
   in.cols.assign(dim * in.col_stride, -1.0);
   for (size_t i = 0; i < n; ++i) {
@@ -72,7 +70,6 @@ KernelInputs MakeInputs(size_t n, size_t dim, size_t col_pad, uint64_t seed) {
       // Signed integer coordinates (exactly representable) so lattice cells
       // cross zero, like real centered point sets.
       const Coord c = static_cast<Coord>(rng.Next() % 4096) - 2048;
-      in.coords[i * dim + j] = c;
       in.flat[i * dim + j] = static_cast<double>(c);
       in.cols[j * in.col_stride + i] = static_cast<double>(c);
     }
@@ -112,30 +109,12 @@ TEST(SimdDispatchTest, Avx2KernelsBitIdenticalToScalarReference) {
         std::vector<uint64_t> got(want);
 
         auto flat_row = [&in, dim](size_t i) { return in.flat.data() + i * dim; };
-        auto coord_row = [&in, dim](size_t i) {
-          return in.coords.data() + i * dim;
-        };
         auto col_row = [&in](size_t i) {
           return ColRowView{in.cols.data() + i, in.col_stride};
         };
 
         lsh_internal::GridHashBatch(flat_row, n, in.offsets.data(), dim, in.w,
                                     in.salt, want.data(), stride);
-        lsh_internal::GridHashFlatAvx2(in.flat.data(), n, dim,
-                                       in.offsets.data(), in.w, in.salt,
-                                       got.data(), stride);
-        ExpectStridedMatch(got, want, n, stride, "GridHashFlat", dim);
-
-        got.assign(want.size(), kSentinel);
-        lsh_internal::GridHashCoordAvx2(in.coords.data(), n, dim,
-                                        in.offsets.data(), in.w, in.salt,
-                                        got.data(), stride);
-        std::vector<uint64_t> coord_want(want.size(), kSentinel);
-        lsh_internal::GridHashBatch(coord_row, n, in.offsets.data(), dim, in.w,
-                                    in.salt, coord_want.data(), stride);
-        ExpectStridedMatch(got, coord_want, n, stride, "GridHashCoord", dim);
-
-        got.assign(want.size(), kSentinel);
         lsh_internal::GridHashColsAvx2(in.cols.data(), in.col_stride, n, dim,
                                        in.offsets.data(), in.w, in.salt,
                                        got.data(), stride);
@@ -151,22 +130,6 @@ TEST(SimdDispatchTest, Avx2KernelsBitIdenticalToScalarReference) {
         got.assign(want.size(), kSentinel);
         lsh_internal::DotCellBatch(flat_row, n, in.direction.data(), dim,
                                    in.offset, in.w, want.data(), stride);
-        lsh_internal::DotCellFlatAvx2(in.flat.data(), n, dim,
-                                      in.direction.data(), in.offset, in.w,
-                                      got.data(), stride);
-        ExpectStridedMatch(got, want, n, stride, "DotCellFlat", dim);
-
-        got.assign(want.size(), kSentinel);
-        lsh_internal::DotCellCoordAvx2(in.coords.data(), n, dim,
-                                       in.direction.data(), in.offset, in.w,
-                                       got.data(), stride);
-        std::vector<uint64_t> dot_coord_want(want.size(), kSentinel);
-        lsh_internal::DotCellBatch(coord_row, n, in.direction.data(), dim,
-                                   in.offset, in.w, dot_coord_want.data(),
-                                   stride);
-        ExpectStridedMatch(got, dot_coord_want, n, stride, "DotCellCoord", dim);
-
-        got.assign(want.size(), kSentinel);
         lsh_internal::DotCellColsAvx2(in.cols.data(), in.col_stride, n, dim,
                                       in.direction.data(), in.offset, in.w,
                                       got.data(), stride);
@@ -197,12 +160,10 @@ TEST(SimdDispatchTest, AllFamiliesBatchPathsMatchEvalAcrossDims) {
     Rng rng(1000 + dim);
     const size_t n = 33;
     PointStore points = GenerateUniformStore(n, dim, 255, &rng);
-    std::vector<double> flat(n * dim);
     const size_t col_stride = n + 3;
     std::vector<double> cols(dim * col_stride, -7.0);
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = 0; j < dim; ++j) {
-        flat[i * dim + j] = static_cast<double>(points[i][j]);
         cols[j * col_stride + i] = static_cast<double>(points[i][j]);
       }
     }
@@ -216,11 +177,7 @@ TEST(SimdDispatchTest, AllFamiliesBatchPathsMatchEvalAcrossDims) {
         fn->EvalCoordBatch(points.coord_data(), n, dim, got.data(), 1);
         EXPECT_EQ(got, want) << family->Name() << " EvalCoordBatch dim " << dim;
 
-        if (!fn->SupportsFlatBatch()) continue;
-        got.assign(n, kSentinel);
-        fn->EvalFlatBatch(flat.data(), n, dim, got.data(), 1);
-        EXPECT_EQ(got, want) << family->Name() << " EvalFlatBatch dim " << dim;
-
+        if (!fn->SupportsColsBatch()) continue;
         got.assign(n, kSentinel);
         fn->EvalColsBatch(cols.data(), col_stride, n, dim, got.data(), 1);
         EXPECT_EQ(got, want) << family->Name() << " EvalColsBatch dim " << dim;

@@ -266,9 +266,8 @@ TEST(SyncServerTest, ConcurrentChurnAndSync) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 2; ++t) {
     readers.emplace_back([&] {
-      // Each simulated client owns its PointStore: Run() lazily builds the
-      // store's cached double plane, which is single-threaded per store (the
-      // thread-safety contract covers the server's state, not the client's).
+      // Each simulated client owns its PointStore (sharing one is pinned by
+      // SyncServerTest.ConcurrentSessionsShareOneClientStore).
       PointStore my_client(3);
       my_client.AppendStore(client);
       for (int r = 0; r < 25; ++r) {
@@ -422,6 +421,41 @@ TEST(SyncServerAdaptiveTest, ConcurrentAdaptiveSessions) {
   EXPECT_TRUE(readers_ok);
   EXPECT_EQ(server.size(), 128u);
   EXPECT_EQ(server.generation(), 60u);
+}
+
+TEST(SyncServerTest, ConcurrentSessionsShareOneClientStore) {
+  // Run only reads the client store, so sessions on two threads may run
+  // against one const store that no evaluation has touched yet. Under TSan
+  // this pins that the LSH pipeline keeps no lazily built state in it.
+  EmdProtocolParams params = AdaptiveServerParams(37);
+  PointStore pool = DistinctPool(80, 25);
+  PointStore alice(3), bob(3);
+  for (size_t i = 0; i < 64; ++i) alice.Append(pool[i]);
+  for (size_t i = 1; i < 65; ++i) bob.Append(pool[i]);
+  const PointStore& client = bob;
+
+  auto ds = SyncDataset::Create(alice, params);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  SyncServer server(std::move(*ds));
+
+  std::vector<Result<EmdProtocolReport>> reports(
+      2, Status::InvalidArgument("not run"));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < reports.size(); ++t) {
+    threads.emplace_back([&server, &client, &reports, t] {
+      SyncSession session = server.OpenSession();
+      reports[t] = session.Run(client);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  ASSERT_TRUE(reports[0].ok()) << reports[0].status().ToString();
+  ASSERT_TRUE(reports[1].ok()) << reports[1].status().ToString();
+  EXPECT_EQ(reports[0]->failure, reports[1]->failure);
+  EXPECT_EQ(reports[0]->decoded_level, reports[1]->decoded_level);
+  EXPECT_EQ(reports[0]->s_b_prime, reports[1]->s_b_prime);
+  EXPECT_EQ(reports[0]->level_cells, reports[1]->level_cells);
+  EXPECT_EQ(reports[0]->comm.total_bits(), reports[1]->comm.total_bits());
 }
 
 }  // namespace
