@@ -466,47 +466,6 @@ void BM_RibltDecodeStore(benchmark::State& state) {
 }
 BENCHMARK(BM_RibltDecodeStore);
 
-void BM_RibltBuildSharded(benchmark::State& state) {
-  // Building one LARGE RIBLT (2^23 cells x dim=8 values, ~830 MB of cell
-  // slabs — several times the LLC) from 2^20 keys. Arg = num_shards: 1 is
-  // the classic sequential UpdateMany; higher counts run the partitioned
-  // build (hash once, bucket the updates by cell block, apply per shard),
-  // whose cell writes stay inside one L2-sized block slice at a time
-  // instead of random-walking the whole table. Wire bytes are identical for
-  // every shard count. Shards write disjoint cell ranges with no
-  // coordination, so on a multi-core host wall-clock scales near-linearly
-  // with min(shards, cores); single-core the partitioning alone is a
-  // constant-factor win that depends on how latency-bound the host's
-  // memory system is. Each iteration inserts then deletes the full key set,
-  // returning the table to the empty state without reallocating; items/sec
-  // counts the 2n cell-update batches.
-  const size_t num_shards = static_cast<size_t>(state.range(0));
-  RibltParams params;
-  params.num_cells = size_t{1} << 23;
-  params.dim = 8;
-  params.delta = 1023;
-  params.seed = 21;
-  Riblt table(params);
-  Rng rng(22);
-  const size_t n = size_t{1} << 20;
-  std::vector<uint64_t> keys(n);
-  for (auto& k : keys) k = rng.Next();
-  PointStore values = GenerateUniformStore(n, 8, 1023, &rng);
-  for (auto _ : state) {
-    table.InsertManySharded(keys, values, num_shards, /*num_threads=*/1);
-    table.DeleteManySharded(keys, values, num_shards, /*num_threads=*/1);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(2 * n));
-}
-BENCHMARK(BM_RibltBuildSharded)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 /// Fold-down projection of a cap-size table to a ladder rung — the warm
 /// adaptive serving hot path. Arg = number of keys built into the source
 /// table; the fold touches CELLS, not keys, so the three timings must be

@@ -140,7 +140,8 @@ RSR_WIRE_CODEC=compact ctest --test-dir build-asan --output-on-failure -j \
 # negotiate off one shared snapshot's estimators and fold into per-session
 # scratch — and the rest of the Sync suite), and the sketch layer's
 # per-thread scratch model (SketchReentrancyTest: concurrent
-# Riblt::DecodeInto on one const table, concurrent sharded builds). Scoped to
+# Riblt::DecodeInto on one const table, and concurrent BuildEmdSketches calls
+# over one const store, each with its own worker threads). Scoped to
 # -R 'Sync|Reentrancy': that is where the library runs concurrent readers
 # against shared state; the full suite under TSan would triple CI time
 # re-checking single-threaded code ASan already covers.

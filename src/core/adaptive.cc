@@ -8,25 +8,25 @@
 
 namespace rsr {
 
-StrataParams MakeLevelStrataParams(const AdaptiveSizingParams& params,
-                                   uint64_t seed, size_t index) {
+StrataParams MakeLevelStrataParams(uint64_t seed, size_t index) {
   StrataParams strata;
-  strata.num_strata = params.num_strata;
-  strata.cells_per_stratum = params.cells_per_stratum;
-  strata.num_hashes = params.strata_hashes;
-  strata.checksum_bytes = params.strata_checksum_bytes;
+  strata.num_strata = 16;
+  strata.cells_per_stratum = 32;
+  strata.num_hashes = 4;
+  strata.checksum_bytes = 2;
   strata.seed = HashCombine(seed, 0xada'0000ULL + index);
   return strata;
 }
 
 std::vector<StrataEstimator> BuildLevelEstimators(
     std::span<const uint64_t> level_major_keys, size_t levels, size_t n,
-    const AdaptiveSizingParams& params, uint64_t seed, size_t num_threads) {
+    const AdaptiveSizingParams& /*params*/, uint64_t seed,
+    size_t num_threads) {
   RSR_CHECK(level_major_keys.size() >= levels * n);
   std::vector<StrataEstimator> estimators;
   estimators.reserve(levels);
   for (size_t level = 0; level < levels; ++level) {
-    estimators.emplace_back(MakeLevelStrataParams(params, seed, level));
+    estimators.emplace_back(MakeLevelStrataParams(seed, level));
   }
   // Each level's estimator is a pure function of its own key span, so levels
   // shard freely; IBLT updates commute, and no shard touches another's
@@ -48,15 +48,14 @@ void WriteEstimators(const std::vector<StrataEstimator>& estimators,
 }
 
 Result<std::vector<StrataEstimator>> ReadEstimators(
-    ByteReader* r, const AdaptiveSizingParams& params, uint64_t seed,
+    ByteReader* r, const AdaptiveSizingParams& /*params*/, uint64_t seed,
     size_t levels, WireCodec codec) {
   std::vector<StrataEstimator> estimators;
   estimators.reserve(levels);
   for (size_t level = 0; level < levels; ++level) {
     RSR_ASSIGN_OR_RETURN(
         StrataEstimator estimator,
-        StrataEstimator::ReadFrom(r, MakeLevelStrataParams(params, seed,
-                                                           level),
+        StrataEstimator::ReadFrom(r, MakeLevelStrataParams(seed, level),
                                   codec));
     estimators.push_back(std::move(estimator));
   }
@@ -122,7 +121,7 @@ std::vector<size_t> NegotiateLevelCells(
   return cells;
 }
 
-Result<std::vector<size_t>> NegotiateLevelSketchCellsPrebuilt(
+Result<std::vector<size_t>> NegotiateLevelSketchCells(
     const std::vector<StrataEstimator>& sender_estimators,
     std::span<const uint64_t> receiver_keys, size_t levels, size_t n,
     const AdaptiveSizingParams& params, uint64_t seed, double cells_per_diff,
@@ -154,23 +153,6 @@ Result<std::vector<size_t>> NegotiateLevelSketchCellsPrebuilt(
                              table_hashes, num_threads);
 }
 
-Result<std::vector<size_t>> NegotiateLevelSketchCells(
-    std::span<const uint64_t> sender_keys,
-    std::span<const uint64_t> receiver_keys, size_t levels, size_t n,
-    const AdaptiveSizingParams& params, uint64_t seed, double cells_per_diff,
-    size_t cap_cells, int table_hashes, size_t num_threads,
-    Transcript* transcript, const std::string& label, WireCodec codec) {
-  // The cold path IS the prebuilt path with freshly built sender estimators:
-  // sharing the body is what guarantees warm serving's negotiation round and
-  // chosen sizes match the one-shot protocol's byte for byte.
-  std::vector<StrataEstimator> sender_estimators = BuildLevelEstimators(
-      sender_keys, levels, n, params, seed, num_threads);
-  return NegotiateLevelSketchCellsPrebuilt(
-      sender_estimators, receiver_keys, levels, n, params, seed,
-      cells_per_diff, cap_cells, table_hashes, num_threads, transcript, label,
-      codec);
-}
-
 Result<size_t> NegotiateSingleSketchCells(std::span<const uint64_t> sender_keys,
                                           std::span<const uint64_t> receiver_keys,
                                           const AdaptiveSizingParams& params,
@@ -178,7 +160,7 @@ Result<size_t> NegotiateSingleSketchCells(std::span<const uint64_t> sender_keys,
                                           Transcript* transcript,
                                           const std::string& label,
                                           WireCodec codec) {
-  const StrataParams estimator_params = MakeLevelStrataParams(params, seed, 0);
+  const StrataParams estimator_params = MakeLevelStrataParams(seed, 0);
   StrataEstimator receiver_estimator(estimator_params);
   receiver_estimator.InsertMany(receiver_keys);
   ByteWriter estimator_msg;

@@ -72,27 +72,24 @@ struct AdaptiveSizingParams {
   /// Lower clamp on any negotiated cell count: keeps tiny estimates from
   /// producing sketches too small to absorb estimator noise.
   size_t floor_cells = 64;
-  /// Estimator shape. The defaults are deliberately smaller than
-  /// StrataParams' (16 strata of 32 cells, 2-byte checksums): the estimator
-  /// message is pure overhead on top of the sketch it sizes, and
-  /// differences up to ~2^16 — far beyond any decode cap in this library —
-  /// are still tracked within a small constant factor.
-  int num_strata = 16;
-  size_t cells_per_stratum = 32;
-  int strata_hashes = 4;
-  int strata_checksum_bytes = 2;
 };
 
 /// StrataParams for sub-sketch `index` (RIBLT levels in the EMD protocol;
 /// 0 for the single-sketch consumers), with a seed salted per index so the
-/// per-level estimators are independent.
-StrataParams MakeLevelStrataParams(const AdaptiveSizingParams& params,
-                                   uint64_t seed, size_t index);
+/// per-level estimators are independent. The shape is fixed at 16 strata of
+/// 32 cells, 4 hashes and 2-byte checksums, smaller than StrataParams'
+/// defaults: the estimator message is pure overhead on top of the sketch it
+/// sizes, and differences up to ~2^16 (far beyond any decode cap in this
+/// library) are still tracked within a small constant factor.
+StrataParams MakeLevelStrataParams(uint64_t seed, size_t index);
 
 /// One estimator per level over a level-major key buffer: level l covers
 /// keys[l*n .. l*n + n). Levels build on separate shards (ParallelShards);
 /// the result is bit-identical for every num_threads because each level's
-/// estimator is a pure function of its own key span.
+/// estimator is a pure function of its own key span. `params` does not
+/// shape the estimators (MakeLevelStrataParams fixes them); it stays, here
+/// and in ReadEstimators, only for the e2e benchmark's replay, which
+/// ROADMAP.md item 1 deletes.
 std::vector<StrataEstimator> BuildLevelEstimators(
     std::span<const uint64_t> level_major_keys, size_t levels, size_t n,
     const AdaptiveSizingParams& params, uint64_t seed, size_t num_threads);
@@ -161,28 +158,16 @@ Result<size_t> NegotiateSingleSketchCells(std::span<const uint64_t> sender_keys,
 /// Multi-level analogue of NegotiateSingleSketchCells (the EMD protocol):
 /// the receiver builds one estimator per level over its level-major keys
 /// (receiver_keys[l*n .. l*n+n)) and ships them as one message recorded
-/// under `label`; the sender parses them off the wire, builds its own
-/// estimators, and returns the per-level counts from NegotiateLevelCells
-/// (params.rounding applied against `table_hashes`-subtable tables).
-/// Communicating the chosen sizes back (the sketch-message prefix) stays
-/// with the caller. Deterministic for every num_threads.
+/// under `label`; the sender parses them off the wire and returns the
+/// per-level counts from NegotiateLevelCells against `sender_estimators`
+/// (params.rounding applied against `table_hashes`-subtable tables). The
+/// one-shot protocol passes freshly built BuildLevelEstimators; the warm
+/// serving path passes the ones SyncDataset maintains (byte-identical to
+/// cold builds), so both record the same round and negotiate the same
+/// counts. Communicating the chosen sizes back (the sketch-message prefix)
+/// stays with the caller. Requires sender_estimators.size() == levels.
+/// Deterministic for every num_threads.
 Result<std::vector<size_t>> NegotiateLevelSketchCells(
-    std::span<const uint64_t> sender_keys,
-    std::span<const uint64_t> receiver_keys, size_t levels, size_t n,
-    const AdaptiveSizingParams& params, uint64_t seed, double cells_per_diff,
-    size_t cap_cells, int table_hashes, size_t num_threads,
-    Transcript* transcript, const std::string& label,
-    WireCodec codec = DefaultWireCodec());
-
-/// NegotiateLevelSketchCells with the sender's estimators already built —
-/// the warm serving path, where SyncDataset maintains one estimator per
-/// level incrementally (byte-identical to cold builds) and a session must
-/// not spend O(n) rebuilding them. The receiver side is unchanged (its
-/// estimators are built from `receiver_keys` and shipped on `transcript`),
-/// so the recorded round — and, since maintained estimators equal cold ones,
-/// the negotiated counts — are byte-identical to the cold entry point.
-/// Requires sender_estimators.size() == levels.
-Result<std::vector<size_t>> NegotiateLevelSketchCellsPrebuilt(
     const std::vector<StrataEstimator>& sender_estimators,
     std::span<const uint64_t> receiver_keys, size_t levels, size_t n,
     const AdaptiveSizingParams& params, uint64_t seed, double cells_per_diff,

@@ -91,25 +91,14 @@ Result<EmdProtocolReport> FinishEmdProtocol(
 
   // Deletions are independent per level (threadable); decoding stays
   // sequential finest-to-coarsest because bob_coins is a single stream.
-  // sketch_shards > 1 moves the fan-out inside each table, as on Alice's
-  // side.
-  if (params.sketch_shards > 1) {
-    for (size_t l = 0; l < derived.levels; ++l) {
-      received[l].DeleteManySharded(
-          std::span<const uint64_t>(bob_keys.data() + l * n, n), bob,
-          params.sketch_shards, params.num_threads);
-    }
-  } else {
-    ParallelShards(derived.levels, params.num_threads,
-                   [&](size_t begin, size_t end) {
-                     for (size_t l = begin; l < end; ++l) {
-                       received[l].DeleteMany(
-                           std::span<const uint64_t>(bob_keys.data() + l * n,
-                                                     n),
-                           bob);
-                     }
-                   });
-  }
+  ParallelShards(derived.levels, params.num_threads,
+                 [&](size_t begin, size_t end) {
+                   for (size_t l = begin; l < end; ++l) {
+                     received[l].DeleteMany(
+                         std::span<const uint64_t>(bob_keys.data() + l * n, n),
+                         bob);
+                   }
+                 });
 
   for (size_t level = derived.levels; level >= 1; --level) {
     Riblt& table = received[level - 1];
@@ -229,11 +218,14 @@ Result<EmdProtocolReport> RunEmdProtocol(const PointStore& alice,
   // every level at the derived c q^2 k cells with no extra message.
   std::vector<size_t> level_cells(derived.levels, derived.cells);
   if (params.adaptive.enabled) {
+    const std::vector<StrataEstimator> alice_estimators =
+        BuildLevelEstimators(alice_keys, derived.levels, n, params.adaptive,
+                             params.seed, params.num_threads);
     const double q = static_cast<double>(params.num_hashes);
     RSR_ASSIGN_OR_RETURN(
         level_cells,
-        NegotiateLevelSketchCells(alice_keys, bob_keys, derived.levels, n,
-                                  params.adaptive, params.seed,
+        NegotiateLevelSketchCells(alice_estimators, bob_keys, derived.levels,
+                                  n, params.adaptive, params.seed,
                                   params.adaptive.cell_multiplier * q * q,
                                   derived.cells, params.num_hashes,
                                   params.num_threads, &transcript,
@@ -241,35 +233,10 @@ Result<EmdProtocolReport> RunEmdProtocol(const PointStore& alice,
   }
 
   // ---- Alice: build the t RIBLTs at the provisioned sizes. ----
-  std::vector<Riblt> tables;
-  tables.reserve(derived.levels);
-  for (size_t level = 1; level <= derived.levels; ++level) {
-    tables.emplace_back(
-        EmdLevelRibltParams(params, level_cells[level - 1], level));
-  }
-  // Each level's table is an independent function of (keys, points), so
-  // levels can build on separate threads; serialization stays in level
-  // order, keeping the wire bytes identical to the sequential build. With
-  // sketch_shards > 1 the parallelism (and cache blocking) moves INSIDE each
-  // table instead: levels run sequentially and every table's cell array is
-  // built shard by shard — still byte-identical on the wire.
-  if (params.sketch_shards > 1) {
-    for (size_t l = 0; l < derived.levels; ++l) {
-      tables[l].InsertManySharded(
-          std::span<const uint64_t>(alice_keys.data() + l * n, n), alice,
-          params.sketch_shards, params.num_threads);
-    }
-  } else {
-    ParallelShards(derived.levels, params.num_threads,
-                   [&](size_t begin, size_t end) {
-                     for (size_t l = begin; l < end; ++l) {
-                       tables[l].InsertMany(
-                           std::span<const uint64_t>(alice_keys.data() + l * n,
-                                                     n),
-                           alice);
-                     }
-                   });
-  }
+  // Serialization stays in level order, so the wire bytes do not depend on
+  // how many threads built the levels.
+  std::vector<Riblt> tables =
+      BuildEmdLevelTables(alice_keys, alice, level_cells, params);
 
   return FinishEmdProtocol(tables, level_cells, prefix_lens, bob, bob_keys,
                            params, &transcript, std::move(report));
@@ -331,7 +298,7 @@ Result<EmdProtocolReport> RunEmdProtocolPrebuilt(
   const double q = static_cast<double>(params.num_hashes);
   RSR_ASSIGN_OR_RETURN(
       level_cells,
-      NegotiateLevelSketchCellsPrebuilt(
+      NegotiateLevelSketchCells(
           alice.estimators, bob_keys, derived.levels, n, params.adaptive,
           params.seed, params.adaptive.cell_multiplier * q * q, derived.cells,
           params.num_hashes, params.num_threads, &transcript,

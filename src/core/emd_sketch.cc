@@ -125,6 +125,25 @@ std::vector<uint64_t> EvaluateEmdLevelKeys(
   return keys;
 }
 
+std::vector<Riblt> BuildEmdLevelTables(
+    std::span<const uint64_t> level_major_keys, const PointStore& points,
+    const std::vector<size_t>& level_cells, const EmdProtocolParams& params) {
+  const size_t n = points.size();
+  const size_t t = level_cells.size();
+  RSR_CHECK(level_major_keys.size() >= t * n);
+  std::vector<Riblt> tables;
+  tables.reserve(t);
+  for (size_t l = 0; l < t; ++l) {
+    tables.emplace_back(EmdLevelRibltParams(params, level_cells[l], l + 1));
+  }
+  ParallelShards(t, params.num_threads, [&](size_t begin, size_t end) {
+    for (size_t l = begin; l < end; ++l) {
+      tables[l].InsertMany(level_major_keys.subspan(l * n, n), points);
+    }
+  });
+  return tables;
+}
+
 Result<EmdSketchSet> BuildEmdSketches(const PointStore& alice,
                                       const EmdProtocolParams& params,
                                       bool build_estimators) {
@@ -144,31 +163,9 @@ Result<EmdSketchSet> BuildEmdSketches(const PointStore& alice,
   std::vector<uint64_t> keys = EvaluateEmdLevelKeys(
       alice, hashes, set.prefix_lens, params.num_threads);
 
-  set.tables.reserve(derived.levels);
-  for (size_t level = 1; level <= derived.levels; ++level) {
-    set.tables.emplace_back(
-        EmdLevelRibltParams(params, derived.cells, level));
-  }
-  // Each level's table is an independent function of (keys, points), so
-  // levels can build on separate threads; with sketch_shards > 1 the
-  // parallelism (and cache blocking) moves INSIDE each table instead. Both
-  // paths produce byte-identical cells (riblt_sharded_test).
-  if (params.sketch_shards > 1) {
-    for (size_t l = 0; l < derived.levels; ++l) {
-      set.tables[l].InsertManySharded(
-          std::span<const uint64_t>(keys.data() + l * n, n), alice,
-          params.sketch_shards, params.num_threads);
-    }
-  } else {
-    ParallelShards(derived.levels, params.num_threads,
-                   [&](size_t begin, size_t end) {
-                     for (size_t l = begin; l < end; ++l) {
-                       set.tables[l].InsertMany(
-                           std::span<const uint64_t>(keys.data() + l * n, n),
-                           alice);
-                     }
-                   });
-  }
+  set.tables = BuildEmdLevelTables(
+      keys, alice, std::vector<size_t>(derived.levels, derived.cells),
+      params);
 
   if (build_estimators) {
     set.estimators =

@@ -17,6 +17,7 @@
 #define RSR_CORE_EMD_SKETCH_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/params.h"
@@ -90,6 +91,16 @@ std::vector<uint64_t> EvaluateEmdLevelKeys(
     const PointStore& points, const EmdHashes& hashes,
     const std::vector<size_t>& prefix_lens, size_t num_threads);
 
+/// One RIBLT per level over `points`, filled by Riblt::InsertMany: the table
+/// at 1-based level l + 1 has level_cells[l] cells and holds row i under
+/// level_major_keys[l * n + i]. Each table is a pure function of its own key
+/// span, so levels build on separate threads (params.num_threads) and the
+/// tables are byte-identical for every thread count. RunEmdProtocol,
+/// BuildEmdSketches and SyncDataset::Create all build their tables here.
+std::vector<Riblt> BuildEmdLevelTables(
+    std::span<const uint64_t> level_major_keys, const PointStore& points,
+    const std::vector<size_t>& level_cells, const EmdProtocolParams& params);
+
 /// A complete statically-sized Alice-side sketch set: one derived.cells-cell
 /// RIBLT per level (and, optionally, one strata estimator per level over the
 /// same level keys). Tables at level l+1 hold every input row keyed by its
@@ -109,9 +120,7 @@ struct EmdSketchSet {
 };
 
 /// Builds the full sketch set over `alice` — exactly the Alice half of the
-/// static protocol (same hashes, same build order, same sharding semantics:
-/// params.sketch_shards > 1 builds each table shard-by-shard, otherwise
-/// levels build on parallel threads; both are byte-identical on the wire).
+/// static protocol (same hashes, same level keys, same BuildEmdLevelTables).
 /// Tables are always statically sized at derived.cells — adaptive
 /// negotiation sizes tables per-exchange and cannot be precomputed.
 Result<EmdSketchSet> BuildEmdSketches(const PointStore& alice,

@@ -127,8 +127,7 @@ size_t NegotiateMultiPartyCells(
     const MultiPartyParams& params, Transcript* transcript) {
   const size_t s = party_keys.size();
   const size_t cap = params.sketch_cells;
-  const StrataParams est_params =
-      MakeLevelStrataParams(params.adaptive, params.seed, 0);
+  const StrataParams est_params = MakeLevelStrataParams(params.seed, 0);
   std::vector<StrataEstimator> estimators;
   estimators.reserve(s);
   for (size_t i = 0; i < s; ++i) estimators.emplace_back(est_params);

@@ -42,13 +42,11 @@ struct EmdProtocolParams {
   /// construction (<= 1 = inline). Transcripts are bit-identical for every
   /// value: shards depend only on the input sizes and write disjoint ranges.
   size_t num_threads = 1;
-  /// Intra-table shards for each level's RIBLT build (<= 1 = classic
-  /// sequential insert). When > 1 the levels build sequentially but each
-  /// table's cell array is partitioned into this many contiguous sub-ranges
-  /// (Riblt::InsertManySharded), which parallelizes WITHIN a table and keeps
-  /// each pass's cell writes cache-local on large tables. Wire bytes are
-  /// identical to the sequential build for every shard/thread combination.
-  size_t sketch_shards = 1;
+  /// Not an option: every level table is filled by Riblt::InsertMany, one
+  /// key after another. The constant stays only because the e2e benchmark's
+  /// replay (bench/e2e/replay.cc) still reads it; ROADMAP.md item 1 deletes
+  /// that replay copy and this field with it.
+  static constexpr size_t sketch_shards = 1;
   /// Strata-driven adaptive RIBLT sizing (core/adaptive.h). When enabled the
   /// protocol gains a size-negotiation round: Bob first sends one
   /// StrataEstimator per level over his level keys (one message), Alice

@@ -14,7 +14,8 @@
 // cell contents are order-independent. A SyncDataset after any interleaving
 // of inserts and deletes is therefore cell-for-cell (WriteTo byte-identical)
 // equal to a cold BuildEmdSketches over the surviving point set — pinned by
-// sync_dataset_test across levels x shards x threads.
+// sync_dataset_test across level ladders and thread counts. Create fills its
+// tables through the same BuildEmdLevelTables as that cold build.
 //
 // Identity model: a row's key is its content hash under the dataset seed
 // (PointRef::ContentHash(params.seed) — the same identity multiparty.cc

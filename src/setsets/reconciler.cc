@@ -190,8 +190,7 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
     sig_params.seed = HashCombine(salt, 0x516'0000u + static_cast<uint32_t>(attempt));
 
     Iblt bob_table(sig_params);
-    bob_table.InsertManySharded(bob_salted, params.sketch_shards,
-                                params.num_threads);
+    bob_table.InsertMany(bob_salted);
     ByteWriter msg1;
     // Without the adaptive estimator round, this is the exchange's first
     // message — a compact exchange writes its versioned header here (once;
@@ -223,8 +222,7 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
     (void)bob_count;
     RSR_ASSIGN_OR_RETURN(Iblt alice_view,
                          Iblt::ReadFrom(&reader, parsed_sig_params, codec));
-    alice_view.DeleteManySharded(alice_salted, params.sketch_shards,
-                                 params.num_threads);
+    alice_view.DeleteMany(alice_salted);
     IbltDecodeResult decoded = alice_view.Decode();
     if (decoded.complete) {
       for (const IbltEntry& e : decoded.entries) {
@@ -346,8 +344,7 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
       elem_params.seed = HashCombine(salt, 0xe1e'0000u + static_cast<uint32_t>(attempt));
 
       Iblt elem_table(elem_params);
-      elem_table.InsertManySharded(bob_words, params.sketch_shards,
-                                   params.num_threads);
+      elem_table.InsertMany(bob_words);
       ByteWriter msg3;
       elem_table.WriteTo(&msg3, codec);
       // Per-set records: unsalted signature + per-slot fingerprints.
@@ -369,8 +366,7 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
       ByteReader reader(msg3.buffer());
       RSR_ASSIGN_OR_RETURN(Iblt alice_view,
                            Iblt::ReadFrom(&reader, elem_params, codec));
-      alice_view.DeleteManySharded(alice_words, params.sketch_shards,
-                                   params.num_threads);
+      alice_view.DeleteMany(alice_words);
       IbltDecodeResult decoded = alice_view.Decode();
 
       std::vector<SetRecord> records(bob_diff_sets.size());

@@ -23,7 +23,8 @@
 // Both modes retry failed sketch decodes with doubled sizes (extra rounds,
 // counted), and degrade to full verbatim transfer as a last resort, so the
 // interface contract — Alice ends with exactly Bob's multiset — holds
-// unconditionally; only the communication varies.
+// unconditionally; only the communication varies. Every IBLT is filled by
+// Iblt::InsertMany / DeleteMany, one key after another, as in Section 2.2.
 #ifndef RSR_SETSETS_RECONCILER_H_
 #define RSR_SETSETS_RECONCILER_H_
 
@@ -76,14 +77,6 @@ struct SetsReconcilerParams {
   /// first sig-IBLT message; the doubling retries then proceed from that
   /// size, so correctness is unchanged. Default OFF.
   AdaptiveSizingParams adaptive;
-  /// Intra-table shards for the signature/element IBLT builds (<= 1 = classic
-  /// sequential insert; see Iblt::InsertManySharded). Byte-identical wire
-  /// output for every value; > 1 keeps cell writes cache-local on large
-  /// tables and enables intra-table parallelism.
-  size_t sketch_shards = 1;
-  /// Worker threads for the sharded build (<= 1 = inline). No effect on the
-  /// transcript.
-  size_t num_threads = 1;
   /// Wire codec for the exchange (util/wire.h): the first message — the
   /// adaptive estimator when enabled, otherwise Bob's first sig-IBLT —
   /// carries the versioned header under kCompact; IBLTs are codec-dispatched

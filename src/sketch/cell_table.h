@@ -7,8 +7,6 @@
 //     polynomials, and CellsOf. Both tables (and both peers) must map a key
 //     to the same cells bit for bit, or wire compatibility and seeded
 //     decodes silently break.
-//   - ShardedUpdate: the three-phase sharded batch build (hash, stable
-//     partition, apply); the caller supplies the per-entry cell update.
 //   - FoldCells / FoldSlab / FoldTo: fold-down projection onto a
 //     divisor-compatible smaller table.
 //   - CellFlags / WriteCellBitmap / ReadCellBitmap: the compact codec's
@@ -18,15 +16,13 @@
 //
 // Scratch model: no table instance owns scratch, so tables copy and move by
 // default, decodes are const and reentrant across threads, and warm repeat
-// calls allocate nothing. The pools are thread_local: the partition and
-// bitmap pools here, the peel pools in iblt.cc and riblt.cc. Two rules
-// follow:
+// calls allocate nothing. The pools are thread_local: the bitmap pool here,
+// the peel pools in iblt.cc and riblt.cc. Two rules follow:
 //   - A pooled operation must not nest inside another of the same kind on
 //     the same thread (e.g. an Iblt decode started from inside one).
 //   - Code running inside a ParallelShards worker must not name a
-//     thread_local pool: on a worker thread the name resolves to that
-//     worker's own, empty pool. Take the data pointers on the calling thread
-//     before the fan-out (ShardPlan does exactly this).
+//     thread_local pool filled on the calling thread: on a worker thread the
+//     name resolves to that worker's own, empty pool.
 #ifndef RSR_SKETCH_CELL_TABLE_H_
 #define RSR_SKETCH_CELL_TABLE_H_
 
@@ -38,7 +34,6 @@
 
 #include "hashing/pairwise.h"
 #include "util/fastdiv.h"
-#include "util/parallel.h"
 #include "util/serialize.h"
 #include "util/status.h"
 
@@ -112,64 +107,6 @@ class CellMap {
   FastDiv61 subtable_mod_;  // division-free h % cells_per_subtable
   std::array<uint64_t, kIndexIndependence * kMaxHashes> coeffs_{};
 };
-
-// ---- Sharded batch build ----------------------------------------------------
-
-/// Phases 1-2 of a sharded build, as pointers into the calling thread's
-/// partition pool (valid until that thread's next PartitionUpdates).
-struct ShardPlan {
-  const uint64_t* checksums = nullptr;  // per key: salted checksum & mask
-  /// The n*q updates as packed (cell << 32 | key index) words, bucketed by
-  /// cell block; each bucket lists its updates in global key order.
-  const uint64_t* entries = nullptr;
-  const size_t* block_starts = nullptr;  // num_blocks + 1 offsets
-  size_t num_blocks = 0;
-  size_t num_shards = 0;  // clamped to num_blocks
-};
-
-/// Phase 1 hashes every key once (q cells plus its checksum
-/// ChecksumWithSalt(key, checksum_salt) & checksum_mask), sharded over keys.
-/// Phase 2 stable-counting-sorts the n*q updates into per-block buckets.
-/// Blocks are contiguous cell ranges sized so one block's slab slice
-/// (`cell_bytes` per cell) is ~0.5 MiB: a pure function of the geometry,
-/// never of num_shards or num_threads. Requires num_shards >= 2 after
-/// clamping to the cell count, and fewer than 2^32 cells and keys.
-ShardPlan PartitionUpdates(const CellMap& map, std::span<const uint64_t> keys,
-                           uint64_t checksum_salt, uint64_t checksum_mask,
-                           size_t cell_bytes, size_t num_shards,
-                           size_t num_threads);
-
-/// The whole sharded build: partitions, then (phase 3) each shard replays
-/// its contiguous range of blocks with apply(cell, key_index, checksum).
-/// Every cell is written by exactly one shard (no atomics) and sees its
-/// updates in global key order, so any apply that matches the table's
-/// sequential update arithmetic yields a byte-identical table for every
-/// (num_shards, num_threads). The bucket reads stream and the cell writes
-/// stay inside one L2-sized block at a time, which is what keeps
-/// large-table builds fast even single-threaded.
-template <typename ApplyFn>
-void ShardedUpdate(const CellMap& map, std::span<const uint64_t> keys,
-                   uint64_t checksum_salt, uint64_t checksum_mask,
-                   size_t cell_bytes, size_t num_shards, size_t num_threads,
-                   ApplyFn&& apply) {
-  const ShardPlan plan =
-      PartitionUpdates(map, keys, checksum_salt, checksum_mask, cell_bytes,
-                       num_shards, num_threads);
-  ParallelShards(plan.num_shards, num_threads, [&](size_t s_begin,
-                                                   size_t s_end) {
-    for (size_t shard = s_begin; shard < s_end; ++shard) {
-      const size_t pos_end = plan.block_starts[ShardBoundary(
-          plan.num_blocks, plan.num_shards, shard + 1)];
-      for (size_t pos = plan.block_starts[ShardBoundary(
-               plan.num_blocks, plan.num_shards, shard)];
-           pos < pos_end; ++pos) {
-        const uint64_t e = plan.entries[pos];
-        const size_t i = static_cast<uint32_t>(e);
-        apply(static_cast<size_t>(e >> 32), i, plan.checksums[i]);
-      }
-    }
-  });
-}
 
 // ---- Fold-down projection ---------------------------------------------------
 

@@ -37,29 +37,6 @@ void Iblt::UpdateMany(std::span<const uint64_t> keys, int direction) {
   for (uint64_t key : keys) UpdateUnchecked(key, nullptr, direction);
 }
 
-void Iblt::UpdateManySharded(std::span<const uint64_t> keys, int direction,
-                             size_t num_shards, size_t num_threads) {
-  RSR_CHECK_EQ(params_.value_size, 0u);
-  if (keys.empty()) return;
-  if (std::min(num_shards, num_cells_) <= 1) {  // a single shard
-    UpdateMany(keys, direction);
-    return;
-  }
-  // Blocks are sized for the three word slabs (~24 B/cell); the apply step
-  // is UpdateUnchecked's arithmetic verbatim.
-  int64_t* const counts = Counts();
-  uint64_t* const key_xors = KeyXors();
-  uint64_t* const checksum_xors = ChecksumXors();
-  const uint64_t* const key_data = keys.data();
-  sketch_internal::ShardedUpdate(
-      map_, keys, checksum_salt_, checksum_mask_, 3 * sizeof(uint64_t),
-      num_shards, num_threads, [&](size_t cell, size_t i, uint64_t checksum) {
-        counts[cell] += direction;
-        key_xors[cell] ^= key_data[i];
-        checksum_xors[cell] ^= checksum;
-      });
-}
-
 Status Iblt::CheckCompatible(const Iblt& other) const {
   if (other.params_.num_cells != params_.num_cells ||
       other.params_.num_hashes != params_.num_hashes ||

@@ -12,9 +12,9 @@
 //   - Update/UpdateMany/CellsOf never allocate: cell indices live in a fixed
 //     inline array, the checksum mask is hoisted into the constructor, and
 //     values are raw byte spans.
-//   - The cell map, sharded build, fold loop and compact bitmap are the
-//     shared cell-table core (sketch/cell_table.h); this class adds the XOR
-//     cell algebra, its storage, the peel loop and the codec bodies.
+//   - The cell map, fold loop and compact bitmap are the shared cell-table
+//     core (sketch/cell_table.h); this class adds the XOR cell algebra, its
+//     storage, the peel loop and the codec bodies.
 //   - Decode peels in place on a reusable scratch pool (no per-call copy of
 //     the Iblt object) with per-cell purity flags maintained incrementally.
 //     The pool is thread_local (no instance owns scratch, so copies and
@@ -105,22 +105,6 @@ class Iblt {
   void UpdateMany(std::span<const uint64_t> keys, int direction);
   void InsertMany(std::span<const uint64_t> keys) { UpdateMany(keys, +1); }
   void DeleteMany(std::span<const uint64_t> keys) { UpdateMany(keys, -1); }
-
-  /// Sharded intra-table batched update (value-less keys, like UpdateMany),
-  /// run by the shared cell-table build (sketch_internal::ShardedUpdate).
-  /// Byte-identical to sequential UpdateMany for every
-  /// (num_shards, num_threads); scratch is pooled per thread, so warm repeat
-  /// calls allocate nothing.
-  void UpdateManySharded(std::span<const uint64_t> keys, int direction,
-                         size_t num_shards, size_t num_threads);
-  void InsertManySharded(std::span<const uint64_t> keys, size_t num_shards,
-                         size_t num_threads) {
-    UpdateManySharded(keys, +1, num_shards, num_threads);
-  }
-  void DeleteManySharded(std::span<const uint64_t> keys, size_t num_shards,
-                         size_t num_threads) {
-    UpdateManySharded(keys, -1, num_shards, num_threads);
-  }
 
   /// Cell-wise subtraction (sketch-difference style reconciliation).
   /// Requires identical parameters and seed.

@@ -151,49 +151,6 @@ void Riblt::UpdateMany(std::span<const uint64_t> keys, const PointStore& values,
   }
 }
 
-void Riblt::UpdateManySharded(std::span<const uint64_t> keys,
-                              const PointStore& values, int direction,
-                              size_t num_shards, size_t num_threads) {
-  RSR_CHECK_EQ(keys.size(), values.size());
-  if (keys.empty()) return;
-  RSR_CHECK_EQ(values.dim(), params_.dim);
-  if (std::min(num_shards, counts_.size()) <= 1) {  // a single shard
-    UpdateMany(keys, values, direction);
-    return;
-  }
-  // Blocks are sized for counts + key_sums + checksum_sums + value_sums; the
-  // apply step is Update's arithmetic verbatim (wrapping 128-bit sums, int64
-  // adds), so the table is byte-identical to UpdateMany's.
-  const size_t dim = params_.dim;
-  const size_t cell_bytes =
-      sizeof(int64_t) + 2 * sizeof(U128) + dim * sizeof(int64_t);
-  int64_t* const counts = counts_.data();
-  U128* const key_sums = key_sums_.data();
-  U128* const checksum_sums = checksum_sums_.data();
-  int64_t* const value_sums = value_sums_.data();
-  const uint64_t* const key_data = keys.data();
-  const Coord* const rows = values.coord_data();
-  sketch_internal::ShardedUpdate(
-      map_, keys, checksum_salt_, kCellChecksumMask, cell_bytes, num_shards,
-      num_threads, [&](size_t cell, size_t i, uint64_t checksum) {
-        counts[cell] += direction;
-        const U128 key_term = key_data[i];
-        const U128 checksum_term = checksum;
-        if (direction > 0) {
-          key_sums[cell] += key_term;
-          checksum_sums[cell] += checksum_term;
-        } else {
-          key_sums[cell] -= key_term;
-          checksum_sums[cell] -= checksum_term;
-        }
-        const Coord* const value = rows + i * dim;
-        int64_t* const vs = value_sums + cell * dim;
-        for (size_t d = 0; d < dim; ++d) {
-          vs[d] += direction > 0 ? value[d] : -value[d];
-        }
-      });
-}
-
 Status Riblt::AddScaled(const Riblt& other, int64_t factor) {
   if (other.params_.num_cells != params_.num_cells ||
       other.params_.num_hashes != params_.num_hashes ||

@@ -22,8 +22,8 @@
 // other cells.
 //
 // Engineering invariants mirror the classic IBLT (see sketch/README.md): the
-// cell map, sharded build, fold loop and compact bitmap are the shared
-// cell-table core (sketch/cell_table.h); Update/UpdateMany never allocate
+// cell map, fold loop and compact bitmap are the shared cell-table core
+// (sketch/cell_table.h); Update/UpdateMany never allocate
 // (inline cell-index array, raw coordinate spans); and DecodeInto peels in
 // place on a thread_local workspace instead of deep-copying the table, so it
 // is const AND reentrant: any number of threads may decode one table
@@ -112,26 +112,6 @@ class Riblt {
   }
   void DeleteMany(std::span<const uint64_t> keys, const PointStore& values) {
     UpdateMany(keys, values, -1);
-  }
-
-  /// Sharded intra-table batched update (sketch_internal::ShardedUpdate).
-  /// The table and its WriteTo bytes are IDENTICAL to sequential UpdateMany
-  /// for every (num_shards, num_threads); the cell-block partition also
-  /// keeps large-table builds cache-resident, which helps even
-  /// single-threaded (BM_RibltBuildSharded). Scratch is pooled per thread:
-  /// repeat calls with the same batch shape allocate nothing.
-  void UpdateManySharded(std::span<const uint64_t> keys,
-                         const PointStore& values, int direction,
-                         size_t num_shards, size_t num_threads);
-  void InsertManySharded(std::span<const uint64_t> keys,
-                         const PointStore& values, size_t num_shards,
-                         size_t num_threads) {
-    UpdateManySharded(keys, values, +1, num_shards, num_threads);
-  }
-  void DeleteManySharded(std::span<const uint64_t> keys,
-                         const PointStore& values, size_t num_shards,
-                         size_t num_threads) {
-    UpdateManySharded(keys, values, -1, num_shards, num_threads);
   }
 
   /// Cell-wise linear combination: this += factor * other. Factors may be

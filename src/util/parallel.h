@@ -40,20 +40,6 @@ void ParallelShards(size_t count, size_t num_threads, Fn&& fn) {
   for (auto& th : pool) th.join();
 }
 
-/// First index of `shard` when [0, count) is split into `num_shards`
-/// contiguous chunks with the same chunk math ParallelShards uses (the first
-/// count % num_shards chunks get one extra element). Boundaries depend only
-/// on (count, num_shards) — never on thread count or scheduling — which is
-/// what lets the sharded sketch builds partition a cell array identically on
-/// every host. ShardBoundary(count, k, 0) == 0 and
-/// ShardBoundary(count, k, k) == count, so shard s owns
-/// [ShardBoundary(count, k, s), ShardBoundary(count, k, s + 1)).
-inline size_t ShardBoundary(size_t count, size_t num_shards, size_t shard) {
-  const size_t chunk = count / num_shards;
-  const size_t extra = count % num_shards;
-  return shard * chunk + (shard < extra ? shard : extra);
-}
-
 }  // namespace rsr
 
 #endif  // RSR_UTIL_PARALLEL_H_

@@ -163,7 +163,7 @@ TEST(AdaptiveWireTest, EstimatorsRoundTripThroughOneMessage) {
   // Restored estimators compare identically against fresh local ones.
   std::vector<StrataEstimator> empties;
   for (size_t l = 0; l < levels; ++l) {
-    empties.emplace_back(MakeLevelStrataParams(params, 9, l));
+    empties.emplace_back(MakeLevelStrataParams(9, l));
   }
   for (size_t l = 0; l < levels; ++l) {
     auto a = original[l].EstimateDiff(empties[l]);
@@ -238,7 +238,6 @@ TEST(EmdAdaptiveTest, OffPathIsByteIdenticalAndSingleRound) {
   // not perturb the static transcript.
   EmdProtocolParams tweaked = params;
   tweaked.adaptive.cell_multiplier = 99.0;
-  tweaked.adaptive.num_strata = 4;
   tweaked.adaptive.floor_cells = 1;
   auto off2 = RunEmdProtocol(workload->alice, workload->bob, tweaked);
   ASSERT_TRUE(off2.ok());

@@ -1,6 +1,8 @@
 // End-to-end tests for the EMD protocol (Algorithm 1 / Theorem 3.4) and the
 // multiscale runner (Corollaries 3.5/3.6).
 #include <cmath>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -211,6 +213,90 @@ TEST(EmdProtocolTest, DeterministicGivenSeed) {
 }
 
 // --------------------------------------------------------- multiscale --
+
+/// One (sizing, codec) configuration of the thread-count identity check.
+struct ThreadIdentityCase {
+  const char* name;
+  bool adaptive;
+  CellRounding rounding;
+  WireCodec codec;
+};
+
+void PrintTo(const ThreadIdentityCase& c, std::ostream* os) { *os << c.name; }
+
+class EmdThreadCountTest : public ::testing::TestWithParam<ThreadIdentityCase> {
+};
+
+TEST_P(EmdThreadCountTest, TranscriptAndOutputIdenticalAcrossThreadCounts) {
+  // RunEmdProtocol spreads key derivation, the level estimators and their
+  // negotiation, Alice's table builds and Bob's deletes over num_threads.
+  // None of that may reach the wire or the output.
+  const ThreadIdentityCase& c = GetParam();
+  Rng rng(42);
+  PointStore alice = GenerateUniformStore(96, 3, 1023, &rng);
+  // Bob = Alice with rows 0-2 replaced by fresh points: three differences.
+  PointStore bob = GenerateUniformStore(3, 3, 1023, &rng);
+  for (size_t i = 3; i < alice.size(); ++i) bob.Append(alice.row(i));
+  EmdProtocolParams params = BaseParams(MetricKind::kL2, 3, 1023, 4, 1234);
+  params.d1 = 1;
+  params.d2 = 64;
+  params.adaptive.enabled = c.adaptive;
+  params.adaptive.rounding = c.rounding;
+  params.codec = c.codec;
+  params.num_threads = 1;
+  auto baseline = RunEmdProtocol(alice, bob, params);
+  ASSERT_TRUE(baseline.ok());
+  ASSERT_FALSE(baseline->failure);
+  ASSERT_GE(baseline->level_cells.size(), 4u);
+  EXPECT_EQ(baseline->comm.rounds(), c.adaptive ? 2 : 1);
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    params.num_threads = threads;
+    auto report = RunEmdProtocol(alice, bob, params);
+    ASSERT_TRUE(report.ok());
+    const auto& want = baseline->comm.messages;
+    const auto& got = report->comm.messages;
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t m = 0; m < want.size(); ++m) {
+      EXPECT_EQ(got[m].label, want[m].label);
+      EXPECT_EQ(got[m].bytes, want[m].bytes);
+      EXPECT_EQ(got[m].codec, want[m].codec);
+    }
+    EXPECT_EQ(report->level_cells, baseline->level_cells);
+    ASSERT_EQ(report->levels.size(), baseline->levels.size());
+    for (size_t l = 0; l < baseline->levels.size(); ++l) {
+      const EmdLevelOutcome& a = report->levels[l];
+      const EmdLevelOutcome& b = baseline->levels[l];
+      EXPECT_EQ(a.decoded, b.decoded) << "level " << l;
+      EXPECT_EQ(a.pairs_alice, b.pairs_alice) << "level " << l;
+      EXPECT_EQ(a.pairs_bob, b.pairs_bob) << "level " << l;
+    }
+    EXPECT_EQ(report->failure, baseline->failure);
+    EXPECT_EQ(report->decoded_level, baseline->decoded_level);
+    EXPECT_EQ(report->x_a, baseline->x_a);
+    EXPECT_EQ(report->x_b, baseline->x_b);
+    EXPECT_EQ(report->s_b_prime, baseline->s_b_prime);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizingByCodec, EmdThreadCountTest,
+    ::testing::Values(
+        ThreadIdentityCase{"StaticClassic", false, CellRounding::kExact,
+                           WireCodec::kClassic},
+        ThreadIdentityCase{"StaticCompact", false, CellRounding::kExact,
+                           WireCodec::kCompact},
+        ThreadIdentityCase{"ExactClassic", true, CellRounding::kExact,
+                           WireCodec::kClassic},
+        ThreadIdentityCase{"ExactCompact", true, CellRounding::kExact,
+                           WireCodec::kCompact},
+        ThreadIdentityCase{"LadderClassic", true, CellRounding::kDivisorLadder,
+                           WireCodec::kClassic},
+        ThreadIdentityCase{"LadderCompact", true, CellRounding::kDivisorLadder,
+                           WireCodec::kCompact}),
+    [](const ::testing::TestParamInfo<ThreadIdentityCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 TEST(MultiscaleTest, RejectsBadRatio) {
   Rng rng(7);

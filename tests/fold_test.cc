@@ -3,10 +3,9 @@
 // The load-bearing claim behind adaptive warm serving: folding a cap-size
 // table down to any divisor-ladder rung is cell-for-cell (WriteTo
 // byte-for-byte) identical to building the smaller table cold from the same
-// update stream. Covers divisor chains, sharded source builds, per-level
-// seeds, fold-of-fold composition, rejection of non-divisor / mismatched
-// targets, decode equivalence after folding, and the zero-allocation warm
-// path.
+// update stream. Covers divisor chains, per-level seeds, fold-of-fold
+// composition, rejection of non-divisor / mismatched targets, decode
+// equivalence after folding, and the zero-allocation warm path.
 #include <cstdint>
 #include <vector>
 
@@ -97,22 +96,6 @@ TEST(RibltFoldTest, FoldMatchesColdBuildAcrossSeedsAndHashCounts) {
       EXPECT_EQ(Bytes(*folded), Bytes(cold)) << "seed " << seed << " q " << q;
     }
   }
-}
-
-TEST(RibltFoldTest, FoldFromShardedBuildMatchesColdSequentialBuild) {
-  // The maintained cap tables may have been built via InsertManySharded;
-  // folding such a table must still match a cold sequential build.
-  Rng rng(21);
-  PointStore store = GenerateUniformStore(64, 2, 100, &rng);
-  std::vector<uint64_t> keys;
-  for (size_t i = 0; i < store.size(); ++i) keys.push_back(2000 + i);
-  Riblt cap(MakeRibltParams(288));
-  cap.InsertManySharded(keys, store, /*num_shards=*/4, /*num_threads=*/2);
-  auto folded = cap.FoldTo(36);
-  ASSERT_TRUE(folded.ok());
-  Riblt cold(MakeRibltParams(36));
-  cold.InsertMany(keys, store);
-  EXPECT_EQ(Bytes(*folded), Bytes(cold));
 }
 
 TEST(RibltFoldTest, FoldOfFoldEqualsDirectFold) {

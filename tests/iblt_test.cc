@@ -140,6 +140,27 @@ TEST(IbltTest, SerializationRoundTrip) {
   EXPECT_EQ(a.entries.size(), b.entries.size());
 }
 
+TEST(IbltTest, UpdateManyMatchesPerKeyUpdate) {
+  // The batch path the reconcilers and estimators use must leave exactly
+  // the cells of a plain per-key Update loop, down to the WriteTo bytes.
+  Rng rng(4);
+  std::vector<uint64_t> ins_keys(300), del_keys(111);
+  for (auto& k : ins_keys) k = rng.Next();
+  for (auto& k : del_keys) k = rng.Next();
+
+  Iblt per_key(MakeParams(257, 4, 0, 17));
+  for (uint64_t k : ins_keys) per_key.Update(k, nullptr, +1);
+  for (uint64_t k : del_keys) per_key.Update(k, nullptr, -1);
+  Iblt batch(MakeParams(257, 4, 0, 17));
+  batch.InsertMany(ins_keys);
+  batch.DeleteMany(del_keys);
+
+  ByteWriter want, got;
+  per_key.WriteTo(&want);
+  batch.WriteTo(&got);
+  EXPECT_EQ(got.buffer(), want.buffer());
+}
+
 TEST(IbltTest, SerializationDetectsTruncation) {
   IbltParams params = MakeParams(48);
   Iblt table(params);

@@ -231,6 +231,37 @@ TEST(RibltTest, SerializationRoundTrip) {
   EXPECT_EQ(a->deleted.size(), b->deleted.size());
 }
 
+TEST(RibltTest, UpdateManyMatchesPerKeyUpdate) {
+  // The batch build every protocol uses must leave exactly the cells of the
+  // paper's one-key-at-a-time insertion (Section 2.2), inserts and deletes
+  // mixed, down to the WriteTo bytes.
+  const size_t dim = 5;
+  Rng rng(1);
+  std::vector<uint64_t> ins_keys(513), del_keys(256);
+  for (auto& k : ins_keys) k = rng.Next();
+  for (auto& k : del_keys) k = rng.Next();
+  PointStore ins_values =
+      GenerateUniformStore(ins_keys.size(), dim, 1023, &rng);
+  PointStore del_values =
+      GenerateUniformStore(del_keys.size(), dim, 1023, &rng);
+
+  Riblt per_key(MakeParams(384, dim, 1023));
+  for (size_t i = 0; i < ins_keys.size(); ++i) {
+    per_key.Update(ins_keys[i], ins_values.coord_data() + i * dim, +1);
+  }
+  for (size_t i = 0; i < del_keys.size(); ++i) {
+    per_key.Update(del_keys[i], del_values.coord_data() + i * dim, -1);
+  }
+  Riblt batch(MakeParams(384, dim, 1023));
+  batch.InsertMany(ins_keys, ins_values);
+  batch.DeleteMany(del_keys, del_values);
+
+  ByteWriter want, got;
+  per_key.WriteTo(&want);
+  batch.WriteTo(&got);
+  EXPECT_EQ(got.buffer(), want.buffer());
+}
+
 TEST(RibltTest, StoreNativeResultPreservesPairSemantics) {
   // The store-native result must carry exactly the information the legacy
   // vector<RibltPair> did: row i of `inserted` pairs with inserted_keys[i],

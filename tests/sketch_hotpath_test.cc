@@ -185,41 +185,5 @@ TEST(SketchHotPathTest, ValueResidueReportsIncomplete) {
   EXPECT_TRUE(clean.Decode().complete);
 }
 
-TEST(SketchHotPathTest, IbltWarmShardedUpdateDoesNotAllocate) {
-  // 2^17 cells at ~24 B/cell span 8 partition blocks, so 4 shards really
-  // partition. The first call grows this thread's pool; a repeat call of the
-  // same shape reuses it.
-  IbltParams params;
-  params.num_cells = size_t{1} << 17;
-  params.seed = 18;
-  Iblt table(params);
-  Rng rng(19);
-  std::vector<uint64_t> keys(5000);
-  for (auto& k : keys) k = rng.Next();
-  table.InsertManySharded(keys, /*num_shards=*/4, /*num_threads=*/1);
-  long long before = AllocationCount();
-  table.DeleteManySharded(keys, /*num_shards=*/4, /*num_threads=*/1);
-  EXPECT_EQ(AllocationCount(), before);
-  EXPECT_TRUE(table.Decode().complete);
-}
-
-TEST(SketchHotPathTest, RibltWarmShardedUpdateDoesNotAllocate) {
-  // 3 * 2^14 cells at 56 B/cell (dim 2) span 6 partition blocks.
-  RibltParams params;
-  params.num_cells = 3 * (size_t{1} << 14);
-  params.dim = 2;
-  params.delta = 1023;
-  params.seed = 20;
-  Riblt table(params);
-  Rng rng(21);
-  PointStore points = GenerateUniformStore(5000, 2, 1023, &rng);
-  std::vector<uint64_t> keys(points.size());
-  for (auto& k : keys) k = rng.Next();
-  table.InsertManySharded(keys, points, /*num_shards=*/4, /*num_threads=*/1);
-  long long before = AllocationCount();
-  table.DeleteManySharded(keys, points, /*num_shards=*/4, /*num_threads=*/1);
-  EXPECT_EQ(AllocationCount(), before);
-}
-
 }  // namespace
 }  // namespace rsr

@@ -4,9 +4,9 @@
 //     each into its own result (peeling on per-thread pools), reproduce a
 //     single-threaded decode exactly (pairs, keys, peel steps), given the
 //     same rounding coins;
-//   - sharded builds running on several threads at once each partition in
-//     their own thread_local pool and stay byte-identical to the sequential
-//     build.
+//   - BuildEmdSketches running on several threads at once over one const
+//     store, each with its own worker threads, stays byte-identical to a
+//     single-threaded build.
 // The ThreadSanitizer CI leg runs this suite (-R 'Sync|Reentrancy').
 #include <cstdint>
 #include <thread>
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/emd_sketch.h"
 #include "sketch/riblt.h"
 #include "util/random.h"
 #include "util/serialize.h"
@@ -43,9 +44,10 @@ bool SameDecode(const RibltDecodeResult& a, const RibltDecodeResult& b) {
          a.deleted == b.deleted;
 }
 
-std::vector<uint8_t> Bytes(const Riblt& table) {
+template <typename Sketch>
+std::vector<uint8_t> Bytes(const Sketch& sketch) {
   ByteWriter w;
-  table.WriteTo(&w);
+  sketch.WriteTo(&w);
   return w.buffer();
 }
 
@@ -96,28 +98,44 @@ TEST(SketchReentrancyTest, ConcurrentRibltDecodeIntoMatchesSingleThreaded) {
   }
 }
 
-TEST(SketchReentrancyTest, ConcurrentShardedBuildsMatchSequentialBytes) {
-  // 3 * 2^14 cells span several partition blocks, so each build really
-  // partitions (in its calling thread's pool) and fans out to 2 workers.
+TEST(SketchReentrancyTest, ConcurrentLevelTableBuildsMatchSequentialBytes) {
+  // Several threads build the whole sketch set over one const store at once,
+  // each fanning its levels and key rows out to 2 more workers; every table
+  // and estimator must match a single-threaded build byte for byte.
   Rng rng(33);
-  const size_t n = 3000;
-  std::vector<uint64_t> keys(n);
-  for (auto& k : keys) k = rng.Next();
-  PointStore values = GenerateUniformStore(n, kDim, kDelta, &rng);
-  const RibltParams params = Params(3 * (size_t{1} << 14));
-  Riblt reference(params);
-  reference.InsertMany(keys, values);
-  const std::vector<uint8_t> want = Bytes(reference);
+  const PointStore store = GenerateUniformStore(128, kDim, kDelta, &rng);
+  EmdProtocolParams params;
+  params.metric = MetricKind::kL2;
+  params.dim = kDim;
+  params.delta = kDelta;
+  params.k = 2;
+  params.d1 = 1;
+  params.d2 = 16;
+  params.seed = 34;
+  params.num_threads = 1;
+  auto reference = BuildEmdSketches(store, params, /*build_estimators=*/true);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_GE(reference->tables.size(), 2u);
+  std::vector<std::vector<uint8_t>> want;
+  for (const Riblt& table : reference->tables) want.push_back(Bytes(table));
+  for (const StrataEstimator& estimator : reference->estimators) {
+    want.push_back(Bytes(estimator));
+  }
 
+  params.num_threads = 2;
   std::vector<int> matches(kThreads, 0);
   std::vector<std::thread> workers;
   for (size_t t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       for (int rep = 0; rep < 3; ++rep) {
-        Riblt table(params);
-        table.InsertManySharded(keys, values, /*num_shards=*/4 + t,
-                                /*num_threads=*/2);
-        if (Bytes(table) == want) ++matches[t];
+        auto built = BuildEmdSketches(store, params, /*build_estimators=*/true);
+        if (!built.ok()) continue;
+        std::vector<std::vector<uint8_t>> got;
+        for (const Riblt& table : built->tables) got.push_back(Bytes(table));
+        for (const StrataEstimator& estimator : built->estimators) {
+          got.push_back(Bytes(estimator));
+        }
+        if (got == want) ++matches[t];
       }
     });
   }

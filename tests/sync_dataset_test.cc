@@ -1,8 +1,8 @@
 // Pins the SyncDataset maintenance contract (core/sync_dataset.h): after ANY
 // interleaving of inserts and deletes, every maintained RIBLT and strata
 // estimator is WriteTo byte-identical to a cold BuildEmdSketches over the
-// surviving rows — across level ladders, shard counts, and thread counts —
-// and warm mutations perform zero heap allocations (alloc_counter.cc).
+// surviving rows — across level ladders and thread counts — and warm
+// mutations perform zero heap allocations (alloc_counter.cc).
 #include <algorithm>
 #include <numeric>
 #include <span>
@@ -22,8 +22,7 @@ namespace {
 
 using ::rsr::testing::AllocationCount;
 
-EmdProtocolParams MakeParams(size_t d2, size_t shards, size_t threads,
-                             uint64_t seed = 77) {
+EmdProtocolParams MakeParams(size_t d2, size_t threads, uint64_t seed = 77) {
   EmdProtocolParams params;
   params.metric = MetricKind::kL1;
   params.dim = 3;
@@ -31,7 +30,6 @@ EmdProtocolParams MakeParams(size_t d2, size_t shards, size_t threads,
   params.k = 2;
   params.d1 = 1;
   params.d2 = static_cast<double>(d2);
-  params.sketch_shards = shards;
   params.num_threads = threads;
   params.seed = seed;
   return params;
@@ -82,61 +80,111 @@ void ExpectMatchesColdBuild(const SyncDataset& ds,
 TEST(SyncDatasetTest, IncrementalMatchesColdBuildAcrossConfigs) {
   PointStore pool = DistinctPool(140, 5);
   for (size_t d2 : std::vector<size_t>{8, 256}) {
-    for (size_t shards : std::vector<size_t>{1, 4}) {
-      for (size_t threads : std::vector<size_t>{1, 4}) {
-        SCOPED_TRACE("d2=" + std::to_string(d2) +
-                     " shards=" + std::to_string(shards) +
-                     " threads=" + std::to_string(threads));
-        EmdProtocolParams params = MakeParams(d2, shards, threads);
-        PointStore initial(3);
-        for (size_t i = 0; i < 96; ++i) initial.Append(pool[i]);
-        auto ds = SyncDataset::Create(initial, params);
-        ASSERT_TRUE(ds.ok());
-        ExpectMatchesColdBuild(*ds, params);
+    for (size_t threads : std::vector<size_t>{1, 4}) {
+      SCOPED_TRACE("d2=" + std::to_string(d2) +
+                   " threads=" + std::to_string(threads));
+      EmdProtocolParams params = MakeParams(d2, threads);
+      PointStore initial(3);
+      for (size_t i = 0; i < 96; ++i) initial.Append(pool[i]);
+      auto ds = SyncDataset::Create(initial, params);
+      ASSERT_TRUE(ds.ok());
+      ExpectMatchesColdBuild(*ds, params);
 
-        // Singleton inserts...
-        for (size_t i = 96; i < 116; ++i) {
-          auto key = ds->Insert(pool[i]);
-          ASSERT_TRUE(key.ok());
-          EXPECT_EQ(*key, ds->KeyOf(pool[i]));
-        }
-        // ...singleton deletes of original rows...
-        for (size_t i = 0; i < 10; ++i) {
-          ASSERT_TRUE(ds->Delete(ds->KeyOf(pool[i])).ok());
-        }
-        // ...and one batch whose deletes span original rows, a previous
-        // singleton insert, and rows inserted by this very batch.
-        PointStore batch(3);
-        for (size_t i = 116; i < 136; ++i) batch.Append(pool[i]);
-        std::vector<uint64_t> dels;
-        for (size_t i = 10; i < 18; ++i) dels.push_back(ds->KeyOf(pool[i]));
-        dels.push_back(ds->KeyOf(pool[100]));
-        dels.push_back(ds->KeyOf(pool[116]));
-        dels.push_back(ds->KeyOf(pool[117]));
-        ASSERT_TRUE(ds->ApplyBatch(batch, dels).ok());
-        ASSERT_EQ(ds->size(), 115u);
-
-        ExpectMatchesColdBuild(*ds, params);
-
-        // The surviving rows are exactly (initial u inserts) \ deletions.
-        PointStore want(3);
-        for (size_t i = 18; i < 116; ++i) {
-          if (i == 100) continue;
-          want.Append(pool[i]);
-        }
-        for (size_t i = 118; i < 136; ++i) want.Append(pool[i]);
-        want.SortLex();
-        PointStore got = ds->rows();
-        got.SortLex();
-        EXPECT_EQ(got, want);
+      // Singleton inserts...
+      for (size_t i = 96; i < 116; ++i) {
+        auto key = ds->Insert(pool[i]);
+        ASSERT_TRUE(key.ok());
+        EXPECT_EQ(*key, ds->KeyOf(pool[i]));
       }
+      // ...singleton deletes of original rows...
+      for (size_t i = 0; i < 10; ++i) {
+        ASSERT_TRUE(ds->Delete(ds->KeyOf(pool[i])).ok());
+      }
+      // ...and one batch whose deletes span original rows, a previous
+      // singleton insert, and rows inserted by this very batch.
+      PointStore batch(3);
+      for (size_t i = 116; i < 136; ++i) batch.Append(pool[i]);
+      std::vector<uint64_t> dels;
+      for (size_t i = 10; i < 18; ++i) dels.push_back(ds->KeyOf(pool[i]));
+      dels.push_back(ds->KeyOf(pool[100]));
+      dels.push_back(ds->KeyOf(pool[116]));
+      dels.push_back(ds->KeyOf(pool[117]));
+      ASSERT_TRUE(ds->ApplyBatch(batch, dels).ok());
+      ASSERT_EQ(ds->size(), 115u);
+
+      ExpectMatchesColdBuild(*ds, params);
+
+      // The surviving rows are exactly (initial u inserts) \ deletions.
+      PointStore want(3);
+      for (size_t i = 18; i < 116; ++i) {
+        if (i == 100) continue;
+        want.Append(pool[i]);
+      }
+      for (size_t i = 118; i < 136; ++i) want.Append(pool[i]);
+      want.SortLex();
+      PointStore got = ds->rows();
+      got.SortLex();
+      EXPECT_EQ(got, want);
     }
+  }
+}
+
+TEST(SyncDatasetTest, ColdBuildIdenticalAcrossThreadCounts) {
+  // Levels and key rows fan out over worker threads in Create; the tables
+  // and estimators must not depend on how many.
+  PointStore pool = DistinctPool(96, 10);
+  auto one = SyncDataset::Create(pool, MakeParams(256, 1));
+  auto four = SyncDataset::Create(pool, MakeParams(256, 4));
+  ASSERT_TRUE(one.ok());
+  ASSERT_TRUE(four.ok());
+  const EmdSketchSet& a = one->sketches();
+  const EmdSketchSet& b = four->sketches();
+  ASSERT_GE(a.tables.size(), 4u);
+  ASSERT_EQ(a.tables.size(), b.tables.size());
+  for (size_t l = 0; l < a.tables.size(); ++l) {
+    ByteWriter wa, wb;
+    a.tables[l].WriteTo(&wa);
+    b.tables[l].WriteTo(&wb);
+    EXPECT_EQ(wa.buffer(), wb.buffer()) << "table level " << l;
+  }
+  ASSERT_EQ(a.estimators.size(), b.estimators.size());
+  for (size_t l = 0; l < a.estimators.size(); ++l) {
+    ByteWriter wa, wb;
+    a.estimators[l].WriteTo(&wa);
+    b.estimators[l].WriteTo(&wb);
+    EXPECT_EQ(wa.buffer(), wb.buffer()) << "estimator level " << l;
+  }
+}
+
+TEST(EmdSketchTest, LevelTablesMatchPlainPerLevelInsertMany) {
+  // BuildEmdLevelTables, with a different cell count on every level and its
+  // levels spread over 3 threads, against one plain InsertMany per level.
+  PointStore points = DistinctPool(64, 11);
+  const EmdProtocolParams params = MakeParams(8, 3);
+  const std::vector<size_t> level_cells = {36, 90, 15, 48};
+  const size_t n = points.size();
+  std::vector<uint64_t> keys(level_cells.size() * n);
+  Rng rng(12);
+  for (auto& k : keys) k = rng.Next() & kEmdLevelKeyMask;
+
+  std::vector<Riblt> tables =
+      BuildEmdLevelTables(keys, points, level_cells, params);
+  ASSERT_EQ(tables.size(), level_cells.size());
+  for (size_t l = 0; l < level_cells.size(); ++l) {
+    Riblt plain(EmdLevelRibltParams(params, level_cells[l], l + 1));
+    plain.InsertMany(std::span<const uint64_t>(keys.data() + l * n, n),
+                     points);
+    ByteWriter want, got;
+    plain.WriteTo(&want);
+    tables[l].WriteTo(&got);
+    EXPECT_EQ(got.buffer(), want.buffer()) << "level " << l;
+    EXPECT_EQ(tables[l].num_cells(), plain.num_cells());
   }
 }
 
 TEST(SyncDatasetTest, CreateRejectsUnsupportedConfigs) {
   PointStore pool = DistinctPool(8, 6);
-  EmdProtocolParams params = MakeParams(8, 1, 1);
+  EmdProtocolParams params = MakeParams(8, 1);
 
   EmdProtocolParams no_d2 = params;
   no_d2.d2 = 0;
@@ -162,7 +210,7 @@ TEST(SyncDatasetTest, CreateRejectsUnsupportedConfigs) {
 
 TEST(SyncDatasetTest, MutationErrorsLeaveDatasetUntouched) {
   PointStore pool = DistinctPool(40, 7);
-  EmdProtocolParams params = MakeParams(8, 1, 1);
+  EmdProtocolParams params = MakeParams(8, 1);
   PointStore initial(3);
   for (size_t i = 0; i < 16; ++i) initial.Append(pool[i]);
   auto ds = SyncDataset::Create(initial, params);
@@ -203,7 +251,7 @@ TEST(SyncDatasetTest, GenerationBumpsOncePerMutationCall) {
   PointStore pool = DistinctPool(24, 8);
   PointStore initial(3);
   for (size_t i = 0; i < 8; ++i) initial.Append(pool[i]);
-  auto ds = SyncDataset::Create(initial, MakeParams(8, 1, 1));
+  auto ds = SyncDataset::Create(initial, MakeParams(8, 1));
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds->generation(), 0u);
   auto key = ds->Insert(pool[10]);
@@ -223,7 +271,7 @@ TEST(SyncDatasetTest, WarmMutationsDoNotAllocate) {
   // one warm-up of each mutation shape: after that, Insert / Delete /
   // ApplyBatch must not touch the heap — the O(levels * k) incremental
   // update is pure arithmetic on maintained cells.
-  EmdProtocolParams params = MakeParams(64, 1, 1);
+  EmdProtocolParams params = MakeParams(64, 1);
   PointStore pool = DistinctPool(160, 9);
   PointStore initial(3);
   for (size_t i = 0; i < 128; ++i) initial.Append(pool[i]);
