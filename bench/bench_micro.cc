@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/gap_protocol.h"
 #include "core/sync_dataset.h"
 #include "core/sync_server.h"
 #include "emd/emd.h"
@@ -553,6 +554,43 @@ BENCHMARK(BM_RepairMatch)
     ->Args({256, 8192})
     ->Args({48, 32768})
     ->Unit(benchmark::kMillisecond);
+
+// ---- Gap protocol far detection (core/gap_protocol.h) ---------------------
+
+/// The far step of RunGapProtocol at the gap_hamming key shape: 2048 keys
+/// per side, h = 44 slots, each slot a 32-bit hash of one of 16 values
+/// (m = 4 sampled bits), tau = 31.24 (need = 32, 13 pigeonhole groups).
+/// Alice's keys are near twins of Bob's (one slot in 64 redrawn); every
+/// 256th is redrawn whole and is far.
+void BM_GapFarDetection(benchmark::State& state) {
+  constexpr size_t kKeys = 2048;
+  constexpr size_t kH = 44;
+  Rng rng(19);
+  auto slot_value = [&](size_t slot) {
+    return static_cast<uint32_t>(Mix64((slot << 4) | rng.Below(16)));
+  };
+  std::vector<SlottedSet> bob(kKeys, SlottedSet(kH));
+  for (auto& key : bob) {
+    for (size_t slot = 0; slot < kH; ++slot) key[slot] = slot_value(slot);
+  }
+  std::vector<SlottedSet> alice = bob;
+  for (size_t i = 0; i < kKeys; ++i) {
+    for (size_t slot = 0; slot < kH; ++slot) {
+      if (i % 256 == 255 || rng.Below(64) == 0) {
+        alice[i][slot] = slot_value(slot);
+      }
+    }
+  }
+  size_t far_keys = 0;
+  for (auto _ : state) {
+    internal::FarDetection far = internal::DetectFarKeys(alice, bob, 31.24);
+    far_keys = far.far_keys;
+    benchmark::DoNotOptimize(far.far_rows.data());
+  }
+  RSR_CHECK(far_keys >= kKeys / 256);
+  state.counters["far_keys"] = static_cast<double>(far_keys);
+}
+BENCHMARK(BM_GapFarDetection)->Unit(benchmark::kMillisecond);
 
 // ---- Maintained sketches (core/sync_dataset.h, core/sync_server.h) ------
 

@@ -9,8 +9,8 @@
 # Layer groups: the key hash (BM_PairwisePrefixes*,
 # BM_PairwiseEvalBatchShort), batch LSH (BM_EvaluateAll*,
 # BM_StoreEvaluateAll), sketches (BM_Iblt*, BM_Riblt*), repair matching
-# (BM_RepairMatch, BM_Emd*), and maintained serving (BM_SyncDatasetInsert,
-# BM_SessionSync*). The standalone bench_server binary sweeps
+# (BM_RepairMatch, BM_Emd*), Gap far detection (BM_GapFarDetection), and
+# maintained serving (BM_SyncDatasetInsert, BM_SessionSync*). The standalone bench_server binary sweeps
 # maintained-vs-rebuilt serving across churn rates and is run directly
 # (./build/bench_server), not through this script.
 #

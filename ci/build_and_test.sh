@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (Release build of the library, tests,
-# benches and examples + full CTest run + one run of every example; -Wall
-# -Wextra are enabled unconditionally by CMakeLists.txt, and the strict
-# warning wall -Wconversion/-Wsign-conversion/... by the default-ON
+# benches and examples + full CTest run + one run of every example and one
+# short pass of bench_micro; -Wall -Wextra are enabled unconditionally by
+# CMakeLists.txt, and the strict warning wall
+# -Wconversion/-Wsign-conversion/... by the default-ON
 # RSR_STRICT_WARNINGS option), the static-analysis wall
 # (ci/static_analysis.sh: clang-tidy + the wire-invariant linter +
 # shellcheck + scoped clang-format check — see docs/STATIC_ANALYSIS.md),
@@ -63,6 +64,14 @@ for example in build/example_*; do
   echo "---- ${example} ----"
   "${example}"
 done
+
+# One short pass of every microbenchmark, when google-benchmark was found:
+# a benchmark whose setup CHECK-fails (each asserts the shape it times)
+# fails CI here, not the next bench/run_bench.sh. Its timings are not kept.
+if [[ -x build/bench_micro ]]; then
+  echo "==== Microbenchmarks, one short pass (bench_micro) ===="
+  build/bench_micro --benchmark_min_time=0.01
+fi
 
 # End-to-end benchmark smoke pass (bench/e2e/run.py --smoke): builds
 # bench_e2e from this checkout into .bench_build/ and runs every workload at

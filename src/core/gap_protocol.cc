@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <unordered_map>
+#include <numeric>
 
 #include "hashing/hash64.h"
 #include "hashing/pairwise.h"
@@ -13,6 +12,121 @@
 namespace rsr {
 
 namespace internal {
+
+namespace {
+
+/// Hash of the sub-key key[lo, hi). Equal sub-keys hash equal; unequal ones
+/// may collide, which costs DetectFarKeys a verification, never a result.
+uint64_t SubKeyHash(const SlottedSet& key, size_t lo, size_t hi) {
+  uint64_t acc = 0x9a7f5b10c4e3d2a1ULL;
+  for (size_t slot = lo; slot < hi; ++slot) acc = HashCombine(acc, key[slot]);
+  return acc;
+}
+
+/// True iff `a` and `b` agree in at least `need` of their h slots; stops as
+/// soon as the answer is known.
+bool MatchesAtLeast(const SlottedSet& a, const SlottedSet& b, size_t need) {
+  const size_t h = a.size();
+  const size_t max_misses = h - need;
+  size_t matches = 0;
+  size_t misses = 0;
+  for (size_t slot = 0; slot < h; ++slot) {
+    if (a[slot] == b[slot]) {
+      if (++matches == need) return true;
+    } else if (++misses > max_misses) {
+      return false;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+FarDetection DetectFarKeys(const std::vector<SlottedSet>& alice_keys,
+                           const std::vector<SlottedSet>& bob_keys,
+                           double tau) {
+  FarDetection result;
+  // need = ceil(tau) <= 0: every best count reaches tau, nothing is far.
+  if (alice_keys.empty() || !(tau > 0)) return result;
+  const size_t h = alice_keys[0].size();
+  for (const SlottedSet& key : alice_keys) RSR_CHECK_EQ(key.size(), h);
+  for (const SlottedSet& key : bob_keys) RSR_CHECK_EQ(key.size(), h);
+
+  // Distinct keys in ascending order, rows ascending within a key: a stable
+  // sort of row indices. Far runs are compacted to the front of `rows`
+  // in place, which then becomes far_rows.
+  std::vector<size_t> rows(alice_keys.size());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  std::stable_sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
+    return alice_keys[a] < alice_keys[b];
+  });
+  auto for_each_key = [&](auto&& is_far) {
+    size_t kept = 0;
+    size_t key_id = 0;
+    for (size_t begin = 0; begin < rows.size(); ++key_id) {
+      const SlottedSet& key = alice_keys[rows[begin]];
+      size_t end = begin + 1;
+      while (end < rows.size() && alice_keys[rows[end]] == key) ++end;
+      if (is_far(key, key_id)) {
+        ++result.far_keys;
+        for (size_t i = begin; i < end; ++i) rows[kept++] = rows[i];
+      }
+      begin = end;
+    }
+    rows.resize(kept);
+  };
+
+  if (bob_keys.empty() || std::ceil(tau) > static_cast<double>(h)) {
+    // Best counts are at most h (0 with no Bob keys), all below tau.
+    for_each_key([](const SlottedSet&, size_t) { return true; });
+    result.far_rows = std::move(rows);
+    return result;
+  }
+  const size_t need = static_cast<size_t>(std::ceil(tau));  // in [1, h]
+  const size_t groups = h - need + 1;
+  const size_t n_bob = bob_keys.size();
+  auto group_begin = [&](size_t g) { return g * h / groups; };
+
+  // Per group, Bob's (sub-key hash, key index) pairs sorted by hash, in one
+  // flat array: group g occupies [g * n_bob, (g + 1) * n_bob).
+  struct Entry {
+    uint64_t sub_key;
+    size_t bob;
+  };
+  std::vector<Entry> index(groups * n_bob);
+  for (size_t g = 0; g < groups; ++g) {
+    Entry* slice = index.data() + g * n_bob;
+    for (size_t b = 0; b < n_bob; ++b) {
+      slice[b] = {SubKeyHash(bob_keys[b], group_begin(g), group_begin(g + 1)),
+                  b};
+    }
+    std::sort(slice, slice + n_bob, [](const Entry& x, const Entry& y) {
+      return x.sub_key < y.sub_key;
+    });
+  }
+
+  // stamp[b] == key_id + 1: Bob key b was already verified for this key.
+  std::vector<size_t> stamp(n_bob, 0);
+  for_each_key([&](const SlottedSet& key, size_t key_id) {
+    for (size_t g = 0; g < groups; ++g) {
+      const uint64_t sub_key =
+          SubKeyHash(key, group_begin(g), group_begin(g + 1));
+      const Entry* slice_begin = index.data() + g * n_bob;
+      const Entry* slice_end = slice_begin + n_bob;
+      const Entry* it = std::lower_bound(
+          slice_begin, slice_end, sub_key,
+          [](const Entry& e, uint64_t v) { return e.sub_key < v; });
+      for (; it != slice_end && it->sub_key == sub_key; ++it) {
+        if (stamp[it->bob] == key_id + 1) continue;
+        stamp[it->bob] = key_id + 1;
+        if (MatchesAtLeast(key, bob_keys[it->bob], need)) return false;
+      }
+    }
+    return true;
+  });
+  result.far_rows = std::move(rows);
+  return result;
+}
 
 Result<GapPipelineResult> RunGapPipeline(
     const PointStore& alice, const PointStore& bob,
@@ -70,51 +184,18 @@ Result<GapPipelineResult> RunGapPipeline(
   result.comm.Append(result.reconciliation.comm);
   const std::vector<SlottedSet>& bob_recovered = result.reconciliation.bob_sets;
 
-  // ---- Far detection: best entry-match count of each Alice key against
-  // every Bob key (exact-equal keys short-circuit at h matches). ----
-  std::unordered_map<uint64_t, std::vector<size_t>> entry_index;
-  for (size_t b = 0; b < bob_recovered.size(); ++b) {
-    for (size_t slot = 0; slot < config.h; ++slot) {
-      uint64_t entry =
-          (static_cast<uint64_t>(slot) << 32) | bob_recovered[b][slot];
-      entry_index[entry].push_back(b);
-    }
-  }
-
-  std::map<SlottedSet, std::vector<size_t>> alice_by_key;
-  for (size_t i = 0; i < alice.size(); ++i) {
-    alice_by_key[alice_keys[i]].push_back(i);
-  }
-
-  std::vector<size_t> match_count(bob_recovered.size(), 0);
-  std::vector<size_t> touched;
-  std::vector<size_t> far_rows;
-  for (const auto& [key, owners] : alice_by_key) {
-    touched.clear();
-    size_t best = 0;
-    for (size_t slot = 0; slot < config.h; ++slot) {
-      uint64_t entry = (static_cast<uint64_t>(slot) << 32) | key[slot];
-      auto it = entry_index.find(entry);
-      if (it == entry_index.end()) continue;
-      for (size_t b : it->second) {
-        if (match_count[b] == 0) touched.push_back(b);
-        ++match_count[b];
-        best = std::max(best, match_count[b]);
-      }
-    }
-    for (size_t b : touched) match_count[b] = 0;
-    if (static_cast<double>(best) < config.tau) {
-      ++result.far_keys;
-      far_rows.insert(far_rows.end(), owners.begin(), owners.end());
-    }
-  }
+  // ---- Far detection: an Alice key is far when no recovered Bob key
+  // matches it in ceil(tau) or more slots (DetectFarKeys: exact pigeonhole
+  // candidates, each verified by a full slot compare). ----
+  const FarDetection far = DetectFarKeys(alice_keys, bob_recovered, config.tau);
+  result.far_keys = far.far_keys;
 
   // Either side may be empty (and then possibly dimensionless); the other
   // one carries the protocol's dimension.
   const size_t dim = alice.empty() ? bob.dim() : alice.dim();
   result.transmitted = PointStore(dim);
-  result.transmitted.Reserve(far_rows.size());
-  for (size_t i : far_rows) result.transmitted.Append(alice.row(i));
+  result.transmitted.Reserve(far.far_rows.size());
+  for (size_t i : far.far_rows) result.transmitted.Append(alice.row(i));
 
   // ---- Round 4: Alice transmits T_A. ----
   ByteWriter message;

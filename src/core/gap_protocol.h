@@ -101,6 +101,33 @@ Result<GapPipelineResult> RunGapPipeline(
     const std::vector<std::unique_ptr<LshFunction>>& functions,
     const GapPipelineConfig& config);
 
+/// Far detection over h-slot keys: Alice's key is far when its best
+/// slot-match count against every key of `bob_keys` is below `tau`.
+struct FarDetection {
+  /// Alice's far rows (indices into `alice_keys`), grouped by key in
+  /// ascending lexicographic key order, rows ascending within a key.
+  std::vector<size_t> far_rows;
+  /// Number of distinct far keys.
+  size_t far_keys = 0;
+};
+
+/// Exact pigeonhole candidate filter (the one of multi-index Hamming
+/// search). With need = ceil(tau), a key is far iff no Bob key matches it in
+/// need or more slots. Nothing is far when need <= 0; everything is far when
+/// need > h or Bob has no keys. Otherwise the h slots split into
+/// G = h - need + 1 contiguous groups, group g being slots
+/// [g*h/G, (g+1)*h/G). A Bob key matching in >= need slots mismatches in at
+/// most h - need = G - 1, so at least one whole group agrees exactly. Each
+/// group's sub-key is hashed and indexed over Bob's keys; a Bob key that
+/// shares some group sub-key with Alice's key is a candidate and is
+/// verified by a full slot compare that stops at need matches. Every close
+/// Bob key is therefore a candidate, and a sub-key hash collision only adds
+/// a verification, so the result equals the all-pairs count exactly.
+/// All keys must have the same length h.
+FarDetection DetectFarKeys(const std::vector<SlottedSet>& alice_keys,
+                           const std::vector<SlottedSet>& bob_keys,
+                           double tau);
+
 }  // namespace internal
 
 }  // namespace rsr

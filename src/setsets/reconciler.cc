@@ -141,8 +141,9 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
   const uint64_t salt = params.seed;
   const WireCodec codec = params.codec;
 
+  std::vector<size_t> alice_order;
   std::vector<uint64_t> alice_salted =
-      CanonicalSaltedSignatures(alice_sets, salt, nullptr);
+      CanonicalSaltedSignatures(alice_sets, salt, &alice_order);
   std::vector<size_t> bob_order;
   std::vector<uint64_t> bob_salted =
       CanonicalSaltedSignatures(bob_sets, salt, &bob_order);
@@ -299,12 +300,9 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
   for (uint64_t sig : alice_only_sigs) alice_only_multiset[sig]++;
   std::vector<SlottedSet> alice_diff_sets;
   {
-    std::vector<size_t> alice_order;
-    std::vector<uint64_t> salted =
-        CanonicalSaltedSignatures(alice_sets, salt, &alice_order);
     auto remaining = alice_only_multiset;
-    for (size_t pos = 0; pos < salted.size(); ++pos) {
-      auto it = remaining.find(salted[pos]);
+    for (size_t pos = 0; pos < alice_salted.size(); ++pos) {
+      auto it = remaining.find(alice_salted[pos]);
       if (it != remaining.end() && it->second > 0) {
         --it->second;
         alice_diff_sets.push_back(alice_sets[alice_order[pos]]);
@@ -472,12 +470,9 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
 
   // ---- Assemble Bob's multiset: (Alice's sets minus Alice-only) + diff. ----
   {
-    std::vector<size_t> alice_order;
-    std::vector<uint64_t> salted =
-        CanonicalSaltedSignatures(alice_sets, salt, &alice_order);
     auto remaining = alice_only_multiset;
-    for (size_t pos = 0; pos < salted.size(); ++pos) {
-      auto it = remaining.find(salted[pos]);
+    for (size_t pos = 0; pos < alice_salted.size(); ++pos) {
+      auto it = remaining.find(alice_salted[pos]);
       if (it != remaining.end() && it->second > 0) {
         --it->second;
         continue;  // Bob lacks this one

@@ -11,10 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "core/gap_lowdim.h"
 #include "core/gap_protocol.h"
 #include "hashing/hash64.h"
 #include "hashing/pairwise.h"
+#include "util/random.h"
 #include "workload/generators.h"
 
 namespace rsr {
@@ -511,6 +513,239 @@ TEST(GapFarOracleTest, EmptySidesMatchPlainOracle) {
     // An empty Alice has nothing to flag.
     EXPECT_EQ(ExpectFarDetectionMatchesOracle(empty, points, tau), 0u);
   }
+}
+
+// ---- internal::DetectFarKeys against a plain all-pairs count -------------
+//
+// The pigeonhole filter must return exactly what counting matching slots of
+// every Alice key against every Bob key returns: the same far keys, in key
+// order, rows ascending within a key.
+
+internal::FarDetection PlainFarDetection(
+    const std::vector<SlottedSet>& alice_keys,
+    const std::vector<SlottedSet>& bob_keys, double tau) {
+  std::map<SlottedSet, std::vector<size_t>> rows_by_key;
+  for (size_t i = 0; i < alice_keys.size(); ++i) {
+    rows_by_key[alice_keys[i]].push_back(i);
+  }
+  internal::FarDetection far;
+  for (const auto& [key, rows] : rows_by_key) {
+    size_t best = 0;
+    for (const SlottedSet& bob_key : bob_keys) {
+      size_t count = 0;
+      for (size_t j = 0; j < key.size(); ++j) count += key[j] == bob_key[j];
+      best = std::max(best, count);
+    }
+    if (static_cast<double>(best) < tau) {
+      ++far.far_keys;
+      far.far_rows.insert(far.far_rows.end(), rows.begin(), rows.end());
+    }
+  }
+  return far;
+}
+
+void ExpectSameAsPlain(const std::vector<SlottedSet>& alice_keys,
+                       const std::vector<SlottedSet>& bob_keys, double tau) {
+  const internal::FarDetection got =
+      internal::DetectFarKeys(alice_keys, bob_keys, tau);
+  const internal::FarDetection want =
+      PlainFarDetection(alice_keys, bob_keys, tau);
+  EXPECT_EQ(got.far_keys, want.far_keys) << "tau " << tau;
+  EXPECT_EQ(got.far_rows, want.far_rows) << "tau " << tau;
+}
+
+// Group g of G = h - need + 1 spans slots [g*h/G, (g+1)*h/G).
+size_t GroupBegin(size_t g, size_t h, size_t need) {
+  return g * h / (h - need + 1);
+}
+
+// h = 10, tau = 7: need = 7 gives G = 4 groups of sizes 2, 3, 2, 3 (h not
+// divisible by G). A Bob key differing in one slot of every group but one
+// matches in exactly need slots and keeps Alice's key close; one more
+// difference, in the group left intact, makes it far.
+TEST(GapFarFilterTest, PigeonholeBoundaryAtExactlyNeedMatches) {
+  constexpr size_t kH = 10;
+  constexpr size_t kNeed = 7;
+  constexpr size_t kGroups = kH - kNeed + 1;
+  const SlottedSet alice_key = {11, 12, 13, 14, 15, 16, 17, 18, 19, 20};
+  for (double tau : {7.0, 6.5, 6.01}) {  // ceil(tau) = need
+    for (size_t intact = 0; intact < kGroups; ++intact) {
+      // Vary which slot of each changed group differs: first or last.
+      for (bool last : {false, true}) {
+        SlottedSet close = alice_key;
+        for (size_t g = 0; g < kGroups; ++g) {
+          if (g == intact) continue;
+          const size_t slot = last ? GroupBegin(g + 1, kH, kNeed) - 1
+                                   : GroupBegin(g, kH, kNeed);
+          close[slot] += 100;
+        }
+        SlottedSet far = close;
+        far[GroupBegin(intact, kH, kNeed)] += 100;
+
+        const internal::FarDetection kept =
+            internal::DetectFarKeys({alice_key}, {far, close}, tau);
+        EXPECT_EQ(kept.far_keys, 0u) << "tau " << tau << " intact " << intact;
+        ExpectSameAsPlain({alice_key}, {far, close}, tau);
+
+        const internal::FarDetection flagged =
+            internal::DetectFarKeys({alice_key}, {far}, tau);
+        EXPECT_EQ(flagged.far_keys, 1u)
+            << "tau " << tau << " intact " << intact;
+        EXPECT_EQ(flagged.far_rows, std::vector<size_t>{0});
+        ExpectSameAsPlain({alice_key}, {far}, tau);
+      }
+    }
+  }
+}
+
+TEST(GapFarFilterTest, ThresholdsOutsideTheFilteredRange) {
+  const std::vector<SlottedSet> alice = {{1, 2, 3, 4}, {5, 6, 7, 8},
+                                         {1, 2, 3, 4}};
+  const std::vector<SlottedSet> bob = {{1, 2, 3, 4}, {9, 9, 9, 9}};
+  // tau <= 0: nothing is far, not even a key sharing no slot with Bob.
+  for (double tau : {0.0, -1.0, -0.5}) {
+    EXPECT_EQ(internal::DetectFarKeys(alice, bob, tau).far_keys, 0u);
+    ExpectSameAsPlain(alice, bob, tau);
+  }
+  // tau > h: every key is far, an exact match included. tau = h keeps only
+  // exact matches.
+  for (double tau : {4.5, 5.0, 100.0}) {
+    const internal::FarDetection far = internal::DetectFarKeys(alice, bob, tau);
+    EXPECT_EQ(far.far_keys, 2u) << "tau " << tau;
+    EXPECT_EQ(far.far_rows, (std::vector<size_t>{0, 2, 1})) << "tau " << tau;
+    ExpectSameAsPlain(alice, bob, tau);
+  }
+  EXPECT_EQ(internal::DetectFarKeys(alice, bob, 4.0).far_rows,
+            std::vector<size_t>{1});
+  ExpectSameAsPlain(alice, bob, 4.0);
+  // tau = 1, the low-dimension threshold: far iff no slot matches any Bob
+  // key (G = h one-slot groups).
+  const std::vector<SlottedSet> one_shared = {{0, 0, 3, 0}, {0, 0, 0, 0}};
+  const internal::FarDetection low =
+      internal::DetectFarKeys(one_shared, bob, 1.0);
+  EXPECT_EQ(low.far_rows, std::vector<size_t>{1});
+  ExpectSameAsPlain(one_shared, bob, 1.0);
+  ExpectSameAsPlain(one_shared, bob, 0.5);
+}
+
+TEST(GapFarFilterTest, EmptySides) {
+  const std::vector<SlottedSet> keys = {{3, 1, 2}, {1, 1, 1}, {3, 1, 2}};
+  const std::vector<SlottedSet> none;
+  // An empty Bob leaves every best count at 0: far iff tau > 0.
+  const internal::FarDetection all = internal::DetectFarKeys(keys, none, 0.5);
+  EXPECT_EQ(all.far_keys, 2u);
+  EXPECT_EQ(all.far_rows, (std::vector<size_t>{1, 0, 2}));
+  for (double tau : {0.0, 0.5, 1.0, 3.0, 4.0}) {
+    ExpectSameAsPlain(keys, none, tau);
+    ExpectSameAsPlain(none, keys, tau);
+    EXPECT_TRUE(internal::DetectFarKeys(none, keys, tau).far_rows.empty());
+  }
+  EXPECT_EQ(internal::DetectFarKeys(keys, none, 0.0).far_keys, 0u);
+}
+
+TEST(GapFarFilterTest, DuplicateKeysAndSharedSubKeys) {
+  // 12 slots, tau = 9: G = 4 groups of 3. Every key holds 7 in slots 0-2,
+  // so each Bob key is a candidate of every Alice key through group 0, and
+  // again through a later group whenever the two also agree there. Bob's
+  // keys, each present twice, share one group-1 sub-key among themselves.
+  // The last Bob key is Alice's key 3 with one slot changed.
+  constexpr size_t kH = 12;
+  Rng rng(81);
+  auto random_key = [&] {
+    SlottedSet key(kH);
+    for (auto& v : key) v = static_cast<uint32_t>(rng.Below(4));
+    key[0] = key[1] = key[2] = 7;
+    return key;
+  };
+  std::vector<SlottedSet> alice;
+  for (size_t i = 0; i < 20; ++i) alice.push_back(random_key());
+  // Duplicate Alice rows at scattered positions: rows ascend within a key.
+  alice.push_back(alice[3]);
+  alice.push_back(alice[0]);
+  alice.insert(alice.begin() + 5, alice[3]);
+  std::vector<SlottedSet> bob;
+  for (size_t i = 0; i < 300; ++i) {
+    SlottedSet key = random_key();
+    key[3] = key[4] = key[5] = 9;  // shared group-1 sub-key
+    bob.push_back(key);
+    bob.push_back(key);  // duplicate Bob keys
+  }
+  SlottedSet near = alice[3];
+  near[11] += 1;
+  bob.push_back(near);
+  for (double tau : {1.0, 3.5, 6.0, 9.0, 11.0, 12.0}) {
+    ExpectSameAsPlain(alice, bob, tau);
+  }
+}
+
+TEST(GapFarFilterTest, RandomKeysMatchPlainCount) {
+  // Small alphabets make partial matches common, so every threshold sees
+  // close keys, far keys and candidates that fail verification.
+  Rng rng(82);
+  const size_t slot_counts[] = {1, 2, 5, 7, 13, 44};
+  const uint64_t alphabets[] = {2, 3, 16};
+  for (size_t h : slot_counts) {
+    for (uint64_t alphabet : alphabets) {
+      std::vector<SlottedSet> bob(40, SlottedSet(h));
+      for (auto& key : bob) {
+        for (auto& v : key) v = static_cast<uint32_t>(rng.Below(alphabet));
+      }
+      std::vector<SlottedSet> alice;
+      for (size_t i = 0; i < 40; ++i) {
+        SlottedSet key = bob[rng.Below(bob.size())];
+        for (auto& v : key) {
+          if (rng.Below(4) == 0) v = static_cast<uint32_t>(rng.Below(alphabet));
+        }
+        alice.push_back(key);
+      }
+      const double hd = static_cast<double>(h);
+      for (double tau : {0.5, 1.0, hd / 3, hd / 2 + 0.25, hd - 1, hd, hd + 1}) {
+        ExpectSameAsPlain(alice, bob, tau);
+      }
+    }
+  }
+}
+
+// Keys of the gap_hamming shape: h = 44 slots of 16 values, Alice's keys
+// near twins of Bob's (about one slot in 64 changed), every 64th one far.
+std::vector<SlottedSet> NearTwinKeys(const std::vector<SlottedSet>& bob,
+                                     Rng* rng) {
+  std::vector<SlottedSet> alice = bob;
+  for (size_t i = 0; i < alice.size(); ++i) {
+    for (auto& v : alice[i]) {
+      if (i % 64 == 63 || rng->Below(64) == 0) {
+        v = static_cast<uint32_t>(rng->Below(16));
+      }
+    }
+  }
+  return alice;
+}
+
+TEST(GapFarFilterTest, AllocationsDoNotGrowWithKeyCount) {
+  constexpr size_t kH = 44;
+  constexpr double kTau = 31.24;
+  Rng rng(83);
+  long long allocations[2] = {0, 0};
+  size_t far_keys[2] = {0, 0};
+  const size_t sizes[2] = {512, 4096};
+  for (size_t s = 0; s < 2; ++s) {
+    std::vector<SlottedSet> bob(sizes[s], SlottedSet(kH));
+    for (auto& key : bob) {
+      for (auto& v : key) v = static_cast<uint32_t>(rng.Below(16));
+    }
+    const std::vector<SlottedSet> alice = NearTwinKeys(bob, &rng);
+    const long long before = ::rsr::testing::AllocationCount();
+    const internal::FarDetection far =
+        internal::DetectFarKeys(alice, bob, kTau);
+    allocations[s] = ::rsr::testing::AllocationCount() - before;
+    far_keys[s] = far.far_keys;
+  }
+  EXPECT_GT(far_keys[0], 0u);
+  EXPECT_GT(far_keys[1], far_keys[0]);
+  // A handful of flat buffers, whatever the key count: no per-key map node,
+  // key copy or posting list.
+  EXPECT_EQ(allocations[1], allocations[0]);
+  EXPECT_LE(allocations[1], 8);
 }
 
 }  // namespace
