@@ -20,6 +20,7 @@
 #include "lsh/grid.h"
 #include "lsh/mlsh.h"
 #include "lsh/pstable.h"
+#include "setsets/reconciler.h"
 #include "sketch/iblt.h"
 #include "sketch/riblt.h"
 #include "util/cpu_features.h"
@@ -591,6 +592,72 @@ void BM_GapFarDetection(benchmark::State& state) {
   state.counters["far_keys"] = static_cast<double>(far_keys);
 }
 BENCHMARK(BM_GapFarDetection)->Unit(benchmark::kMillisecond);
+
+/// The key evaluation of RunGapProtocol at the gap_hamming shape: 2048
+/// points of dim 1024 in {0, 1}, 176 bit-sampling draws (h = 44 slots of
+/// m = 4), w = dim as MakeGapLsh picks it, integer-coordinate path.
+void BM_BitSamplingEvaluateAll(benchmark::State& state) {
+  constexpr size_t kDim = 1024;
+  Rng rng(20);
+  const PointStore points = GenerateUniformStore(2048, kDim, 1, &rng);
+  BitSamplingFamily family(kDim, static_cast<double>(kDim));
+  Rng draw_rng(21);
+  std::vector<std::unique_ptr<LshFunction>> draws =
+      DrawMany(family, 176, &draw_rng);
+  EvalMatrix matrix;
+  for (auto _ : state) {
+    EvaluateAllInto(points, draws, /*num_threads=*/1, &matrix);
+    benchmark::DoNotOptimize(matrix.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(points.size() * draws.size()));
+}
+BENCHMARK(BM_BitSamplingEvaluateAll)->Unit(benchmark::kMillisecond);
+
+// ---- Set-of-sets reconciliation (setsets/reconciler.h) --------------------
+
+/// Rounds 1-3 of RunGapProtocol at the gap_hamming key shape, fingerprint
+/// mode with 8-bit fingerprints: 2048 keys per side, h = 44 slots of 16
+/// values each. About half of Alice's keys differ from Bob's in one or two
+/// slots. The sketches are sized the way RunGapProtocol sizes them,
+/// 2.5 cells per expected differing set and element.
+void BM_SetsOfSetsReconcile(benchmark::State& state) {
+  constexpr size_t kKeys = 2048;
+  constexpr size_t kH = 44;
+  Rng rng(22);
+  auto slot_value = [&](size_t slot) {
+    return static_cast<uint32_t>(Mix64((slot << 4) | rng.Below(16)));
+  };
+  std::vector<SlottedSet> bob(kKeys, SlottedSet(kH));
+  for (auto& key : bob) {
+    for (size_t slot = 0; slot < kH; ++slot) key[slot] = slot_value(slot);
+  }
+  std::vector<SlottedSet> alice = bob;
+  for (size_t i = 0; i < kKeys; i += 2) {
+    const size_t edits = 1 + rng.Below(2);
+    for (size_t e = 0; e < edits; ++e) {
+      const size_t slot = rng.Below(kH);
+      alice[i][slot] = slot_value(slot);
+    }
+  }
+  SetsReconcilerParams params;
+  params.mode = SetsReconcilerMode::kFingerprint;
+  params.codec = WireCodec::kClassic;
+  params.sig_cells = 5 * kKeys / 2;
+  params.elem_cells = 15 * kKeys / 2;
+  params.seed = 23;
+  size_t diff_sets = 0;
+  for (auto _ : state) {
+    auto report = ReconcileSetsOfSets(alice, bob, params);
+    RSR_CHECK(report.ok() && !report->full_transfer);
+    diff_sets = report->diff_sets_bob;
+    benchmark::DoNotOptimize(report->bob_sets.data());
+  }
+  RSR_CHECK(diff_sets > kKeys / 4);
+  state.counters["diff_sets"] = static_cast<double>(diff_sets);
+}
+BENCHMARK(BM_SetsOfSetsReconcile)->Unit(benchmark::kMillisecond);
 
 // ---- Maintained sketches (core/sync_dataset.h, core/sync_server.h) ------
 

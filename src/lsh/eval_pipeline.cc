@@ -31,15 +31,22 @@ void EvaluateRowsInto(
   // stays L1-resident across all s strided column writes; without blocking
   // every write of a function pass lands on a distinct line of the full
   // n x s buffer. The column path re-touches its slice with SIMD-rate
-  // stores, so it wants the slice well inside L1 (16 KiB); the coord path's
-  // scalar kernels tolerate a larger footprint and prefer fewer virtual
-  // calls. A transposed block is kept near 32 KiB, but never below one
-  // 4-point AVX2 lane group, whatever the dim.
+  // stores, so it wants the slice well inside L1 (16 KiB); the coord path
+  // allows a larger slice for fewer virtual calls. Both paths also bound
+  // the rows a block spans, because every function pass revisits all of
+  // them. A transposed column block is kept near 32 KiB, but never below
+  // one 4-point AVX2 lane group. The coord path's rows span at most 16384
+  // arena coordinates (128 KiB, 16 rows at dim 1024), but never less than
+  // one row.
   constexpr size_t kColsBlockDoubles = 4096;
+  constexpr size_t kCoordBlockCoords = 16384;
   size_t block = (cols ? size_t{1} << 11 : size_t{1} << 13) / s;
   if (block < 16) block = 16;
   if (cols && block * dim > kColsBlockDoubles) {
     block = std::max<size_t>(4, kColsBlockDoubles / dim / 4 * 4);
+  }
+  if (!cols && block * dim > kCoordBlockCoords) {
+    block = std::max<size_t>(1, kCoordBlockCoords / dim);
   }
   ParallelShards(n, num_threads, [&](size_t begin, size_t end) {
     // Column path: transpose each block of arena rows to column-major

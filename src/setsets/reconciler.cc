@@ -1,8 +1,9 @@
 #include "setsets/reconciler.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <iterator>
+#include <span>
+#include <utility>
 
 #include "core/adaptive.h"
 #include "hashing/hash64.h"
@@ -24,88 +25,219 @@ SlottedSet ReadSet(ByteReader* r, size_t slots) {
   return set;
 }
 
-/// Occurrence-salted element words for the elements of a collection of sets,
-/// in canonical (sorted-set) order so both parties salt identically.
-std::vector<uint64_t> SaltedElementWords(std::vector<SlottedSet> sets) {
-  std::sort(sets.begin(), sets.end());
-  std::unordered_map<uint64_t, uint32_t> occurrence;
+/// Element key (slot << 32 | value) of slot `slot` holding `value`.
+uint64_t ElementKey(size_t slot, uint32_t value) {
+  return (static_cast<uint64_t>(slot) << 32) | value;
+}
+
+/// Map from element keys to V in one open-addressing table (linear
+/// probing, doubled at half load), so tens of thousands of lookups allocate
+/// a few flat buffers rather than one node per key.
+template <typename V>
+class ElementMap {
+ public:
+  ElementMap() : keys_(kInitialCapacity, kEmpty), values_(kInitialCapacity) {}
+
+  /// The value of `key`, value-initialized on first use.
+  V& operator[](uint64_t key) {
+    size_t i = Position(key);
+    if (keys_[i] == kEmpty) {
+      if (2 * (size_ + 1) > keys_.size()) {
+        Grow();
+        i = Position(key);
+      }
+      keys_[i] = key;
+      ++size_;
+    }
+    return values_[i];
+  }
+
+  /// The value of `key`, or null if it was never used.
+  const V* Find(uint64_t key) const {
+    const size_t i = Position(key);
+    return keys_[i] == kEmpty ? nullptr : &values_[i];
+  }
+
+  /// The keys used, in ascending order.
+  std::vector<uint64_t> SortedKeys() const {
+    std::vector<uint64_t> out;
+    out.reserve(size_);
+    for (uint64_t key : keys_) {
+      if (key != kEmpty) out.push_back(key);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  // Element keys use 48 bits, so an all-ones word never collides with one.
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+  static constexpr size_t kInitialCapacity = 64;
+
+  /// Where `key` is, or the empty slot where it would go.
+  size_t Position(uint64_t key) const {
+    const size_t mask = keys_.size() - 1;
+    size_t i = static_cast<size_t>(Mix64(key)) & mask;
+    while (keys_[i] != kEmpty && keys_[i] != key) i = (i + 1) & mask;
+    return i;
+  }
+
+  void Grow() {
+    std::vector<uint64_t> old_keys(keys_.size() * 2, kEmpty);
+    std::vector<V> old_values(values_.size() * 2);
+    old_keys.swap(keys_);
+    old_values.swap(values_);
+    for (size_t j = 0; j < old_keys.size(); ++j) {
+      if (old_keys[j] == kEmpty) continue;
+      const size_t i = Position(old_keys[j]);
+      keys_[i] = old_keys[j];
+      values_[i] = std::move(old_values[j]);
+    }
+  }
+
+  std::vector<uint64_t> keys_;
+  std::vector<V> values_;
+  size_t size_ = 0;
+};
+
+/// Occurrence-salted element words for the elements of sets[i], i in
+/// `members`, in canonical (sorted-set) order so both parties salt
+/// identically. Sorts pointers, not copies: equal sets have equal contents,
+/// so the words do not depend on how ties are ordered.
+std::vector<uint64_t> SaltedElementWords(const std::vector<SlottedSet>& sets,
+                                         const std::vector<size_t>& members,
+                                         size_t slots) {
+  std::vector<const SlottedSet*> sorted(members.size());
+  for (size_t i = 0; i < members.size(); ++i) sorted[i] = &sets[members[i]];
+  std::sort(sorted.begin(), sorted.end(),
+            [](const SlottedSet* a, const SlottedSet* b) { return *a < *b; });
+  ElementMap<uint32_t> occurrence;
   std::vector<uint64_t> words;
-  words.reserve(sets.size() * (sets.empty() ? 0 : sets[0].size()));
-  for (const SlottedSet& set : sets) {
-    for (size_t slot = 0; slot < set.size(); ++slot) {
-      uint64_t unsalted = (static_cast<uint64_t>(slot) << 32) | set[slot];
-      uint32_t occ = occurrence[unsalted]++;
+  words.reserve(sorted.size() * slots);
+  for (const SlottedSet* set : sorted) {
+    for (size_t slot = 0; slot < slots; ++slot) {
+      const uint32_t value = (*set)[slot];
+      const uint32_t occ = occurrence[ElementKey(slot, value)]++;
       RSR_CHECK(occ < kMaxOccurrences);
-      words.push_back(
-          EncodeElement(occ, static_cast<uint32_t>(slot), set[slot]));
+      words.push_back(EncodeElement(occ, static_cast<uint32_t>(slot), value));
     }
   }
   return words;
 }
 
-struct SetRecord {
-  uint64_t signature = 0;
-  std::vector<uint32_t> fingerprints;
+/// Per-slot candidate values, indexed by fingerprint: `values`
+/// holds every slot's candidates sorted by (slot, fingerprint, value), and
+/// `groups` maps ElementKey(slot, fingerprint) to its run [first, last).
+/// Each candidate is fingerprinted once, however many records look it up.
+struct FingerprintIndex {
+  std::vector<uint32_t> values;
+  ElementMap<std::pair<size_t, size_t>> groups;
+
+  /// Slot `slot`'s candidates with fingerprint `fp`, in ascending value
+  /// order: the list a scan of the sorted candidates filtered by `fp` gives.
+  std::span<const uint32_t> Lookup(size_t slot, uint32_t fp) const {
+    const std::pair<size_t, size_t>* run = groups.Find(ElementKey(slot, fp));
+    if (run == nullptr) return {};
+    return {values.data() + run->first, run->second - run->first};
+  }
 };
 
+/// Indexes the candidate values of every slot: the element keys Bob's side
+/// decoded plus Alice's differing sets' entries (covers elements that
+/// canceled in the aggregate), deduplicated.
+FingerprintIndex BuildFingerprintIndex(const std::vector<uint64_t>& bob_elements,
+                                       const std::vector<SlottedSet>& alice_sets,
+                                       const std::vector<size_t>& alice_diff,
+                                       size_t slots, uint64_t salt, int bits) {
+  ElementMap<uint8_t> seen;
+  for (uint64_t key : bob_elements) seen[key] = 1;
+  for (size_t a : alice_diff) {
+    for (size_t slot = 0; slot < slots; ++slot) {
+      seen[ElementKey(slot, alice_sets[a][slot])] = 1;
+    }
+  }
+  // (ElementKey(slot, fingerprint), value) of every distinct candidate,
+  // sorted.
+  std::vector<std::pair<uint64_t, uint32_t>> entries;
+  for (uint64_t key : seen.SortedKeys()) {
+    const auto slot = static_cast<uint32_t>(key >> 32);
+    const auto value = static_cast<uint32_t>(key);
+    entries.emplace_back(
+        ElementKey(slot, ElementFingerprint(slot, value, salt, bits)), value);
+  }
+  std::sort(entries.begin(), entries.end());
+  FingerprintIndex index;
+  index.values.reserve(entries.size());
+  for (const auto& [group, value] : entries) index.values.push_back(value);
+  for (size_t first = 0; first < entries.size();) {
+    size_t last = first + 1;
+    while (last < entries.size() && entries[last].first == entries[first].first) {
+      ++last;
+    }
+    index.groups[entries[first].first] = {first, last};
+    first = last;
+  }
+  return index;
+}
+
 /// DFS reconstruction of one set from per-slot candidate lists, verified by
-/// the 64-bit set signature. Returns true and fills *out on success.
+/// the 64-bit set signature. One reconstructor serves every record of an
+/// exchange, so its buffers are allocated once.
 class SetReconstructor {
  public:
-  SetReconstructor(const std::vector<std::vector<uint32_t>>& slot_candidates,
-                   uint64_t target_signature, uint64_t salt,
-                   size_t budget)
-      : candidates_(slot_candidates),
-        target_(target_signature),
-        salt_(salt),
-        budget_(budget) {}
+  SetReconstructor(size_t slots, uint64_t salt)
+      : elem_salt_(Mix64(salt ^ 0x5e7516ULL)),
+        final_salt_(Mix64(salt + slots)),
+        order_(slots),
+        result_(slots, 0) {}
 
-  bool Run() {
-    size_t slots = candidates_.size();
+  /// Tries to rebuild the set with signature `target` from `candidates`
+  /// (one list per slot) within `budget` DFS nodes. On success the set is
+  /// in result().
+  bool Run(const std::vector<std::span<const uint32_t>>& candidates,
+           uint64_t target, size_t budget) {
+    candidates_ = &candidates;
+    target_ = target;
+    budget_ = budget;
+    const size_t slots = candidates.size();
     // Order slots by branching factor so forced slots are fixed first.
-    order_.resize(slots);
     for (size_t i = 0; i < slots; ++i) order_[i] = i;
-    std::sort(order_.begin(), order_.end(), [this](size_t a, size_t b) {
-      return candidates_[a].size() < candidates_[b].size();
+    std::sort(order_.begin(), order_.end(), [&candidates](size_t a, size_t b) {
+      return candidates[a].size() < candidates[b].size();
     });
     for (size_t i = 0; i < slots; ++i) {
-      if (candidates_[i].empty()) return false;
+      if (candidates[i].empty()) return false;
     }
-    result_.assign(slots, 0);
     // The signature is Mix64(acc ^ Mix64(salt + slots)); accumulate acc.
     return Dfs(0, 0);
   }
 
+  const SlottedSet& result() const { return result_; }
+
  private:
   uint64_t ElementHash(size_t slot, uint32_t value) const {
-    return Mix64((static_cast<uint64_t>(slot) << 32) ^ value ^
-                 Mix64(salt_ ^ 0x5e7516ULL));
+    return Mix64((static_cast<uint64_t>(slot) << 32) ^ value ^ elem_salt_);
   }
 
   bool Dfs(size_t depth, uint64_t acc) {
     if (budget_ == 0) return false;
     --budget_;
-    if (depth == order_.size()) {
-      uint64_t sig = Mix64(acc ^ Mix64(salt_ + order_.size()));
-      return sig == target_;
-    }
+    if (depth == order_.size()) return Mix64(acc ^ final_salt_) == target_;
     size_t slot = order_[depth];
-    for (uint32_t value : candidates_[slot]) {
+    for (uint32_t value : (*candidates_)[slot]) {
       result_[slot] = value;
       if (Dfs(depth + 1, acc ^ ElementHash(slot, value))) return true;
     }
     return false;
   }
 
- public:
-  SlottedSet result_;
-
- private:
-  const std::vector<std::vector<uint32_t>>& candidates_;
-  uint64_t target_;
-  uint64_t salt_;
-  size_t budget_;
+  uint64_t elem_salt_;
+  uint64_t final_salt_;
   std::vector<size_t> order_;
+  SlottedSet result_;
+  const std::vector<std::span<const uint32_t>>* candidates_ = nullptr;
+  uint64_t target_ = 0;
+  size_t budget_ = 0;
 };
 
 }  // namespace
@@ -132,6 +264,10 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
                            : alice_sets[0].size();
   if (slots == 0 || slots >= kMaxSlots) {
     return Status::InvalidArgument("slot count must be in [1, 2^16)");
+  }
+  if (params.mode == SetsReconcilerMode::kFingerprint &&
+      (params.fingerprint_bits < 1 || params.fingerprint_bits > 32)) {
+    return Status::InvalidArgument("fingerprint_bits must be in [1, 32]");
   }
   for (const auto& s : alice_sets) RSR_CHECK_EQ(s.size(), slots);
   for (const auto& s : bob_sets) RSR_CHECK_EQ(s.size(), slots);
@@ -273,44 +409,59 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
   WriteKeyStream(bob_only_sigs, &msg2, codec);
   transcript.Send("A->B missing-sigs", msg2, codec);
 
-  // Bob resolves salted signature -> set index.
-  std::unordered_map<uint64_t, size_t> bob_sig_to_index;
+  // Bob resolves salted signature -> set index through his (signature,
+  // sorted position) pairs in ascending order. Within a run of equal
+  // signatures the last position wins, as repeated map assignment would.
+  std::vector<std::pair<uint64_t, size_t>> bob_sig_index(bob_salted.size());
   for (size_t pos = 0; pos < bob_salted.size(); ++pos) {
-    bob_sig_to_index[bob_salted[pos]] = bob_order[pos];
+    bob_sig_index[pos] = {bob_salted[pos], pos};
   }
+  std::sort(bob_sig_index.begin(), bob_sig_index.end());
   std::vector<size_t> requested;  // Bob's set indices Alice asked for
   {
     ByteReader reader(msg2.buffer());
     RSR_ASSIGN_OR_RETURN(std::vector<uint64_t> sigs,
                          ReadKeyStream(&reader, codec, bob_salted.size()));
+    requested.reserve(sigs.size());
     for (uint64_t sig : sigs) {
-      auto it = bob_sig_to_index.find(sig);
-      if (it == bob_sig_to_index.end()) {
+      auto it = std::upper_bound(
+          bob_sig_index.begin(), bob_sig_index.end(), sig,
+          [](uint64_t v, const std::pair<uint64_t, size_t>& e) {
+            return v < e.first;
+          });
+      if (it == bob_sig_index.begin() || std::prev(it)->first != sig) {
         return Status::ProtocolFailure(
             "requested signature unknown to Bob (sig-IBLT misdecode)");
       }
-      requested.push_back(it->second);
+      requested.push_back(bob_order[std::prev(it)->second]);
     }
     RSR_RETURN_NOT_OK(reader.status());
   }
 
   // Alice's differing sets (contents she already has), for the candidate
-  // pool and for removing them from her multiset later.
-  std::unordered_map<uint64_t, size_t> alice_only_multiset;
-  for (uint64_t sig : alice_only_sigs) alice_only_multiset[sig]++;
-  std::vector<SlottedSet> alice_diff_sets;
-  {
-    auto remaining = alice_only_multiset;
-    for (size_t pos = 0; pos < alice_salted.size(); ++pos) {
-      auto it = remaining.find(alice_salted[pos]);
-      if (it != remaining.end() && it->second > 0) {
-        --it->second;
-        alice_diff_sets.push_back(alice_sets[alice_order[pos]]);
-      }
+  // pool and for removing them from her multiset later. Walking her sorted
+  // positions, each decoded Alice-only signature claims the first unclaimed
+  // position that carries it.
+  std::sort(alice_only_sigs.begin(), alice_only_sigs.end());
+  std::vector<char> claimed(alice_only_sigs.size(), 0);
+  std::vector<char> alice_dropped(alice_salted.size(), 0);
+  std::vector<size_t> alice_diff;  // indices into alice_sets
+  alice_diff.reserve(alice_only_sigs.size());
+  for (size_t pos = 0; pos < alice_salted.size(); ++pos) {
+    auto it = std::lower_bound(alice_only_sigs.begin(), alice_only_sigs.end(),
+                               alice_salted[pos]);
+    for (; it != alice_only_sigs.end() && *it == alice_salted[pos]; ++it) {
+      char& taken = claimed[static_cast<size_t>(it - alice_only_sigs.begin())];
+      if (taken) continue;
+      taken = 1;
+      alice_dropped[pos] = 1;
+      alice_diff.push_back(alice_order[pos]);
+      break;
     }
   }
 
   std::vector<SlottedSet> recovered;  // Bob-only sets, as Alice obtains them
+  recovered.reserve(requested.size());
 
   if (params.mode == SetsReconcilerMode::kVerbatim) {
     // ---- Phase 3 (verbatim): Bob ships the requested sets. ----
@@ -322,15 +473,16 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
     RSR_RETURN_NOT_OK(internal::ReadSets(&reader, slots, &recovered));
   } else {
     // ---- Phase 3 (fingerprint): element IBLT + per-set fingerprints. ----
-    std::vector<SlottedSet> bob_diff_sets;
-    bob_diff_sets.reserve(requested.size());
-    for (size_t index : requested) bob_diff_sets.push_back(bob_sets[index]);
+    const std::vector<uint64_t> bob_words =
+        SaltedElementWords(bob_sets, requested, slots);
+    const std::vector<uint64_t> alice_words =
+        SaltedElementWords(alice_sets, alice_diff, slots);
+    const int bits = params.fingerprint_bits;
+    const int fp_bytes = (bits + 7) / 8;
 
-    std::vector<uint64_t> bob_words = SaltedElementWords(bob_diff_sets);
-    std::vector<uint64_t> alice_words = SaltedElementWords(alice_diff_sets);
-
-    // Decoded aggregate element diff (Bob side): slot -> values (multiset).
-    std::vector<std::vector<uint32_t>> bob_pool(slots);
+    // Bob-side elements of the decoded aggregate diff, as element keys
+    // (candidates only, so copies are not repeated).
+    std::vector<uint64_t> bob_elements;
     bool elem_decoded = false;
     size_t elem_cells = std::max<size_t>(params.elem_cells, 8);
     for (int attempt = 0; attempt < params.max_attempts; ++attempt) {
@@ -346,13 +498,12 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
       ByteWriter msg3;
       elem_table.WriteTo(&msg3, codec);
       // Per-set records: unsalted signature + per-slot fingerprints.
-      int fp_bytes = (params.fingerprint_bits + 7) / 8;
-      for (const SlottedSet& set : bob_diff_sets) {
+      for (size_t index : requested) {
+        const SlottedSet& set = bob_sets[index];
         msg3.PutU64(SetSignature(set, salt));
         for (size_t slot = 0; slot < slots; ++slot) {
-          uint32_t fp =
-              ElementFingerprint(static_cast<uint32_t>(slot), set[slot], salt,
-                                 params.fingerprint_bits);
+          uint32_t fp = ElementFingerprint(static_cast<uint32_t>(slot),
+                                           set[slot], salt, bits);
           for (int b = 0; b < fp_bytes; ++b) {
             msg3.PutU8(static_cast<uint8_t>(fp >> (8 * b)));
           }
@@ -367,16 +518,18 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
       alice_view.DeleteMany(alice_words);
       IbltDecodeResult decoded = alice_view.Decode();
 
-      std::vector<SetRecord> records(bob_diff_sets.size());
-      for (auto& record : records) {
-        record.signature = reader.GetU64();
-        record.fingerprints.resize(slots);
+      // Record i: signatures[i], then its slots' fingerprints at
+      // fingerprints[i * slots ...].
+      std::vector<uint64_t> signatures(requested.size());
+      std::vector<uint32_t> fingerprints(requested.size() * slots);
+      for (size_t i = 0; i < requested.size(); ++i) {
+        signatures[i] = reader.GetU64();
         for (size_t slot = 0; slot < slots; ++slot) {
           uint32_t fp = 0;
           for (int b = 0; b < fp_bytes; ++b) {
             fp |= static_cast<uint32_t>(reader.GetU8()) << (8 * b);
           }
-          record.fingerprints[slot] = fp;
+          fingerprints[i * slots + slot] = fp;
         }
       }
       RSR_RETURN_NOT_OK(reader.status());
@@ -396,42 +549,24 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
         if (slot >= slots) {
           return Status::Corruption("decoded element has bad slot");
         }
-        for (int64_t c = 0; c < e.count; ++c) {
-          bob_pool[slot].push_back(value);
-        }
+        bob_elements.push_back(ElementKey(slot, value));
         report.diff_elements += static_cast<size_t>(e.count);
       }
       elem_decoded = true;
 
-      // Candidate values per slot: Bob-side pool plus Alice's differing
-      // sets' entries (covers elements that canceled in the aggregate).
-      std::vector<std::vector<uint32_t>> slot_candidates(slots);
-      for (size_t slot = 0; slot < slots; ++slot) {
-        std::unordered_set<uint32_t> dedup(bob_pool[slot].begin(),
-                                           bob_pool[slot].end());
-        for (const SlottedSet& set : alice_diff_sets) dedup.insert(set[slot]);
-        slot_candidates[slot].assign(dedup.begin(), dedup.end());
-        std::sort(slot_candidates[slot].begin(), slot_candidates[slot].end());
-      }
-
-      // Reconstruct each requested set.
+      // Reconstruct each requested set from its slots' fingerprint matches.
+      const FingerprintIndex index = BuildFingerprintIndex(
+          bob_elements, alice_sets, alice_diff, slots, salt, bits);
+      SetReconstructor reconstructor(slots, salt);
+      std::vector<std::span<const uint32_t>> candidates(slots);
       std::vector<size_t> failed;  // indices into `requested`
-      for (size_t i = 0; i < records.size(); ++i) {
-        const SetRecord& record = records[i];
-        std::vector<std::vector<uint32_t>> filtered(slots);
+      for (size_t i = 0; i < requested.size(); ++i) {
+        const uint32_t* record_fps = fingerprints.data() + i * slots;
         for (size_t slot = 0; slot < slots; ++slot) {
-          for (uint32_t value : slot_candidates[slot]) {
-            if (ElementFingerprint(static_cast<uint32_t>(slot), value, salt,
-                                   params.fingerprint_bits) ==
-                record.fingerprints[slot]) {
-              filtered[slot].push_back(value);
-            }
-          }
+          candidates[slot] = index.Lookup(slot, record_fps[slot]);
         }
-        SetReconstructor reconstructor(filtered, record.signature, salt,
-                                       params.dfs_budget);
-        if (reconstructor.Run()) {
-          recovered.push_back(reconstructor.result_);
+        if (reconstructor.Run(candidates, signatures[i], params.dfs_budget)) {
+          recovered.push_back(reconstructor.result());
         } else {
           failed.push_back(i);
         }
@@ -445,7 +580,7 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
         for (size_t i : failed) msg4.PutVarint64(i);
         transcript.Send("A->B fallback-request", msg4);
         ByteWriter msg5;
-        for (size_t i : failed) WriteSet(&msg5, bob_diff_sets[i]);
+        for (size_t i : failed) WriteSet(&msg5, bob_sets[requested[i]]);
         transcript.Send("B->A fallback-sets", msg5);
         ByteReader fb(msg5.buffer());
         for (size_t i = 0; i < failed.size(); ++i) {
@@ -459,24 +594,20 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
     if (!elem_decoded) {
       // Element phase never decoded: verbatim fallback for all requested.
       ByteWriter msg;
-      msg.PutVarint64(bob_diff_sets.size());
-      for (const auto& s : bob_diff_sets) WriteSet(&msg, s);
+      msg.PutVarint64(requested.size());
+      for (size_t index : requested) WriteSet(&msg, bob_sets[index]);
       transcript.Send("B->A diff-sets(fallback)", msg);
       ByteReader reader(msg.buffer());
       RSR_RETURN_NOT_OK(internal::ReadSets(&reader, slots, &recovered));
-      report.fallback_sets = bob_diff_sets.size();
+      report.fallback_sets = requested.size();
     }
   }
 
   // ---- Assemble Bob's multiset: (Alice's sets minus Alice-only) + diff. ----
-  {
-    auto remaining = alice_only_multiset;
-    for (size_t pos = 0; pos < alice_salted.size(); ++pos) {
-      auto it = remaining.find(alice_salted[pos]);
-      if (it != remaining.end() && it->second > 0) {
-        --it->second;
-        continue;  // Bob lacks this one
-      }
+  report.bob_sets.reserve(alice_salted.size() - alice_diff.size() +
+                          recovered.size());
+  for (size_t pos = 0; pos < alice_salted.size(); ++pos) {
+    if (!alice_dropped[pos]) {
       report.bob_sets.push_back(alice_sets[alice_order[pos]]);
     }
   }

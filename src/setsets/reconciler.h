@@ -20,6 +20,17 @@
 //                 with 64-bit signature verification. Unresolved sets are
 //                 fetched verbatim in an extra round (counted in the report).
 //
+// Fingerprint-mode reconstruction runs off one per-slot fingerprint index.
+// Each distinct candidate (slot, value) is fingerprinted once, and the
+// candidates are kept sorted by (slot, fingerprint, value), with a flat
+// open-addressing table from (slot, fingerprint) to its run. A record's
+// candidate list for a slot is that run: the candidates carrying its
+// fingerprint, in ascending value order, which is the list a filter over
+// the sorted candidates would give. One DFS reconstructor and one set of
+// per-slot spans serve every record, so rebuilding a set allocates only the
+// recovered set itself. Occurrence salting and candidate deduplication use
+// the same kind of flat table, so no step allocates per element.
+//
 // Both modes retry failed sketch decodes with doubled sizes (extra rounds,
 // counted), and degrade to full verbatim transfer as a last resort, so the
 // interface contract — Alice ends with exactly Bob's multiset — holds
@@ -58,7 +69,8 @@ struct SetsReconcilerParams {
   int num_hashes = 4;
   /// Wire width of IBLT checksums (see IbltParams::checksum_bytes).
   int checksum_bytes = 4;
-  /// Per-slot fingerprint width in bits (1..32), fingerprint mode only.
+  /// Per-slot fingerprint width in bits (1..32), fingerprint mode only;
+  /// ReconcileSetsOfSets rejects other widths with InvalidArgument.
   /// 8 bits suffice: a fingerprint collision only adds a DFS branch, and the
   /// 64-bit set signature rejects wrong reconstructions.
   int fingerprint_bits = 8;

@@ -62,13 +62,4 @@ std::vector<uint64_t> CanonicalSaltedSignatures(
   return salted;
 }
 
-uint32_t ElementFingerprint(uint32_t slot, uint32_t value, uint64_t salt,
-                            int bits) {
-  RSR_DCHECK(bits >= 1 && bits <= 32);
-  uint64_t h = Mix64((static_cast<uint64_t>(slot) << 32) ^ value ^
-                     Mix64(salt ^ 0xf1a9ULL));
-  return static_cast<uint32_t>(h & ((bits >= 32) ? 0xffffffffULL
-                                                 : ((1ULL << bits) - 1)));
-}
-
 }  // namespace rsr

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "hashing/hash64.h"
 #include "util/logging.h"
 
 namespace rsr {
@@ -63,9 +64,16 @@ std::vector<uint64_t> CanonicalSaltedSignatures(
     const std::vector<SlottedSet>& sets, uint64_t salt,
     std::vector<size_t>* order);
 
-/// b-bit fingerprint of a (slot, value) element (b <= 32).
-uint32_t ElementFingerprint(uint32_t slot, uint32_t value, uint64_t salt,
-                            int bits);
+/// b-bit fingerprint of a (slot, value) element (1 <= b <= 32). Inline, so
+/// a loop over elements under one salt mixes the salt once.
+inline uint32_t ElementFingerprint(uint32_t slot, uint32_t value, uint64_t salt,
+                                   int bits) {
+  RSR_DCHECK(bits >= 1 && bits <= 32);
+  uint64_t h = Mix64((static_cast<uint64_t>(slot) << 32) ^ value ^
+                     Mix64(salt ^ 0xf1a9ULL));
+  return static_cast<uint32_t>(h & ((bits >= 32) ? 0xffffffffULL
+                                                 : ((1ULL << bits) - 1)));
+}
 
 }  // namespace rsr
 

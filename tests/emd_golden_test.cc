@@ -21,52 +21,13 @@
 #include "core/adaptive.h"
 #include "core/emd_protocol.h"
 #include "core/emd_sketch.h"
-#include "hashing/hash64.h"
+#include "golden_digest.h"
 #include "workload/generators.h"
 
 namespace rsr {
 namespace {
 
-/// FNV-1a over a little-endian stream of 64-bit words, finalized by Mix64.
-class Digest {
- public:
-  void Word(uint64_t v) {
-    for (int b = 0; b < 8; ++b) Byte(static_cast<uint8_t>(v >> (8 * b)));
-  }
-  void Byte(uint8_t b) {
-    h_ ^= b;
-    h_ *= 0x100000001b3ULL;
-  }
-  uint64_t Value() const { return Mix64(h_); }
-
- private:
-  uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-uint64_t DigestOf(const PointStore& points) {
-  Digest d;
-  d.Word(points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    for (size_t c = 0; c < points.dim(); ++c) {
-      d.Word(static_cast<uint64_t>(points.row(i)[c]));
-    }
-  }
-  return d.Value();
-}
-
-uint64_t DigestOf(const std::vector<uint64_t>& words) {
-  Digest d;
-  d.Word(words.size());
-  for (uint64_t w : words) d.Word(w);
-  return d.Value();
-}
-
-uint64_t DigestOf(const std::vector<uint8_t>& bytes) {
-  Digest d;
-  d.Word(bytes.size());
-  for (uint8_t b : bytes) d.Byte(b);
-  return d.Value();
-}
+using ::rsr::testing::DigestOf;
 
 struct Golden {
   uint64_t alice_keys;

@@ -261,6 +261,41 @@ TEST(ReconcilerTest, FingerprintCheaperThanVerbatimForSmallEdits) {
   EXPECT_LT(fingerprint->comm.total_bytes(), verbatim->comm.total_bytes());
 }
 
+TEST(ReconcilerTest, FingerprintBitsOutsideOneToThirtyTwoRejected) {
+  // Widths past 32 would shift a 32-bit fingerprint by 32 on the wire and
+  // negative ones reach 1ULL << bits: both are rejected up front.
+  Rng rng(13);
+  auto alice = RandomSets(60, 10, &rng);
+  std::vector<SlottedSet> bob = alice;
+  for (size_t i = 0; i < 10; ++i) {
+    bob[i][rng.Below(10)] = static_cast<uint32_t>(rng.Below(1u << 30));
+  }
+  for (int bits : {0, -1, 33, 64}) {
+    SetsReconcilerParams params = MakeParams(SetsReconcilerMode::kFingerprint);
+    params.fingerprint_bits = bits;
+    auto report = ReconcileSetsOfSets(alice, bob, params);
+    ASSERT_FALSE(report.ok()) << "bits = " << bits;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  }
+  for (int bits : {1, 32}) {
+    SetsReconcilerParams params = MakeParams(SetsReconcilerMode::kFingerprint);
+    params.fingerprint_bits = bits;
+    auto report = ReconcileSetsOfSets(alice, bob, params);
+    ASSERT_TRUE(report.ok()) << "bits = " << bits;
+    EXPECT_TRUE(SameMultiset(report->bob_sets, bob)) << "bits = " << bits;
+    EXPECT_EQ(report->diff_sets_bob, 10u);
+    if (bits == 32) {
+      EXPECT_EQ(report->fallback_sets, 0u);
+    }
+  }
+  // Verbatim mode sends no fingerprints, so the width does not matter.
+  SetsReconcilerParams verbatim = MakeParams(SetsReconcilerMode::kVerbatim);
+  verbatim.fingerprint_bits = 0;
+  auto report = ReconcileSetsOfSets(alice, bob, verbatim);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(SameMultiset(report->bob_sets, bob));
+}
+
 TEST(ReconcilerTest, RejectsMismatchedSlotCounts) {
   std::vector<SlottedSet> alice = {{1, 2, 3}};
   std::vector<SlottedSet> bob = {{1, 2}};
