@@ -340,13 +340,15 @@ void BM_IbltUpdate(benchmark::State& state) {
 BENCHMARK(BM_IbltUpdate);
 
 void BM_IbltUpdateMany(benchmark::State& state) {
-  // Batched bucket insertion. Time is per 512-key batch; the per-key rate
-  // is the items_per_second counter.
+  // Batched bucket insertion of range(1) keys into a range(0)-cell table.
+  // Time is per batch; the per-key rate is the items_per_second counter.
+  // The second shape is the Gap reconciler's element table at gap_hamming:
+  // about 7878 cells and 45k element words per side.
   IbltParams params;
-  params.num_cells = 1024;
+  params.num_cells = static_cast<size_t>(state.range(0));
   params.seed = 6;
   Iblt table(params);
-  std::vector<uint64_t> keys(512);
+  std::vector<uint64_t> keys(static_cast<size_t>(state.range(1)));
   Rng rng(60);
   for (auto& k : keys) k = rng.Next();
   for (auto _ : state) {
@@ -355,7 +357,7 @@ void BM_IbltUpdateMany(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(keys.size()));
 }
-BENCHMARK(BM_IbltUpdateMany);
+BENCHMARK(BM_IbltUpdateMany)->Args({1024, 512})->Args({7878, 45056});
 
 void BM_IbltInsertKv(benchmark::State& state) {
   // Keyed-value path: 32-byte payload XORed through the raw span API.
@@ -593,27 +595,50 @@ void BM_GapFarDetection(benchmark::State& state) {
 }
 BENCHMARK(BM_GapFarDetection)->Unit(benchmark::kMillisecond);
 
-/// The key evaluation of RunGapProtocol at the gap_hamming shape: 2048
-/// points of dim 1024 in {0, 1}, 176 bit-sampling draws (h = 44 slots of
-/// m = 4), w = dim as MakeGapLsh picks it, integer-coordinate path.
-void BM_BitSamplingEvaluateAll(benchmark::State& state) {
+/// One party's key build in RunGapProtocol at the gap_hamming shape: the
+/// range check, bit-sampling evaluation and slot hashing of 2048 points of
+/// dim 1024 in {0, 1} (one 16 MiB arena), h = 44 slots of m = 4 draws with
+/// w = dim as MakeGapLsh picks it. The arena stays warm across iterations,
+/// so the saving from reading each row block once shows only end to end.
+void BM_GapKeys(benchmark::State& state) {
   constexpr size_t kDim = 1024;
+  constexpr size_t kH = 44;
+  constexpr size_t kM = 4;
   Rng rng(20);
   const PointStore points = GenerateUniformStore(2048, kDim, 1, &rng);
   BitSamplingFamily family(kDim, static_cast<double>(kDim));
   Rng draw_rng(21);
   std::vector<std::unique_ptr<LshFunction>> draws =
-      DrawMany(family, 176, &draw_rng);
-  EvalMatrix matrix;
+      DrawMany(family, kH * kM, &draw_rng);
+  std::vector<PairwiseVectorHash> slot_hashes;
+  for (size_t j = 0; j < kH; ++j) {
+    slot_hashes.push_back(PairwiseVectorHash::Draw(&draw_rng));
+  }
   for (auto _ : state) {
-    EvaluateAllInto(points, draws, /*num_threads=*/1, &matrix);
-    benchmark::DoNotOptimize(matrix.data());
-    benchmark::ClobberMemory();
+    std::vector<SlottedSet> keys = internal::BuildGapKeys(
+        points, /*delta=*/1, draws, slot_hashes, kM, /*num_threads=*/1);
+    benchmark::DoNotOptimize(keys.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(points.size() * draws.size()));
+                          static_cast<int64_t>(points.size()));
 }
-BENCHMARK(BM_BitSamplingEvaluateAll)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GapKeys)->Unit(benchmark::kMillisecond);
+
+/// The coordinate range check over one 16 MiB arena (2048 x 1024), the
+/// pass RunGapProtocol made over each input before its key build.
+void BM_InDomainAll(benchmark::State& state) {
+  Rng rng(24);
+  const PointStore points = GenerateUniformStore(2048, 1024, 1, &rng);
+  for (auto _ : state) {
+    bool in_domain = points.InDomainAll(1);
+    benchmark::DoNotOptimize(in_domain);
+    RSR_CHECK(in_domain);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(points.size() * points.dim() *
+                                               sizeof(Coord)));
+}
+BENCHMARK(BM_InDomainAll)->Unit(benchmark::kMillisecond);
 
 // ---- Set-of-sets reconciliation (setsets/reconciler.h) --------------------
 

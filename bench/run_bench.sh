@@ -8,10 +8,10 @@
 #
 # Layer groups: the key hash (BM_PairwisePrefixes*,
 # BM_PairwiseEvalBatchShort), batch LSH (BM_EvaluateAll*,
-# BM_StoreEvaluateAll, BM_BitSamplingEvaluateAll), sketches (BM_Iblt*,
-# BM_Riblt*), repair matching (BM_RepairMatch, BM_Emd*), the Gap path's
-# set-of-sets reconciliation and far detection (BM_SetsOfSetsReconcile,
-# BM_GapFarDetection), and maintained serving (BM_SyncDatasetInsert, BM_SessionSync*). The standalone bench_server binary sweeps
+# BM_StoreEvaluateAll), sketches (BM_Iblt*, BM_Riblt*), repair matching
+# (BM_RepairMatch, BM_Emd*), the Gap path's key build, range check,
+# set-of-sets reconciliation and far detection (BM_GapKeys, BM_InDomainAll,
+# BM_SetsOfSetsReconcile, BM_GapFarDetection), and maintained serving (BM_SyncDatasetInsert, BM_SessionSync*). The standalone bench_server binary sweeps
 # maintained-vs-rebuilt serving across churn rates and is run directly
 # (./build/bench_server), not through this script.
 #

@@ -18,8 +18,13 @@ Result<GapProtocolReport> RunLowDimGapProtocol(const PointStore& alice,
   if (!(0 < params.r1 && params.r1 < params.r2)) {
     return Status::InvalidArgument("need 0 < r1 < r2");
   }
-  ValidatePointStore(alice, params.dim, params.delta);
-  ValidatePointStore(bob, params.dim, params.delta);
+  // Coordinates are range-checked by the key build (BuildGapKeys).
+  RSR_CHECK(alice.empty() || alice.dim() == params.dim);
+  RSR_CHECK(bob.empty() || bob.dim() == params.dim);
+  if (!std::isfinite(params.h_multiplier) || params.h_multiplier < 0) {
+    return Status::InvalidArgument(
+        "h_multiplier must be finite and non-negative");
+  }
 
   const int p_exp = params.metric == MetricKind::kL1 ? 1 : 2;
   OneSidedGridFamily family(params.dim, params.r2, p_exp);
@@ -38,16 +43,20 @@ Result<GapProtocolReport> RunLowDimGapProtocol(const PointStore& alice,
   derived.m = 1;
   derived.q1 = derived.p1;
   derived.q2 = 0.0;
-  derived.h = static_cast<size_t>(std::ceil(
-      params.h_multiplier * std::log2(static_cast<double>(n)) /
-      std::log2(1.0 / rho_hat)));
-  if (derived.h < 1) derived.h = 1;
+  const double h = std::ceil(params.h_multiplier *
+                             std::log2(static_cast<double>(n)) /
+                             std::log2(1.0 / rho_hat));
+  if (h >= static_cast<double>(kMaxSlots)) {
+    return Status::InvalidArgument("h_multiplier gives h >= kMaxSlots");
+  }
+  derived.h = std::max<size_t>(1, static_cast<size_t>(h));
   derived.tau = 1.0;  // far iff NO entry matches (p2 = 0 one-sided error)
 
   internal::GapPipelineConfig config;
   config.h = derived.h;
   config.m = 1;
   config.tau = derived.tau;
+  config.delta = params.delta;
   config.reconciler = params.reconciler;
   config.num_threads = params.num_threads;
   config.seed = params.seed;

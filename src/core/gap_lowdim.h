@@ -31,7 +31,16 @@ struct LowDimGapParams {
 };
 
 /// Runs the protocol. Requires rho_hat = r1 * dim / r2 < 1 (the theorem's
-/// applicability regime); otherwise returns InvalidArgument.
+/// applicability regime); otherwise returns InvalidArgument, as it does for
+/// dim 0, a metric other than l1/l2, radii outside 0 < r1 < r2, and an
+/// h_multiplier that is negative, NaN or infinite or makes h reach kMaxSlots
+/// (h_multiplier 0 clamps h to 1).
+///
+/// Inputs are programmer-supplied, as for RunGapProtocol: a non-empty store
+/// whose dim differs from params.dim, or any coordinate outside
+/// [0, params.delta], aborts the process (RSR_CHECK). Every coordinate of
+/// both stores is checked while the keys are built, before any LSH function
+/// reads it and before the first message.
 Result<GapProtocolReport> RunLowDimGapProtocol(const PointStore& alice,
                                                const PointStore& bob,
                                                const LowDimGapParams& params);

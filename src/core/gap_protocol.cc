@@ -128,6 +128,50 @@ FarDetection DetectFarKeys(const std::vector<SlottedSet>& alice_keys,
   return result;
 }
 
+std::vector<SlottedSet> BuildGapKeys(
+    const PointStore& points, Coord delta,
+    const std::vector<std::unique_ptr<LshFunction>>& functions,
+    const std::vector<PairwiseVectorHash>& slot_hashes, size_t m,
+    size_t num_threads) {
+  const size_t n = points.size();
+  const size_t h = slot_hashes.size();
+  const size_t s = functions.size();
+  RSR_CHECK(h >= 1 && m >= 1);
+  RSR_CHECK_EQ(s, h * m);
+  std::vector<SlottedSet> keys(n);
+  for (auto& key : keys) key.resize(h);
+  if (n == 0) return keys;
+  for (const auto& hash : slot_hashes) hash.Reserve(m);  // thread safety
+  // A block spans at most 16384 arena coordinates (128 KiB, 16 rows at dim
+  // 1024, never less than one row), so the range check, the LSH passes and
+  // the slot hashes all find its rows in L1/L2; its evaluations are capped
+  // near 256 KiB for the hash pass, as in EvaluateEmdLevelKeys.
+  constexpr size_t kBlockCoords = size_t{1} << 14;
+  constexpr size_t kBlockEvals = size_t{1} << 15;
+  const size_t dim = points.dim();
+  const size_t block = std::max<size_t>(
+      1, std::min(kBlockCoords / std::max<size_t>(dim, 1), kBlockEvals / s));
+  ParallelShards(n, num_threads, [&](size_t begin, size_t end) {
+    EvalMatrix evals;
+    std::vector<uint64_t> slot_keys(std::min(block, end - begin));
+    for (size_t b = begin; b < end; b += block) {
+      const size_t len = std::min(block, end - b);
+      RSR_CHECK(geometry_internal::RowInDomain(points.row(b), len * dim,
+                                               delta));
+      EvaluateRowsInto(points, b, len, functions, 1, &evals);
+      for (size_t j = 0; j < h; ++j) {
+        slot_hashes[j].EvalBatch(evals.data() + j * m, len, s, m,
+                                 slot_keys.data());
+        // Theta(log n)-bit entries: truncate the 61-bit hash to 32 bits.
+        for (size_t i = 0; i < len; ++i) {
+          keys[b + i][j] = static_cast<uint32_t>(slot_keys[i]);
+        }
+      }
+    }
+  });
+  return keys;
+}
+
 Result<GapPipelineResult> RunGapPipeline(
     const PointStore& alice, const PointStore& bob,
     const std::vector<std::unique_ptr<LshFunction>>& functions,
@@ -135,46 +179,22 @@ Result<GapPipelineResult> RunGapPipeline(
   RSR_CHECK_EQ(functions.size(), config.h * config.m);
   RSR_CHECK(config.h >= 1 && config.h < kMaxSlots);
 
-  // Batch hashes: one pairwise-independent vector hash per key entry.
+  // Slot hashes: one pairwise-independent vector hash per key entry.
   Rng shared(Mix64(config.seed) ^ 0x6a9);
-  std::vector<PairwiseVectorHash> batch_hashes;
-  batch_hashes.reserve(config.h);
+  std::vector<PairwiseVectorHash> slot_hashes;
+  slot_hashes.reserve(config.h);
   for (size_t j = 0; j < config.h; ++j) {
-    batch_hashes.push_back(PairwiseVectorHash::Draw(&shared));
+    slot_hashes.push_back(PairwiseVectorHash::Draw(&shared));
   }
 
-  // Batch pipeline: one row-major n x (h*m) evaluation matrix (one virtual
-  // call per LSH function per shard), then per slot j a batched vector hash
-  // over the m-wide row segment at column j*m. Bit-identical to the
-  // historical per-point loop  keys[i][j] = H_j(Eval_{jm}(p_i)..Eval_{jm+m-1}).
-  auto build_keys = [&](const PointStore& points) {
-    const size_t n_points = points.size();
-    std::vector<SlottedSet> keys(n_points);
-    for (auto& key : keys) key.resize(config.h);
-    EvalMatrix evals;
-    EvaluateAllInto(points, functions, config.num_threads, &evals);
-    const size_t cols = config.h * config.m;
-    for (const auto& h : batch_hashes) h.Reserve(config.m);  // thread safety
-    ParallelShards(n_points, config.num_threads,
-                   [&](size_t begin, size_t end) {
-                     std::vector<uint64_t> slot_keys(end - begin);
-                     for (size_t j = 0; j < config.h; ++j) {
-                       batch_hashes[j].EvalBatch(
-                           evals.data() + begin * cols + j * config.m,
-                           end - begin, cols, config.m, slot_keys.data());
-                       // Theta(log n)-bit entries: truncate the 61-bit hash
-                       // to 32 bits.
-                       for (size_t i = begin; i < end; ++i) {
-                         keys[i][j] =
-                             static_cast<uint32_t>(slot_keys[i - begin]);
-                       }
-                     }
-                   });
-    return keys;
-  };
-
-  std::vector<SlottedSet> alice_keys = build_keys(alice);
-  std::vector<SlottedSet> bob_keys = build_keys(bob);
+  // Both parties' keys, each store range-checked block by block as it is
+  // evaluated: every coordinate is checked before the first message.
+  std::vector<SlottedSet> alice_keys = BuildGapKeys(
+      alice, config.delta, functions, slot_hashes, config.m,
+      config.num_threads);
+  std::vector<SlottedSet> bob_keys = BuildGapKeys(
+      bob, config.delta, functions, slot_hashes, config.m,
+      config.num_threads);
 
   // ---- Rounds 1-3: Alice recovers the multiset of Bob's keys. ----
   GapPipelineResult result;
@@ -228,8 +248,13 @@ Result<GapProtocolReport> RunGapProtocol(const PointStore& alice,
     return Status::InvalidArgument("both point sets empty");
   }
   if (params.dim == 0) return Status::InvalidArgument("dim must be positive");
-  ValidatePointStore(alice, params.dim, params.delta);
-  ValidatePointStore(bob, params.dim, params.delta);
+  // Coordinates are range-checked by the key build (BuildGapKeys).
+  RSR_CHECK(alice.empty() || alice.dim() == params.dim);
+  RSR_CHECK(bob.empty() || bob.dim() == params.dim);
+  if (!std::isfinite(params.h_multiplier) || params.h_multiplier < 0) {
+    return Status::InvalidArgument(
+        "h_multiplier must be finite and non-negative");
+  }
 
   const size_t n = std::max(alice.size(), bob.size());
 
@@ -250,9 +275,13 @@ Result<GapProtocolReport> RunGapProtocol(const PointStore& alice,
   if (derived.q1 <= derived.q2) {
     return Status::InvalidArgument("no usable gap: p1^m <= p2^m");
   }
-  derived.h = static_cast<size_t>(std::ceil(
-      params.h_multiplier * std::log2(static_cast<double>(std::max<size_t>(n, 4)))));
-  if (derived.h < 2) derived.h = 2;
+  const double h =
+      std::ceil(params.h_multiplier *
+                std::log2(static_cast<double>(std::max<size_t>(n, 4))));
+  if (h >= static_cast<double>(kMaxSlots)) {
+    return Status::InvalidArgument("h_multiplier gives h >= kMaxSlots");
+  }
+  derived.h = std::max<size_t>(2, static_cast<size_t>(h));
   // Paper threshold h(1/2 + eps/6) specializes q2 = 1/2; with q2 < 1/2 the
   // Chernoff midpoint of the two expectations is the natural generalization.
   derived.tau = static_cast<double>(derived.h) * (derived.q1 + derived.q2) / 2.0;
@@ -262,6 +291,7 @@ Result<GapProtocolReport> RunGapProtocol(const PointStore& alice,
   config.h = derived.h;
   config.m = derived.m;
   config.tau = derived.tau;
+  config.delta = params.delta;
   config.reconciler = params.reconciler;
   config.num_threads = params.num_threads;
   config.seed = params.seed;

@@ -15,6 +15,8 @@
 #include "core/params.h"
 #include "core/transcript.h"
 #include "geometry/point_store.h"
+#include "hashing/pairwise.h"
+#include "lsh/lsh_family.h"
 #include "setsets/reconciler.h"
 #include "util/status.h"
 
@@ -70,6 +72,15 @@ struct GapProtocolReport {
   CommStats comm;
 };
 
+/// Runs the protocol. Returns InvalidArgument when both sets are empty, dim
+/// is 0, the radii give no usable gap, or h_multiplier is negative, NaN or
+/// infinite or makes h reach kMaxSlots (h_multiplier 0 clamps h to 2).
+///
+/// Inputs are programmer-supplied, not peer bytes: a non-empty store whose
+/// dim differs from params.dim, or any coordinate outside [0, params.delta],
+/// aborts the process (RSR_CHECK). Every coordinate of both stores is
+/// checked while the keys are built, before any LSH function reads it and
+/// before the first message, so an abort never leaves a partial exchange.
 Result<GapProtocolReport> RunGapProtocol(const PointStore& alice,
                                          const PointStore& bob,
                                          const GapProtocolParams& params);
@@ -77,12 +88,17 @@ Result<GapProtocolReport> RunGapProtocol(const PointStore& alice,
 namespace internal {
 
 /// Shared pipeline for the general and low-dimension variants: key
-/// construction from `functions` (h batches of m), reconciliation, far
-/// detection at threshold tau, final transmission.
+/// construction from `functions` (h batches of m, BuildGapKeys, which
+/// range-checks both stores), reconciliation, far detection at threshold
+/// tau, final transmission.
 struct GapPipelineConfig {
   size_t h = 0;
   size_t m = 0;
   double tau = 0;
+  /// Coordinate bound of both inputs (the entry point's params.delta;
+  /// defaults as GapProtocolParams::delta). BuildGapKeys aborts on a
+  /// coordinate outside [0, delta].
+  Coord delta = 1;
   SetsReconcilerParams reconciler;
   size_t num_threads = 1;
   uint64_t seed = 0;
@@ -100,6 +116,22 @@ Result<GapPipelineResult> RunGapPipeline(
     const PointStore& alice, const PointStore& bob,
     const std::vector<std::unique_ptr<LshFunction>>& functions,
     const GapPipelineConfig& config);
+
+/// The h-slot Gap keys of every row of `points`, h = slot_hashes.size():
+///   keys[i][j] = (uint32) H_j(Eval_{jm}(p_i) .. Eval_{jm+m-1}(p_i)),
+/// the low 32 bits of slot j's vector hash H_j = slot_hashes[j] over its m
+/// evaluations.
+/// `functions` holds h * m draws, h, m >= 1. One pass per row block of at
+/// most 128 KiB of coordinates (never fewer than one row): RSR_CHECK that
+/// every coordinate of the block lies in [0, delta], evaluate the block into
+/// a small per-shard matrix, and hash its h slots while the block is still
+/// in cache, so no n x (h * m) evaluation matrix exists and the store is
+/// read once. Keys are identical for every num_threads.
+std::vector<SlottedSet> BuildGapKeys(
+    const PointStore& points, Coord delta,
+    const std::vector<std::unique_ptr<LshFunction>>& functions,
+    const std::vector<PairwiseVectorHash>& slot_hashes, size_t m,
+    size_t num_threads);
 
 /// Far detection over h-slot keys: Alice's key is far when its best
 /// slot-match count against every key of `bob_keys` is below `tau`.

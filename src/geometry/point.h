@@ -29,12 +29,31 @@ namespace geometry_internal {
 /// Shared row primitives: Point, PointRef, and PointStore all delegate here,
 /// so a single point and a store row cannot drift.
 
-/// True iff every coordinate in [row, row + n) lies in [0, delta].
+/// True iff every coordinate in [row, row + n) lies in [0, delta] (never
+/// for a negative delta unless n == 0). Branch-free within chunks of 512
+/// coordinates so the compiler vectorizes it at the baseline ISA (full
+/// chunks have a constant trip count, which -O2 needs too): for delta >= 0,
+/// x lies in [0, delta] iff neither x nor delta - x is negative, i.e. iff
+/// the sign bit of x | (delta - x) is clear. The difference is taken in
+/// uint64_t; it can wrap only for x < 0, whose own sign bit already rejects
+/// it. A chunk holding a bad coordinate ends the scan.
 inline bool RowInDomain(const Coord* row, size_t n, Coord delta) {
-  for (size_t j = 0; j < n; ++j) {
-    if (row[j] < 0 || row[j] > delta) return false;
+  if (delta < 0) return n == 0;
+  const uint64_t bound = static_cast<uint64_t>(delta);
+  auto sign_bits = [bound](const Coord* chunk, size_t len) {
+    uint64_t bits = 0;
+    for (size_t j = 0; j < len; ++j) {
+      const uint64_t x = static_cast<uint64_t>(chunk[j]);
+      bits |= x | (bound - x);
+    }
+    return bits >> 63;
+  };
+  constexpr size_t kChunk = 512;
+  size_t begin = 0;
+  for (; n - begin >= kChunk; begin += kChunk) {
+    if (sign_bits(row + begin, kChunk) != 0) return false;
   }
-  return true;
+  return sign_bits(row + begin, n - begin) == 0;
 }
 
 /// Stable 64-bit content hash of one row (shared across parties).

@@ -5,6 +5,7 @@
 // S_A is within r2 of some point of S'_B = S_B ∪ T_A.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -16,6 +17,9 @@
 #include "core/gap_protocol.h"
 #include "hashing/hash64.h"
 #include "hashing/pairwise.h"
+#include "lsh/bit_sampling.h"
+#include "lsh/eval_pipeline.h"
+#include "lsh/one_sided_grid.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -304,6 +308,222 @@ TEST(GapProtocolTest, DerivedParametersSane) {
   EXPECT_LE(report->derived.q2, 0.5 + 1e-9);
   EXPECT_GT(report->derived.tau, 0.0);
   EXPECT_LT(report->derived.tau, static_cast<double>(report->derived.h));
+}
+
+// h = ceil(h_multiplier * ...) is checked before it becomes a size: a
+// negative, NaN or infinite multiplier, or one that makes h reach kMaxSlots,
+// is InvalidArgument on both entry points; 0 clamps h to its floor.
+TEST(GapProtocolTest, HMultiplierOutsideRangeRejected) {
+  Rng rng(6);
+  const PointStore pts = GenerateUniformStore(16, 64, 1, &rng);
+  GapProtocolParams general = HammingParams(64, 1, 16, 1, 31);
+  LowDimGapParams low;
+  low.metric = MetricKind::kL1;
+  low.dim = 64;
+  low.delta = 1;
+  low.r1 = 1;
+  low.r2 = 256;  // rho_hat = 1/4
+  low.seed = 32;
+  for (double multiplier : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(), 1e7}) {
+    general.h_multiplier = multiplier;
+    low.h_multiplier = multiplier;
+    auto general_report = RunGapProtocol(pts, pts, general);
+    ASSERT_FALSE(general_report.ok()) << multiplier;
+    EXPECT_EQ(general_report.status().code(), StatusCode::kInvalidArgument);
+    auto low_report = RunLowDimGapProtocol(pts, pts, low);
+    ASSERT_FALSE(low_report.ok()) << multiplier;
+    EXPECT_EQ(low_report.status().code(), StatusCode::kInvalidArgument);
+  }
+  general.h_multiplier = 0;
+  low.h_multiplier = 0;
+  auto general_report = RunGapProtocol(pts, pts, general);
+  ASSERT_TRUE(general_report.ok()) << general_report.status().ToString();
+  EXPECT_EQ(general_report->derived.h, 2u);
+  auto low_report = RunLowDimGapProtocol(pts, pts, low);
+  ASSERT_TRUE(low_report.ok()) << low_report.status().ToString();
+  EXPECT_EQ(low_report->derived.h, 1u);
+}
+
+// ---- Input checks: dims up front, coordinates block by block -------------
+//
+// Both entry points range-check every coordinate inside the blocked key
+// build, before any LSH function reads it. A coordinate of delta + 1 or -1
+// must abort wherever it sits: in Alice's first row, in a middle block, or
+// in Bob's last row, with n = 37 not a multiple of the 16-row block at
+// dim 1024, at 1 and 3 threads.
+
+constexpr size_t kCheckDim = 1024;
+constexpr size_t kCheckRows = 37;
+
+/// A copy of `points` with coordinate `coord` of row `row` set to `value`.
+PointStore WithCoordinate(const PointStore& points, size_t row, size_t coord,
+                          Coord value) {
+  PointStore out(points.dim());
+  for (size_t i = 0; i < points.size(); ++i) {
+    Coord* dst = out.AppendRow();
+    std::copy(points.row(i), points.row(i) + points.dim(), dst);
+    if (i == row) dst[coord] = value;
+  }
+  return out;
+}
+
+GapProtocolParams CheckGapParams(size_t threads) {
+  GapProtocolParams params = HammingParams(kCheckDim, 4, 192, 2, 91);
+  params.num_threads = threads;
+  return params;
+}
+
+LowDimGapParams CheckLowDimParams(size_t threads) {
+  LowDimGapParams params;
+  params.metric = MetricKind::kL1;
+  params.dim = kCheckDim;
+  params.delta = 1;
+  params.r1 = 1;
+  params.r2 = 4096;  // rho_hat = 1/4
+  params.seed = 92;
+  params.num_threads = threads;
+  return params;
+}
+
+TEST(GapInputCheckDeathTest, OutOfDomainCoordinateAborts) {
+  Rng rng(93);
+  const PointStore alice = GenerateUniformStore(kCheckRows, kCheckDim, 1, &rng);
+  const PointStore bob = GenerateUniformStore(kCheckRows, kCheckDim, 1, &rng);
+  for (size_t threads : {size_t{1}, size_t{3}}) {
+    // The unedited inputs run through.
+    ASSERT_TRUE(RunGapProtocol(alice, bob, CheckGapParams(threads)).ok());
+    ASSERT_TRUE(
+        RunLowDimGapProtocol(alice, bob, CheckLowDimParams(threads)).ok());
+  }
+  struct Place {
+    bool bob;
+    size_t row;
+    size_t coord;
+  };
+  const Place places[] = {
+      {false, 0, 0},                         // Alice's first row
+      {false, 20, 517},                      // the middle block [16, 32)
+      {true, kCheckRows - 1, kCheckDim - 1},  // Bob's last row, short block
+  };
+  for (const Place& place : places) {
+    for (Coord value : {Coord{2}, Coord{-1}}) {  // delta + 1 and -1
+      const PointStore& source = place.bob ? bob : alice;
+      const PointStore bad =
+          WithCoordinate(source, place.row, place.coord, value);
+      const PointStore& a = place.bob ? alice : bad;
+      const PointStore& b = place.bob ? bad : bob;
+      for (size_t threads : {size_t{1}, size_t{3}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (place.bob ? "bob" : "alice") << " row "
+                     << place.row << " value " << value << " threads "
+                     << threads);
+        EXPECT_DEATH(
+            { (void)RunGapProtocol(a, b, CheckGapParams(threads)); },
+            "RowInDomain");
+        EXPECT_DEATH(
+            {
+              (void)RunLowDimGapProtocol(a, b, CheckLowDimParams(threads));
+            },
+            "RowInDomain");
+      }
+    }
+  }
+}
+
+// A store of the wrong dim aborts at the entry point's own check, before
+// any key is built (a later check would abort only after the exchange).
+TEST(GapInputCheckDeathTest, DimMismatchAborts) {
+  const char* const kDimCheck = "dim\\(\\) == params\\.dim";
+  Rng rng(94);
+  const PointStore points = GenerateUniformStore(8, kCheckDim, 1, &rng);
+  const PointStore narrow = GenerateUniformStore(8, kCheckDim - 1, 1, &rng);
+  for (size_t threads : {size_t{1}, size_t{3}}) {
+    EXPECT_DEATH(
+        { (void)RunGapProtocol(points, narrow, CheckGapParams(threads)); },
+        kDimCheck);
+    EXPECT_DEATH(
+        { (void)RunGapProtocol(narrow, points, CheckGapParams(threads)); },
+        kDimCheck);
+    EXPECT_DEATH(
+        {
+          (void)RunLowDimGapProtocol(points, narrow,
+                                     CheckLowDimParams(threads));
+        },
+        kDimCheck);
+    EXPECT_DEATH(
+        {
+          (void)RunLowDimGapProtocol(narrow, points,
+                                     CheckLowDimParams(threads));
+        },
+        kDimCheck);
+  }
+}
+
+// ---- internal::BuildGapKeys against the matrix build ----------------------
+//
+// The blocked key build must give exactly the keys of the plain two-step
+// build: one whole-store EvaluateAllInto matrix, then per slot j one
+// EvalBatch over its columns [j*m, (j+1)*m) and a 32-bit truncation.
+
+std::vector<SlottedSet> MatrixGapKeys(
+    const PointStore& points,
+    const std::vector<std::unique_ptr<LshFunction>>& functions,
+    const std::vector<PairwiseVectorHash>& slot_hashes, size_t m) {
+  const size_t h = slot_hashes.size();
+  const size_t cols = h * m;
+  EvalMatrix evals;
+  EvaluateAllInto(points, functions, 1, &evals);
+  std::vector<SlottedSet> keys(points.size(), SlottedSet(h));
+  std::vector<uint64_t> slot_keys(points.size());
+  for (size_t j = 0; j < h; ++j) {
+    slot_hashes[j].EvalBatch(evals.data() + j * m, points.size(), cols, m,
+                             slot_keys.data());
+    for (size_t i = 0; i < points.size(); ++i) {
+      keys[i][j] = static_cast<uint32_t>(slot_keys[i]);
+    }
+  }
+  return keys;
+}
+
+TEST(GapKeysTest, BlockedBuildMatchesMatrixBuild) {
+  for (size_t dim : {size_t{1}, size_t{7}, size_t{1024}, size_t{1025}}) {
+    // Bit sampling at the gap_hamming key shape (h = 44, m = 4: 186 rows
+    // per block at small dim, 16 at dim 1024) and the one-sided grid of the
+    // low-dimension variant (m = 1, column-transposed evaluation).
+    const BitSamplingFamily bits(dim, static_cast<double>(dim));
+    const OneSidedGridFamily grid(dim, 8.0 * static_cast<double>(dim), 1);
+    struct Case {
+      const LshFamily* family;
+      Coord delta;
+      size_t h;
+      size_t m;
+    };
+    for (const Case& c : {Case{&bits, 1, 44, 4}, Case{&grid, 255, 9, 1}}) {
+      Rng draw_rng(100 + dim);
+      const std::vector<std::unique_ptr<LshFunction>> functions =
+          DrawMany(*c.family, c.h * c.m, &draw_rng);
+      Rng hash_rng(200 + dim);
+      std::vector<PairwiseVectorHash> slot_hashes;
+      for (size_t j = 0; j < c.h; ++j) {
+        slot_hashes.push_back(PairwiseVectorHash::Draw(&hash_rng));
+      }
+      for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
+                       size_t{17}, size_t{301}}) {
+        Rng rng(300 + 7 * n + dim);
+        const PointStore points = GenerateUniformStore(n, dim, c.delta, &rng);
+        const std::vector<SlottedSet> expected =
+            MatrixGapKeys(points, functions, slot_hashes, c.m);
+        for (size_t threads : {size_t{1}, size_t{3}}) {
+          EXPECT_EQ(internal::BuildGapKeys(points, c.delta, functions,
+                                           slot_hashes, c.m, threads),
+                    expected)
+              << c.family->Name() << " dim " << dim << " n " << n
+              << " threads " << threads;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- low-dim --

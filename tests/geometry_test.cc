@@ -1,5 +1,7 @@
 // Unit and property tests for geometry/: Point, metrics, BitVec.
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -43,6 +45,56 @@ TEST(PointTest, InDomain) {
   EXPECT_FALSE(p.InDomain(9));
   Point neg(std::vector<Coord>{-1});
   EXPECT_FALSE(neg.InDomain(10));
+}
+
+// RowInDomain (branch-free over 512-coordinate chunks) against the plain
+// per-coordinate loop: extreme values and deltas, lengths around the chunk
+// size, and the one odd coordinate first, last, and on each side of every
+// chunk boundary.
+TEST(PointTest, RowInDomainMatchesPlainLoop) {
+  constexpr Coord kMin = std::numeric_limits<Coord>::min();
+  constexpr Coord kMax = std::numeric_limits<Coord>::max();
+  auto plain = [](const std::vector<Coord>& row, size_t n, Coord delta) {
+    for (size_t j = 0; j < n; ++j) {
+      if (row[j] < 0 || row[j] > delta) return false;
+    }
+    return true;
+  };
+  size_t in_domain = 0;
+  size_t outside = 0;
+  for (Coord delta : {kMin, Coord{-1}, Coord{0}, Coord{1}, Coord{1023}, kMax}) {
+    std::vector<Coord> values = {kMin, -1, 0, 1, delta, kMax};
+    if (delta < kMax) values.push_back(delta + 1);
+    // Rows are filled with a value inside [0, delta] when there is one.
+    const Coord fill = delta < 0 ? 0 : delta / 2;
+    for (size_t n : {size_t{0}, size_t{1}, size_t{511}, size_t{512},
+                     size_t{513}, size_t{4103}}) {
+      std::vector<Coord> row(n, fill);
+      EXPECT_EQ(geometry_internal::RowInDomain(row.data(), n, delta),
+                plain(row, n, delta))
+          << "delta " << delta << " n " << n;
+      std::vector<size_t> positions = {0, n - 1};
+      for (size_t edge = 512; edge < n; edge += 512) {
+        positions.push_back(edge - 1);
+        positions.push_back(edge);
+      }
+      for (size_t pos : positions) {
+        if (pos >= n) continue;
+        for (Coord value : values) {
+          row[pos] = value;
+          const bool expected = plain(row, n, delta);
+          EXPECT_EQ(geometry_internal::RowInDomain(row.data(), n, delta),
+                    expected)
+              << "delta " << delta << " n " << n << " row[" << pos
+              << "] = " << value;
+          ++(expected ? in_domain : outside);
+          row[pos] = fill;
+        }
+      }
+    }
+  }
+  EXPECT_GT(in_domain, 100u);
+  EXPECT_GT(outside, 100u);
 }
 
 TEST(PointTest, ContentHashStableAndSaltSensitive) {
