@@ -5,14 +5,22 @@
 // pass both. These constants were recorded from fixed seeds and pin, per
 // case:
 //   - both parties' level keys (EvaluateEmdLevelKeys),
-//   - the classic-codec A->B sketch message (rebuilt from the public sketch
-//     API and checked against the transcript's recorded size; the prebuilt
-//     case reads the served message itself),
+//   - the A->B sketch message (rebuilt from the public sketch API and
+//     checked against the transcript's recorded size; the prebuilt case
+//     reads the served message itself),
 //   - the decoded X_A and X_B in extraction order,
-//   - S'_B in output order.
+//   - S'_B in output order,
+//   - for the compact cases, the transcript: every message's label, size
+//     and codec, which pins the estimator round and which message carries
+//     the wire header.
+// Every case pins its codec explicitly: the classic cases and their
+// `Compact` twins check the same bytes on the compact CI leg
+// (RSR_WIRE_CODEC=compact) as on the default one.
 // A mismatch means the exchange's observable output changed; regenerating
 // these values is a protocol change, not a refresh.
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <span>
 #include <vector>
 
@@ -21,6 +29,7 @@
 #include "core/adaptive.h"
 #include "core/emd_protocol.h"
 #include "core/emd_sketch.h"
+#include "core/sync_server.h"
 #include "golden_digest.h"
 #include "workload/generators.h"
 
@@ -36,6 +45,8 @@ struct Golden {
   uint64_t x_a;
   uint64_t x_b;
   uint64_t s_b_prime;
+  /// Pinned by the compact cases only; the classic cases predate it.
+  uint64_t transcript = 0;
 };
 
 struct Observed {
@@ -61,8 +72,10 @@ NoisyPairStoreWorkload MakeInputs(MetricKind metric, uint64_t seed) {
   return std::move(*inputs);
 }
 
-EmdProtocolParams MakeParams(MetricKind metric, size_t dim, Coord delta,
-                             bool adaptive) {
+EmdProtocolParams MakeParams(
+    MetricKind metric, size_t dim, Coord delta, bool adaptive,
+    WireCodec codec = WireCodec::kClassic,
+    CellRounding rounding = CellRounding::kDivisorLadder) {
   EmdProtocolParams params;
   params.metric = metric;
   params.dim = dim;
@@ -71,9 +84,9 @@ EmdProtocolParams MakeParams(MetricKind metric, size_t dim, Coord delta,
   params.d1 = 2;
   params.d2 = 512;
   params.seed = uint64_t{0x5eed'0000} + static_cast<uint64_t>(metric);
-  params.codec = WireCodec::kClassic;
+  params.codec = codec;
   params.adaptive.enabled = adaptive;
-  params.adaptive.rounding = CellRounding::kDivisorLadder;
+  params.adaptive.rounding = rounding;
   return params;
 }
 
@@ -84,6 +97,17 @@ void ExpectGolden(const Observed& got, const Golden& want) {
   EXPECT_EQ(got.digests.x_a, want.x_a);
   EXPECT_EQ(got.digests.x_b, want.x_b);
   EXPECT_EQ(got.digests.s_b_prime, want.s_b_prime);
+  if (want.transcript != 0) {
+    EXPECT_EQ(got.digests.transcript, want.transcript);
+  }
+  if (::testing::Test::HasFailure()) {
+    std::printf("observed Golden{0x%016" PRIx64 "ULL, 0x%016" PRIx64
+                "ULL, 0x%016" PRIx64 "ULL, 0x%016" PRIx64 "ULL, 0x%016" PRIx64
+                "ULL, 0x%016" PRIx64 "ULL, 0x%016" PRIx64 "ULL}\n",
+                got.digests.alice_keys, got.digests.bob_keys,
+                got.digests.message, got.digests.x_a, got.digests.x_b,
+                got.digests.s_b_prime, got.digests.transcript);
+  }
   // A golden that never decodes, or decodes nothing for Bob, would not pin
   // the repair matching.
   EXPECT_GT(got.decoded_level, 0u);
@@ -94,15 +118,19 @@ void FillReportDigests(const EmdProtocolReport& report, Observed* out) {
   out->digests.x_a = DigestOf(report.x_a);
   out->digests.x_b = DigestOf(report.x_b);
   out->digests.s_b_prime = DigestOf(report.s_b_prime);
+  out->digests.transcript = DigestOf(report.comm);
   out->decoded_level = report.decoded_level;
   out->x_b_rows = report.x_b.size();
 }
 
-Observed RunOneShot(MetricKind metric, bool adaptive) {
+Observed RunOneShot(MetricKind metric, bool adaptive,
+                    WireCodec codec = WireCodec::kClassic,
+                    CellRounding rounding = CellRounding::kDivisorLadder) {
   NoisyPairStoreWorkload in = MakeInputs(metric, adaptive ? 9 : 7);
   const EmdProtocolParams params =
       MakeParams(metric, in.alice.dim(),
-                 metric == MetricKind::kHamming ? 1 : 255, adaptive);
+                 metric == MetricKind::kHamming ? 1 : 255, adaptive, codec,
+                 rounding);
   auto report = RunEmdProtocol(in.alice, in.bob, params);
   RSR_CHECK(report.ok());
   RSR_CHECK(!report->failure);
@@ -118,14 +146,19 @@ Observed RunOneShot(MetricKind metric, bool adaptive) {
   const std::vector<uint64_t> bob_keys =
       EvaluateEmdLevelKeys(in.bob, hashes, prefix_lens, 1);
 
-  // Alice's message as FinishEmdProtocol writes it under kClassic.
+  // Alice's message: the sizes prefix on an adaptive exchange, the wire
+  // header on a static compact one (an adaptive exchange's header went on
+  // the estimator round), then one table per level.
   ByteWriter message;
   if (adaptive) WriteNegotiatedCells(report->level_cells, &message);
+  if (!adaptive && codec != WireCodec::kClassic) {
+    WriteWireHeader(codec, &message);
+  }
   for (size_t l = 0; l < prefix_lens.size(); ++l) {
     Riblt table(EmdLevelRibltParams(params, report->level_cells[l], l + 1));
     table.InsertMany(std::span<const uint64_t>(alice_keys.data() + l * n, n),
                      in.alice);
-    table.WriteTo(&message, WireCodec::kClassic);
+    table.WriteTo(&message, codec);
   }
   EXPECT_EQ(message.size_bytes(), report->comm.messages.back().bytes);
 
@@ -137,11 +170,11 @@ Observed RunOneShot(MetricKind metric, bool adaptive) {
   return out;
 }
 
-Observed RunPrebuilt() {
+Observed RunPrebuilt(WireCodec codec = WireCodec::kClassic) {
   const MetricKind metric = MetricKind::kL2;
   NoisyPairStoreWorkload in = MakeInputs(metric, 11);
   const EmdProtocolParams params =
-      MakeParams(metric, in.alice.dim(), 255, /*adaptive=*/true);
+      MakeParams(metric, in.alice.dim(), 255, /*adaptive=*/true, codec);
   auto set = BuildEmdSketches(in.alice, params, /*build_estimators=*/true);
   RSR_CHECK(set.ok());
   EmdServeScratch scratch;
@@ -157,6 +190,39 @@ Observed RunPrebuilt() {
       DigestOf(EvaluateEmdLevelKeys(in.bob, hashes, set->prefix_lens, 1));
   out.digests.message = DigestOf(scratch.message.buffer());
   EXPECT_EQ(scratch.message.size_bytes(), report->comm.messages.back().bytes);
+  FillReportDigests(*report, &out);
+  return out;
+}
+
+/// A static exchange served by SyncSession::Run off a maintained dataset.
+/// Under compact its one message opens the exchange, so it carries the wire
+/// header ahead of the snapshot's tables.
+Observed RunStaticSession(WireCodec codec) {
+  const MetricKind metric = MetricKind::kL2;
+  NoisyPairStoreWorkload in = MakeInputs(metric, 13);
+  const EmdProtocolParams params =
+      MakeParams(metric, in.alice.dim(), 255, /*adaptive=*/false, codec);
+  auto dataset = SyncDataset::Create(in.alice, params);
+  RSR_CHECK(dataset.ok());
+  SyncServer server(std::move(*dataset));
+  SyncSession session = server.OpenSession();
+  auto report = session.Run(in.bob);
+  RSR_CHECK(report.ok());
+  RSR_CHECK(!report->failure);
+
+  const EmdSketchSet& served = session.snapshot().sketches;
+  EmdHashes hashes = MakeEmdHashes(params, report->derived);
+  ByteWriter message;
+  if (codec != WireCodec::kClassic) WriteWireHeader(codec, &message);
+  for (const Riblt& table : served.tables) table.WriteTo(&message, codec);
+  EXPECT_EQ(message.size_bytes(), report->comm.messages.back().bytes);
+
+  Observed out;
+  out.digests.alice_keys = DigestOf(
+      EvaluateEmdLevelKeys(in.alice, hashes, served.prefix_lens, 1));
+  out.digests.bob_keys =
+      DigestOf(EvaluateEmdLevelKeys(in.bob, hashes, served.prefix_lens, 1));
+  out.digests.message = DigestOf(message.buffer());
   FillReportDigests(*report, &out);
   return out;
 }
@@ -236,6 +302,118 @@ TEST(EmdGoldenTest, PrebuiltAdaptiveL2) {
                    0x4f5112e4df371c50ULL,
                    0x34a7685d38bba23fULL,
                    0xc93c9de647f88993ULL});
+}
+
+TEST(EmdGoldenTest, StaticL1Compact) {
+  ExpectGolden(RunOneShot(MetricKind::kL1, false, WireCodec::kCompact),
+               Golden{
+                   0xf709d50df595c45dULL,
+                   0x055bc2e7a62c7813ULL,
+                   0x0913d478d218083cULL,
+                   0x67e197a15d7cca88ULL,
+                   0xfa986b2a5b8f7db5ULL,
+                   0x18b1d016688aa521ULL,
+                   0xe6f969d463850c48ULL});
+}
+
+TEST(EmdGoldenTest, StaticL2Compact) {
+  ExpectGolden(RunOneShot(MetricKind::kL2, false, WireCodec::kCompact),
+               Golden{
+                   0xe117bc1b83421922ULL,
+                   0xafaf22902297c8b6ULL,
+                   0x9c25e3c81da51398ULL,
+                   0x1e1cbcfc93bc94a2ULL,
+                   0xf84534188ead2eafULL,
+                   0xff2f1a1d7b664d3eULL,
+                   0xc10ab5b303caa580ULL});
+}
+
+TEST(EmdGoldenTest, StaticHammingCompact) {
+  ExpectGolden(RunOneShot(MetricKind::kHamming, false, WireCodec::kCompact),
+               Golden{
+                   0xfa36d0861dd1f57bULL,
+                   0x7eb423252682fdb9ULL,
+                   0xd4a35a359974cc22ULL,
+                   0xb79a92e2bb79e30dULL,
+                   0xcdb0ad2eaede13f2ULL,
+                   0x133b161359fa6b7dULL,
+                   0x5b3ff1b7d24396f6ULL});
+}
+
+TEST(EmdGoldenTest, AdaptiveL1Compact) {
+  ExpectGolden(RunOneShot(MetricKind::kL1, true, WireCodec::kCompact),
+               Golden{
+                   0x351f20a2eb78bdcdULL,
+                   0xc252423eae01b0b6ULL,
+                   0xea00816d496ab1c7ULL,
+                   0x26d5df7dfa0db2a3ULL,
+                   0xa735d5bd215b9cadULL,
+                   0x50f7c70ef008faacULL,
+                   0x1a9fdd5029d66021ULL});
+}
+
+TEST(EmdGoldenTest, AdaptiveL2Compact) {
+  ExpectGolden(RunOneShot(MetricKind::kL2, true, WireCodec::kCompact),
+               Golden{
+                   0x6f2c86f93f9e0934ULL,
+                   0x2f868d4fe21e7aacULL,
+                   0x65e2abfab879e52aULL,
+                   0x55b5cd34ee8b3724ULL,
+                   0x1b9de03f6499f4afULL,
+                   0x0f18541ee4d67e5fULL,
+                   0x82f44bca41836442ULL});
+}
+
+TEST(EmdGoldenTest, AdaptiveHammingCompact) {
+  ExpectGolden(RunOneShot(MetricKind::kHamming, true, WireCodec::kCompact),
+               Golden{
+                   0x5699da9c5b1adb32ULL,
+                   0x78938db62d40e314ULL,
+                   0x5197e09417da4f38ULL,
+                   0x81ff0b45bb7091f9ULL,
+                   0xb69e814a24c82e7dULL,
+                   0x8f203a4fe4b0f8a6ULL,
+                   0x2dd5e51f9aa795ceULL});
+}
+
+TEST(EmdGoldenTest, PrebuiltAdaptiveL2Compact) {
+  ExpectGolden(RunPrebuilt(WireCodec::kCompact),
+               Golden{
+                   0xe805b90d2dc0483eULL,
+                   0x97e0df39083e1d2fULL,
+                   0x691a805b57955d74ULL,
+                   0x4f5112e4df371c50ULL,
+                   0x34a7685d38bba23fULL,
+                   0xc93c9de647f88993ULL,
+                   0x5de9223554497674ULL});
+}
+
+// The cold adaptive exchange at exact negotiated sizes under compact: the
+// configuration of the emd_large_diff benchmark workload, which only a cold
+// build can serve (exact sizes are not fold targets).
+TEST(EmdGoldenTest, ExactAdaptiveL2Compact) {
+  ExpectGolden(RunOneShot(MetricKind::kL2, true, WireCodec::kCompact,
+                          CellRounding::kExact),
+               Golden{
+                   0x6f2c86f93f9e0934ULL,
+                   0x2f868d4fe21e7aacULL,
+                   0xbab1a59ed4718326ULL,
+                   0x55b5cd34ee8b3724ULL,
+                   0x1b9de03f6499f4afULL,
+                   0x0f18541ee4d67e5fULL,
+                   0x82f44bca41836442ULL});
+}
+
+TEST(EmdGoldenTest, StaticSessionL2Compact) {
+  ExpectGolden(RunStaticSession(WireCodec::kCompact),
+               Golden{
+                   0x5a83c34992880ac0ULL,
+                   0xef70b6740d6e9864ULL,
+                   0x2bd99cf26777bc8cULL,
+                   0x10cbe26248411873ULL,
+                   0xb0601bd35520398fULL,
+                   0x44b86eb9025ac510ULL,
+                   0xa23a1f0e8c536683ULL});
 }
 
 }  // namespace

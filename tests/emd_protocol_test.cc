@@ -9,6 +9,7 @@
 #include "alloc_counter.h"
 #include "core/emd_multiscale.h"
 #include "core/emd_protocol.h"
+#include "core/emd_sketch.h"
 #include "emd/emd.h"
 #include "workload/generators.h"
 
@@ -68,6 +69,39 @@ TEST(EmdProtocolTest, RejectsMismatchedSizes) {
   auto report =
       RunEmdProtocol(a, b, BaseParams(MetricKind::kL1, 2, 10, 1, 1));
   EXPECT_FALSE(report.ok());
+}
+
+// A sketch set served under parameters that derive another layout would
+// put undecodable bytes on the wire; the serving entry point refuses it
+// before any message is written.
+TEST(EmdProtocolTest, PrebuiltRejectsSketchSetFromOtherDerivedParameters) {
+  Rng rng(12);
+  PointStore alice = GenerateUniformStore(40, 3, 63, &rng);
+  PointStore bob = GenerateUniformStore(40, 3, 63, &rng);
+  EmdProtocolParams built = BaseParams(MetricKind::kL1, 3, 63, 2, 5);
+  built.d1 = 1;
+  built.d2 = 8;
+  auto set = BuildEmdSketches(alice, built, /*build_estimators=*/false);
+  ASSERT_TRUE(set.ok());
+  ASSERT_TRUE(RunEmdProtocolPrebuilt(*set, bob, built).ok());
+
+  EmdProtocolParams other_k = built;
+  other_k.k = 4;  // derived.cells = 4 q^2 k moves
+  auto derived_k = DeriveEmdParameters(other_k, alice.size());
+  ASSERT_TRUE(derived_k.ok());
+  ASSERT_NE(derived_k->cells, set->derived.cells);
+  auto report = RunEmdProtocolPrebuilt(*set, bob, other_k);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+
+  EmdProtocolParams other_d2 = built;
+  other_d2.d2 = 64;  // t = ceil(log2(D2/D1)) + 1 moves
+  auto derived_d2 = DeriveEmdParameters(other_d2, alice.size());
+  ASSERT_TRUE(derived_d2.ok());
+  ASSERT_NE(derived_d2->levels, set->derived.levels);
+  report = RunEmdProtocolPrebuilt(*set, bob, other_d2);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EmdProtocolTest, IdenticalSetsReconcileToThemselves) {

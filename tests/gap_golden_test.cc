@@ -9,10 +9,11 @@
 //   - its counters (diff_sets_*, diff_elements, fallback_sets,
 //     sig_attempts / elem_attempts, full_transfer) and far_keys,
 //   - the rows of T_A (transmitted) and of S'_B, in output order.
-// Every case pins the classic codec, so the compact CI leg's
-// RSR_WIRE_CODEC=compact run checks the same bytes. A mismatch means the
-// exchange's observable output changed; regenerating these values is a
-// protocol change, not a refresh.
+// Every case runs twice, once per wire codec (the classic case and its
+// `Compact` twin), and each pins its codec explicitly, so the compact CI
+// leg's RSR_WIRE_CODEC=compact run checks the same bytes as the default
+// leg. A mismatch means the exchange's observable output changed;
+// regenerating these values is a protocol change, not a refresh.
 #include <cinttypes>
 #include <cstdio>
 #include <string>
@@ -40,14 +41,7 @@ struct GapGolden {
 
 GapGolden Observe(const GapProtocolReport& report) {
   GapGolden got{};
-  Digest transcript;
-  transcript.Word(report.comm.messages.size());
-  for (const MessageRecord& m : report.comm.messages) {
-    transcript.String(m.label);
-    transcript.Word(m.bytes);
-    transcript.Word(static_cast<uint64_t>(m.codec));
-  }
-  got.transcript = transcript.Value();
+  got.transcript = DigestOf(report.comm);
 
   const SetsReconcilerReport& rec = report.reconciliation;
   Digest sets;
@@ -108,7 +102,7 @@ NoisyPairStoreWorkload HammingInputs() {
   return std::move(*inputs);
 }
 
-GapProtocolParams HammingParams() {
+GapProtocolParams HammingParams(WireCodec codec) {
   GapProtocolParams params;
   params.metric = MetricKind::kHamming;
   params.dim = 1024;
@@ -118,7 +112,7 @@ GapProtocolParams HammingParams() {
   params.k = 4;
   params.h_multiplier = 4;
   params.reconciler.mode = SetsReconcilerMode::kFingerprint;
-  params.reconciler.codec = WireCodec::kClassic;
+  params.reconciler.codec = codec;
   params.seed = 0x6a9'0001;
   return params;
 }
@@ -135,91 +129,61 @@ GapProtocolReport RunHamming(const GapProtocolParams& params) {
   return std::move(*report);
 }
 
-GapProtocolReport RunFingerprint(int bits) {
-  GapProtocolParams params = HammingParams();
+GapProtocolReport RunFingerprint(int bits, WireCodec codec) {
+  GapProtocolParams params = HammingParams(codec);
   params.reconciler.fingerprint_bits = bits;
   return RunHamming(params);
 }
 
-TEST(GapGoldenTest, FingerprintOneBit) {
-  const GapProtocolReport report = RunFingerprint(1);
+void CheckFingerprintOneBit(WireCodec codec, const GapGolden& want) {
+  const GapProtocolReport report = RunFingerprint(1, codec);
   // One bit leaves about half of each slot's candidates: the DFS budget runs
   // out and every set comes verbatim in the fallback round.
   EXPECT_EQ(report.reconciliation.fallback_sets,
             report.reconciliation.diff_sets_bob);
-  ExpectGolden(Observe(report), GapGolden{
-                         0x31e672bad6e9b84eULL,
-                         0x51109d925f891a7dULL,
-                         0x8b87d83f5ba0f940ULL,
-                         0xa2bb69a6a33b016dULL,
-                         0x3e5fcef731c32f23ULL});
+  ExpectGolden(Observe(report), want);
 }
 
-TEST(GapGoldenTest, FingerprintFiveBits) {
-  const GapProtocolReport report = RunFingerprint(5);
+void CheckFingerprintFiveBits(WireCodec codec, const GapGolden& want) {
+  const GapProtocolReport report = RunFingerprint(5, codec);
   // Five bits sit at the DFS budget's edge: some sets are rebuilt and the
   // rest fall back, so this case pins which ones and their order.
   EXPECT_GT(report.reconciliation.fallback_sets, 0u);
   EXPECT_LT(report.reconciliation.fallback_sets,
             report.reconciliation.diff_sets_bob);
-  ExpectGolden(Observe(report), GapGolden{
-                         0x100dc86e25d96a1eULL,
-                         0xe08dfd1ff1c06805ULL,
-                         0xa7f990ba8a32acfbULL,
-                         0xa2bb69a6a33b016dULL,
-                         0x3e5fcef731c32f23ULL});
+  ExpectGolden(Observe(report), want);
 }
 
-TEST(GapGoldenTest, FingerprintEightBits) {
-  const GapProtocolReport report = RunFingerprint(8);
+void CheckFingerprintEightBits(WireCodec codec, const GapGolden& want) {
+  const GapProtocolReport report = RunFingerprint(8, codec);
   EXPECT_GT(report.reconciliation.diff_elements, 0u);
-  ExpectGolden(Observe(report), GapGolden{
-                         0x52fc68c5191aa433ULL,
-                         0x51109d925f891a7dULL,
-                         0xdd3d85e13c551b49ULL,
-                         0xa2bb69a6a33b016dULL,
-                         0x3e5fcef731c32f23ULL});
+  ExpectGolden(Observe(report), want);
 }
 
-TEST(GapGoldenTest, FingerprintThirtyTwoBits) {
-  const GapProtocolReport report = RunFingerprint(32);
+void CheckFingerprintThirtyTwoBits(WireCodec codec, const GapGolden& want) {
+  const GapProtocolReport report = RunFingerprint(32, codec);
   // A 32-bit fingerprint singles out one candidate per slot.
   EXPECT_EQ(report.reconciliation.fallback_sets, 0u);
-  ExpectGolden(Observe(report), GapGolden{
-                         0x5dba8d237716f5b5ULL,
-                         0x51109d925f891a7dULL,
-                         0xdd3d85e13c551b49ULL,
-                         0xa2bb69a6a33b016dULL,
-                         0x3e5fcef731c32f23ULL});
+  ExpectGolden(Observe(report), want);
 }
 
-TEST(GapGoldenTest, Verbatim) {
-  GapProtocolParams params = HammingParams();
+void CheckVerbatim(WireCodec codec, const GapGolden& want) {
+  GapProtocolParams params = HammingParams(codec);
   params.reconciler.mode = SetsReconcilerMode::kVerbatim;
   const GapProtocolReport report = RunHamming(params);
   EXPECT_EQ(report.reconciliation.elem_attempts, 0);
-  ExpectGolden(Observe(report), GapGolden{
-                         0xbff09613bd800225ULL,
-                         0x51109d925f891a7dULL,
-                         0x41df26ac5d19be69ULL,
-                         0xa2bb69a6a33b016dULL,
-                         0x3e5fcef731c32f23ULL});
+  ExpectGolden(Observe(report), want);
 }
 
-TEST(GapGoldenTest, AdaptiveSignatureSizing) {
-  GapProtocolParams params = HammingParams();
+void CheckAdaptiveSignatureSizing(WireCodec codec, const GapGolden& want) {
+  GapProtocolParams params = HammingParams(codec);
   params.reconciler.adaptive.enabled = true;
   const GapProtocolReport report = RunHamming(params);
   EXPECT_EQ(report.comm.messages.front().label, "A->B sig-strata");
-  ExpectGolden(Observe(report), GapGolden{
-                         0x40045e4d77ec05cfULL,
-                         0x51109d925f891a7dULL,
-                         0xdd3d85e13c551b49ULL,
-                         0xa2bb69a6a33b016dULL,
-                         0x3e5fcef731c32f23ULL});
+  ExpectGolden(Observe(report), want);
 }
 
-TEST(GapGoldenTest, LowDimL1) {
+void CheckLowDimL1(WireCodec codec, const GapGolden& want) {
   NoisyPairConfig config;
   config.metric = MetricKind::kL1;
   config.dim = 2;
@@ -239,18 +203,139 @@ TEST(GapGoldenTest, LowDimL1) {
   params.r2 = 100;
   params.k = 4;
   params.h_multiplier = 2.0;
-  params.reconciler.codec = WireCodec::kClassic;
+  params.reconciler.codec = codec;
   params.seed = 0x10d1'0002;
   auto report = RunLowDimGapProtocol(in->alice, in->bob, params);
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->reconciliation.diff_sets_bob, 0u);
   EXPECT_GE(report->far_keys, 4u);
-  ExpectGolden(Observe(*report), GapGolden{
-                         0x904216041c01681aULL,
-                         0x7b83feef12664240ULL,
-                         0x6205853d5273a0c1ULL,
-                         0x1aa60db7515f19fcULL,
-                         0x9f5d988dc5780499ULL});
+  ExpectGolden(Observe(*report), want);
+}
+
+TEST(GapGoldenTest, FingerprintOneBit) {
+  CheckFingerprintOneBit(WireCodec::kClassic, GapGolden{
+                             0x31e672bad6e9b84eULL,
+                             0x51109d925f891a7dULL,
+                             0x8b87d83f5ba0f940ULL,
+                             0xa2bb69a6a33b016dULL,
+                             0x3e5fcef731c32f23ULL});
+}
+
+TEST(GapGoldenTest, FingerprintOneBitCompact) {
+  CheckFingerprintOneBit(WireCodec::kCompact, GapGolden{
+                             0x5e8333192777d9b6ULL,
+                             0x262aeefa41fe43f9ULL,
+                             0x8b87d83f5ba0f940ULL,
+                             0xa2bb69a6a33b016dULL,
+                             0x3e5fcef731c32f23ULL});
+}
+
+TEST(GapGoldenTest, FingerprintFiveBits) {
+  CheckFingerprintFiveBits(WireCodec::kClassic, GapGolden{
+                               0x100dc86e25d96a1eULL,
+                               0xe08dfd1ff1c06805ULL,
+                               0xa7f990ba8a32acfbULL,
+                               0xa2bb69a6a33b016dULL,
+                               0x3e5fcef731c32f23ULL});
+}
+
+TEST(GapGoldenTest, FingerprintFiveBitsCompact) {
+  CheckFingerprintFiveBits(WireCodec::kCompact, GapGolden{
+                               0x0f0e55a72a4a8c68ULL,
+                               0xa77ba60f305d14f6ULL,
+                               0xa7f990ba8a32acfbULL,
+                               0xa2bb69a6a33b016dULL,
+                               0x3e5fcef731c32f23ULL});
+}
+
+TEST(GapGoldenTest, FingerprintEightBits) {
+  CheckFingerprintEightBits(WireCodec::kClassic, GapGolden{
+                                0x52fc68c5191aa433ULL,
+                                0x51109d925f891a7dULL,
+                                0xdd3d85e13c551b49ULL,
+                                0xa2bb69a6a33b016dULL,
+                                0x3e5fcef731c32f23ULL});
+}
+
+TEST(GapGoldenTest, FingerprintEightBitsCompact) {
+  CheckFingerprintEightBits(WireCodec::kCompact, GapGolden{
+                                0x77195220b4c47c20ULL,
+                                0x262aeefa41fe43f9ULL,
+                                0xdd3d85e13c551b49ULL,
+                                0xa2bb69a6a33b016dULL,
+                                0x3e5fcef731c32f23ULL});
+}
+
+TEST(GapGoldenTest, FingerprintThirtyTwoBits) {
+  CheckFingerprintThirtyTwoBits(WireCodec::kClassic, GapGolden{
+                                    0x5dba8d237716f5b5ULL,
+                                    0x51109d925f891a7dULL,
+                                    0xdd3d85e13c551b49ULL,
+                                    0xa2bb69a6a33b016dULL,
+                                    0x3e5fcef731c32f23ULL});
+}
+
+TEST(GapGoldenTest, FingerprintThirtyTwoBitsCompact) {
+  CheckFingerprintThirtyTwoBits(WireCodec::kCompact, GapGolden{
+                                    0x34d8df015b849f7cULL,
+                                    0x262aeefa41fe43f9ULL,
+                                    0xdd3d85e13c551b49ULL,
+                                    0xa2bb69a6a33b016dULL,
+                                    0x3e5fcef731c32f23ULL});
+}
+
+TEST(GapGoldenTest, Verbatim) {
+  CheckVerbatim(WireCodec::kClassic, GapGolden{
+                    0xbff09613bd800225ULL,
+                    0x51109d925f891a7dULL,
+                    0x41df26ac5d19be69ULL,
+                    0xa2bb69a6a33b016dULL,
+                    0x3e5fcef731c32f23ULL});
+}
+
+TEST(GapGoldenTest, VerbatimCompact) {
+  CheckVerbatim(WireCodec::kCompact, GapGolden{
+                    0xb182fef98e223a42ULL,
+                    0x262aeefa41fe43f9ULL,
+                    0x41df26ac5d19be69ULL,
+                    0xa2bb69a6a33b016dULL,
+                    0x3e5fcef731c32f23ULL});
+}
+
+TEST(GapGoldenTest, AdaptiveSignatureSizing) {
+  CheckAdaptiveSignatureSizing(WireCodec::kClassic, GapGolden{
+                                   0x40045e4d77ec05cfULL,
+                                   0x51109d925f891a7dULL,
+                                   0xdd3d85e13c551b49ULL,
+                                   0xa2bb69a6a33b016dULL,
+                                   0x3e5fcef731c32f23ULL});
+}
+
+TEST(GapGoldenTest, AdaptiveSignatureSizingCompact) {
+  CheckAdaptiveSignatureSizing(WireCodec::kCompact, GapGolden{
+                                   0xffd549272d2b1278ULL,
+                                   0x262aeefa41fe43f9ULL,
+                                   0xdd3d85e13c551b49ULL,
+                                   0xa2bb69a6a33b016dULL,
+                                   0x3e5fcef731c32f23ULL});
+}
+
+TEST(GapGoldenTest, LowDimL1) {
+  CheckLowDimL1(WireCodec::kClassic, GapGolden{
+                    0x904216041c01681aULL,
+                    0x7b83feef12664240ULL,
+                    0x6205853d5273a0c1ULL,
+                    0x1aa60db7515f19fcULL,
+                    0x9f5d988dc5780499ULL});
+}
+
+TEST(GapGoldenTest, LowDimL1Compact) {
+  CheckLowDimL1(WireCodec::kCompact, GapGolden{
+                    0x5995f506de251ee6ULL,
+                    0x4229620079067d03ULL,
+                    0x6205853d5273a0c1ULL,
+                    0x1aa60db7515f19fcULL,
+                    0x9f5d988dc5780499ULL});
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/transcript.h"
 #include "geometry/point_store.h"
 #include "hashing/hash64.h"
 
@@ -60,6 +61,20 @@ inline uint64_t DigestOf(const std::vector<uint8_t>& bytes) {
   Digest d;
   d.Word(bytes.size());
   for (uint8_t b : bytes) d.Byte(b);
+  return d.Value();
+}
+
+/// Every message's label, size and codec, in order: pins how many rounds an
+/// exchange takes, where each message's bytes go and which codec carried
+/// them.
+inline uint64_t DigestOf(const CommStats& comm) {
+  Digest d;
+  d.Word(comm.messages.size());
+  for (const MessageRecord& m : comm.messages) {
+    d.String(m.label);
+    d.Word(m.bytes);
+    d.Word(static_cast<uint64_t>(m.codec));
+  }
   return d.Value();
 }
 
