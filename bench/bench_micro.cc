@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/emd_protocol.h"
 #include "core/gap_protocol.h"
 #include "core/sync_dataset.h"
 #include "core/sync_server.h"
@@ -782,8 +783,10 @@ void BM_SessionSyncWarm(benchmark::State& state) {
     Status st = server->Delete(*key);
     benchmark::DoNotOptimize(st);
     auto snap = server->AcquireSnapshot();
+    auto sender = EmdSender::Warm(snap->sketches, snap->params,
+                                  snap->sketches.derived, nullptr);
     ByteWriter message;
-    snap->WriteSketchMessage(&message);
+    RSR_CHECK(sender.ok() && sender->WriteTables(&message).ok());
     benchmark::DoNotOptimize(message.buffer().data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -797,10 +800,11 @@ void BM_SessionSyncRebuild(benchmark::State& state) {
   static auto* rows = new PointStore(DistinctBenchRows(kN, 0x5e55));
   const EmdProtocolParams params = SyncBenchParams();
   for (auto _ : state) {
-    auto sketches = BuildEmdSketches(*rows, params, /*build_estimators=*/false);
-    RSR_CHECK(sketches.ok());
+    const EmdDerived derived = DeriveEmdParameters(params, kN).ValueOrDie();
+    const EmdHashes hashes = MakeEmdHashes(params, derived);
+    EmdSender sender = EmdSender::Cold(*rows, params, derived, hashes);
     ByteWriter message;
-    for (const Riblt& table : sketches->tables) table.WriteTo(&message);
+    RSR_CHECK(sender.WriteTables(&message).ok());
     benchmark::DoNotOptimize(message.buffer().data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

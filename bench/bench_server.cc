@@ -27,11 +27,9 @@
 
 #include "bench_util.h"
 #include "core/adaptive.h"
+#include "core/emd_protocol.h"
 #include "core/emd_sketch.h"
 #include "core/sync_dataset.h"
-#include "lsh/eval_pipeline.h"
-#include "sketch/riblt.h"
-#include "sketch/strata.h"
 #include "core/sync_server.h"
 #include "util/random.h"
 #include "util/serialize.h"
@@ -110,8 +108,10 @@ double MeasureMaintained(const PointStore& pool, size_t churn) {
   return MeasureSyncsPerSec([&] {
     for (size_t m = 0; m < churn; ++m) replace_one_row();
     auto snap = server.AcquireSnapshot();
+    auto sender = EmdSender::Warm(snap->sketches, snap->params,
+                                  snap->sketches.derived, nullptr);
     ByteWriter message;
-    snap->WriteSketchMessage(&message);
+    RSR_CHECK(sender.ok() && sender->WriteTables(&message).ok());
     RSR_CHECK(!message.buffer().empty());
   });
 }
@@ -120,6 +120,7 @@ double MeasureRebuilt(const PointStore& pool, size_t churn) {
   PointStore rows(kDim);
   for (size_t i = 0; i < kN; ++i) rows.Append(pool[i]);
   const EmdProtocolParams params = ServerParams();
+  const EmdDerived derived = DeriveEmdParameters(params, kN).ValueOrDie();
 
   std::vector<uint8_t> in_front(kN, 1);
   size_t next_pair = 0;
@@ -147,10 +148,10 @@ double MeasureRebuilt(const PointStore& pool, size_t churn) {
 
   return MeasureSyncsPerSec([&] {
     for (size_t m = 0; m < churn; ++m) replace_one_row();
-    auto sketches = BuildEmdSketches(rows, params, /*build_estimators=*/false);
-    RSR_CHECK(sketches.ok());
+    const EmdHashes hashes = MakeEmdHashes(params, derived);
+    EmdSender sender = EmdSender::Cold(rows, params, derived, hashes);
     ByteWriter message;
-    for (const Riblt& table : sketches->tables) table.WriteTo(&message);
+    RSR_CHECK(sender.WriteTables(&message).ok());
     RSR_CHECK(!message.buffer().empty());
   });
 }
@@ -196,17 +197,10 @@ std::vector<uint8_t> ClientEstimatorMessage(const PointStore& pool,
   PointStore client(kDim);
   for (size_t i = diff; i < kN; ++i) client.Append(pool[i]);
   for (size_t i = 0; i < diff; ++i) client.Append(pool[kN + i]);
-  EmdHashes hashes = MakeEmdHashes(params, derived);
-  const std::vector<size_t> prefix_lens = EmdPrefixLens(derived);
-  EvalMatrix evals;
-  EvaluateAllInto(client, hashes.draws, params.num_threads, &evals);
-  std::vector<uint64_t> keys = ComputeEmdLevelKeys(
-      evals, hashes.level_key_hash, prefix_lens, params.num_threads);
-  std::vector<StrataEstimator> estimators =
-      BuildLevelEstimators(keys, derived.levels, kN, params.adaptive,
-                           params.seed, params.num_threads);
+  const EmdHashes hashes = MakeEmdHashes(params, derived);
+  const EmdReceiver client_step(client, params, derived, hashes);
   ByteWriter msg;
-  WriteEstimators(estimators, &msg);
+  client_step.WriteEstimatorMessage(&msg);
   return msg.buffer();
 }
 
@@ -222,8 +216,10 @@ SweepResult MeasureStaticWarm(const PointStore& pool) {
   SweepResult result;
   result.syncs_per_sec = MeasureSyncsPerSec([&] {
     auto snap = server.AcquireSnapshot();
+    auto sender = EmdSender::Warm(snap->sketches, params,
+                                  snap->sketches.derived, nullptr);
     ByteWriter message;
-    snap->WriteSketchMessage(&message);
+    RSR_CHECK(sender.ok() && sender->WriteTables(&message).ok());
     result.sketch_bytes = message.buffer().size();
   });
   return result;
@@ -239,25 +235,16 @@ SweepResult MeasureAdaptiveWarm(const PointStore& pool, size_t diff) {
   SyncServer server(std::move(*ds));
   const std::vector<uint8_t> est_msg =
       ClientEstimatorMessage(pool, diff, params, derived);
-  const double cells_per_diff = params.adaptive.cell_multiplier *
-                                params.num_hashes * params.num_hashes;
 
   EmdServeScratch scratch;
   SweepResult result;
   result.syncs_per_sec = MeasureSyncsPerSec([&] {
     auto snap = server.AcquireSnapshot();
-    ByteReader reader(est_msg.data(), est_msg.size());
-    auto received = ReadEstimators(&reader, params.adaptive, params.seed,
-                                   derived.levels);
-    RSR_CHECK(received.ok());
-    std::vector<size_t> cells = NegotiateLevelCells(
-        snap->sketches.estimators, *received, cells_per_diff,
-        params.adaptive.floor_cells, derived.cells, params.adaptive.rounding,
-        params.num_hashes, params.num_threads);
-    RSR_CHECK(FoldEmdSketches(snap->sketches, cells, params, &scratch).ok());
+    auto sender = EmdSender::Warm(snap->sketches, params, derived, &scratch);
+    RSR_CHECK(sender.ok());
+    RSR_CHECK(sender->ReadEstimatorMessage(est_msg).ok());
     ByteWriter message;
-    WriteNegotiatedCells(cells, &message);
-    for (const Riblt& table : scratch.folded) table.WriteTo(&message);
+    RSR_CHECK(sender->WriteTables(&message).ok());
     result.sketch_bytes = message.buffer().size();
   });
   return result;
@@ -267,46 +254,18 @@ SweepResult MeasureColdAdaptive(const PointStore& pool, size_t diff) {
   const EmdProtocolParams params = AdaptiveSweepParams();
   PointStore rows(kDim);
   for (size_t i = 0; i < kN; ++i) rows.Append(pool[i]);
-  EmdDerived derived;
-  {
-    auto derived_or = DeriveEmdParameters(params, kN);
-    RSR_CHECK(derived_or.ok());
-    derived = *derived_or;
-  }
+  const EmdDerived derived = DeriveEmdParameters(params, kN).ValueOrDie();
   const std::vector<uint8_t> est_msg =
       ClientEstimatorMessage(pool, diff, params, derived);
-  const std::vector<size_t> prefix_lens = EmdPrefixLens(derived);
-  const double cells_per_diff = params.adaptive.cell_multiplier *
-                                params.num_hashes * params.num_hashes;
 
   SweepResult result;
   result.syncs_per_sec = MeasureSyncsPerSec([&] {
     // Everything from the points up, every sync.
-    EmdHashes hashes = MakeEmdHashes(params, derived);
-    EvalMatrix evals;
-    EvaluateAllInto(rows, hashes.draws, params.num_threads, &evals);
-    std::vector<uint64_t> keys = ComputeEmdLevelKeys(
-        evals, hashes.level_key_hash, prefix_lens, params.num_threads);
-    std::vector<StrataEstimator> mine =
-        BuildLevelEstimators(keys, derived.levels, kN, params.adaptive,
-                             params.seed, params.num_threads);
-    ByteReader reader(est_msg.data(), est_msg.size());
-    auto received = ReadEstimators(&reader, params.adaptive, params.seed,
-                                   derived.levels);
-    RSR_CHECK(received.ok());
-    std::vector<size_t> cells = NegotiateLevelCells(
-        mine, *received, cells_per_diff, params.adaptive.floor_cells,
-        derived.cells, params.adaptive.rounding, params.num_hashes,
-        params.num_threads);
+    const EmdHashes hashes = MakeEmdHashes(params, derived);
+    EmdSender sender = EmdSender::Cold(rows, params, derived, hashes);
+    RSR_CHECK(sender.ReadEstimatorMessage(est_msg).ok());
     ByteWriter message;
-    WriteNegotiatedCells(cells, &message);
-    for (size_t level = 1; level <= derived.levels; ++level) {
-      Riblt table(EmdLevelRibltParams(params, cells[level - 1], level));
-      table.InsertMany(
-          std::span<const uint64_t>(keys.data() + (level - 1) * kN, kN),
-          rows);
-      table.WriteTo(&message);
-    }
+    RSR_CHECK(sender.WriteTables(&message).ok());
     result.sketch_bytes = message.buffer().size();
   });
   return result;
@@ -428,7 +387,8 @@ int main() {
   }
   std::printf(
       "\nmaintained = SyncServer mutations + cached snapshot + serialize;\n"
-      "rebuilt = raw row edits + BuildEmdSketches + serialize per sync.\n");
+      "rebuilt = raw row edits + Alice's cold step (hash, build, serialize)\n"
+      "per sync.\n");
 
   bench::Banner("E-ADAPTIVE-WARM: fold-down serving vs static-warm and "
                 "cold-adaptive",

@@ -23,7 +23,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/emd_sketch.h"
+#include "core/emd_protocol.h"
 #include "core/sync_server.h"
 #include "util/random.h"
 #include "util/serialize.h"
@@ -49,6 +49,10 @@ int main() {
   // is what makes every negotiated size a fold target).
   params.adaptive.enabled = true;
   params.adaptive.rounding = CellRounding::kDivisorLadder;
+  // The churn loops below time the full-width static message: the same
+  // tables, sent without a negotiation round.
+  EmdProtocolParams static_params = params;
+  static_params.adaptive.enabled = false;
 
   // kRecords resident rows plus kRounds future arrivals, all distinct.
   Rng rng(99);
@@ -90,8 +94,10 @@ int main() {
     }
     // ...and a client sync is served from the maintained cells.
     auto snapshot = server.AcquireSnapshot();
+    auto sender = EmdSender::Warm(snapshot->sketches, static_params,
+                                  snapshot->sketches.derived, nullptr);
     ByteWriter message;
-    snapshot->WriteSketchMessage(&message);
+    if (!sender.ok() || !sender->WriteTables(&message).ok()) return 1;
     maintained_bytes = message.buffer().size();
   }
   const double maintained_sec =
@@ -100,6 +106,8 @@ int main() {
   // ---- Rebuilt: the historical per-sync cold build -------------------------
   PointStore rebuilt_rows(3);
   for (size_t i = 0; i < kRecords; ++i) rebuilt_rows.Append(pool[i]);
+  const EmdDerived derived =
+      DeriveEmdParameters(static_params, kRecords).ValueOrDie();
   size_t rebuilt_bytes = 0;
   const auto rebuilt_start = Clock::now();
   for (int round = 0; round < kRounds; ++round) {
@@ -107,14 +115,13 @@ int main() {
     // irrelevant to the timing — every sync rebuilds everything anyway)...
     rebuilt_rows.RemoveRowSwap(0);
     rebuilt_rows.Append(pool[kRecords + static_cast<size_t>(round)]);
-    // ...then the sync pays the full rebuild.
-    auto sketches = BuildEmdSketches(rebuilt_rows, params, false);
-    if (!sketches.ok()) {
-      std::printf("rebuild failed at round %d\n", round);
-      return 1;
-    }
+    // ...then the sync pays the full rebuild: Alice's cold step hashes
+    // every row and builds every level table.
+    const EmdHashes hashes = MakeEmdHashes(static_params, derived);
+    EmdSender sender =
+        EmdSender::Cold(rebuilt_rows, static_params, derived, hashes);
     ByteWriter message;
-    for (const Riblt& table : sketches->tables) table.WriteTo(&message);
+    if (!sender.WriteTables(&message).ok()) return 1;
     rebuilt_bytes = message.buffer().size();
   }
   const double rebuilt_sec =

@@ -121,38 +121,6 @@ std::vector<size_t> NegotiateLevelCells(
   return cells;
 }
 
-Result<std::vector<size_t>> NegotiateLevelSketchCells(
-    const std::vector<StrataEstimator>& sender_estimators,
-    std::span<const uint64_t> receiver_keys, size_t levels, size_t n,
-    const AdaptiveSizingParams& params, uint64_t seed, double cells_per_diff,
-    size_t cap_cells, int table_hashes, size_t num_threads,
-    Transcript* transcript, const std::string& label, WireCodec codec) {
-  if (sender_estimators.size() != levels) {
-    return Status::InvalidArgument(
-        "sender estimator count does not match the level count");
-  }
-  std::vector<StrataEstimator> receiver_estimators = BuildLevelEstimators(
-      receiver_keys, levels, n, params, seed, num_threads);
-  ByteWriter estimator_msg;
-  // A compact exchange announces itself on its first message — here, the
-  // estimator round (the static path writes it on the sketch message).
-  if (codec != WireCodec::kClassic) WriteWireHeader(codec, &estimator_msg);
-  WriteEstimators(receiver_estimators, &estimator_msg, codec);
-  transcript->Send(label, estimator_msg, codec);
-
-  ByteReader estimator_reader(estimator_msg.buffer());
-  if (codec != WireCodec::kClassic) {
-    RSR_RETURN_NOT_OK(ExpectWireHeader(codec, &estimator_reader));
-  }
-  RSR_ASSIGN_OR_RETURN(
-      std::vector<StrataEstimator> received,
-      ReadEstimators(&estimator_reader, params, seed, levels, codec));
-  RSR_RETURN_NOT_OK(estimator_reader.FinishAndCheckConsumed());
-  return NegotiateLevelCells(sender_estimators, received, cells_per_diff,
-                             params.floor_cells, cap_cells, params.rounding,
-                             table_hashes, num_threads);
-}
-
 Result<size_t> NegotiateSingleSketchCells(std::span<const uint64_t> sender_keys,
                                           std::span<const uint64_t> receiver_keys,
                                           const AdaptiveSizingParams& params,

@@ -97,8 +97,8 @@ std::vector<StrataEstimator> BuildLevelEstimators(
 /// Serializes all estimators into one message (concatenated strata; the
 /// count and parameters are shared knowledge, like every sketch format in
 /// this library). The one-byte wire header of a compact exchange is NOT
-/// written here — the negotiation entry points own it, since the estimator
-/// message is the exchange's first message only on the adaptive path.
+/// written here: the message that opens the exchange owns it (Bob's step,
+/// EmdReceiver, on the EMD protocol's adaptive path).
 void WriteEstimators(const std::vector<StrataEstimator>& estimators,
                      ByteWriter* w, WireCodec codec = DefaultWireCodec());
 
@@ -154,26 +154,6 @@ Result<size_t> NegotiateSingleSketchCells(std::span<const uint64_t> sender_keys,
                                           Transcript* transcript,
                                           const std::string& label,
                                           WireCodec codec = DefaultWireCodec());
-
-/// Multi-level analogue of NegotiateSingleSketchCells (the EMD protocol):
-/// the receiver builds one estimator per level over its level-major keys
-/// (receiver_keys[l*n .. l*n+n)) and ships them as one message recorded
-/// under `label`; the sender parses them off the wire and returns the
-/// per-level counts from NegotiateLevelCells against `sender_estimators`
-/// (params.rounding applied against `table_hashes`-subtable tables). The
-/// one-shot protocol passes freshly built BuildLevelEstimators; the warm
-/// serving path passes the ones SyncDataset maintains (byte-identical to
-/// cold builds), so both record the same round and negotiate the same
-/// counts. Communicating the chosen sizes back (the sketch-message prefix)
-/// stays with the caller. Requires sender_estimators.size() == levels.
-/// Deterministic for every num_threads.
-Result<std::vector<size_t>> NegotiateLevelSketchCells(
-    const std::vector<StrataEstimator>& sender_estimators,
-    std::span<const uint64_t> receiver_keys, size_t levels, size_t n,
-    const AdaptiveSizingParams& params, uint64_t seed, double cells_per_diff,
-    size_t cap_cells, int table_hashes, size_t num_threads,
-    Transcript* transcript, const std::string& label,
-    WireCodec codec = DefaultWireCodec());
 
 /// Sizes prefix on the sketch message: one varint per level.
 void WriteNegotiatedCells(const std::vector<size_t>& cells, ByteWriter* w);

@@ -18,89 +18,105 @@ namespace rsr {
 
 namespace {
 
-/// The protocol tail shared by the one-shot and prebuilt entry points:
-/// Alice serializes her (already built) level tables into one message, Bob
-/// parses, deletes his pairs, decodes the finest feasible level, and repairs
-/// S_B. `report` arrives pre-filled with .derived; `transcript` may already
-/// carry an adaptive negotiation round. The emitted bytes depend only on the
-/// table cells and level_cells — not on how the tables were produced — which
-/// is what makes maintained sketch sets wire-compatible with cold rebuilds.
-Result<EmdProtocolReport> FinishEmdProtocol(
-    const std::vector<Riblt>& tables, const std::vector<size_t>& level_cells,
-    const std::vector<size_t>& prefix_lens, const PointStore& bob,
-    const std::vector<uint64_t>& bob_keys, const EmdProtocolParams& params,
-    Transcript* transcript, EmdProtocolReport report,
-    ByteWriter* pooled_message = nullptr) {
-  const EmdDerived& derived = report.derived;
+/// Carries the messages between the two steps and records them. Warm
+/// serving pools `message`: a stable session shape re-serializes into its
+/// capacity with zero allocation after its first exchange.
+Result<EmdProtocolReport> Exchange(EmdSender& alice, const EmdReceiver& bob,
+                                   const EmdProtocolParams& params,
+                                   ByteWriter* message) {
+  Transcript transcript;
+  if (params.adaptive.enabled) {
+    ByteWriter estimators;
+    bob.WriteEstimatorMessage(&estimators);
+    transcript.Send("B->A level strata", estimators, params.codec);
+    RSR_RETURN_NOT_OK(alice.ReadEstimatorMessage(estimators.buffer()));
+  }
+  RSR_RETURN_NOT_OK(alice.WriteTables(message));
+  transcript.Send("A->B level RIBLTs", *message, params.codec);
+  RSR_ASSIGN_OR_RETURN(EmdProtocolReport report,
+                       bob.Reconcile(message->buffer()));
+  report.comm = transcript.stats();
+  return report;
+}
+
+}  // namespace
+
+EmdReceiver::EmdReceiver(const PointStore& bob,
+                         const EmdProtocolParams& params,
+                         const EmdDerived& derived, const EmdHashes& hashes)
+    : bob_(bob), params_(params), derived_(derived) {
+  ValidatePointStore(bob, params.dim, params.delta);
+  keys_ = EvaluateEmdLevelKeys(bob, hashes, EmdPrefixLens(derived),
+                               params.num_threads);
+}
+
+void EmdReceiver::WriteEstimatorMessage(ByteWriter* out) const {
+  const WireCodec codec = params_.codec;
+  if (codec != WireCodec::kClassic) WriteWireHeader(codec, out);
+  WriteEstimators(BuildLevelEstimators(keys_, derived_.levels, bob_.size(),
+                                       params_.adaptive, params_.seed,
+                                       params_.num_threads),
+                  out, codec);
+}
+
+Result<EmdProtocolReport> EmdReceiver::Reconcile(
+    std::span<const uint8_t> message) const {
+  const EmdProtocolParams& params = params_;
+  const PointStore& bob = bob_;
   const size_t n = bob.size();
   const WireCodec codec = params.codec;
+  const bool adaptive = params.adaptive.enabled;
 
-  // ---- Alice: "send" the t RIBLTs (single message). ----
-  report.level_cells = level_cells;
-  report.levels.resize(derived.levels);
-  for (size_t level = 1; level <= derived.levels; ++level) {
-    report.levels[level - 1].prefix_len = prefix_lens[level - 1];
+  EmdProtocolReport report;
+  report.derived = derived_;
+  report.levels.resize(derived_.levels);
+  for (size_t l = 0; l < derived_.levels; ++l) {
+    report.levels[l].prefix_len = LevelPrefixLength(derived_, l + 1);
   }
-  // The warm serving path pools the outgoing buffer in EmdServeScratch:
-  // Clear keeps the capacity, so a stable session shape re-serializes with
-  // zero allocation after its first exchange.
-  ByteWriter local_message;
-  ByteWriter& message =
-      pooled_message != nullptr ? *pooled_message : local_message;
-  message.Clear();
-  // A compact exchange's first message carries the versioned wire header; on
-  // the adaptive path that was the estimator round, so only the static
-  // single-message exchange writes it here.
-  if (codec != WireCodec::kClassic && !params.adaptive.enabled) {
-    WriteWireHeader(codec, &message);
-  }
-  if (params.adaptive.enabled) WriteNegotiatedCells(level_cells, &message);
-  for (const Riblt& table : tables) table.WriteTo(&message, codec);
-  transcript->Send("A->B level RIBLTs", message, codec);
 
-  // ---- Bob: parse, delete his pairs, decode finest feasible level. ----
-  ByteReader reader(message.buffer());
-  if (codec != WireCodec::kClassic && !params.adaptive.enabled) {
+  // ---- Parse: header or sizes prefix, then one table per level. ----
+  ByteReader reader(message.data(), message.size());
+  if (codec != WireCodec::kClassic && !adaptive) {
     RSR_RETURN_NOT_OK(ExpectWireHeader(codec, &reader));
   }
-  std::vector<size_t> parsed_cells(derived.levels, derived.cells);
-  if (params.adaptive.enabled) {
+  report.level_cells.assign(derived_.levels, derived_.cells);
+  if (adaptive) {
     RSR_ASSIGN_OR_RETURN(
-        parsed_cells, ReadNegotiatedCells(&reader, derived.levels,
-                                          derived.cells));
+        report.level_cells,
+        ReadNegotiatedCells(&reader, derived_.levels, derived_.cells));
   }
-  Rng bob_coins(Mix64(params.seed) ^ 0xb0b);  // decoder-local rounding coins
-
-  const size_t max_pairs = 4 * params.k;
-  const size_t max_per_side = 2 * params.k;
-  size_t decoded_level = 0;
-  RibltDecodeResult best;
-  RibltDecodeResult decoded;  // reused across levels: one warm arena pair
   std::vector<Riblt> received;
-  received.reserve(derived.levels);
-  for (size_t level = 1; level <= derived.levels; ++level) {
+  received.reserve(derived_.levels);
+  for (size_t level = 1; level <= derived_.levels; ++level) {
     RSR_ASSIGN_OR_RETURN(
         Riblt table,
         Riblt::ReadFrom(&reader,
-                        EmdLevelRibltParams(params, parsed_cells[level - 1],
-                                            level),
+                        EmdLevelRibltParams(
+                            params, report.level_cells[level - 1], level),
                         codec));
     received.push_back(std::move(table));
   }
   RSR_RETURN_NOT_OK(reader.FinishAndCheckConsumed());
 
+  // ---- Delete his pairs, decode the finest feasible level. ----
   // Deletions are independent per level (threadable); decoding stays
   // sequential finest-to-coarsest because bob_coins is a single stream.
-  ParallelShards(derived.levels, params.num_threads,
+  ParallelShards(derived_.levels, params.num_threads,
                  [&](size_t begin, size_t end) {
                    for (size_t l = begin; l < end; ++l) {
                      received[l].DeleteMany(
-                         std::span<const uint64_t>(bob_keys.data() + l * n, n),
+                         std::span<const uint64_t>(keys_.data() + l * n, n),
                          bob);
                    }
                  });
 
-  for (size_t level = derived.levels; level >= 1; --level) {
+  Rng bob_coins(Mix64(params.seed) ^ 0xb0b);  // decoder-local rounding coins
+  const size_t max_pairs = 4 * params.k;
+  const size_t max_per_side = 2 * params.k;
+  size_t decoded_level = 0;
+  RibltDecodeResult best;
+  RibltDecodeResult decoded;  // reused across levels: one warm arena pair
+  for (size_t level = derived_.levels; level >= 1; --level) {
     Riblt& table = received[level - 1];
     Status decode_status =
         table.DecodeInto(max_pairs, max_per_side, &bob_coins, &decoded);
@@ -121,7 +137,6 @@ Result<EmdProtocolReport> FinishEmdProtocol(
     if (level == 1) break;  // size_t guard
   }
 
-  report.comm = transcript->stats();
   if (decoded_level == 0) {
     report.failure = true;
     return report;
@@ -182,7 +197,101 @@ Result<EmdProtocolReport> FinishEmdProtocol(
   return report;
 }
 
-}  // namespace
+EmdSender EmdSender::Cold(const PointStore& alice,
+                          const EmdProtocolParams& params,
+                          const EmdDerived& derived, const EmdHashes& hashes) {
+  ValidatePointStore(alice, params.dim, params.delta);
+  EmdSender sender(params, derived);
+  sender.points_ = &alice;
+  sender.keys_ = EvaluateEmdLevelKeys(alice, hashes, EmdPrefixLens(derived),
+                                      params.num_threads);
+  return sender;
+}
+
+Result<EmdSender> EmdSender::Warm(const EmdSketchSet& sketches,
+                                  const EmdProtocolParams& params,
+                                  const EmdDerived& derived,
+                                  EmdServeScratch* scratch) {
+  // The sketch set must have been built with these params (same derivation,
+  // same wire layout); a drifted caller would emit undecodable bytes.
+  if (derived.levels != sketches.derived.levels ||
+      derived.cells != sketches.derived.cells ||
+      derived.s != sketches.derived.s ||
+      sketches.tables.size() != derived.levels) {
+    return Status::InvalidArgument(
+        "sketch set was built under different derived parameters");
+  }
+  if (params.adaptive.enabled &&
+      (params.adaptive.rounding != CellRounding::kDivisorLadder ||
+       sketches.estimators.size() != derived.levels || scratch == nullptr)) {
+    return Status::InvalidArgument(
+        "adaptive serving requires CellRounding::kDivisorLadder (exact sizes "
+        "cannot be folded from the cap-size tables), a sketch set built with "
+        "estimators, and a fold scratch");
+  }
+  EmdSender sender(params, derived);
+  sender.sketches_ = &sketches;
+  sender.scratch_ = scratch;
+  return sender;
+}
+
+Status EmdSender::ReadEstimatorMessage(std::span<const uint8_t> message) {
+  const EmdProtocolParams& params = params_;
+  const WireCodec codec = params.codec;
+  ByteReader reader(message.data(), message.size());
+  if (codec != WireCodec::kClassic) {
+    RSR_RETURN_NOT_OK(ExpectWireHeader(codec, &reader));
+  }
+  RSR_ASSIGN_OR_RETURN(std::vector<StrataEstimator> received,
+                       ReadEstimators(&reader, params.adaptive, params.seed,
+                                      derived_.levels, codec));
+  RSR_RETURN_NOT_OK(reader.FinishAndCheckConsumed());
+
+  // The maintained estimators are byte-identical to a cold build's, so warm
+  // and cold pick the same sizes.
+  std::vector<StrataEstimator> built;
+  if (sketches_ == nullptr) {
+    built = BuildLevelEstimators(keys_, derived_.levels, points_->size(),
+                                 params.adaptive, params.seed,
+                                 params.num_threads);
+  }
+  const double q = static_cast<double>(params.num_hashes);
+  level_cells_ = NegotiateLevelCells(
+      sketches_ != nullptr ? sketches_->estimators : built, received,
+      params.adaptive.cell_multiplier * q * q, params.adaptive.floor_cells,
+      derived_.cells, params.adaptive.rounding, params.num_hashes,
+      params.num_threads);
+  return Status();
+}
+
+Status EmdSender::WriteTables(ByteWriter* out) {
+  const EmdProtocolParams& params = params_;
+  const WireCodec codec = params.codec;
+  const bool adaptive = params.adaptive.enabled;
+
+  // Built from her keys, served as they are, or folded down: O(levels * cap)
+  // cell additions, no point rehashing.
+  std::vector<Riblt> built;
+  const std::vector<Riblt>* tables = &built;
+  if (sketches_ == nullptr) {
+    built = BuildEmdLevelTables(keys_, *points_, level_cells_, params);
+  } else if (adaptive) {
+    RSR_RETURN_NOT_OK(
+        FoldEmdSketches(*sketches_, level_cells_, params, scratch_));
+    tables = &scratch_->folded;
+  } else {
+    tables = &sketches_->tables;
+  }
+
+  out->Clear();
+  // A compact exchange's first message carries the versioned wire header; on
+  // the adaptive path that was the estimator round, so only the static
+  // single-message exchange writes it here.
+  if (codec != WireCodec::kClassic && !adaptive) WriteWireHeader(codec, out);
+  if (adaptive) WriteNegotiatedCells(level_cells_, out);
+  for (const Riblt& table : *tables) table.WriteTo(out, codec);
+  return Status();
+}
 
 Result<EmdProtocolReport> RunEmdProtocol(const PointStore& alice,
                                          const PointStore& bob,
@@ -190,125 +299,30 @@ Result<EmdProtocolReport> RunEmdProtocol(const PointStore& alice,
   if (alice.size() != bob.size() || alice.empty()) {
     return Status::InvalidArgument("|S_A| must equal |S_B| and be positive");
   }
-  const size_t n = alice.size();
-  ValidatePointStore(alice, params.dim, params.delta);
-  ValidatePointStore(bob, params.dim, params.delta);
-
-  EmdProtocolReport report;
-  RSR_ASSIGN_OR_RETURN(report.derived, DeriveEmdParameters(params, n));
-  const EmdDerived& derived = report.derived;
-
-  EmdHashes hashes = MakeEmdHashes(params, derived);
-  std::vector<size_t> prefix_lens = EmdPrefixLens(derived);
-
-  // Both parties' level keys. Bob's are computed up front (they consume no
-  // shared randomness) because the adaptive negotiation round needs them
-  // before Alice's message exists.
-  std::vector<uint64_t> alice_keys =
-      EvaluateEmdLevelKeys(alice, hashes, prefix_lens, params.num_threads);
-  std::vector<uint64_t> bob_keys =
-      EvaluateEmdLevelKeys(bob, hashes, prefix_lens, params.num_threads);
-
-  Transcript transcript;
-
-  // ---- Adaptive size negotiation (extra B->A round; core/adaptive.h). ----
-  // Bob ships one strata estimator per level over his level keys; Alice
-  // estimates each level's difference and sizes that level's RIBLT to
-  // clamp(cell_multiplier q^2 estimate, floor, c q^2 k). Static mode keeps
-  // every level at the derived c q^2 k cells with no extra message.
-  std::vector<size_t> level_cells(derived.levels, derived.cells);
-  if (params.adaptive.enabled) {
-    const std::vector<StrataEstimator> alice_estimators =
-        BuildLevelEstimators(alice_keys, derived.levels, n, params.adaptive,
-                             params.seed, params.num_threads);
-    const double q = static_cast<double>(params.num_hashes);
-    RSR_ASSIGN_OR_RETURN(
-        level_cells,
-        NegotiateLevelSketchCells(alice_estimators, bob_keys, derived.levels,
-                                  n, params.adaptive, params.seed,
-                                  params.adaptive.cell_multiplier * q * q,
-                                  derived.cells, params.num_hashes,
-                                  params.num_threads, &transcript,
-                                  "B->A level strata", params.codec));
-  }
-
-  // ---- Alice: build the t RIBLTs at the provisioned sizes. ----
-  // Serialization stays in level order, so the wire bytes do not depend on
-  // how many threads built the levels.
-  std::vector<Riblt> tables =
-      BuildEmdLevelTables(alice_keys, alice, level_cells, params);
-
-  return FinishEmdProtocol(tables, level_cells, prefix_lens, bob, bob_keys,
-                           params, &transcript, std::move(report));
+  RSR_ASSIGN_OR_RETURN(const EmdDerived derived,
+                       DeriveEmdParameters(params, alice.size()));
+  const EmdHashes hashes = MakeEmdHashes(params, derived);
+  EmdSender sender = EmdSender::Cold(alice, params, derived, hashes);
+  const EmdReceiver receiver(bob, params, derived, hashes);
+  ByteWriter message;
+  return Exchange(sender, receiver, params, &message);
 }
 
 Result<EmdProtocolReport> RunEmdProtocolPrebuilt(
     const EmdSketchSet& alice, const PointStore& bob,
     const EmdProtocolParams& params, EmdServeScratch* scratch) {
-  if (params.adaptive.enabled &&
-      params.adaptive.rounding != CellRounding::kDivisorLadder) {
-    return Status::InvalidArgument(
-        "prebuilt adaptive serving requires CellRounding::kDivisorLadder: "
-        "exact negotiated sizes cannot be folded from the maintained "
-        "cap-size tables");
-  }
   if (bob.size() != alice.n || bob.empty()) {
     return Status::InvalidArgument("|S_B| must equal the sketch set's n");
   }
-  const size_t n = bob.size();
-  ValidatePointStore(bob, params.dim, params.delta);
-
-  EmdProtocolReport report;
-  RSR_ASSIGN_OR_RETURN(report.derived, DeriveEmdParameters(params, n));
-  const EmdDerived& derived = report.derived;
-  // The sketch set must have been built with these params (same derivation,
-  // same wire layout); a drifted caller would emit undecodable bytes.
-  if (derived.levels != alice.derived.levels ||
-      derived.cells != alice.derived.cells || derived.s != alice.derived.s ||
-      alice.tables.size() != derived.levels) {
-    return Status::InvalidArgument(
-        "sketch set was built under different derived parameters");
-  }
-
-  EmdHashes hashes = MakeEmdHashes(params, derived);
-  std::vector<uint64_t> bob_keys = EvaluateEmdLevelKeys(
-      bob, hashes, alice.prefix_lens, params.num_threads);
-
-  Transcript transcript;
-  std::vector<size_t> level_cells(derived.levels, derived.cells);
-  if (!params.adaptive.enabled) {
-    return FinishEmdProtocol(alice.tables, level_cells, alice.prefix_lens, bob,
-                             bob_keys, params, &transcript, std::move(report),
-                             scratch != nullptr ? &scratch->message : nullptr);
-  }
-
-  // ---- Adaptive warm serving: negotiate, then FOLD instead of build. ----
-  // The maintained estimators stand in for a cold sender-side build (they are
-  // byte-identical to one), so the negotiation round and the chosen rungs
-  // match RunEmdProtocol's under the same ladder rounding. The negotiated
-  // tables are then projected from the maintained cap-size tables by
-  // Riblt::FoldInto — O(levels * cap) cell additions, no point rehashing —
-  // and land in `scratch` so a long-lived session re-serves without
-  // reallocating.
-  if (alice.estimators.size() != derived.levels) {
-    return Status::InvalidArgument(
-        "adaptive serving requires a sketch set built with estimators "
-        "(BuildEmdSketches build_estimators = true)");
-  }
-  const double q = static_cast<double>(params.num_hashes);
-  RSR_ASSIGN_OR_RETURN(
-      level_cells,
-      NegotiateLevelSketchCells(
-          alice.estimators, bob_keys, derived.levels, n, params.adaptive,
-          params.seed, params.adaptive.cell_multiplier * q * q, derived.cells,
-          params.num_hashes, params.num_threads, &transcript,
-          "B->A level strata", params.codec));
+  RSR_ASSIGN_OR_RETURN(const EmdDerived derived,
+                       DeriveEmdParameters(params, bob.size()));
   EmdServeScratch local_scratch;
   EmdServeScratch* serve = scratch != nullptr ? scratch : &local_scratch;
-  RSR_RETURN_NOT_OK(FoldEmdSketches(alice, level_cells, params, serve));
-  return FinishEmdProtocol(serve->folded, level_cells, alice.prefix_lens, bob,
-                           bob_keys, params, &transcript, std::move(report),
-                           &serve->message);
+  RSR_ASSIGN_OR_RETURN(EmdSender sender,
+                       EmdSender::Warm(alice, params, derived, serve));
+  const EmdHashes hashes = MakeEmdHashes(params, derived);
+  const EmdReceiver receiver(bob, params, derived, hashes);
+  return Exchange(sender, receiver, params, &serve->message);
 }
 
 }  // namespace rsr

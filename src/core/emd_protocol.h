@@ -16,6 +16,10 @@
 // over his level keys, and Alice sizes each level's RIBLT from the estimated
 // difference instead of the static c q^2 k (core/adaptive.h). Two messages
 // total; the static path is unchanged.
+//
+// Each party's half is one step over wire bytes: EmdReceiver (Bob) and
+// EmdSender (Alice, from her points or a maintained sketch set). The entry
+// points derive the public-coin state once and carry bytes between them.
 #ifndef RSR_CORE_EMD_PROTOCOL_H_
 #define RSR_CORE_EMD_PROTOCOL_H_
 
@@ -58,6 +62,73 @@ struct EmdProtocolReport {
   EmdDerived derived;
 };
 
+/// Bob's step over S_B. Holds `bob` and `params` by reference.
+class EmdReceiver {
+ public:
+  /// Checks S_B against params.dim and params.delta (aborts, like every
+  /// entry point) and evaluates his level keys.
+  EmdReceiver(const PointStore& bob, const EmdProtocolParams& params,
+              const EmdDerived& derived, const EmdHashes& hashes);
+
+  /// B->A (adaptive sizing): one strata estimator per level. It opens the
+  /// exchange, so a compact one carries the wire header.
+  void WriteEstimatorMessage(ByteWriter* out) const;
+
+  /// A->B: parses Alice's message, deletes his pairs, decodes from the
+  /// finest level and repairs S_B. No level decoding gives failure = true,
+  /// not an error. `comm` is left to whoever carries the messages.
+  Result<EmdProtocolReport> Reconcile(std::span<const uint8_t> message) const;
+
+ private:
+  const PointStore& bob_;
+  const EmdProtocolParams& params_;
+  EmdDerived derived_;
+  std::vector<uint64_t> keys_;  // level-major
+};
+
+/// Alice's step. Every level has derived.cells cells until
+/// ReadEstimatorMessage picks sizes. Holds its source, `params` and
+/// `scratch` by reference.
+class EmdSender {
+ public:
+  /// From her points: checks and keys S_A, and builds the tables at the
+  /// chosen sizes. Serves every CellRounding.
+  static EmdSender Cold(const PointStore& alice,
+                        const EmdProtocolParams& params,
+                        const EmdDerived& derived, const EmdHashes& hashes);
+
+  /// From a prebuilt or maintained set: its tables as they are (static), or
+  /// folded into `scratch` at the chosen sizes (adaptive: needs
+  /// kDivisorLadder, estimators and a scratch). InvalidArgument when the
+  /// set was built under another `derived` or lacks what is needed.
+  static Result<EmdSender> Warm(const EmdSketchSet& sketches,
+                                const EmdProtocolParams& params,
+                                const EmdDerived& derived,
+                                EmdServeScratch* scratch);
+
+  /// B->A: parses Bob's estimators and sizes each level against her own
+  /// (NegotiateLevelCells).
+  Status ReadEstimatorMessage(std::span<const uint8_t> message);
+
+  /// A->B into `out` (cleared first): the wire header (static compact) or
+  /// the sizes prefix (adaptive), then one table per level.
+  Status WriteTables(ByteWriter* out);
+
+ private:
+  EmdSender(const EmdProtocolParams& params, const EmdDerived& derived)
+      : params_(params),
+        derived_(derived),
+        level_cells_(derived.levels, derived.cells) {}
+
+  const EmdProtocolParams& params_;
+  EmdDerived derived_;
+  std::vector<size_t> level_cells_;
+  const PointStore* points_ = nullptr;  // cold source, keyed by keys_
+  std::vector<uint64_t> keys_;
+  const EmdSketchSet* sketches_ = nullptr;  // warm source
+  EmdServeScratch* scratch_ = nullptr;
+};
+
 /// Runs Algorithm 1. Requires |alice| == |bob| >= 1, equal dimensions, all
 /// coordinates in [0, delta]. A DecodeFailure at every level is NOT an error
 /// status: the report comes back with failure = true (the paper's protocol
@@ -72,17 +143,15 @@ Result<EmdProtocolReport> RunEmdProtocol(const PointStore& alice,
 /// sketch cost drops to serializing the maintained cells. Requires |bob| ==
 /// alice.n and `params` matching the build-time configuration. The
 /// transcript and report are byte-identical to RunEmdProtocol over the same
-/// point sets (emd_protocol.cc builds both from the same tail).
+/// point sets: only Alice's source differs.
 ///
-/// With params.adaptive enabled, the rounding mode must be
-/// CellRounding::kDivisorLadder and the sketch set must carry estimators
-/// (BuildEmdSketches with build_estimators = true, or a SyncDataset): the
-/// negotiation round runs off the maintained estimators, and the negotiated
-/// per-level tables are produced by FOLDING the maintained cap-size tables
-/// down (FoldEmdSketches) rather than rebuilding from points — O(levels *
-/// cap) work per sync independent of n. Pass `scratch` to pool the folded
-/// tables across syncs (a stable-rung session allocates nothing after its
-/// first exchange); nullptr uses call-local scratch.
+/// With params.adaptive enabled, the rounding must be kDivisorLadder and the
+/// set must carry estimators (BuildEmdSketches with build_estimators = true,
+/// or a SyncDataset): the negotiated tables are FOLDED down from the
+/// maintained cap-size ones — O(levels * cap) work per sync independent of
+/// n. Pass `scratch` to pool the folded tables and the message across syncs
+/// (a stable-rung session allocates nothing for them after its first
+/// exchange); nullptr uses call-local scratch.
 Result<EmdProtocolReport> RunEmdProtocolPrebuilt(
     const EmdSketchSet& alice, const PointStore& bob,
     const EmdProtocolParams& params, EmdServeScratch* scratch = nullptr);

@@ -4,10 +4,10 @@
 // evaluate the MLSH matrix, derive per-level keys, build the per-level
 // RIBLTs — lived inline in RunEmdProtocol and ran from scratch on every
 // sync. This module factors it into reusable pieces so the same sketch set
-// can be (a) built once and served to many protocol runs
-// (RunEmdProtocolPrebuilt), and (b) maintained incrementally under point
-// churn (core/sync_dataset.h), while the one-shot protocol keeps calling the
-// identical code and emitting byte-identical transcripts.
+// can be (a) built once and served to many protocol runs (EmdSender::Warm),
+// and (b) maintained incrementally under point churn (core/sync_dataset.h),
+// while the cold step keeps calling the identical code and emitting
+// byte-identical transcripts.
 //
 // Everything here is a pure function of (params, n, input rows): the RNG
 // stream order inside MakeEmdHashes (family draws, then the level-key hash)
@@ -95,7 +95,7 @@ std::vector<uint64_t> EvaluateEmdLevelKeys(
 /// at 1-based level l + 1 has level_cells[l] cells and holds row i under
 /// level_major_keys[l * n + i]. Each table is a pure function of its own key
 /// span, so levels build on separate threads (params.num_threads) and the
-/// tables are byte-identical for every thread count. RunEmdProtocol,
+/// tables are byte-identical for every thread count. EmdSender::Cold,
 /// BuildEmdSketches and SyncDataset::Create all build their tables here.
 std::vector<Riblt> BuildEmdLevelTables(
     std::span<const uint64_t> level_major_keys, const PointStore& points,

@@ -24,14 +24,13 @@
 //     under TSan in CI (SyncServerTest.ConcurrentChurnAndSync and
 //     SyncServerAdaptiveTest.ConcurrentAdaptiveSessions).
 //
-// Per-sync cost: the dataset absorbed the hashing at mutation time, so a
-// warm session's server-side work is O(1) serialization of maintained cells
-// (BM_SessionSyncWarm vs BM_SessionSyncRebuild in bench_micro). With
-// adaptive params (divisor-ladder rounding), a session instead negotiates
-// per-level sizes off the snapshot's estimators and FOLDS the cap-size
-// tables down to the negotiated rungs (Riblt::FoldInto) — O(levels * cap)
-// cell additions per sync, still independent of n, shipping the adaptive
-// path's smaller sketches from maintained state.
+// Per-sync cost: the dataset absorbed the hashing at mutation time, so the
+// server's half (EmdSender::Warm over the snapshot) serializes maintained
+// cells (BM_SessionSyncWarm vs BM_SessionSyncRebuild in bench_micro). With
+// adaptive params (divisor-ladder rounding), it negotiates per-level sizes
+// off the snapshot's estimators and FOLDS the cap-size tables down to the
+// negotiated rungs (Riblt::FoldInto) — O(levels * cap) cell additions per
+// sync, still independent of n.
 #ifndef RSR_CORE_SYNC_SERVER_H_
 #define RSR_CORE_SYNC_SERVER_H_
 
@@ -40,7 +39,6 @@
 
 #include "core/emd_protocol.h"
 #include "core/sync_dataset.h"
-#include "util/serialize.h"
 #include "util/status.h"
 
 namespace rsr {
@@ -57,13 +55,6 @@ struct SyncSnapshot {
   /// scratch is thread_local), so snapshot estimators serve concurrent
   /// adaptive negotiations without locks.
   EmdSketchSet sketches;
-
-  /// Serializes the level tables exactly as the protocol's "A->B level
-  /// RIBLTs" message body under the snapshot's negotiated wire codec — the
-  /// per-sync server-side work.
-  void WriteSketchMessage(ByteWriter* w) const {
-    for (const Riblt& table : sketches.tables) table.WriteTo(w, params.codec);
-  }
 };
 
 /// One client exchange pinned to one snapshot. Copyable (shares the

@@ -1,8 +1,11 @@
 // End-to-end tests for the EMD protocol (Algorithm 1 / Theorem 3.4) and the
 // multiscale runner (Corollaries 3.5/3.6).
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -102,6 +105,87 @@ TEST(EmdProtocolTest, PrebuiltRejectsSketchSetFromOtherDerivedParameters) {
   report = RunEmdProtocolPrebuilt(*set, bob, other_d2);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The two steps need nothing from each other but bytes: each party derives
+// its own public-coin state from (params, its own n), and only copies of the
+// serialized messages cross. The report and the transcript match the
+// one-shot protocol's, which carries the same messages in-process.
+TEST(EmdStepTest, MessagesAloneCarryAnAdaptiveExchange) {
+  NoisyPairConfig config;
+  config.metric = MetricKind::kL2;
+  config.dim = 8;
+  config.delta = 1023;
+  config.n = 160;
+  config.outliers = 6;
+  config.noise = 2.0;
+  config.outlier_dist = 150;
+  config.seed = 77;
+  auto in = GenerateNoisyPairStore(config);
+  ASSERT_TRUE(in.ok());
+  for (WireCodec codec : {WireCodec::kClassic, WireCodec::kCompact}) {
+    EmdProtocolParams params = BaseParams(MetricKind::kL2, 8, 1023, 6, 78);
+    params.d1 = 4;
+    params.d2 = 1024;
+    params.adaptive.enabled = true;
+    params.adaptive.rounding = CellRounding::kExact;
+    params.codec = codec;
+
+    auto bob_derived = DeriveEmdParameters(params, in->bob.size());
+    ASSERT_TRUE(bob_derived.ok());
+    const EmdHashes bob_hashes = MakeEmdHashes(params, *bob_derived);
+    const EmdReceiver bob(in->bob, params, *bob_derived, bob_hashes);
+
+    auto alice_derived = DeriveEmdParameters(params, in->alice.size());
+    ASSERT_TRUE(alice_derived.ok());
+    const EmdHashes alice_hashes = MakeEmdHashes(params, *alice_derived);
+    EmdSender alice =
+        EmdSender::Cold(in->alice, params, *alice_derived, alice_hashes);
+
+    ByteWriter to_alice;
+    bob.WriteEstimatorMessage(&to_alice);
+    const std::vector<uint8_t> estimators = to_alice.buffer();
+    ASSERT_TRUE(alice.ReadEstimatorMessage(estimators).ok());
+    ByteWriter to_bob;
+    ASSERT_TRUE(alice.WriteTables(&to_bob).ok());
+    const std::vector<uint8_t> sketches = to_bob.buffer();
+    auto stepped = bob.Reconcile(sketches);
+    ASSERT_TRUE(stepped.ok()) << stepped.status().ToString();
+
+    auto one_shot = RunEmdProtocol(in->alice, in->bob, params);
+    ASSERT_TRUE(one_shot.ok());
+    ASSERT_FALSE(one_shot->failure);
+    const std::vector<MessageRecord>& sent = one_shot->comm.messages;
+    ASSERT_EQ(sent.size(), 2u);
+    EXPECT_EQ(sent[0].label, "B->A level strata");
+    EXPECT_EQ(sent[0].bytes, estimators.size());
+    EXPECT_EQ(sent[0].codec, codec);
+    EXPECT_EQ(sent[1].label, "A->B level RIBLTs");
+    EXPECT_EQ(sent[1].bytes, sketches.size());
+    EXPECT_EQ(sent[1].codec, codec);
+    EXPECT_TRUE(stepped->comm.messages.empty());
+
+    EXPECT_EQ(stepped->failure, one_shot->failure);
+    EXPECT_EQ(stepped->decoded_level, one_shot->decoded_level);
+    EXPECT_EQ(stepped->level_cells, one_shot->level_cells);
+    ASSERT_EQ(stepped->levels.size(), one_shot->levels.size());
+    for (size_t l = 0; l < stepped->levels.size(); ++l) {
+      EXPECT_EQ(stepped->levels[l].prefix_len, one_shot->levels[l].prefix_len);
+      EXPECT_EQ(stepped->levels[l].decoded, one_shot->levels[l].decoded);
+      EXPECT_EQ(stepped->levels[l].pairs_alice,
+                one_shot->levels[l].pairs_alice);
+      EXPECT_EQ(stepped->levels[l].pairs_bob, one_shot->levels[l].pairs_bob);
+    }
+    EXPECT_EQ(stepped->x_a, one_shot->x_a);
+    EXPECT_EQ(stepped->x_b, one_shot->x_b);
+    EXPECT_EQ(stepped->s_b_prime, one_shot->s_b_prime);
+    EXPECT_EQ(stepped->trimmed_from_x_a, one_shot->trimmed_from_x_a);
+    EXPECT_EQ(stepped->kept_in_y_b, one_shot->kept_in_y_b);
+    // The exchange really negotiated: some level is below the static cap.
+    EXPECT_LT(*std::min_element(stepped->level_cells.begin(),
+                                stepped->level_cells.end()),
+              stepped->derived.cells);
+  }
 }
 
 TEST(EmdProtocolTest, IdenticalSetsReconcileToThemselves) {

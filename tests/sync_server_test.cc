@@ -119,6 +119,66 @@ TEST(SyncServerTest, WarmSessionAllocationsDoNotGrowWithN) {
   EXPECT_LT(large - small, 64) << "n=512: " << small << ", n=4096: " << large;
 }
 
+// Heap allocations of Alice's warm adaptive step over an n-row maintained
+// dataset (the WarmSessionAllocations shape, ladder rounding): read the
+// client's estimators, negotiate, fold, write. The first step warms the
+// scratch and the pooled message; the second is counted. -1 on failure.
+long long WarmSenderAllocations(size_t n) {
+  NoisyPairConfig config;
+  config.metric = MetricKind::kL2;
+  config.dim = 16;
+  config.delta = 1023;
+  config.n = n;
+  config.outliers = 8;
+  config.noise = 2.0;
+  config.outlier_dist = 200;
+  config.seed = 515;
+  auto workload = GenerateNoisyPairStore(config);
+  if (!workload.ok()) return -1;
+  EmdProtocolParams params;
+  params.metric = MetricKind::kL2;
+  params.dim = 16;
+  params.delta = 1023;
+  params.k = 8;
+  params.d1 = 8;
+  params.d2 = 8192;
+  params.seed = 516;
+  params.adaptive.enabled = true;
+  params.adaptive.rounding = CellRounding::kDivisorLadder;
+  auto ds = SyncDataset::Create(workload->alice, params);
+  if (!ds.ok()) return -1;
+  const EmdSketchSet& sketches = ds->sketches();
+  const EmdHashes hashes = MakeEmdHashes(params, sketches.derived);
+  const EmdReceiver client(workload->bob, params, sketches.derived, hashes);
+  ByteWriter estimators;
+  client.WriteEstimatorMessage(&estimators);
+
+  EmdServeScratch scratch;
+  auto serve = [&] {
+    auto sender = EmdSender::Warm(sketches, params, sketches.derived,
+                                  &scratch);
+    return sender.ok() && sender->ReadEstimatorMessage(estimators.buffer())
+                              .ok() &&
+           sender->WriteTables(&scratch.message).ok();
+  };
+  if (!serve()) return -1;
+  const long long before = testing::AllocationCount();
+  const bool served = serve();
+  const long long count = testing::AllocationCount() - before;
+  return served ? count : -1;
+}
+
+TEST(SyncServerTest, WarmSenderAllocationsDoNotGrowWithN) {
+  // Alice's warm step touches levels and cells, never a row: an 8x larger
+  // dataset may not cost an allocation per row. (The counts differ by a
+  // few: the estimators' peels depend on the estimated difference.)
+  const long long small = WarmSenderAllocations(512);
+  const long long large = WarmSenderAllocations(4096);
+  ASSERT_GT(small, 0);
+  ASSERT_GT(large, 0);
+  EXPECT_LT(large - small, 64) << "n=512: " << small << ", n=4096: " << large;
+}
+
 TEST(SyncServerTest, SnapshotSerializesIdenticalSketchMessage) {
   EmdProtocolParams params = ServerParams();
   PointStore pool = DistinctPool(48, 12);
@@ -129,12 +189,19 @@ TEST(SyncServerTest, SnapshotSerializesIdenticalSketchMessage) {
   ASSERT_TRUE(ds.ok());
   SyncServer server(std::move(*ds));
   auto snap = server.AcquireSnapshot();
+  auto sender = EmdSender::Warm(snap->sketches, snap->params,
+                                snap->sketches.derived, nullptr);
+  ASSERT_TRUE(sender.ok());
   ByteWriter from_snapshot;
-  snap->WriteSketchMessage(&from_snapshot);
+  ASSERT_TRUE(sender->WriteTables(&from_snapshot).ok());
 
   auto cold = BuildEmdSketches(alice, params, /*build_estimators=*/false);
   ASSERT_TRUE(cold.ok());
   ByteWriter from_cold;
+  // A static compact exchange's one message opens it with the wire header.
+  if (params.codec != WireCodec::kClassic) {
+    WriteWireHeader(params.codec, &from_cold);
+  }
   for (const Riblt& table : cold->tables) table.WriteTo(&from_cold);
   EXPECT_EQ(from_snapshot.buffer(), from_cold.buffer());
 }
@@ -151,19 +218,24 @@ TEST(SyncServerTest, PooledSketchSerializeIsAllocationFreeWhenWarm) {
     ASSERT_TRUE(ds.ok());
     SyncServer server(std::move(*ds));
     auto snap = server.AcquireSnapshot();
+    auto sender = EmdSender::Warm(snap->sketches, snap->params,
+                                  snap->sketches.derived, nullptr);
+    ASSERT_TRUE(sender.ok());
     // Warm serve: the first serialize sizes the pooled buffer (the compact
     // writers reserve their exact candidate size up front) and primes the
     // encoders' thread-local scratch.
     ByteWriter pooled;
-    snap->WriteSketchMessage(&pooled);
+    ASSERT_TRUE(sender->WriteTables(&pooled).ok());
     const size_t warm_bytes = pooled.size_bytes();
 
     const long long before = testing::AllocationCount();
-    pooled.Clear();  // keeps capacity — the EmdServeScratch::message reset
-    snap->WriteSketchMessage(&pooled);
+    // WriteTables clears the buffer, which keeps its capacity — the
+    // EmdServeScratch::message reset.
+    Status st = sender->WriteTables(&pooled);
     EXPECT_EQ(testing::AllocationCount(), before)
         << "codec " << static_cast<int>(codec)
         << " serialize allocated while warm";
+    EXPECT_TRUE(st.ok());
     EXPECT_EQ(pooled.size_bytes(), warm_bytes);
   }
 }
