@@ -114,12 +114,14 @@ RSR_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -j \
 # DefaultWireCodec()). The default legs above pin kClassic byte identity
 # (golden fixtures, transcript-identity tests); this leg proves every
 # codec-dispatched WriteTo/ReadFrom pair, the fold-then-serialize path, the
-# corruption hardening, and the EMD exchange end to end (EmdProtocolTest,
-# EmdAdaptiveTest, EmdThreadCountTest, IntegrationTest) hold when kCompact
-# is the negotiated default.
+# corruption hardening, the EMD exchange end to end (EmdProtocolTest,
+# EmdAdaptiveTest, EmdThreadCountTest, IntegrationTest), and both Gap
+# exchanges with their set-of-sets reconciler (Gap*, LowDimGapTest,
+# ReconcilerTest, FallbackTest, SetHashTest) hold when kCompact is the
+# negotiated default.
 echo "==== Release tests, RSR_WIRE_CODEC=compact (compact codec leg) ===="
 RSR_WIRE_CODEC=compact ctest --test-dir build --output-on-failure -j \
-  --timeout "${CTEST_TIMEOUT}" -R 'Serial|Fold|Wire|Golden|Corrupt|Sync|Emd|Integration'
+  --timeout "${CTEST_TIMEOUT}" -R 'Serial|Fold|Wire|Golden|Corrupt|Sync|Emd|Integration|Gap|LowDim|Reconciler|Fallback|SetHash'
 
 if [[ "${RSR_BENCH:-0}" == "1" && ! -x build/bench_micro ]]; then
   echo "error: RSR_BENCH=1 but build/bench_micro was not produced" >&2
@@ -143,7 +145,7 @@ RSR_FORCE_SCALAR=1 ctest --test-dir build-asan --output-on-failure -j \
 # bit-packed reader cannot hide behind the classic-arm default.
 echo "==== ASan/UBSan tests, RSR_WIRE_CODEC=compact (compact codec leg) ===="
 RSR_WIRE_CODEC=compact ctest --test-dir build-asan --output-on-failure -j \
-  --timeout "${CTEST_TIMEOUT}" -R 'Serial|Fold|Wire|Golden|Corrupt|Sync|Emd|Integration'
+  --timeout "${CTEST_TIMEOUT}" -R 'Serial|Fold|Wire|Golden|Corrupt|Sync|Emd|Integration|Gap|LowDim|Reconciler|Fallback|SetHash'
 
 # TSan gates the concurrent mutate-while-sync serving path (snapshots handed
 # out under churn — SyncServerTest.ConcurrentChurnAndSync plus the adaptive

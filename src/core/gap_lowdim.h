@@ -14,27 +14,27 @@
 
 namespace rsr {
 
-struct LowDimGapParams {
-  /// l1 or l2 (the one-sided grid is an l_p construction).
-  MetricKind metric = MetricKind::kL1;
-  size_t dim = 0;
-  Coord delta = 0;
-  double r1 = 0;
-  double r2 = 0;
-  size_t k = 1;
-  /// h = ceil(h_multiplier * log2 n / log2(1/rho_hat)).
-  double h_multiplier = 1.0;
-  SetsReconcilerParams reconciler;
-  /// Worker threads for the batch key evaluation (<= 1 = inline).
-  size_t num_threads = 1;
-  uint64_t seed = 0;
+/// The parameters of RunGapProtocol with the low-dimension defaults: metric
+/// l1 (l1 or l2; the one-sided grid is an l_p construction), delta 0, and
+/// h_multiplier 1.0, where h = ceil(h_multiplier * log2 n / log2(1/rho_hat))
+/// with n = max(|S_A|, |S_B|, 4). Every other field keeps its
+/// GapProtocolParams meaning and default.
+struct LowDimGapParams : GapProtocolParams {
+  LowDimGapParams() {
+    metric = MetricKind::kL1;
+    delta = 0;
+    h_multiplier = 1.0;
+  }
 };
 
-/// Runs the protocol. Requires rho_hat = r1 * dim / r2 < 1 (the theorem's
-/// applicability regime); otherwise returns InvalidArgument, as it does for
-/// dim 0, a metric other than l1/l2, radii outside 0 < r1 < r2, and an
+/// Runs the protocol: the input check of RunGapProtocol, the derivation of
+/// Theorem 4.5 (p1 = 1 - rho_hat, p2 = 0, m = 1, tau = 1), then the same
+/// driver (internal::RunGapPipeline), so the report has the same shape.
+/// Requires rho_hat = r1 * dim / r2 < 1 (the theorem's applicability regime);
+/// otherwise returns InvalidArgument, as it does for both stores empty,
+/// dim 0, a metric other than l1/l2, radii outside 0 < r1 < r2, an
 /// h_multiplier that is negative, NaN or infinite or makes h reach kMaxSlots
-/// (h_multiplier 0 clamps h to 1).
+/// (h_multiplier 0 clamps h to 1), and keys the reconciler rejects.
 ///
 /// Inputs are programmer-supplied, as for RunGapProtocol: a non-empty store
 /// whose dim differs from params.dim, or any coordinate outside

@@ -172,78 +172,8 @@ std::vector<SlottedSet> BuildGapKeys(
   return keys;
 }
 
-Result<GapPipelineResult> RunGapPipeline(
-    const PointStore& alice, const PointStore& bob,
-    const std::vector<std::unique_ptr<LshFunction>>& functions,
-    const GapPipelineConfig& config) {
-  RSR_CHECK_EQ(functions.size(), config.h * config.m);
-  RSR_CHECK(config.h >= 1 && config.h < kMaxSlots);
-
-  // Slot hashes: one pairwise-independent vector hash per key entry.
-  Rng shared(Mix64(config.seed) ^ 0x6a9);
-  std::vector<PairwiseVectorHash> slot_hashes;
-  slot_hashes.reserve(config.h);
-  for (size_t j = 0; j < config.h; ++j) {
-    slot_hashes.push_back(PairwiseVectorHash::Draw(&shared));
-  }
-
-  // Both parties' keys, each store range-checked block by block as it is
-  // evaluated: every coordinate is checked before the first message.
-  std::vector<SlottedSet> alice_keys = BuildGapKeys(
-      alice, config.delta, functions, slot_hashes, config.m,
-      config.num_threads);
-  std::vector<SlottedSet> bob_keys = BuildGapKeys(
-      bob, config.delta, functions, slot_hashes, config.m,
-      config.num_threads);
-
-  // ---- Rounds 1-3: Alice recovers the multiset of Bob's keys. ----
-  GapPipelineResult result;
-  RSR_ASSIGN_OR_RETURN(
-      result.reconciliation,
-      ReconcileSetsOfSets(alice_keys, bob_keys, config.reconciler));
-  result.comm.Append(result.reconciliation.comm);
-  const std::vector<SlottedSet>& bob_recovered = result.reconciliation.bob_sets;
-
-  // ---- Far detection: an Alice key is far when no recovered Bob key
-  // matches it in ceil(tau) or more slots (DetectFarKeys: exact pigeonhole
-  // candidates, each verified by a full slot compare). ----
-  const FarDetection far = DetectFarKeys(alice_keys, bob_recovered, config.tau);
-  result.far_keys = far.far_keys;
-
-  // Either side may be empty (and then possibly dimensionless); the other
-  // one carries the protocol's dimension.
-  const size_t dim = alice.empty() ? bob.dim() : alice.dim();
-  result.transmitted = PointStore(dim);
-  result.transmitted.Reserve(far.far_rows.size());
-  for (size_t i : far.far_rows) result.transmitted.Append(alice.row(i));
-
-  // ---- Round 4: Alice transmits T_A. ----
-  ByteWriter message;
-  message.PutVarint64(result.transmitted.size());
-  result.transmitted.WriteTo(&message);
-  Transcript transcript;
-  transcript.Send("A->B far elements", message);
-  result.comm.Append(transcript.stats());
-
-  // Bob: S'_B = S_B ∪ T_A (parsed from the wire). The output is reserved
-  // from the parsed rows, never from the raw wire count.
-  ByteReader reader(message.buffer());
-  const uint64_t count = reader.GetVarint64();
-  const PointStore t_a =
-      PointStore::ReadFrom(&reader, dim, static_cast<size_t>(count));
-  RSR_RETURN_NOT_OK(reader.FinishAndCheckConsumed());
-  result.s_b_prime = PointStore(dim);
-  result.s_b_prime.Reserve(bob.size() + t_a.size());
-  result.s_b_prime.AppendStore(bob);
-  result.s_b_prime.AppendStore(t_a);
-  return result;
-}
-
-}  // namespace internal
-
-Result<GapProtocolReport> RunGapProtocol(const PointStore& alice,
-                                         const PointStore& bob,
-                                         const GapProtocolParams& params) {
+Status CheckGapInputs(const PointStore& alice, const PointStore& bob,
+                      const GapProtocolParams& params) {
   if (alice.empty() && bob.empty()) {
     return Status::InvalidArgument("both point sets empty");
   }
@@ -255,14 +185,111 @@ Result<GapProtocolReport> RunGapProtocol(const PointStore& alice,
     return Status::InvalidArgument(
         "h_multiplier must be finite and non-negative");
   }
+  return Status::OK();
+}
 
-  const size_t n = std::max(alice.size(), bob.size());
+Result<GapProtocolReport> RunGapPipeline(
+    const PointStore& alice, const PointStore& bob,
+    const GapProtocolParams& params, const LshFamily& family,
+    const GapDerived& derived, double entry_diff_rate, size_t sizing_rows,
+    uint64_t reconciler_seed_salt) {
+  const size_t h = derived.h;
+  const size_t m = derived.m;
+  RSR_CHECK(h >= 1 && h < kMaxSlots && m >= 1);
 
+  // Auto-size the reconciler sketches from the expected differences.
+  SetsReconcilerParams reconciler = params.reconciler;
+  const double k = static_cast<double>(params.k);
+  const double n = static_cast<double>(sizing_rows);
+  const double h_entries = static_cast<double>(h);
+  const double expected_diff_sets =
+      2.0 * (k + n * std::min(1.0, h_entries * entry_diff_rate));
+  const double expected_diff_elems =
+      2.0 * h_entries * (k + n * entry_diff_rate);
+  if (reconciler.sig_cells == 0) {
+    reconciler.sig_cells =
+        std::max<size_t>(64, static_cast<size_t>(2.5 * expected_diff_sets));
+  }
+  if (reconciler.elem_cells == 0) {
+    reconciler.elem_cells =
+        std::max<size_t>(128, static_cast<size_t>(2.5 * expected_diff_elems));
+  }
+  if (reconciler.seed == 0) {
+    reconciler.seed = HashCombine(params.seed, reconciler_seed_salt);
+  }
+
+  // Public coins: the h*m LSH functions, then one pairwise-independent
+  // vector hash per key entry.
+  Rng draw(params.seed);
+  const std::vector<std::unique_ptr<LshFunction>> functions =
+      DrawMany(family, h * m, &draw);
+  Rng shared(Mix64(params.seed) ^ 0x6a9);
+  std::vector<PairwiseVectorHash> slot_hashes;
+  slot_hashes.reserve(h);
+  for (size_t j = 0; j < h; ++j) {
+    slot_hashes.push_back(PairwiseVectorHash::Draw(&shared));
+  }
+
+  // Both parties' keys, each store range-checked block by block as it is
+  // evaluated: every coordinate is checked before the first message.
+  std::vector<SlottedSet> alice_keys = BuildGapKeys(
+      alice, params.delta, functions, slot_hashes, m, params.num_threads);
+  std::vector<SlottedSet> bob_keys = BuildGapKeys(
+      bob, params.delta, functions, slot_hashes, m, params.num_threads);
+
+  // ---- Rounds 1-3: Alice recovers the multiset of Bob's keys. ----
   GapProtocolReport report;
+  report.derived = derived;
+  RSR_ASSIGN_OR_RETURN(report.reconciliation,
+                       ReconcileSetsOfSets(alice_keys, bob_keys, reconciler));
+  report.comm.Append(report.reconciliation.comm);
+
+  // ---- Far detection: an Alice key is far when no recovered Bob key
+  // matches it in ceil(tau) or more slots (DetectFarKeys: exact pigeonhole
+  // candidates, each verified by a full slot compare). ----
+  const FarDetection far =
+      DetectFarKeys(alice_keys, report.reconciliation.bob_sets, derived.tau);
+  report.far_keys = far.far_keys;
+
+  // Either side may be empty (and then possibly dimensionless); the other
+  // one carries the protocol's dimension.
+  const size_t dim = alice.empty() ? bob.dim() : alice.dim();
+  report.transmitted = PointStore(dim);
+  report.transmitted.Reserve(far.far_rows.size());
+  for (size_t i : far.far_rows) report.transmitted.Append(alice.row(i));
+
+  // ---- Round 4: Alice transmits T_A. ----
+  ByteWriter message;
+  message.PutVarint64(report.transmitted.size());
+  report.transmitted.WriteTo(&message);
+  Transcript transcript;
+  transcript.Send("A->B far elements", message);
+  report.comm.Append(transcript.stats());
+
+  // Bob: S'_B = S_B ∪ T_A (parsed from the wire). The output is reserved
+  // from the parsed rows, never from the raw wire count.
+  ByteReader reader(message.buffer());
+  const uint64_t count = reader.GetVarint64();
+  const PointStore t_a =
+      PointStore::ReadFrom(&reader, dim, static_cast<size_t>(count));
+  RSR_RETURN_NOT_OK(reader.FinishAndCheckConsumed());
+  report.s_b_prime = PointStore(dim);
+  report.s_b_prime.Reserve(bob.size() + t_a.size());
+  report.s_b_prime.AppendStore(bob);
+  report.s_b_prime.AppendStore(t_a);
+  return report;
+}
+
+}  // namespace internal
+
+Result<GapProtocolReport> RunGapProtocol(const PointStore& alice,
+                                         const PointStore& bob,
+                                         const GapProtocolParams& params) {
+  RSR_RETURN_NOT_OK(internal::CheckGapInputs(alice, bob, params));
   RSR_ASSIGN_OR_RETURN(GapLshConfig lsh,
                        MakeGapLsh(params.metric, params.dim, params.r1,
                                   params.r2));
-  GapDerived& derived = report.derived;
+  GapDerived derived;
   derived.p1 = lsh.lsh.p1;
   derived.p2 = lsh.lsh.p2;
   derived.rho = lsh.lsh.rho();
@@ -275,6 +302,7 @@ Result<GapProtocolReport> RunGapProtocol(const PointStore& alice,
   if (derived.q1 <= derived.q2) {
     return Status::InvalidArgument("no usable gap: p1^m <= p2^m");
   }
+  const size_t n = std::max(alice.size(), bob.size());
   const double h =
       std::ceil(params.h_multiplier *
                 std::log2(static_cast<double>(std::max<size_t>(n, 4))));
@@ -286,51 +314,9 @@ Result<GapProtocolReport> RunGapProtocol(const PointStore& alice,
   // Chernoff midpoint of the two expectations is the natural generalization.
   derived.tau = static_cast<double>(derived.h) * (derived.q1 + derived.q2) / 2.0;
 
-  // Auto-size the reconciler sketches from the expected differences.
-  internal::GapPipelineConfig config;
-  config.h = derived.h;
-  config.m = derived.m;
-  config.tau = derived.tau;
-  config.delta = params.delta;
-  config.reconciler = params.reconciler;
-  config.num_threads = params.num_threads;
-  config.seed = params.seed;
-  double expect_entry_diff_rate = 1.0 - derived.q1;  // per close-pair entry
-  double expected_diff_sets =
-      2.0 * (static_cast<double>(params.k) +
-             static_cast<double>(n) *
-                 std::min(1.0, static_cast<double>(derived.h) *
-                                   expect_entry_diff_rate));
-  double expected_diff_elems =
-      2.0 * static_cast<double>(derived.h) *
-      (static_cast<double>(params.k) +
-       static_cast<double>(n) * expect_entry_diff_rate);
-  if (config.reconciler.sig_cells == 0) {
-    config.reconciler.sig_cells =
-        std::max<size_t>(64, static_cast<size_t>(2.5 * expected_diff_sets));
-  }
-  if (config.reconciler.elem_cells == 0) {
-    config.reconciler.elem_cells =
-        std::max<size_t>(128, static_cast<size_t>(2.5 * expected_diff_elems));
-  }
-  if (config.reconciler.seed == 0) {
-    config.reconciler.seed = HashCombine(params.seed, 0x5e75ULL);
-  }
-
-  // Public coins: draw the h*m LSH functions from the shared seed.
-  Rng shared(params.seed);
-  std::vector<std::unique_ptr<LshFunction>> functions =
-      DrawMany(*lsh.family, derived.h * derived.m, &shared);
-
-  RSR_ASSIGN_OR_RETURN(
-      internal::GapPipelineResult pipeline,
-      internal::RunGapPipeline(alice, bob, functions, config));
-  report.s_b_prime = std::move(pipeline.s_b_prime);
-  report.transmitted = std::move(pipeline.transmitted);
-  report.far_keys = pipeline.far_keys;
-  report.reconciliation = std::move(pipeline.reconciliation);
-  report.comm = std::move(pipeline.comm);
-  return report;
+  // A close pair's entry differs w.p. 1 - q1; sketches size from n itself.
+  return internal::RunGapPipeline(alice, bob, params, *lsh.family, derived,
+                                  1.0 - derived.q1, n, 0x5e75ULL);
 }
 
 }  // namespace rsr

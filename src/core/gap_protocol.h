@@ -9,6 +9,12 @@
 // match against Bob's keys falls below the threshold tau, and transmits the
 // elements carrying flagged keys (the 4th message). Bob concludes with
 // S'_B = S_B ∪ T_A, and every point of S_A ∪ S_B is within r2 of S'_B whp.
+//
+// The low-dimension protocol (core/gap_lowdim.h, Theorem 4.5) is this
+// protocol with another hash family and derivation (a one-sided grid, m = 1,
+// tau = 1). Both entry points run the same input check
+// (internal::CheckGapInputs), derive their GapDerived, and hand the rest to
+// one driver, internal::RunGapPipeline.
 #ifndef RSR_CORE_GAP_PROTOCOL_H_
 #define RSR_CORE_GAP_PROTOCOL_H_
 
@@ -73,8 +79,10 @@ struct GapProtocolReport {
 };
 
 /// Runs the protocol. Returns InvalidArgument when both sets are empty, dim
-/// is 0, the radii give no usable gap, or h_multiplier is negative, NaN or
-/// infinite or makes h reach kMaxSlots (h_multiplier 0 clamps h to 2).
+/// is 0, the radii give no usable gap, h_multiplier is negative, NaN or
+/// infinite or makes h reach kMaxSlots (h_multiplier 0 clamps h to 2), or
+/// ReconcileSetsOfSets rejects the keys (a key or key entry repeats
+/// kMaxOccurrences or more times).
 ///
 /// Inputs are programmer-supplied, not peer bytes: a non-empty store whose
 /// dim differs from params.dim, or any coordinate outside [0, params.delta],
@@ -87,35 +95,33 @@ Result<GapProtocolReport> RunGapProtocol(const PointStore& alice,
 
 namespace internal {
 
-/// Shared pipeline for the general and low-dimension variants: key
-/// construction from `functions` (h batches of m, BuildGapKeys, which
-/// range-checks both stores), reconciliation, far detection at threshold
-/// tau, final transmission.
-struct GapPipelineConfig {
-  size_t h = 0;
-  size_t m = 0;
-  double tau = 0;
-  /// Coordinate bound of both inputs (the entry point's params.delta;
-  /// defaults as GapProtocolParams::delta). BuildGapKeys aborts on a
-  /// coordinate outside [0, delta].
-  Coord delta = 1;
-  SetsReconcilerParams reconciler;
-  size_t num_threads = 1;
-  uint64_t seed = 0;
-};
+/// The input check both entry points run first, before any derivation or
+/// work: InvalidArgument when both stores are empty, params.dim is 0, or
+/// h_multiplier is negative, NaN or infinite; RSR_CHECK that a non-empty
+/// store has dim params.dim.
+Status CheckGapInputs(const PointStore& alice, const PointStore& bob,
+                      const GapProtocolParams& params);
 
-struct GapPipelineResult {
-  PointStore s_b_prime;
-  PointStore transmitted;
-  size_t far_keys = 0;
-  SetsReconcilerReport reconciliation;
-  CommStats comm;
-};
-
-Result<GapPipelineResult> RunGapPipeline(
+/// Everything both Gap variants run after their derivation. They differ
+/// only in `family`, `derived` and three inputs:
+///   - sizing: each reconciler sketch params.reconciler leaves at 0 cells is
+///     sized from n = `sizing_rows` and the expected per-entry difference
+///     rate e = `entry_diff_rate` of a close pair, as 2.5 times the expected
+///     differing sets 2(k + n min(1, h e)) (at least 64 cells) and elements
+///     2h(k + n e) (at least 128 cells);
+///   - seed: a reconciler seed of 0 becomes
+///     HashCombine(params.seed, `reconciler_seed_salt`).
+/// The driver then draws derived.h * derived.m functions from `family` on
+/// Rng(params.seed) (public coins), builds both parties' keys (BuildGapKeys,
+/// which range-checks both stores against params.delta), reconciles them,
+/// flags Alice's keys whose best match is below derived.tau (DetectFarKeys),
+/// sends T_A, and fills the report, whose `derived` is a copy of `derived`.
+/// Requires 1 <= derived.h < kMaxSlots and derived.m >= 1.
+Result<GapProtocolReport> RunGapPipeline(
     const PointStore& alice, const PointStore& bob,
-    const std::vector<std::unique_ptr<LshFunction>>& functions,
-    const GapPipelineConfig& config);
+    const GapProtocolParams& params, const LshFamily& family,
+    const GapDerived& derived, double entry_diff_rate, size_t sizing_rows,
+    uint64_t reconciler_seed_salt);
 
 /// The h-slot Gap keys of every row of `points`, h = slot_hashes.size():
 ///   keys[i][j] = (uint32) H_j(Eval_{jm}(p_i) .. Eval_{jm+m-1}(p_i)),

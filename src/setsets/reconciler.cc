@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <numeric>
 #include <span>
 #include <utility>
 
@@ -23,6 +24,21 @@ SlottedSet ReadSet(ByteReader* r, size_t slots) {
   // RSR_LINT_OK(reader-check): sticky poison checked by callers' r->status().
   for (auto& v : set) v = r->GetU32();
   return set;
+}
+
+/// The verbatim-set message: Bob sends sets[i], i in `indices`, as a varint
+/// count and then each set's slots as u32, under `label`; Alice parses it
+/// with internal::ReadSets and appends the sets to *out.
+Status SendVerbatimSets(const std::vector<SlottedSet>& sets,
+                        const std::vector<size_t>& indices, size_t slots,
+                        const std::string& label, Transcript* transcript,
+                        std::vector<SlottedSet>* out) {
+  ByteWriter msg;
+  msg.PutVarint64(indices.size());
+  for (size_t index : indices) WriteSet(&msg, sets[index]);
+  transcript->Send(label, msg);
+  ByteReader reader(msg.buffer());
+  return internal::ReadSets(&reader, slots, out);
 }
 
 /// Element key (slot << 32 | value) of slot `slot` holding `value`.
@@ -103,10 +119,12 @@ class ElementMap {
 /// Occurrence-salted element words for the elements of sets[i], i in
 /// `members`, in canonical (sorted-set) order so both parties salt
 /// identically. Sorts pointers, not copies: equal sets have equal contents,
-/// so the words do not depend on how ties are ordered.
-std::vector<uint64_t> SaltedElementWords(const std::vector<SlottedSet>& sets,
-                                         const std::vector<size_t>& members,
-                                         size_t slots) {
+/// so the words do not depend on how ties are ordered. InvalidArgument when
+/// an element occurs kMaxOccurrences or more times: its occurrence index
+/// would not fit the word.
+Result<std::vector<uint64_t>> SaltedElementWords(
+    const std::vector<SlottedSet>& sets, const std::vector<size_t>& members,
+    size_t slots) {
   std::vector<const SlottedSet*> sorted(members.size());
   for (size_t i = 0; i < members.size(); ++i) sorted[i] = &sets[members[i]];
   std::sort(sorted.begin(), sorted.end(),
@@ -118,7 +136,10 @@ std::vector<uint64_t> SaltedElementWords(const std::vector<SlottedSet>& sets,
     for (size_t slot = 0; slot < slots; ++slot) {
       const uint32_t value = (*set)[slot];
       const uint32_t occ = occurrence[ElementKey(slot, value)]++;
-      RSR_CHECK(occ < kMaxOccurrences);
+      if (occ >= kMaxOccurrences) {
+        return Status::InvalidArgument(
+            "a set element repeats kMaxOccurrences or more times");
+      }
       words.push_back(EncodeElement(occ, static_cast<uint32_t>(slot), value));
     }
   }
@@ -186,10 +207,7 @@ FingerprintIndex BuildFingerprintIndex(const std::vector<uint64_t>& bob_elements
 class SetReconstructor {
  public:
   SetReconstructor(size_t slots, uint64_t salt)
-      : elem_salt_(Mix64(salt ^ 0x5e7516ULL)),
-        final_salt_(Mix64(salt + slots)),
-        order_(slots),
-        result_(slots, 0) {}
+      : hash_(salt), order_(slots), result_(slots, 0) {}
 
   /// Tries to rebuild the set with signature `target` from `candidates`
   /// (one list per slot) within `budget` DFS nodes. On success the set is
@@ -208,31 +226,28 @@ class SetReconstructor {
     for (size_t i = 0; i < slots; ++i) {
       if (candidates[i].empty()) return false;
     }
-    // The signature is Mix64(acc ^ Mix64(salt + slots)); accumulate acc.
+    // Accumulate the signature's element XOR slot by slot.
     return Dfs(0, 0);
   }
 
   const SlottedSet& result() const { return result_; }
 
  private:
-  uint64_t ElementHash(size_t slot, uint32_t value) const {
-    return Mix64((static_cast<uint64_t>(slot) << 32) ^ value ^ elem_salt_);
-  }
-
   bool Dfs(size_t depth, uint64_t acc) {
     if (budget_ == 0) return false;
     --budget_;
-    if (depth == order_.size()) return Mix64(acc ^ final_salt_) == target_;
+    if (depth == order_.size()) {
+      return hash_.Finish(acc, order_.size()) == target_;
+    }
     size_t slot = order_[depth];
     for (uint32_t value : (*candidates_)[slot]) {
       result_[slot] = value;
-      if (Dfs(depth + 1, acc ^ ElementHash(slot, value))) return true;
+      if (Dfs(depth + 1, acc ^ hash_.Element(slot, value))) return true;
     }
     return false;
   }
 
-  uint64_t elem_salt_;
-  uint64_t final_salt_;
+  const SetSignatureHash hash_;
   std::vector<size_t> order_;
   SlottedSet result_;
   const std::vector<std::span<const uint32_t>>* candidates_ = nullptr;
@@ -283,6 +298,11 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
   std::vector<size_t> bob_order;
   std::vector<uint64_t> bob_salted =
       CanonicalSaltedSignatures(bob_sets, salt, &bob_order);
+  if (alice_salted.size() != alice_sets.size() ||
+      bob_salted.size() != bob_sets.size()) {
+    return Status::InvalidArgument(
+        "a set repeats kMaxOccurrences or more times");
+  }
 
   // ---- Phase 1: signature IBLT (Bob -> Alice), with doubling retries. ----
   std::vector<uint64_t> bob_only_sigs;    // salted sigs Alice is missing
@@ -386,13 +406,11 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
 
   if (!sig_decoded) {
     // Full-transfer fallback: Bob ships everything.
-    ByteWriter msg;
-    msg.PutVarint64(bob_sets.size());
-    for (const auto& s : bob_sets) WriteSet(&msg, s);
-    transcript.Send("B->A full-transfer", msg);
-    ByteReader reader(msg.buffer());
-    report.bob_sets.clear();
-    RSR_RETURN_NOT_OK(internal::ReadSets(&reader, slots, &report.bob_sets));
+    std::vector<size_t> all(bob_sets.size());
+    std::iota(all.begin(), all.end(), size_t{0});
+    RSR_RETURN_NOT_OK(SendVerbatimSets(bob_sets, all, slots,
+                                       "B->A full-transfer", &transcript,
+                                       &report.bob_sets));
     report.full_transfer = true;
     report.comm = transcript.stats();
     return report;
@@ -465,18 +483,15 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
 
   if (params.mode == SetsReconcilerMode::kVerbatim) {
     // ---- Phase 3 (verbatim): Bob ships the requested sets. ----
-    ByteWriter msg3;
-    msg3.PutVarint64(requested.size());
-    for (size_t index : requested) WriteSet(&msg3, bob_sets[index]);
-    transcript.Send("B->A diff-sets", msg3);
-    ByteReader reader(msg3.buffer());
-    RSR_RETURN_NOT_OK(internal::ReadSets(&reader, slots, &recovered));
+    RSR_RETURN_NOT_OK(SendVerbatimSets(bob_sets, requested, slots,
+                                       "B->A diff-sets", &transcript,
+                                       &recovered));
   } else {
     // ---- Phase 3 (fingerprint): element IBLT + per-set fingerprints. ----
-    const std::vector<uint64_t> bob_words =
-        SaltedElementWords(bob_sets, requested, slots);
-    const std::vector<uint64_t> alice_words =
-        SaltedElementWords(alice_sets, alice_diff, slots);
+    RSR_ASSIGN_OR_RETURN(const std::vector<uint64_t> bob_words,
+                         SaltedElementWords(bob_sets, requested, slots));
+    RSR_ASSIGN_OR_RETURN(const std::vector<uint64_t> alice_words,
+                         SaltedElementWords(alice_sets, alice_diff, slots));
     const int bits = params.fingerprint_bits;
     const int fp_bytes = (bits + 7) / 8;
 
@@ -593,12 +608,9 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
 
     if (!elem_decoded) {
       // Element phase never decoded: verbatim fallback for all requested.
-      ByteWriter msg;
-      msg.PutVarint64(requested.size());
-      for (size_t index : requested) WriteSet(&msg, bob_sets[index]);
-      transcript.Send("B->A diff-sets(fallback)", msg);
-      ByteReader reader(msg.buffer());
-      RSR_RETURN_NOT_OK(internal::ReadSets(&reader, slots, &recovered));
+      RSR_RETURN_NOT_OK(SendVerbatimSets(bob_sets, requested, slots,
+                                         "B->A diff-sets(fallback)",
+                                         &transcript, &recovered));
       report.fallback_sets = requested.size();
     }
   }

@@ -31,6 +31,14 @@
 // recovered set itself. Occurrence salting and candidate deduplication use
 // the same kind of flat table, so no step allocates per element.
 //
+// One verbatim-set message carries whole sets: a varint count, then each
+// set's slots as u32, written by one writer and parsed by internal::ReadSets.
+// It is sent as "B->A full-transfer" (Bob's whole multiset), "B->A
+// diff-sets" (verbatim mode's phase 3) and "B->A diff-sets(fallback)"
+// (fingerprint mode when the element IBLT never decodes). Only "B->A
+// fallback-sets", the answer to a request that already carries the count,
+// sends its sets with no count prefix.
+//
 // Both modes retry failed sketch decodes with doubled sizes (extra rounds,
 // counted), and degrade to full verbatim transfer as a last resort, so the
 // interface contract — Alice ends with exactly Bob's multiset — holds
@@ -119,7 +127,10 @@ struct SetsReconcilerReport {
 };
 
 /// Runs the reconciliation; Alice (first argument) recovers Bob's multiset.
-/// All sets must have the same number of slots (< 2^16).
+/// All sets must have the same number of slots (< 2^16). Occurrence indices
+/// are kElementOccBits wide, so a party holding kMaxOccurrences or more
+/// copies of one set, or (fingerprint mode) differing sets that hold one
+/// (slot, value) element that often, is InvalidArgument.
 Result<SetsReconcilerReport> ReconcileSetsOfSets(
     const std::vector<SlottedSet>& alice_sets,
     const std::vector<SlottedSet>& bob_sets,

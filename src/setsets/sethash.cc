@@ -8,27 +8,22 @@
 namespace rsr {
 
 uint64_t SetSignature(const SlottedSet& set, uint64_t salt) {
-  const uint64_t elem_salt = Mix64(salt ^ 0x5e7516ULL);  // loop-invariant
-  uint64_t acc = 0;
-  for (size_t slot = 0; slot < set.size(); ++slot) {
-    // XOR of per-element hashes: commutative, so equal content => equal
-    // signature regardless of construction order.
-    acc ^= Mix64((static_cast<uint64_t>(slot) << 32) ^ set[slot] ^ elem_salt);
-  }
-  // Final mix so the all-XOR structure is not visible to downstream tables.
-  return Mix64(acc ^ Mix64(salt + set.size()));
+  const SlottedSet* one = &set;
+  uint64_t signature = 0;
+  SetSignatures(&one, 1, salt, &signature);
+  return signature;
 }
 
 void SetSignatures(const SlottedSet* const* sets, size_t n, uint64_t salt,
                    uint64_t* out) {
-  const uint64_t elem_salt = Mix64(salt ^ 0x5e7516ULL);
+  const SetSignatureHash hash(salt);
   for (size_t i = 0; i < n; ++i) {
     const SlottedSet& set = *sets[i];
     uint64_t acc = 0;
     for (size_t slot = 0; slot < set.size(); ++slot) {
-      acc ^= Mix64((static_cast<uint64_t>(slot) << 32) ^ set[slot] ^ elem_salt);
+      acc ^= hash.Element(slot, set[slot]);
     }
-    out[i] = Mix64(acc ^ Mix64(salt + set.size()));
+    out[i] = hash.Finish(acc, set.size());
   }
 }
 
@@ -54,9 +49,9 @@ std::vector<uint64_t> CanonicalSaltedSignatures(
   size_t run_start = 0;
   for (size_t i = 0; i < idx.size(); ++i) {
     if (i > 0 && sets[idx[i]] != sets[idx[i - 1]]) run_start = i;
-    uint32_t occurrence = static_cast<uint32_t>(i - run_start);
-    RSR_CHECK(occurrence < kMaxOccurrences);
-    salted[i] = SaltedSignature(salted[i], occurrence);
+    const size_t occurrence = i - run_start;
+    if (occurrence >= kMaxOccurrences) return {};
+    salted[i] = SaltedSignature(salted[i], static_cast<uint32_t>(occurrence));
   }
   if (order != nullptr) *order = idx;
   return salted;

@@ -44,12 +44,38 @@ inline void DecodeElement(uint64_t word, uint32_t* occ, uint32_t* slot,
   *value = static_cast<uint32_t>(word & 0xffffffffULL);
 }
 
-/// Order-independent 64-bit content signature of a slotted set.
+/// The set-signature formula under one salt, stated once. The signature of
+/// a set with `slots` slots is
+///   Finish(acc, slots) = Mix64(acc ^ Mix64(salt + slots)),
+///   acc = XOR over slots j of Element(j, set[j]),
+///   Element(j, v) = Mix64((j << 32) ^ v ^ Mix64(salt ^ 0x5e7516)).
+/// XOR commutes, so equal content gives an equal signature whatever the
+/// construction order, and a search may accumulate acc one slot at a time.
+/// The final mix hides the all-XOR structure from downstream tables.
+class SetSignatureHash {
+ public:
+  explicit SetSignatureHash(uint64_t salt)
+      : salt_(salt), element_salt_(Mix64(salt ^ 0x5e7516ULL)) {}
+
+  uint64_t Element(size_t slot, uint32_t value) const {
+    return Mix64((static_cast<uint64_t>(slot) << 32) ^ value ^ element_salt_);
+  }
+
+  uint64_t Finish(uint64_t acc, size_t slots) const {
+    return Mix64(acc ^ Mix64(salt_ + slots));
+  }
+
+ private:
+  uint64_t salt_;
+  uint64_t element_salt_;  // loop-invariant across sets and slots
+};
+
+/// Order-independent 64-bit content signature of a slotted set: the batch
+/// form over one set.
 uint64_t SetSignature(const SlottedSet& set, uint64_t salt);
 
-/// Batch signatures: out[i] = SetSignature(*sets[i], salt). The per-element
-/// salt mix (loop-invariant across sets and slots) is derived once for the
-/// whole batch instead of per element.
+/// Batch signatures: out[i] = SetSignature(*sets[i], salt), under one
+/// SetSignatureHash, so the salt is mixed once for the whole batch.
 void SetSignatures(const SlottedSet* const* sets, size_t n, uint64_t salt,
                    uint64_t* out);
 
@@ -59,7 +85,9 @@ uint64_t SaltedSignature(uint64_t signature, uint32_t occurrence);
 /// Canonical salted signatures for a multiset of sets: sets are sorted
 /// lexicographically; the i-th copy of equal sets receives occurrence i.
 /// Output is aligned with the *sorted* order; `order` (optional) receives
-/// the permutation mapping sorted position -> original index.
+/// the permutation mapping sorted position -> original index. The output is
+/// empty when some set has kMaxOccurrences or more copies, since occurrence
+/// indices are kElementOccBits wide.
 std::vector<uint64_t> CanonicalSaltedSignatures(
     const std::vector<SlottedSet>& sets, uint64_t salt,
     std::vector<size_t>* order);

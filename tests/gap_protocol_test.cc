@@ -345,6 +345,63 @@ TEST(GapProtocolTest, HMultiplierOutsideRangeRejected) {
   EXPECT_EQ(low_report->derived.h, 1u);
 }
 
+// Both entry points run one input check before any derivation or work, so
+// two empty stores give the same status from each, with no functions drawn
+// and no keys built.
+TEST(GapProtocolTest, BothEntryPointsRejectTwoEmptyStoresAlike) {
+  const GapProtocolParams general = HammingParams(8, 1, 4, 1, 33);
+  LowDimGapParams low;
+  low.dim = 8;
+  low.delta = 1;
+  low.r1 = 1;
+  low.r2 = 64;  // rho_hat = 1/8
+  low.seed = 34;
+  for (const PointStore& empty : {PointStore(), PointStore(8)}) {
+    long long before = ::rsr::testing::AllocationCount();
+    auto general_report = RunGapProtocol(empty, empty, general);
+    const long long general_allocations =
+        ::rsr::testing::AllocationCount() - before;
+    before = ::rsr::testing::AllocationCount();
+    auto low_report = RunLowDimGapProtocol(empty, empty, low);
+    const long long low_allocations =
+        ::rsr::testing::AllocationCount() - before;
+    ASSERT_FALSE(general_report.ok());
+    ASSERT_FALSE(low_report.ok());
+    EXPECT_EQ(general_report.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(low_report.status().ToString(),
+              general_report.status().ToString());
+    // The status message is all that is allocated.
+    EXPECT_LE(general_allocations, 4);
+    EXPECT_LE(low_allocations, 4);
+  }
+}
+
+// Identical rows give identical keys, and a key's occurrence index is 16
+// bits wide: 65,537 copies of one row are InvalidArgument (from the
+// reconciler), 65,536 still reconcile with nothing sent.
+TEST(GapProtocolTest, RowRepeatedPastOccurrenceLimitRejected) {
+  Rng rng(35);
+  const PointStore row = GenerateUniformStore(1, 16, 1, &rng);
+  GapProtocolParams params = HammingParams(16, 1, 8, 1, 36);
+  params.h_multiplier = 1;
+  params.reconciler.sig_cells = 64;
+  params.reconciler.elem_cells = 128;
+  for (size_t copies : {kMaxOccurrences, kMaxOccurrences + 1}) {
+    PointStore points(16);
+    points.Reserve(copies);
+    for (size_t i = 0; i < copies; ++i) points.Append(row.row(0));
+    auto report = RunGapProtocol(points, points, params);
+    if (copies == kMaxOccurrences) {
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_TRUE(report->transmitted.empty());
+      EXPECT_EQ(report->s_b_prime.size(), copies);
+    } else {
+      ASSERT_FALSE(report.ok());
+      EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
 // ---- Input checks: dims up front, coordinates block by block -------------
 //
 // Both entry points range-check every coordinate inside the blocked key
@@ -639,7 +696,8 @@ TEST(LowDimGapTest, DerivedHScalesWithRhoHat) {
 // count against Bob's recovered keys is below tau. The oracle recomputes
 // Alice's keys by the scalar definition
 //   keys[i][j] = (uint32) H_j(Eval_{jm}(p_i) ... Eval_{jm+m-1}(p_i)),
-// with H_j drawn from Rng(Mix64(seed) ^ 0x6a9) as the pipeline draws them,
+// with the h*m functions drawn from Rng(seed) and H_j from
+// Rng(Mix64(seed) ^ 0x6a9), as the pipeline draws them,
 // and compares each distinct key against every recovered Bob key, slot by
 // slot. Far rows are expected grouped by key in key order, rows ascending
 // within a key.
@@ -681,15 +739,20 @@ size_t ExpectFarDetectionMatchesOracle(const PointStore& alice,
   Rng draw_rng(kOracleSeed);
   const std::vector<std::unique_ptr<LshFunction>> functions =
       DrawMany(*lsh->family, kOracleH * kOracleM, &draw_rng);
-  internal::GapPipelineConfig config;
-  config.h = kOracleH;
-  config.m = kOracleM;
-  config.tau = tau;
-  config.reconciler.sig_cells = 64;
-  config.reconciler.elem_cells = 256;
-  config.reconciler.seed = 78;
-  config.seed = kOracleSeed;
-  auto result = internal::RunGapPipeline(alice, bob, functions, config);
+  GapProtocolParams params;
+  params.dim = kOracleDim;
+  params.reconciler.sig_cells = 64;
+  params.reconciler.elem_cells = 256;
+  params.reconciler.seed = 78;
+  params.seed = kOracleSeed;
+  GapDerived derived;
+  derived.h = kOracleH;
+  derived.m = kOracleM;
+  derived.tau = tau;
+  // The sketch sizes and the reconciler seed are set, so the sizing inputs
+  // and the seed salt are unused.
+  auto result = internal::RunGapPipeline(alice, bob, params, *lsh->family,
+                                         derived, 0.0, 0, 0);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   if (!result.ok()) return 0;
 

@@ -304,6 +304,66 @@ TEST(ReconcilerTest, RejectsMismatchedSlotCounts) {
       "");
 }
 
+// Occurrence indices are 16 bits wide (kMaxOccurrences = 65,536). A set
+// repeated past that on either side, or an element repeated past it across
+// one side's differing sets, is InvalidArgument; at exactly the limit both
+// inputs still reconcile.
+
+TEST(ReconcilerTest, SetRepeatedPastOccurrenceLimitRejected) {
+  const SlottedSet set = {5, 6};
+  const std::vector<SlottedSet> one = {set};
+  const std::vector<SlottedSet> at_limit(kMaxOccurrences, set);
+  const std::vector<SlottedSet> past_limit(kMaxOccurrences + 1, set);
+  for (SetsReconcilerMode mode :
+       {SetsReconcilerMode::kVerbatim, SetsReconcilerMode::kFingerprint}) {
+    const SetsReconcilerParams params = MakeParams(mode);
+    for (bool alice_repeats : {true, false}) {
+      auto report = alice_repeats
+                        ? ReconcileSetsOfSets(past_limit, one, params)
+                        : ReconcileSetsOfSets(one, past_limit, params);
+      ASSERT_FALSE(report.ok()) << "alice repeats " << alice_repeats;
+      EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    }
+    auto report = ReconcileSetsOfSets(at_limit, at_limit, params);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->bob_sets, at_limit);
+  }
+}
+
+TEST(ReconcilerTest, ElementRepeatedPastOccurrenceLimitRejected) {
+  // Distinct 2-slot sets {7, i}: slot 0 holds the same value in every set.
+  // Every set differs, so each side's element words salt (0, 7) once per set.
+  auto sets_sharing_a_slot = [](size_t count) {
+    std::vector<SlottedSet> sets(count);
+    for (size_t i = 0; i < count; ++i) {
+      sets[i] = {7, static_cast<uint32_t>(i)};
+    }
+    return sets;
+  };
+  const std::vector<SlottedSet> none;
+  const std::vector<SlottedSet> at_limit = sets_sharing_a_slot(kMaxOccurrences);
+  const std::vector<SlottedSet> past_limit =
+      sets_sharing_a_slot(kMaxOccurrences + 1);
+  SetsReconcilerParams params = MakeParams(SetsReconcilerMode::kFingerprint);
+  params.sig_cells = 200000;  // the signature IBLT decodes the first time
+  for (bool alice_holds : {true, false}) {
+    SCOPED_TRACE(alice_holds ? "alice holds the sets" : "bob holds the sets");
+    auto past = alice_holds ? ReconcileSetsOfSets(past_limit, none, params)
+                            : ReconcileSetsOfSets(none, past_limit, params);
+    ASSERT_FALSE(past.ok());
+    EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
+    auto at = alice_holds ? ReconcileSetsOfSets(at_limit, none, params)
+                          : ReconcileSetsOfSets(none, at_limit, params);
+    ASSERT_TRUE(at.ok()) << at.status().ToString();
+    EXPECT_TRUE(SameMultiset(at->bob_sets, alice_holds ? none : at_limit));
+  }
+  // Verbatim mode salts no elements, so the same sets reconcile.
+  params.mode = SetsReconcilerMode::kVerbatim;
+  auto verbatim = ReconcileSetsOfSets(none, past_limit, params);
+  ASSERT_TRUE(verbatim.ok()) << verbatim.status().ToString();
+  EXPECT_TRUE(SameMultiset(verbatim->bob_sets, past_limit));
+}
+
 TEST(ReconcilerTest, ReportsRoundCount) {
   Rng rng(12);
   auto sets = RandomSets(20, 4, &rng);
