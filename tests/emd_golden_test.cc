@@ -13,6 +13,8 @@
 //   - for the compact cases, the transcript: every message's label, size
 //     and codec, which pins the estimator round and which message carries
 //     the wire header.
+// The multiscale cases pin RunMultiscaleEmdProtocol's chosen interval, its
+// S'_B and every interval's transcript.
 // Every case pins its codec explicitly: the classic cases and their
 // `Compact` twins check the same bytes on the compact CI leg
 // (RSR_WIRE_CODEC=compact) as on the default one.
@@ -27,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include "core/adaptive.h"
+#include "core/emd_multiscale.h"
 #include "core/emd_protocol.h"
 #include "core/emd_sketch.h"
 #include "core/sync_server.h"
@@ -414,6 +417,44 @@ TEST(EmdGoldenTest, StaticSessionL2Compact) {
                    0xb0601bd35520398fULL,
                    0x44b86eb9025ac510ULL,
                    0xa23a1f0e8c536683ULL});
+}
+
+/// RunMultiscaleEmdProtocol over [d1, d2] with interval ratio 4: the chosen
+/// interval, S'_B and every interval's transcript in order.
+uint64_t MultiscaleDigest(double d1, double d2, size_t k,
+                          size_t expect_intervals) {
+  const MetricKind metric = MetricKind::kL2;
+  NoisyPairStoreWorkload in = MakeInputs(metric, 17);
+  MultiscaleEmdParams params;
+  params.base = MakeParams(metric, in.alice.dim(), 255, /*adaptive=*/false);
+  params.base.k = k;
+  params.base.d1 = d1;
+  params.base.d2 = d2;
+  params.interval_ratio = 4.0;
+  auto report = RunMultiscaleEmdProtocol(in.alice, in.bob, params);
+  RSR_CHECK(report.ok());
+  EXPECT_FALSE(report->failure);
+  EXPECT_EQ(report->intervals.size(), expect_intervals);
+  ::rsr::testing::Digest d;
+  d.Word(report->chosen_interval);
+  d.Word(DigestOf(report->s_b_prime));
+  d.Word(report->intervals.size());
+  for (const EmdProtocolReport& sub : report->intervals) {
+    d.Word(DigestOf(sub.comm));
+  }
+  return d.Value();
+}
+
+// d1 == d2: a single interval [d1, d1].
+TEST(EmdGoldenTest, MultiscaleSingleValueRange) {
+  const uint64_t got = MultiscaleDigest(64, 64, 6, 1);
+  EXPECT_EQ(got, 0x4634ce8411d8c635ULL) << "observed 0x" << std::hex << got;
+}
+
+// Six intervals; at k = 1 the first two fail, so interval 2 is chosen.
+TEST(EmdGoldenTest, MultiscaleSixIntervals) {
+  const uint64_t got = MultiscaleDigest(1, 4096, 1, 6);
+  EXPECT_EQ(got, 0xbaad0df57f351363ULL) << "observed 0x" << std::hex << got;
 }
 
 }  // namespace
