@@ -40,17 +40,6 @@ void BM_Mix64(benchmark::State& state) {
 }
 BENCHMARK(BM_Mix64);
 
-void BM_PairwiseHash(benchmark::State& state) {
-  Rng rng(1);
-  PairwiseHash h = PairwiseHash::Draw(&rng);
-  uint64_t x = 999;
-  for (auto _ : state) {
-    x = h.Eval(x);
-    benchmark::DoNotOptimize(x);
-  }
-}
-BENCHMARK(BM_PairwiseHash);
-
 void BM_KIndependentHash(benchmark::State& state) {
   Rng rng(2);
   KIndependentHash h = KIndependentHash::Draw(static_cast<int>(state.range(0)),

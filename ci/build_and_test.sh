@@ -100,7 +100,7 @@ fi
 # SimdDispatchTest.DispatchMatchesCpuAndOverride fails that leg if AVX2 was
 # compiled but the dispatcher never selected it). Both legs run the full
 # suite, so the adaptive warm-serving tests (fold byte-identity in
-# RibltFoldTest/IbltFoldTest/FoldEmdSketchesTest, ladder negotiation in
+# RibltFoldTest/FoldEmdSketchesTest, ladder negotiation in
 # RoundUpToLadderTest/EmdAdaptiveTest, and the SyncServerAdaptiveTest
 # session-vs-cold transcript identity) are exercised under both kernel
 # dispatches — the fold path consumes tables the dispatched kernels built.
@@ -108,20 +108,18 @@ echo "==== Release tests, RSR_FORCE_SCALAR=1 (portable kernel leg) ===="
 RSR_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -j \
   --timeout "${CTEST_TIMEOUT}"
 
-# Third leg, mirroring the scalar pattern for the wire layer: the
-# serialization, fold, and hardening suites re-run with the process-wide
-# default codec flipped to compact (RSR_WIRE_CODEC is read once by
-# DefaultWireCodec()). The default legs above pin kClassic byte identity
-# (golden fixtures, transcript-identity tests); this leg proves every
-# codec-dispatched WriteTo/ReadFrom pair, the fold-then-serialize path, the
-# corruption hardening, the EMD exchange end to end (EmdProtocolTest,
-# EmdAdaptiveTest, EmdThreadCountTest, IntegrationTest), and both Gap
-# exchanges with their set-of-sets reconciler (Gap*, LowDimGapTest,
-# ReconcilerTest, FallbackTest, SetHashTest) hold when kCompact is the
-# negotiated default.
+# Third leg, mirroring the scalar pattern for the wire layer: the whole
+# suite re-runs with the process-wide default codec flipped to compact
+# (RSR_WIRE_CODEC is read once by DefaultWireCodec()). The default legs above
+# pin kClassic byte identity (golden fixtures, transcript-identity tests);
+# this leg proves every codec-dispatched WriteTo/ReadFrom pair, the
+# fold-then-serialize path, the corruption hardening, and every protocol that
+# serializes through the default codec hold when kCompact is the negotiated
+# default. The whole suite, not a hand-kept filter, so a new suite cannot be
+# left out.
 echo "==== Release tests, RSR_WIRE_CODEC=compact (compact codec leg) ===="
 RSR_WIRE_CODEC=compact ctest --test-dir build --output-on-failure -j \
-  --timeout "${CTEST_TIMEOUT}" -R 'Serial|Fold|Wire|Golden|Corrupt|Sync|Emd|Integration|Gap|LowDim|Reconciler|Fallback|SetHash'
+  --timeout "${CTEST_TIMEOUT}"
 
 if [[ "${RSR_BENCH:-0}" == "1" && ! -x build/bench_micro ]]; then
   echo "error: RSR_BENCH=1 but build/bench_micro was not produced" >&2
@@ -140,12 +138,12 @@ RSR_FORCE_SCALAR=1 ctest --test-dir build-asan --output-on-failure -j \
   --timeout "${CTEST_TIMEOUT}"
 
 # The corrupted-stream sweep (truncate + bit-flip every serialized form) is
-# where ASan/UBSan earn their keep on the wire layer: run it plus the
-# serialization suites under the compact default too, so an over-read in a
-# bit-packed reader cannot hide behind the classic-arm default.
+# where ASan/UBSan earn their keep on the wire layer: run the whole suite
+# under the compact default too, so an over-read in a bit-packed reader
+# cannot hide behind the classic-arm default.
 echo "==== ASan/UBSan tests, RSR_WIRE_CODEC=compact (compact codec leg) ===="
 RSR_WIRE_CODEC=compact ctest --test-dir build-asan --output-on-failure -j \
-  --timeout "${CTEST_TIMEOUT}" -R 'Serial|Fold|Wire|Golden|Corrupt|Sync|Emd|Integration|Gap|LowDim|Reconciler|Fallback|SetHash'
+  --timeout "${CTEST_TIMEOUT}"
 
 # TSan gates the concurrent mutate-while-sync serving path (snapshots handed
 # out under churn — SyncServerTest.ConcurrentChurnAndSync plus the adaptive

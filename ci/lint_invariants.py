@@ -73,7 +73,7 @@ RULES = ("reader-check", "bounds-check", "bounded-peel", "zero-alloc")
 # caller buffer but still silently no-ops on a poisoned reader.
 READER_GETTERS = (
     "GetU8|GetU16|GetU32|GetU64|GetVarint64|GetVarint128|"
-    "GetSignedVarint64|GetDouble|GetBytes|GetBits|GetBits128"
+    "GetSignedVarint64|GetBytes|GetBits|GetBits128"
 )
 GETTER_CALL_RE = re.compile(
     r"\b([A-Za-z_]\w*)\s*(?:->|\.)\s*(?:%s)\s*\(" % READER_GETTERS

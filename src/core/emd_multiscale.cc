@@ -41,36 +41,26 @@ Result<MultiscaleEmdReport> RunMultiscaleEmdProtocol(
   }
 
   MultiscaleEmdReport report;
-  size_t interval_count = 0;
-  // interval_count <= max_intervals is a belt-and-suspenders guard: the
+  // A do-while so d1 == d2 still runs the one interval [d1, d1].
+  // The interval count <= max_intervals is a belt-and-suspenders guard: the
   // up-front validation bounds the trip count, and the extra slack only
   // absorbs floating-point slop in the derived estimate.
-  for (double lo = d1; lo < d2 && interval_count <= params.max_intervals;
-       lo *= params.interval_ratio) {
-    double hi = std::min(lo * params.interval_ratio, d2);
+  double lo = d1;
+  double hi = d1;
+  do {
+    hi = std::min(lo * params.interval_ratio, d2);
     EmdProtocolParams interval = params.base;
     interval.d1 = lo;
     interval.d2 = hi;
-    interval.seed = HashCombine(params.base.seed, 0x5ca1e'000ULL + interval_count);
+    interval.seed =
+        HashCombine(params.base.seed, 0x5ca1e'000ULL + report.intervals.size());
     RSR_ASSIGN_OR_RETURN(EmdProtocolReport sub,
                          RunEmdProtocol(alice, bob, interval));
     // All interval messages travel together: still one round overall.
     report.comm.Append(sub.comm);
     report.intervals.push_back(std::move(sub));
-    ++interval_count;
-    if (hi >= d2) break;
-  }
-  if (report.intervals.empty()) {
-    // Degenerate d1 == d2: run the single interval directly.
-    EmdProtocolParams interval = params.base;
-    interval.d1 = d1;
-    interval.d2 = d1;
-    interval.seed = HashCombine(params.base.seed, 0x5ca1e'000ULL);
-    RSR_ASSIGN_OR_RETURN(EmdProtocolReport sub,
-                         RunEmdProtocol(alice, bob, interval));
-    report.comm.Append(sub.comm);
-    report.intervals.push_back(std::move(sub));
-  }
+    lo *= params.interval_ratio;
+  } while (hi < d2 && report.intervals.size() <= params.max_intervals);
 
   // Use the smallest-index interval that did not report failure.
   for (size_t j = 0; j < report.intervals.size(); ++j) {

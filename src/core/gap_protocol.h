@@ -81,8 +81,8 @@ struct GapProtocolReport {
 /// Runs the protocol. Returns InvalidArgument when both sets are empty, dim
 /// is 0, the radii give no usable gap, h_multiplier is negative, NaN or
 /// infinite or makes h reach kMaxSlots (h_multiplier 0 clamps h to 2), or
-/// ReconcileSetsOfSets rejects the keys (a key or key entry repeats
-/// kMaxOccurrences or more times).
+/// ReconcileSetsOfSets rejects the keys (a key entry repeats kMaxOccurrences
+/// or more times across one side's differing keys).
 ///
 /// Inputs are programmer-supplied, not peer bytes: a non-empty store whose
 /// dim differs from params.dim, or any coordinate outside [0, params.delta],

@@ -37,16 +37,6 @@ struct CommStats {
   size_t total_bits() const { return total_bytes() * 8; }
   int rounds() const { return static_cast<int>(messages.size()); }
 
-  /// Bytes of the messages encoded under `codec` (classic vs compact
-  /// attribution; headers count toward the codec that required them).
-  size_t bytes_under(WireCodec codec) const {
-    size_t sum = 0;
-    for (const auto& m : messages) {
-      if (m.codec == codec) sum += m.bytes;
-    }
-    return sum;
-  }
-
   /// Appends another protocol phase's messages (sequential composition).
   void Append(const CommStats& other) {
     messages.insert(messages.end(), other.messages.begin(),

@@ -34,8 +34,7 @@ class KIndependentHash {
     uint64_t xr = Mod61(x);
     uint64_t acc = 0;
     for (int i = k_; i-- > 0;) {
-      // acc, xr < 2^61 so the product fits 122 bits; value-identical to
-      // MulAddMod61 but skips its redundant re-reduction of xr.
+      // acc, xr < 2^61 so the product fits 122 bits.
       acc = Mod61(static_cast<unsigned __int128>(acc) * xr +
                   coeffs_[static_cast<size_t>(i)]);
     }

@@ -67,32 +67,6 @@ unsigned __int128 LengthTerm(uint64_t salt, size_t len) {
 
 }  // namespace
 
-PairwiseHash PairwiseHash::Draw(Rng* rng) {
-  uint64_t a = 1 + rng->Below(kMersenne61 - 1);
-  uint64_t b = rng->Below(kMersenne61);
-  return PairwiseHash(a, b);
-}
-
-void PairwiseHash::EvalMany(const uint64_t* xs, size_t n,
-                            uint64_t* out) const {
-  const uint64_t a = a_;
-  const uint64_t b = b_;
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = MulAddMod61(a, xs[i], b);
-  }
-}
-
-void PairwiseHash::EvalBitsMany(const uint64_t* xs, size_t n, int out_bits,
-                                uint64_t* out) const {
-  const uint64_t mask = (out_bits >= 61) ? kMersenne61
-                                         : ((uint64_t{1} << out_bits) - 1);
-  const uint64_t a = a_;
-  const uint64_t b = b_;
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = MulAddMod61(a, xs[i], b) & mask;
-  }
-}
-
 PairwiseVectorHash PairwiseVectorHash::Draw(Rng* rng) {
   PairwiseVectorHash h(rng->Fork());
   h.b_ = h.rng_.Below(kMersenne61);

@@ -1,6 +1,5 @@
-// Pairwise-independent hash families over the Mersenne prime p = 2^61 - 1.
+// Pairwise-independent hashing over the Mersenne prime p = 2^61 - 1.
 //
-// PairwiseHash:     h(x) = ((a*x + b) mod p) mod 2^out_bits,  a != 0.
 // PairwiseVectorHash: h(v) = (b + sum_i a_i * v_i) mod p, folded to 64 bits,
 //   pairwise independent over fixed-length vectors (per-coordinate random
 //   multipliers). Algorithm 1's level keys and the Gap protocol's batch
@@ -36,43 +35,6 @@ inline uint64_t Mod61(unsigned __int128 x) {
   if (r >= kMersenne61) r -= kMersenne61;
   return r;
 }
-
-/// (a*x + b) mod 2^61-1, computed with 128-bit intermediates.
-inline uint64_t MulAddMod61(uint64_t a, uint64_t x, uint64_t b) {
-  // Reduce x first so the product fits in 122 bits.
-  unsigned __int128 prod = static_cast<unsigned __int128>(a) * Mod61(x) + b;
-  return Mod61(prod);
-}
-
-/// Pairwise-independent hash of a single 64-bit input.
-class PairwiseHash {
- public:
-  /// Draws a = Uniform[1, p-1], b = Uniform[0, p-1].
-  static PairwiseHash Draw(Rng* rng);
-  PairwiseHash(uint64_t a, uint64_t b) : a_(a), b_(b) {}
-
-  /// Full 61-bit output.
-  uint64_t Eval(uint64_t x) const { return MulAddMod61(a_, x, b_); }
-
-  /// Output truncated to out_bits low bits (out_bits <= 61).
-  uint64_t EvalBits(uint64_t x, int out_bits) const {
-    return Eval(x) & ((out_bits >= 61) ? kMersenne61
-                                       : ((uint64_t{1} << out_bits) - 1));
-  }
-
-  /// Batch full-width eval: out[i] = Eval(xs[i]). The (a, b) parameters are
-  /// loaded once for the whole batch.
-  void EvalMany(const uint64_t* xs, size_t n, uint64_t* out) const;
-
-  /// Batch truncated eval: out[i] = EvalBits(xs[i], out_bits). The output
-  /// mask is derived once instead of per call.
-  void EvalBitsMany(const uint64_t* xs, size_t n, int out_bits,
-                    uint64_t* out) const;
-
- private:
-  uint64_t a_;
-  uint64_t b_;
-};
 
 /// Pairwise-independent hash of fixed-length vectors of 64-bit values.
 /// Lazily extends the multiplier list so one instance can hash prefixes of

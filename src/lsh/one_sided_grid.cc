@@ -2,48 +2,9 @@
 
 #include <cmath>
 
-#include "hashing/hash64.h"
-#include "lsh/batch_kernels.h"
+#include "lsh/grid.h"
 
 namespace rsr {
-
-namespace {
-
-class OneSidedGridFunction : public LshFunction {
- public:
-  OneSidedGridFunction(std::vector<double> offsets, double w, uint64_t salt)
-      : offsets_(std::move(offsets)), w_(w), salt_(salt) {}
-
-  uint64_t Eval(const Point& x) const override {
-    RSR_DCHECK(x.dim() == offsets_.size());
-    uint64_t h = salt_;
-    for (size_t j = 0; j < offsets_.size(); ++j) {
-      int64_t cell = static_cast<int64_t>(
-          std::floor((static_cast<double>(x[j]) + offsets_[j]) / w_));
-      h = HashCombine(h, static_cast<uint64_t>(cell));
-    }
-    return h;
-  }
-
-  // Function-major hot path with interleaved HashCombine chains; same
-  // rounding and per-point operation order as Eval (see grid.cc notes),
-  // through the runtime-dispatched (AVX2-capable) column kernel.
-  bool SupportsColsBatch() const override { return true; }
-  void EvalColsBatch(const double* cols, size_t col_stride, size_t n,
-                     size_t dim, uint64_t* out,
-                     size_t out_stride) const override {
-    RSR_DCHECK(dim == offsets_.size());
-    lsh_internal::GridHashCols(cols, col_stride, n, dim, offsets_.data(), w_,
-                               salt_, out, out_stride);
-  }
-
- private:
-  std::vector<double> offsets_;
-  double w_;
-  uint64_t salt_;
-};
-
-}  // namespace
 
 OneSidedGridFamily::OneSidedGridFamily(size_t dim, double r2, int p_exponent)
     : dim_(dim), r2_(r2), p_exponent_(p_exponent) {
@@ -54,10 +15,8 @@ OneSidedGridFamily::OneSidedGridFamily(size_t dim, double r2, int p_exponent)
 }
 
 std::unique_ptr<LshFunction> OneSidedGridFamily::Draw(Rng* rng) const {
-  std::vector<double> offsets(dim_);
-  for (auto& o : offsets) o = rng->UniformDouble() * w_;
-  return std::make_unique<OneSidedGridFunction>(std::move(offsets), w_,
-                                                rng->Next());
+  // The same shifted grid as Lemma 2.4's, at width r2 / d^{1/p}.
+  return GridFamily(dim_, w_).Draw(rng);
 }
 
 double OneSidedGridFamily::CollisionProbability(double dist) const {

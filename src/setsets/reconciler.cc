@@ -298,11 +298,6 @@ Result<SetsReconcilerReport> ReconcileSetsOfSets(
   std::vector<size_t> bob_order;
   std::vector<uint64_t> bob_salted =
       CanonicalSaltedSignatures(bob_sets, salt, &bob_order);
-  if (alice_salted.size() != alice_sets.size() ||
-      bob_salted.size() != bob_sets.size()) {
-    return Status::InvalidArgument(
-        "a set repeats kMaxOccurrences or more times");
-  }
 
   // ---- Phase 1: signature IBLT (Bob -> Alice), with doubling retries. ----
   std::vector<uint64_t> bob_only_sigs;    // salted sigs Alice is missing

@@ -127,10 +127,10 @@ struct SetsReconcilerReport {
 };
 
 /// Runs the reconciliation; Alice (first argument) recovers Bob's multiset.
-/// All sets must have the same number of slots (< 2^16). Occurrence indices
-/// are kElementOccBits wide, so a party holding kMaxOccurrences or more
-/// copies of one set, or (fingerprint mode) differing sets that hold one
-/// (slot, value) element that often, is InvalidArgument.
+/// All sets must have the same number of slots (< 2^16). Element occurrence
+/// indices are kElementOccBits wide, so (fingerprint mode) differing sets
+/// that hold one (slot, value) element kMaxOccurrences or more times are
+/// InvalidArgument. A set may repeat any number of times.
 Result<SetsReconcilerReport> ReconcileSetsOfSets(
     const std::vector<SlottedSet>& alice_sets,
     const std::vector<SlottedSet>& bob_sets,

@@ -27,8 +27,8 @@ void SetSignatures(const SlottedSet* const* sets, size_t n, uint64_t salt,
   }
 }
 
-uint64_t SaltedSignature(uint64_t signature, uint32_t occurrence) {
-  return HashCombine(signature, 0x0ccu ^ occurrence);
+uint64_t SaltedSignature(uint64_t signature, uint64_t occurrence) {
+  return HashCombine(signature, 0x0ccULL ^ occurrence);
 }
 
 std::vector<uint64_t> CanonicalSaltedSignatures(
@@ -49,9 +49,7 @@ std::vector<uint64_t> CanonicalSaltedSignatures(
   size_t run_start = 0;
   for (size_t i = 0; i < idx.size(); ++i) {
     if (i > 0 && sets[idx[i]] != sets[idx[i - 1]]) run_start = i;
-    const size_t occurrence = i - run_start;
-    if (occurrence >= kMaxOccurrences) return {};
-    salted[i] = SaltedSignature(salted[i], static_cast<uint32_t>(occurrence));
+    salted[i] = SaltedSignature(salted[i], i - run_start);
   }
   if (order != nullptr) *order = idx;
   return salted;

@@ -80,14 +80,13 @@ void SetSignatures(const SlottedSet* const* sets, size_t n, uint64_t salt,
                    uint64_t* out);
 
 /// Signature salted with a canonical occurrence index (multiset semantics).
-uint64_t SaltedSignature(uint64_t signature, uint32_t occurrence);
+/// The occurrence is only hashed, never packed, so it has no width limit.
+uint64_t SaltedSignature(uint64_t signature, uint64_t occurrence);
 
 /// Canonical salted signatures for a multiset of sets: sets are sorted
 /// lexicographically; the i-th copy of equal sets receives occurrence i.
 /// Output is aligned with the *sorted* order; `order` (optional) receives
-/// the permutation mapping sorted position -> original index. The output is
-/// empty when some set has kMaxOccurrences or more copies, since occurrence
-/// indices are kElementOccBits wide.
+/// the permutation mapping sorted position -> original index.
 std::vector<uint64_t> CanonicalSaltedSignatures(
     const std::vector<SlottedSet>& sets, uint64_t salt,
     std::vector<size_t>* order);

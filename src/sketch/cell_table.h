@@ -7,7 +7,7 @@
 //     polynomials, and CellsOf. Both tables (and both peers) must map a key
 //     to the same cells bit for bit, or wire compatibility and seeded
 //     decodes silently break.
-//   - FoldCells / FoldSlab / FoldTo: fold-down projection onto a
+//   - FoldCells / FoldSlab: fold-down projection onto a
 //     divisor-compatible smaller table.
 //   - CellFlags / WriteCellBitmap / ReadCellBitmap: the compact codec's
 //     sparse-mode inclusion bitmap.
@@ -147,20 +147,6 @@ inline void FoldSlab(const T* src, T* dst, size_t n, bool first, Op op) {
     return;
   }
   for (size_t i = 0; i < n; ++i) dst[i] = static_cast<T>(op(dst[i], src[i]));
-}
-
-/// FoldInto a fresh table of `num_cells` cells (rounded like the table's
-/// constructor).
-template <typename Table>
-Result<Table> FoldTo(const Table& src, size_t num_cells) {
-  if (num_cells == 0) {
-    return Status::InvalidArgument("FoldTo requires num_cells > 0");
-  }
-  auto target = src.params();
-  target.num_cells = num_cells;
-  Table dst(target);
-  RSR_RETURN_NOT_OK(src.FoldInto(&dst));
-  return dst;
 }
 
 // ---- Compact codec ----------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <functional>
 
 #include "hashing/checksum.h"
 
@@ -45,58 +44,6 @@ Status Iblt::CheckCompatible(const Iblt& other) const {
       other.params_.seed != params_.seed) {
     return Status::InvalidArgument("IBLT parameter mismatch");
   }
-  return Status::OK();
-}
-
-Status Iblt::SubtractInPlace(const Iblt& other) {
-  Status compatible = CheckCompatible(other);
-  if (!compatible.ok()) return compatible;
-  // The checksum domain is the narrower of the two masks: masking commutes
-  // with XOR, so narrowing a full-width table is exactly the table that
-  // would have been built under the narrow mask in the first place.
-  const uint64_t eff = checksum_mask_ & other.checksum_mask_;
-  int64_t* counts = Counts();
-  const int64_t* other_counts = other.Counts();
-  for (size_t i = 0; i < num_cells_; ++i) counts[i] -= other_counts[i];
-  uint64_t* keys = KeyXors();
-  const uint64_t* other_keys = other.KeyXors();
-  for (size_t i = 0; i < num_cells_; ++i) keys[i] ^= other_keys[i];
-  uint64_t* checksums = ChecksumXors();
-  const uint64_t* other_checksums = other.ChecksumXors();
-  for (size_t i = 0; i < num_cells_; ++i) {
-    checksums[i] = (checksums[i] ^ other_checksums[i]) & eff;
-  }
-  for (size_t i = 3 * num_cells_; i < arena_.size(); ++i) {
-    arena_[i] ^= other.arena_[i];
-  }
-  checksum_mask_ = eff;
-  return Status::OK();
-}
-
-// RSR_ZERO_ALLOC: warm folds reuse dst's arena
-// (IbltFoldTest.WarmFoldIntoPerformsZeroAllocations).
-Status Iblt::FoldInto(Iblt* dst) const {
-  const bool params_match = dst->params_.num_hashes == params_.num_hashes &&
-                            dst->params_.value_size == params_.value_size &&
-                            dst->params_.checksum_bytes ==
-                                params_.checksum_bytes &&
-                            dst->params_.seed == params_.seed;
-  // Counts add; key/checksum/value words XOR.
-  const size_t vs = params_.value_size;
-  RSR_RETURN_NOT_OK(sketch_internal::FoldCells(
-      map_, dst->map_, params_match, "IBLT parameter mismatch in FoldInto",
-      [&](size_t src_off, size_t dst_off, size_t len, bool first) {
-        using sketch_internal::FoldSlab;
-        FoldSlab(Counts() + src_off, dst->Counts() + dst_off, len, first,
-                 std::plus<>());
-        FoldSlab(KeyXors() + src_off, dst->KeyXors() + dst_off, len, first,
-                 std::bit_xor<>());
-        FoldSlab(ChecksumXors() + src_off, dst->ChecksumXors() + dst_off, len,
-                 first, std::bit_xor<>());
-        FoldSlab(ValueXors() + src_off * vs, dst->ValueXors() + dst_off * vs,
-                 len * vs, first, std::bit_xor<>());
-      }));
-  dst->checksum_mask_ = checksum_mask_;  // folding preserves the domain
   return Status::OK();
 }
 

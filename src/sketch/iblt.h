@@ -106,22 +106,6 @@ class Iblt {
   void InsertMany(std::span<const uint64_t> keys) { UpdateMany(keys, +1); }
   void DeleteMany(std::span<const uint64_t> keys) { UpdateMany(keys, -1); }
 
-  /// Cell-wise subtraction (sketch-difference style reconciliation).
-  /// Requires identical parameters and seed.
-  Status SubtractInPlace(const Iblt& other);
-
-  /// Fold-down projection (XOR analogue of Riblt::FoldInto): overwrites
-  /// `dst` (same num_hashes/value_size/checksum_bytes/seed) with this table
-  /// folded to dst's size, whose cells-per-subtable must divide ours
-  /// (sketch_internal::FoldCells). Counts add; key/checksum/value words XOR.
-  /// Byte-identical to a cold build at dst's size; no allocation.
-  Status FoldInto(Iblt* dst) const;
-  /// Convenience: folds into a fresh table of `num_cells` cells (rounded up
-  /// to a multiple of num_hashes, like the constructor).
-  Result<Iblt> FoldTo(size_t num_cells) const {
-    return sketch_internal::FoldTo(*this, num_cells);
-  }
-
   /// Peels the table (on a pooled scratch copy of the cell arena; the sketch
   /// itself stays intact). Returns entries with net counts +-1; the result is
   /// complete iff the residual table is empty. An incomplete decode still
@@ -137,9 +121,9 @@ class Iblt {
 
   /// Effective checksum mask. Locally-built tables carry the full
   /// checksum_bytes-wide mask; tables parsed from a compact stream carry
-  /// the narrower truncated mask, and every combining op (SubtractInPlace,
-  /// DecodeDiff) works under the mask intersection — XOR commutes with
-  /// masking, so a narrowed table is indistinguishable from one built narrow.
+  /// the narrower truncated mask, and DecodeDiff works under the mask
+  /// intersection — XOR commutes with masking, so a narrowed table is
+  /// indistinguishable from one built narrow.
   uint64_t checksum_mask() const { return checksum_mask_; }
 
   /// Exact wire size accounting. kClassic is the historical byte layout;

@@ -128,12 +128,6 @@ class Riblt {
   /// projects a maintained cap-size table to the negotiated size per
   /// session this way. An equal-size dst receives a plain copy.
   Status FoldInto(Riblt* dst) const;
-  /// Convenience: folds into a fresh table of `num_cells` cells (rounded up
-  /// to a multiple of num_hashes, like the constructor; the rounded
-  /// per-subtable size must divide ours).
-  Result<Riblt> FoldTo(size_t num_cells) const {
-    return sketch_internal::FoldTo(*this, num_cells);
-  }
 
   /// FIFO peeling on this thread's pooled copy of the cells (the sketch
   /// stays intact; concurrent decodes of one table into distinct results are

@@ -25,12 +25,6 @@ void ByteWriter::PutSignedVarint64(int64_t v) {
   PutVarint64(encoded);
 }
 
-void ByteWriter::PutDouble(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
-
 void ByteWriter::PutBytes(const uint8_t* data, size_t len) {
   buf_.insert(buf_.end(), data, data + len);
 }
@@ -131,13 +125,6 @@ unsigned __int128 ByteReader::GetVarint128() {
 int64_t ByteReader::GetSignedVarint64() {
   uint64_t encoded = GetVarint64();
   return static_cast<int64_t>((encoded >> 1) ^ (~(encoded & 1) + 1));
-}
-
-double ByteReader::GetDouble() {
-  uint64_t bits = GetU64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
 }
 
 void ByteReader::GetBytes(uint8_t* out, size_t len) {

@@ -40,7 +40,6 @@ class ByteWriter {
   void PutVarint128(unsigned __int128 v);
   /// Zigzag-encoded signed varint.
   void PutSignedVarint64(int64_t v);
-  void PutDouble(double v);
   void PutBytes(const uint8_t* data, size_t len);
 
   /// Appends the low `nbits` (0..64) of v, LSB-first. Bits accumulate into a
@@ -99,7 +98,6 @@ class ByteReader {
   uint64_t GetVarint64();
   unsigned __int128 GetVarint128();
   int64_t GetSignedVarint64();
-  double GetDouble();
   /// Copies len bytes into out; marks failure if insufficient data.
   void GetBytes(uint8_t* out, size_t len);
 

@@ -153,25 +153,4 @@ Result<NoisyPairStoreWorkload> GenerateNoisyPairStore(
   return workload;
 }
 
-PointStore GenerateClustersStore(const ClusterConfig& config) {
-  Rng rng(config.seed);
-  PointStore centers = GenerateUniformStore(config.num_clusters, config.dim,
-                                            config.delta, &rng);
-  PointStore points(config.dim);
-  points.Reserve(config.num_clusters * config.points_per_cluster);
-  for (size_t c = 0; c < centers.size(); ++c) {
-    const Coord* center = centers.row(c);
-    for (size_t i = 0; i < config.points_per_cluster; ++i) {
-      Coord* row = points.AppendRow();
-      for (size_t j = 0; j < config.dim; ++j) {
-        double offset = rng.Gaussian() * config.spread;
-        row[j] = std::clamp<Coord>(
-            center[j] + static_cast<Coord>(std::llround(offset)), 0,
-            config.delta);
-      }
-    }
-  }
-  return points;
-}
-
 }  // namespace rsr

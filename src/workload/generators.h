@@ -60,18 +60,6 @@ struct NoisyPairStoreWorkload {
 Result<NoisyPairStoreWorkload> GenerateNoisyPairStore(
     const NoisyPairConfig& config);
 
-struct ClusterConfig {
-  size_t dim = 0;
-  Coord delta = 0;
-  size_t num_clusters = 4;
-  size_t points_per_cluster = 16;
-  double spread = 2.0;  // per-coordinate gaussian sigma around the center
-  uint64_t seed = 0;
-};
-
-/// Gaussian clusters around uniform centers (used by the examples).
-PointStore GenerateClustersStore(const ClusterConfig& config);
-
 }  // namespace rsr
 
 #endif  // RSR_WORKLOAD_GENERATORS_H_

@@ -1,4 +1,4 @@
-// Tests for the fold-down projections (Riblt::FoldInto / Iblt::FoldInto).
+// Tests for the fold-down projection (Riblt::FoldInto).
 //
 // The load-bearing claim behind adaptive warm serving: folding a cap-size
 // table down to any divisor-ladder rung is cell-for-cell (WriteTo
@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sketch/iblt.h"
 #include "sketch/riblt.h"
 #include "alloc_counter.h"
 #include "util/random.h"
@@ -38,10 +37,15 @@ std::vector<uint8_t> Bytes(const Riblt& table) {
   return w.buffer();
 }
 
-std::vector<uint8_t> Bytes(const Iblt& table) {
-  ByteWriter w;
-  table.WriteTo(&w);
-  return w.buffer();
+/// `src` folded into a fresh table of `cells` cells with `src`'s other
+/// parameters, the way FoldEmdSketches folds into its scratch tables.
+Riblt FoldedTo(const Riblt& src, size_t cells) {
+  RibltParams params = src.params();
+  params.num_cells = cells;
+  Riblt dst(params);
+  const Status status = src.FoldInto(&dst);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return dst;
 }
 
 /// A recorded update stream replayable against tables of any size: `n`
@@ -73,11 +77,10 @@ TEST(RibltFoldTest, FoldMatchesColdBuildAcrossTheDivisorChain) {
   Riblt cap(MakeRibltParams(288));
   workload.ApplyTo(&cap);
   for (size_t d : {1u, 2u, 3u, 4u, 6u, 8u, 12u, 16u, 24u, 32u, 48u, 96u}) {
-    auto folded = cap.FoldTo(d * 3);
-    ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+    Riblt folded = FoldedTo(cap, d * 3);
     Riblt cold(MakeRibltParams(d * 3));
     workload.ApplyTo(&cold);
-    EXPECT_EQ(Bytes(*folded), Bytes(cold)) << "rung " << d * 3;
+    EXPECT_EQ(Bytes(folded), Bytes(cold)) << "rung " << d * 3;
   }
 }
 
@@ -89,11 +92,10 @@ TEST(RibltFoldTest, FoldMatchesColdBuildAcrossSeedsAndHashCounts) {
       const RibltWorkload workload = MakeWorkload(25, 25, seed ^ 99);
       Riblt cap(MakeRibltParams(static_cast<size_t>(q) * 64, seed, q));
       workload.ApplyTo(&cap);
-      auto folded = cap.FoldTo(static_cast<size_t>(q) * 16);
-      ASSERT_TRUE(folded.ok());
+      Riblt folded = FoldedTo(cap, static_cast<size_t>(q) * 16);
       Riblt cold(MakeRibltParams(static_cast<size_t>(q) * 16, seed, q));
       workload.ApplyTo(&cold);
-      EXPECT_EQ(Bytes(*folded), Bytes(cold)) << "seed " << seed << " q " << q;
+      EXPECT_EQ(Bytes(folded), Bytes(cold)) << "seed " << seed << " q " << q;
     }
   }
 }
@@ -102,32 +104,28 @@ TEST(RibltFoldTest, FoldOfFoldEqualsDirectFold) {
   const RibltWorkload workload = MakeWorkload(30, 30, 31);
   Riblt cap(MakeRibltParams(288));  // 96 per subtable
   workload.ApplyTo(&cap);
-  auto mid = cap.FoldTo(72);  // 24 per subtable
-  ASSERT_TRUE(mid.ok());
-  auto chained = mid->FoldTo(18);  // 6 per subtable
-  ASSERT_TRUE(chained.ok());
-  auto direct = cap.FoldTo(18);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(Bytes(*chained), Bytes(*direct));
+  Riblt mid = FoldedTo(cap, 72);  // 24 per subtable
+  Riblt chained = FoldedTo(mid, 18);  // 6 per subtable
+  Riblt direct = FoldedTo(cap, 18);
+  EXPECT_EQ(Bytes(chained), Bytes(direct));
 }
 
 TEST(RibltFoldTest, EqualSizeFoldIsACopy) {
   const RibltWorkload workload = MakeWorkload(20, 20, 41);
   Riblt cap(MakeRibltParams(288));
   workload.ApplyTo(&cap);
-  auto same = cap.FoldTo(288);
-  ASSERT_TRUE(same.ok());
-  EXPECT_EQ(Bytes(*same), Bytes(cap));
+  Riblt same = FoldedTo(cap, 288);
+  EXPECT_EQ(Bytes(same), Bytes(cap));
 }
 
 TEST(RibltFoldTest, RejectsNonDivisorAndMismatchedTargets) {
   Riblt cap(MakeRibltParams(288));  // 96 per subtable
   // 15 cells -> 5 per subtable; 5 does not divide 96.
-  EXPECT_FALSE(cap.FoldTo(15).ok());
+  Riblt non_divisor(MakeRibltParams(15));
+  EXPECT_FALSE(cap.FoldInto(&non_divisor).ok());
   // Larger than the source.
-  EXPECT_FALSE(cap.FoldTo(576).ok());
-  // Zero cells.
-  EXPECT_FALSE(cap.FoldTo(0).ok());
+  Riblt larger(MakeRibltParams(576));
+  EXPECT_FALSE(cap.FoldInto(&larger).ok());
   // Parameter mismatches.
   Riblt wrong_seed(MakeRibltParams(96, /*seed=*/8));
   EXPECT_FALSE(cap.FoldInto(&wrong_seed).ok());
@@ -156,13 +154,12 @@ TEST(RibltFoldTest, FoldedTableDecodesTheDifference) {
   };
   Riblt cap(MakeRibltParams(576));
   build(&cap);
-  auto folded = cap.FoldTo(144);
-  ASSERT_TRUE(folded.ok());
+  Riblt folded = FoldedTo(cap, 144);
   Riblt cold(MakeRibltParams(144));
   build(&cold);
 
   Rng coins_a(77), coins_b(77);
-  auto from_fold = folded->Decode(100, 100, &coins_a);
+  auto from_fold = folded.Decode(100, 100, &coins_a);
   auto from_cold = cold.Decode(100, 100, &coins_b);
   ASSERT_TRUE(from_fold.ok());
   ASSERT_TRUE(from_cold.ok());
@@ -178,105 +175,6 @@ TEST(RibltFoldTest, WarmFoldIntoPerformsZeroAllocations) {
   workload.ApplyTo(&cap);
   Riblt dst(MakeRibltParams(72));
   ASSERT_TRUE(cap.FoldInto(&dst).ok());  // cold: shapes settle
-  const long long before = testing::AllocationCount();
-  ASSERT_TRUE(cap.FoldInto(&dst).ok());
-  EXPECT_EQ(testing::AllocationCount(), before)
-      << "warm FoldInto must not allocate";
-}
-
-// ---- Iblt ------------------------------------------------------------------
-
-IbltParams MakeIbltParams(size_t cells, size_t value_size = 0,
-                          uint64_t seed = 9, int q = 4) {
-  IbltParams params;
-  params.num_cells = cells;
-  params.num_hashes = q;
-  params.value_size = value_size;
-  params.checksum_bytes = 4;
-  params.seed = seed;
-  return params;
-}
-
-TEST(IbltFoldTest, FoldMatchesColdBuildAcrossTheDivisorChain) {
-  // cap = 256 cells at q = 4 -> 64 per subtable.
-  Rng rng(71);
-  std::vector<uint64_t> ins, del;
-  for (int i = 0; i < 50; ++i) ins.push_back(rng.Next());
-  for (int i = 0; i < 50; ++i) del.push_back(rng.Next());
-  Iblt cap(MakeIbltParams(256));
-  cap.InsertMany(ins);
-  cap.DeleteMany(del);
-  for (size_t d : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
-    auto folded = cap.FoldTo(d * 4);
-    ASSERT_TRUE(folded.ok()) << folded.status().ToString();
-    Iblt cold(MakeIbltParams(d * 4));
-    cold.InsertMany(ins);
-    cold.DeleteMany(del);
-    EXPECT_EQ(Bytes(*folded), Bytes(cold)) << "rung " << d * 4;
-  }
-}
-
-TEST(IbltFoldTest, FoldMatchesColdBuildWithValues) {
-  // Value slabs XOR-fold; exercise a non-empty value_size.
-  Rng rng(81);
-  Iblt cap(MakeIbltParams(256, /*value_size=*/6));
-  Iblt cold(MakeIbltParams(64, /*value_size=*/6));
-  for (int i = 0; i < 40; ++i) {
-    uint64_t key = rng.Next();
-    std::vector<uint8_t> value(6);
-    for (uint8_t& b : value) b = static_cast<uint8_t>(rng.Next());
-    cap.InsertKv(key, value);
-    cold.InsertKv(key, value);
-  }
-  auto folded = cap.FoldTo(64);
-  ASSERT_TRUE(folded.ok());
-  EXPECT_EQ(Bytes(*folded), Bytes(cold));
-}
-
-TEST(IbltFoldTest, FoldedDiffPeelsTheSameEntries) {
-  Rng rng(91);
-  std::vector<uint64_t> shared, a_only, b_only;
-  for (int i = 0; i < 200; ++i) shared.push_back(rng.Next());
-  for (int i = 0; i < 4; ++i) a_only.push_back(rng.Next());
-  for (int i = 0; i < 4; ++i) b_only.push_back(rng.Next());
-  Iblt a(MakeIbltParams(512)), b(MakeIbltParams(512));
-  a.InsertMany(shared);
-  a.InsertMany(a_only);
-  b.InsertMany(shared);
-  b.InsertMany(b_only);
-  auto fa = a.FoldTo(64);
-  auto fb = b.FoldTo(64);
-  ASSERT_TRUE(fa.ok());
-  ASSERT_TRUE(fb.ok());
-  auto diff = fa->DecodeDiff(*fb);
-  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
-  EXPECT_TRUE(diff->complete);
-  EXPECT_EQ(diff->entries.size(), a_only.size() + b_only.size());
-}
-
-TEST(IbltFoldTest, RejectsNonDivisorAndMismatchedTargets) {
-  Iblt cap(MakeIbltParams(256));  // 64 per subtable
-  EXPECT_FALSE(cap.FoldTo(12).ok());  // 3 does not divide 64
-  EXPECT_FALSE(cap.FoldTo(512).ok());
-  EXPECT_FALSE(cap.FoldTo(0).ok());
-  Iblt wrong_value_size(MakeIbltParams(64, /*value_size=*/2));
-  EXPECT_FALSE(cap.FoldInto(&wrong_value_size).ok());
-  Iblt wrong_seed(MakeIbltParams(64, 0, /*seed=*/10));
-  EXPECT_FALSE(cap.FoldInto(&wrong_seed).ok());
-}
-
-TEST(IbltFoldTest, WarmFoldIntoPerformsZeroAllocations) {
-  Rng rng(101);
-  std::vector<uint64_t> keys;
-  for (int i = 0; i < 60; ++i) keys.push_back(rng.Next());
-  Iblt cap(MakeIbltParams(256, /*value_size=*/4));
-  // InsertKv allocates the value vector here, not in the table.
-  for (uint64_t key : keys) {
-    std::vector<uint8_t> value(4, static_cast<uint8_t>(key));
-    cap.InsertKv(key, value);
-  }
-  Iblt dst(MakeIbltParams(64, /*value_size=*/4));
-  ASSERT_TRUE(cap.FoldInto(&dst).ok());
   const long long before = testing::AllocationCount();
   ASSERT_TRUE(cap.FoldInto(&dst).ok());
   EXPECT_EQ(testing::AllocationCount(), before)
@@ -315,9 +213,9 @@ TEST(FoldEmdSketchesTest, MatchesPerTableFoldAndReusesScratchWithoutAllocating) 
   ASSERT_TRUE(FoldEmdSketches(*set, rungs, params, &scratch).ok());
   ASSERT_EQ(scratch.folded.size(), levels);
   for (size_t l = 0; l < levels; ++l) {
-    auto direct = set->tables[l].FoldTo(rungs[l]);
-    ASSERT_TRUE(direct.ok());
-    EXPECT_EQ(Bytes(scratch.folded[l]), Bytes(*direct)) << "level " << l;
+    EXPECT_EQ(Bytes(scratch.folded[l]),
+              Bytes(FoldedTo(set->tables[l], rungs[l])))
+        << "level " << l;
   }
 
   // Same rungs again: the pooled tables are reused in place, zero
@@ -330,9 +228,7 @@ TEST(FoldEmdSketchesTest, MatchesPerTableFoldAndReusesScratchWithoutAllocating) 
   // Changing a rung reshapes only that slot and stays correct.
   rungs[0] = cap;
   ASSERT_TRUE(FoldEmdSketches(*set, rungs, params, &scratch).ok());
-  auto recap = set->tables[0].FoldTo(cap);
-  ASSERT_TRUE(recap.ok());
-  EXPECT_EQ(Bytes(scratch.folded[0]), Bytes(*recap));
+  EXPECT_EQ(Bytes(scratch.folded[0]), Bytes(FoldedTo(set->tables[0], cap)));
 
   // A non-rung size is rejected; the cap_sub here is even, so cap_sub - 1 is
   // odd and (for cap_sub > 3) not a divisor.

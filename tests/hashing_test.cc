@@ -87,50 +87,6 @@ TEST(PairwiseTest, Mod61ExactBelow2To125) {
   }
 }
 
-TEST(PairwiseTest, MulAddMod61MatchesNaive) {
-  Rng rng(3);
-  for (int i = 0; i < 500; ++i) {
-    uint64_t a = rng.Below(kMersenne61);
-    uint64_t x = rng.Below(kMersenne61);
-    uint64_t b = rng.Below(kMersenne61);
-    unsigned __int128 expect =
-        (static_cast<unsigned __int128>(a) * x + b) %
-        static_cast<unsigned __int128>(kMersenne61);
-    EXPECT_EQ(MulAddMod61(a, x, b), static_cast<uint64_t>(expect));
-  }
-}
-
-TEST(PairwiseTest, OutputBelowPrime) {
-  Rng rng(4);
-  PairwiseHash h = PairwiseHash::Draw(&rng);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_LT(h.Eval(rng.Next()), kMersenne61);
-  }
-}
-
-TEST(PairwiseTest, EvalBitsMasksCorrectly) {
-  Rng rng(5);
-  PairwiseHash h = PairwiseHash::Draw(&rng);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_LT(h.EvalBits(rng.Next(), 10), 1u << 10);
-  }
-}
-
-TEST(PairwiseTest, PairwiseCollisionRateNearUniform) {
-  // For a pairwise-independent family into b bits, Pr[h(x)=h(y)] ~ 2^-b.
-  Rng rng(6);
-  const int kBits = 12;
-  const int kPairs = 40000;
-  int collisions = 0;
-  for (int t = 0; t < kPairs; ++t) {
-    PairwiseHash h = PairwiseHash::Draw(&rng);
-    collisions += (h.EvalBits(static_cast<uint64_t>(2 * t), kBits) ==
-                   h.EvalBits(static_cast<uint64_t>(2 * t + 1), kBits));
-  }
-  double expected = kPairs / 4096.0;
-  EXPECT_NEAR(collisions, expected, 4 * std::sqrt(expected) + 3);
-}
-
 TEST(PairwiseVectorTest, DeterministicAndPrefixSensitive) {
   Rng rng(7);
   PairwiseVectorHash h = PairwiseVectorHash::Draw(&rng);

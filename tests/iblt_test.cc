@@ -106,11 +106,11 @@ TEST(IbltTest, SubtractComputesDifference) {
   }
   for (uint64_t k : alice_only) alice.Insert(k);
   for (uint64_t k : bob_only) bob.Insert(k);
-  ASSERT_TRUE(alice.SubtractInPlace(bob).ok());
-  IbltDecodeResult result = alice.Decode();
-  ASSERT_TRUE(result.complete);
+  auto result = alice.DecodeDiff(bob);
+  ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(result->complete);
   std::set<uint64_t> plus, minus;
-  for (const auto& e : result.entries) {
+  for (const auto& e : result->entries) {
     (e.count > 0 ? plus : minus).insert(e.key);
   }
   EXPECT_EQ(plus, std::set<uint64_t>(alice_only.begin(), alice_only.end()));
@@ -120,7 +120,7 @@ TEST(IbltTest, SubtractComputesDifference) {
 TEST(IbltTest, SubtractRejectsParameterMismatch) {
   Iblt a(MakeParams(64, 4, 0, 1));
   Iblt b(MakeParams(64, 4, 0, 2));  // different seed
-  EXPECT_FALSE(a.SubtractInPlace(b).ok());
+  EXPECT_FALSE(a.DecodeDiff(b).ok());
 }
 
 TEST(IbltTest, SerializationRoundTrip) {

@@ -1,10 +1,10 @@
 // Exhaustive scalar-vs-batch equivalence for the LSH evaluation pipeline.
 //
 // The batch paths (LshFunction::EvalCoordBatch/EvalColsBatch, EvaluateAllInto,
-// PairwiseVectorHash::EvalPrefixes/EvalBatch, PairwiseHash::EvalMany) are
-// pure re-schedulings of the scalar reference implementations: every bucket
-// id, prefix key, and protocol transcript must be bit-identical for every
-// family, seed, stride, and thread count. These tests pin that contract.
+// PairwiseVectorHash::EvalPrefixes/EvalBatch) are pure re-schedulings of the
+// scalar reference implementations: every bucket id, prefix key, and protocol
+// transcript must be bit-identical for every family, seed, stride, and thread
+// count. These tests pin that contract.
 #include <memory>
 #include <vector>
 
@@ -177,24 +177,6 @@ TEST(LshBatchTest, VectorHashEvalBatchMatchesEvalOverRows) {
         matrix.begin() +
             static_cast<std::ptrdiff_t>(i * stride + offset + len));
     EXPECT_EQ(out[i], hash.Eval(row, len)) << "row " << i;
-  }
-}
-
-TEST(LshBatchTest, PairwiseEvalManyMatchesScalar) {
-  Rng rng(6);
-  PairwiseHash hash = PairwiseHash::Draw(&rng);
-  std::vector<uint64_t> xs(257);
-  for (auto& x : xs) x = rng.Next();
-  std::vector<uint64_t> out(xs.size());
-  hash.EvalMany(xs.data(), xs.size(), out.data());
-  for (size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(out[i], hash.Eval(xs[i]));
-  }
-  for (int bits : {7, 32, 61}) {
-    hash.EvalBitsMany(xs.data(), xs.size(), bits, out.data());
-    for (size_t i = 0; i < xs.size(); ++i) {
-      ASSERT_EQ(out[i], hash.EvalBits(xs[i], bits)) << bits;
-    }
   }
 }
 

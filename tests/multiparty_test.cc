@@ -1,12 +1,9 @@
-// Tests for multi-party union reconciliation ([23] over the sum-cell RIBLT)
-// and the greedy EMD evaluator.
+// Tests for multi-party union reconciliation ([23] over the sum-cell RIBLT).
 #include <algorithm>
 
 #include <gtest/gtest.h>
 
 #include "core/multiparty.h"
-#include "emd/emd.h"
-#include "emd/greedy.h"
 #include "sketch/riblt.h"
 #include "util/random.h"
 #include "workload/generators.h"
@@ -236,47 +233,6 @@ TEST(MultiPartyTest, AdaptiveUndersizeRetriesAtTheStaticCap) {
   for (const auto& final_set : report->final_sets) {
     EXPECT_EQ(Distinct(final_set), want);
   }
-}
-
-// --------------------------------------------------------- greedy EMD --
-
-TEST(GreedyEmdTest, ZeroOnIdenticalSets) {
-  Rng rng(4);
-  PointStore x = GenerateUniformStore(30, 3, 255, &rng);
-  EXPECT_EQ(GreedyEmdUpperBound(x, x, Metric(MetricKind::kL1)), 0.0);
-}
-
-TEST(GreedyEmdTest, UpperBoundsExact) {
-  Rng rng(5);
-  Metric metric(MetricKind::kL2);
-  for (int trial = 0; trial < 40; ++trial) {
-    size_t n = 2 + rng.Below(12);
-    PointStore x = GenerateUniformStore(n, 2, 255, &rng);
-    PointStore y = GenerateUniformStore(n, 2, 255, &rng);
-    double exact = EmdExact(x, y, metric);
-    double greedy = GreedyEmdUpperBound(x, y, metric);
-    EXPECT_GE(greedy, exact - 1e-9) << "trial " << trial;
-  }
-}
-
-TEST(GreedyEmdTest, TightOnWellSeparatedMatchings) {
-  // When each x has a unique nearby partner, greedy finds the optimum.
-  Rng rng(6);
-  NoisyPairConfig config;
-  config.metric = MetricKind::kL2;
-  config.dim = 2;
-  config.delta = 4095;
-  config.n = 30;
-  config.outliers = 0;
-  config.noise = 1.0;
-  config.seed = 12;
-  auto workload = GenerateNoisyPairStore(config);
-  ASSERT_TRUE(workload.ok());
-  Metric metric(MetricKind::kL2);
-  double exact = EmdExact(workload->alice, workload->bob, metric);
-  double greedy = GreedyEmdUpperBound(workload->alice, workload->bob, metric);
-  EXPECT_LE(greedy, exact * 1.5 + 1.0);
-  (void)rng;
 }
 
 }  // namespace

@@ -163,10 +163,10 @@ TEST(SketchAlgebraTest, IbltSelfSubtractionIsEmpty) {
   Rng rng(6);
   for (int i = 0; i < 30; ++i) a.Insert(rng.Next());
   Iblt b = a;
-  ASSERT_TRUE(a.SubtractInPlace(b).ok());
-  IbltDecodeResult result = a.Decode();
-  EXPECT_TRUE(result.complete);
-  EXPECT_TRUE(result.entries.empty());
+  auto result = a.DecodeDiff(b);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->complete);
+  EXPECT_TRUE(result->entries.empty());
 }
 
 TEST(SketchAlgebraTest, IbltInterleavingOrderIrrelevant) {

@@ -225,15 +225,6 @@ TEST(SerializeTest, ZigzagIsCompactNearZero) {
   EXPECT_EQ(w.size_bytes(), 2u);
 }
 
-TEST(SerializeTest, DoubleRoundTrip) {
-  std::vector<double> values = {0.0, -0.0, 1.5, -3.25, 1e300, -1e-300,
-                                std::numeric_limits<double>::infinity()};
-  ByteWriter w;
-  for (double v : values) w.PutDouble(v);
-  ByteReader r(w.buffer());
-  for (double v : values) EXPECT_EQ(r.GetDouble(), v);
-}
-
 TEST(SerializeTest, BytesRoundTrip) {
   std::vector<uint8_t> payload = {1, 2, 3, 4, 5};
   ByteWriter w;

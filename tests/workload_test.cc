@@ -166,18 +166,5 @@ TEST(NoisyPairTest, ValidatesConfig) {
   EXPECT_FALSE(GenerateNoisyPairStore(config).ok());
 }
 
-TEST(ClustersTest, ShapeAndDomain) {
-  ClusterConfig config;
-  config.dim = 3;
-  config.delta = 255;
-  config.num_clusters = 5;
-  config.points_per_cluster = 8;
-  config.spread = 3.0;
-  config.seed = 10;
-  PointStore pts = GenerateClustersStore(config);
-  EXPECT_EQ(pts.size(), 40u);
-  ValidatePointStore(pts, 3, 255);
-}
-
 }  // namespace
 }  // namespace rsr
