@@ -14,6 +14,7 @@
 #include "core/emd_protocol.h"
 #include "core/emd_sketch.h"
 #include "emd/emd.h"
+#include "hashing/hash64.h"
 #include "workload/generators.h"
 
 namespace rsr {
@@ -521,6 +522,85 @@ TEST(MultiscaleTest, CommIsSumOfIntervalMessages) {
   EXPECT_EQ(report->comm.total_bytes(), sum);
   EXPECT_EQ(report->intervals.size(),
             static_cast<size_t>(report->comm.rounds()));
+}
+
+/// Interval j of a multiscale run over [lo, hi], run directly: the
+/// per-interval salt is HashCombine(seed, 0x5ca1e000 + j).
+Result<EmdProtocolReport> DirectInterval(const PointStore& alice,
+                                         const PointStore& bob,
+                                         const EmdProtocolParams& base,
+                                         size_t j, double lo, double hi) {
+  EmdProtocolParams interval = base;
+  interval.d1 = lo;
+  interval.d2 = hi;
+  interval.seed = HashCombine(base.seed, 0x5ca1e000ULL + j);
+  return RunEmdProtocol(alice, bob, interval);
+}
+
+TEST(MultiscaleTest, EqualBoundsRunOneInterval) {
+  // d1 == d2 is the degenerate range: exactly one interval [d1, d1], run
+  // with interval 0's salt, in one round.
+  Rng rng(14);
+  PointStore pts = GenerateUniformStore(16, 2, 63, &rng);
+  MultiscaleEmdParams params;
+  params.base = BaseParams(MetricKind::kL1, 2, 63, 1, 25);
+  params.base.d1 = 8.0;
+  params.base.d2 = 8.0;
+  params.interval_ratio = 2.0;
+  auto report = RunMultiscaleEmdProtocol(pts, pts, params);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->intervals.size(), 1u);
+  EXPECT_EQ(report->comm.rounds(), 1);
+  ASSERT_FALSE(report->failure);
+  EXPECT_EQ(report->chosen_interval, 0u);
+
+  auto direct = DirectInterval(pts, pts, params.base, 0, 8.0, 8.0);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(report->intervals[0].comm.total_bytes(),
+            direct->comm.total_bytes());
+  EXPECT_EQ(report->intervals[0].level_cells, direct->level_cells);
+  EXPECT_EQ(report->s_b_prime, direct->s_b_prime);
+}
+
+TEST(MultiscaleTest, EachIntervalIsADirectRunOverItsRange) {
+  // [4, 100] at ratio 4 splits into [4, 16], [16, 64], [64, 100]; each
+  // interval's report is the direct protocol over that range and salt.
+  NoisyPairConfig config;
+  config.metric = MetricKind::kL1;
+  config.dim = 2;
+  config.delta = 255;
+  config.n = 24;
+  config.outliers = 1;
+  config.noise = 1.0;
+  config.outlier_dist = 60;
+  config.seed = 78;
+  auto workload = GenerateNoisyPairStore(config);
+  ASSERT_TRUE(workload.ok());
+
+  MultiscaleEmdParams params;
+  params.base = BaseParams(MetricKind::kL1, 2, 255, 1, 27);
+  params.base.d1 = 4.0;
+  params.base.d2 = 100.0;
+  params.interval_ratio = 4.0;
+  auto report =
+      RunMultiscaleEmdProtocol(workload->alice, workload->bob, params);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->intervals.size(), 3u);
+  double lo = params.base.d1;
+  for (size_t j = 0; j < report->intervals.size(); ++j) {
+    const double hi = std::min(lo * params.interval_ratio, params.base.d2);
+    auto direct =
+        DirectInterval(workload->alice, workload->bob, params.base, j, lo, hi);
+    ASSERT_TRUE(direct.ok()) << "interval " << j;
+    const EmdProtocolReport& sub = report->intervals[j];
+    EXPECT_EQ(sub.failure, direct->failure) << "interval " << j;
+    EXPECT_EQ(sub.decoded_level, direct->decoded_level) << "interval " << j;
+    EXPECT_EQ(sub.level_cells, direct->level_cells) << "interval " << j;
+    EXPECT_EQ(sub.comm.total_bytes(), direct->comm.total_bytes())
+        << "interval " << j;
+    EXPECT_EQ(sub.s_b_prime, direct->s_b_prime) << "interval " << j;
+    lo *= params.interval_ratio;
+  }
 }
 
 // ---- Output assembly allocations --

@@ -199,6 +199,45 @@ TEST(EmdTest, SymmetricInArguments) {
   EXPECT_NEAR(EmdExact(x, y, metric), EmdExact(y, x, metric), 1e-9);
 }
 
+TEST(EmdTest, ExactIsAtMostAnyMatchingCost) {
+  // EMD is the minimum over perfect matchings: the identity pairing and
+  // random pairings can only cost as much or more.
+  Rng rng(15);
+  Metric metric(MetricKind::kL2);
+  for (int trial = 0; trial < 30; ++trial) {
+    const size_t n = 2 + rng.Below(10);
+    PointStore x = GenerateUniformStore(n, 2, 255, &rng);
+    PointStore y = GenerateUniformStore(n, 2, 255, &rng);
+    const double exact = EmdExact(x, y, metric);
+    std::vector<size_t> perm(n);
+    std::iota(perm.begin(), perm.end(), size_t{0});
+    for (int shuffle = 0; shuffle < 5; ++shuffle) {
+      double cost = 0;
+      for (size_t i = 0; i < n; ++i) cost += metric.Distance(x[i], y[perm[i]]);
+      EXPECT_LE(exact, cost + 1e-9) << "trial " << trial;
+      for (size_t i = n - 1; i > 0; --i) {
+        std::swap(perm[i], perm[rng.Below(i + 1)]);
+      }
+    }
+  }
+}
+
+TEST(EmdTest, TriangleInequality) {
+  Rng rng(16);
+  for (MetricKind kind : {MetricKind::kL1, MetricKind::kL2}) {
+    Metric metric(kind);
+    for (int trial = 0; trial < 20; ++trial) {
+      const size_t n = 1 + rng.Below(8);
+      PointStore x = GenerateUniformStore(n, 3, 63, &rng);
+      PointStore y = GenerateUniformStore(n, 3, 63, &rng);
+      PointStore z = GenerateUniformStore(n, 3, 63, &rng);
+      EXPECT_LE(EmdExact(x, z, metric),
+                EmdExact(x, y, metric) + EmdExact(y, z, metric) + 1e-9)
+          << "trial " << trial;
+    }
+  }
+}
+
 TEST(EmdKTest, ZeroKEqualsEmd) {
   Rng rng(9);
   PointStore x = GenerateUniformStore(7, 2, 30, &rng);

@@ -169,6 +169,22 @@ TEST(RibltFoldTest, FoldedTableDecodesTheDifference) {
   EXPECT_EQ(from_fold->deleted_keys.size(), bob_only.size());
 }
 
+TEST(RibltFoldTest, FoldIntoOverwritesAStaleTarget) {
+  // FoldEmdSketches reuses its scratch tables across sessions: a fold must
+  // replace the target's cells, not add to what an earlier fold left there.
+  const RibltWorkload first = MakeWorkload(30, 30, 51);
+  const RibltWorkload second = MakeWorkload(25, 35, 52);
+  Riblt cap_first(MakeRibltParams(288)), cap_second(MakeRibltParams(288));
+  first.ApplyTo(&cap_first);
+  second.ApplyTo(&cap_second);
+  Riblt dst(MakeRibltParams(72));
+  ASSERT_TRUE(cap_first.FoldInto(&dst).ok());
+  ASSERT_TRUE(cap_second.FoldInto(&dst).ok());
+  Riblt cold(MakeRibltParams(72));
+  second.ApplyTo(&cold);
+  EXPECT_EQ(Bytes(dst), Bytes(cold));
+}
+
 TEST(RibltFoldTest, WarmFoldIntoPerformsZeroAllocations) {
   const RibltWorkload workload = MakeWorkload(40, 40, 61);
   Riblt cap(MakeRibltParams(288));

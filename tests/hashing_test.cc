@@ -87,6 +87,39 @@ TEST(PairwiseTest, Mod61ExactBelow2To125) {
   }
 }
 
+TEST(PairwiseTest, OutputBelowPrime) {
+  // The vector family reduces mod p = 2^61 - 1: every key is a canonical
+  // residue, including for entries >= p.
+  Rng rng(4);
+  PairwiseVectorHash h = PairwiseVectorHash::Draw(&rng);
+  for (int i = 0; i < 1000; ++i) {
+    std::vector<uint64_t> v(1 + rng.Below(8));
+    for (uint64_t& x : v) x = rng.Below(3) == 0 ? ~uint64_t{0} : rng.Next();
+    EXPECT_LT(h.Eval(v), kMersenne61);
+    EXPECT_LT(h.Eval(v, rng.Below(v.size() + 1)), kMersenne61);
+  }
+}
+
+TEST(PairwiseTest, PairwiseCollisionRateNearUniform) {
+  // For a pairwise-independent family, two fixed distinct vectors agree on
+  // b low key bits with probability ~2^-b over the draw.
+  Rng rng(6);
+  const int kBits = 12;
+  const uint64_t kMask = (uint64_t{1} << kBits) - 1;
+  const int kPairs = 40000;
+  int collisions = 0;
+  for (int t = 0; t < kPairs; ++t) {
+    PairwiseVectorHash h = PairwiseVectorHash::Draw(&rng);
+    const std::vector<uint64_t> u = {static_cast<uint64_t>(t), 7,
+                                     static_cast<uint64_t>(2 * t)};
+    const std::vector<uint64_t> v = {static_cast<uint64_t>(t), 8,
+                                     static_cast<uint64_t>(2 * t)};
+    collisions += ((h.Eval(u) & kMask) == (h.Eval(v) & kMask));
+  }
+  double expected = kPairs / 4096.0;
+  EXPECT_NEAR(collisions, expected, 4 * std::sqrt(expected) + 3);
+}
+
 TEST(PairwiseVectorTest, DeterministicAndPrefixSensitive) {
   Rng rng(7);
   PairwiseVectorHash h = PairwiseVectorHash::Draw(&rng);

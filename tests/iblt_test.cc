@@ -123,6 +123,91 @@ TEST(IbltTest, SubtractRejectsParameterMismatch) {
   EXPECT_FALSE(a.DecodeDiff(b).ok());
 }
 
+TEST(IbltTest, DecodeDiffRejectsEveryParameterMismatch) {
+  const IbltParams base = MakeParams(64, 4, 2);
+  Iblt a(base);
+  IbltParams cells = base, hashes = base, value_size = base, checksum = base;
+  cells.num_cells = 128;
+  hashes.num_hashes = 3;
+  value_size.value_size = 3;
+  checksum.checksum_bytes = base.checksum_bytes == 4 ? 2 : 4;
+  for (const IbltParams& other : {cells, hashes, value_size, checksum}) {
+    EXPECT_FALSE(a.DecodeDiff(Iblt(other)).ok());
+  }
+  EXPECT_TRUE(a.DecodeDiff(Iblt(base)).ok());
+}
+
+/// Decoded entries as key -> (count, value), independent of peel order.
+std::map<uint64_t, std::pair<int64_t, std::vector<uint8_t>>> EntryMap(
+    const IbltDecodeResult& result) {
+  std::map<uint64_t, std::pair<int64_t, std::vector<uint8_t>>> out;
+  for (const auto& e : result.entries) out[e.key] = {e.count, e.value};
+  return out;
+}
+
+TEST(IbltTest, DecodeDiffIsAntisymmetric) {
+  IbltParams params = MakeParams(96);
+  Iblt alice(params), bob(params);
+  Rng rng(5);
+  for (int i = 0; i < 60; ++i) {
+    const uint64_t key = rng.Next();
+    alice.Insert(key);
+    bob.Insert(key);
+  }
+  for (int i = 0; i < 6; ++i) alice.Insert(rng.Next());
+  for (int i = 0; i < 4; ++i) bob.Insert(rng.Next());
+  auto ab = alice.DecodeDiff(bob);
+  auto ba = bob.DecodeDiff(alice);
+  ASSERT_TRUE(ab.ok());
+  ASSERT_TRUE(ba.ok());
+  ASSERT_TRUE(ab->complete);
+  ASSERT_TRUE(ba->complete);
+  auto flipped = EntryMap(*ba);
+  for (auto& [key, entry] : flipped) entry.first = -entry.first;
+  EXPECT_EQ(EntryMap(*ab), flipped);
+  EXPECT_EQ(ab->entries.size(), 10u);
+}
+
+TEST(IbltTest, DecodeDiffMatchesOneTableHoldingBothSides) {
+  // A - B peeled across two tables equals one table that inserts A's
+  // key-value pairs and deletes B's: the same entries, counts and values.
+  IbltParams params = MakeParams(96, 4, 5);
+  Iblt alice(params), bob(params), both(params);
+  Rng rng(6);
+  auto value_of = [](uint64_t key) {
+    std::vector<uint8_t> value(5);
+    for (size_t i = 0; i < value.size(); ++i) {
+      value[i] = static_cast<uint8_t>(key >> (8 * i));
+    }
+    return value;
+  };
+  for (int i = 0; i < 50; ++i) {
+    const uint64_t key = rng.Next();
+    alice.InsertKv(key, value_of(key));
+    bob.InsertKv(key, value_of(key));
+    both.InsertKv(key, value_of(key));
+    both.DeleteKv(key, value_of(key));
+  }
+  for (int i = 0; i < 5; ++i) {
+    const uint64_t key = rng.Next();
+    alice.InsertKv(key, value_of(key));
+    both.InsertKv(key, value_of(key));
+  }
+  for (int i = 0; i < 5; ++i) {
+    const uint64_t key = rng.Next();
+    bob.InsertKv(key, value_of(key));
+    both.DeleteKv(key, value_of(key));
+  }
+  auto diff = alice.DecodeDiff(bob);
+  ASSERT_TRUE(diff.ok());
+  ASSERT_TRUE(diff->complete);
+  IbltDecodeResult single = both.Decode();
+  ASSERT_TRUE(single.complete);
+  EXPECT_EQ(EntryMap(*diff), EntryMap(single));
+  EXPECT_EQ(diff->entries.size(), 10u);
+  for (const auto& e : diff->entries) EXPECT_EQ(e.value, value_of(e.key));
+}
+
 TEST(IbltTest, SerializationRoundTrip) {
   IbltParams params = MakeParams(48, 3, 2);
   Iblt table(params);

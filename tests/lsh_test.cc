@@ -238,6 +238,51 @@ TEST(OneSidedGridTest, L2CellWidthUsesSqrtD) {
   EXPECT_DOUBLE_EQ(family.cell_width(), 5.0);
 }
 
+TEST(OneSidedGridTest, L2NeverCollidesBeyondR2) {
+  // The cell diameter under l2 is w sqrt(d) = r2, so p2 = 0 holds for l2 too.
+  const size_t d = 4;
+  const double r2 = 24.0;
+  OneSidedGridFamily family(d, r2, 2);
+  Rng rng(58);
+  int far_pairs = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    Point x = UniformPoint(d, 40, &rng);
+    Point y = UniformPoint(d, 40, &rng);
+    if (L2Distance(x, y) <= r2) continue;
+    ++far_pairs;
+    for (int draw = 0; draw < 50; ++draw) {
+      auto h = family.Draw(&rng);
+      ASSERT_NE(h->Eval(x), h->Eval(y))
+          << "far points collided: " << x.ToString() << " " << y.ToString();
+    }
+  }
+  EXPECT_GT(far_pairs, 0);
+}
+
+TEST(OneSidedGridTest, DrawIsTheGridFunctionAtCellWidth) {
+  // Same stream in, same function out: the one-sided family draws the
+  // shifted grid of Lemma 2.4 at width r2 / d^{1/p}, consuming the same
+  // randomness, so the low-dim Gap transcripts depend only on that grid.
+  for (int p_exponent : {1, 2}) {
+    const size_t d = 3;
+    OneSidedGridFamily one_sided(d, 27.0, p_exponent);
+    GridFamily grid(d, one_sided.cell_width());
+    const uint64_t seed = 59 + static_cast<uint64_t>(p_exponent);
+    Rng rng_a(seed), rng_b(seed);
+    Rng points(61);
+    for (int draw = 0; draw < 20; ++draw) {
+      auto h_a = one_sided.Draw(&rng_a);
+      auto h_b = grid.Draw(&rng_b);
+      for (int i = 0; i < 25; ++i) {
+        Point x = UniformPoint(d, 1000, &points);
+        ASSERT_EQ(h_a->Eval(x), h_b->Eval(x))
+            << "p " << p_exponent << " draw " << draw;
+      }
+    }
+    EXPECT_EQ(rng_a.Next(), rng_b.Next()) << "p " << p_exponent;
+  }
+}
+
 // ---------------------------------------------------------------- Utils --
 
 TEST(MlshFactoryTest, PicksFamilyByMetric) {

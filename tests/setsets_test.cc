@@ -64,6 +64,32 @@ TEST(SetHashTest, OrderPermutationRecoverable) {
   EXPECT_EQ(order, (std::vector<size_t>{1, 2, 0}));
 }
 
+TEST(SetHashTest, CanonicalSaltingNumbersEachRunFromZero) {
+  // Sorted order is {1,2} x2, {5,6} x3; each run of equal sets salts its
+  // copies with occurrences 0, 1, ... independently of the other runs.
+  std::vector<SlottedSet> sets = {{5, 6}, {1, 2}, {5, 6}, {1, 2}, {5, 6}};
+  auto sigs = CanonicalSaltedSignatures(sets, 3, nullptr);
+  const uint64_t low = SetSignature(SlottedSet{1, 2}, 3);
+  const uint64_t high = SetSignature(SlottedSet{5, 6}, 3);
+  EXPECT_EQ(sigs, (std::vector<uint64_t>{
+                      SaltedSignature(low, 0), SaltedSignature(low, 1),
+                      SaltedSignature(high, 0), SaltedSignature(high, 1),
+                      SaltedSignature(high, 2)}));
+}
+
+TEST(SetHashTest, OccurrenceIsHashedAtFullWidth) {
+  // No bits of the occurrence are dropped: occurrences that agree in their
+  // low 16 or 32 bits still salt to different signatures.
+  const uint64_t sig = SetSignature(SlottedSet{7, 8}, 3);
+  for (uint64_t occ : {uint64_t{0}, uint64_t{1}, uint64_t{65535}}) {
+    EXPECT_NE(SaltedSignature(sig, occ), SaltedSignature(sig, occ + 65536));
+    EXPECT_NE(SaltedSignature(sig, occ),
+              SaltedSignature(sig, occ + (uint64_t{1} << 32)));
+    EXPECT_NE(SaltedSignature(sig, occ),
+              SaltedSignature(sig, occ + (uint64_t{1} << 63)));
+  }
+}
+
 TEST(SetHashTest, FingerprintWidth) {
   uint32_t fp = ElementFingerprint(1, 2, 3, 8);
   EXPECT_LT(fp, 256u);

@@ -190,6 +190,17 @@ TEST(SerializeTest, FixedWidthRoundTrip) {
   EXPECT_TRUE(r.FinishAndCheckConsumed().ok());
 }
 
+TEST(SerializeTest, FixedWidthIsLittleEndian) {
+  // The wire's fixed-width fields are little-endian on every host.
+  ByteWriter w;
+  w.PutU16(0x0102);
+  w.PutU32(0x03040506);
+  w.PutU64(0x0708090a0b0c0d0eULL);
+  EXPECT_EQ(w.buffer(),
+            (std::vector<uint8_t>{0x02, 0x01, 0x06, 0x05, 0x04, 0x03, 0x0e,
+                                  0x0d, 0x0c, 0x0b, 0x0a, 0x09, 0x08, 0x07}));
+}
+
 TEST(SerializeTest, VarintRoundTripBoundaries) {
   std::vector<uint64_t> values = {0,    1,    127,  128,   16383, 16384,
                                   1u << 30, ~uint64_t{0}, 300, 1234567890123ULL};

@@ -29,6 +29,13 @@ TEST(GenerateUniformTest, CoversDomainEdges) {
   EXPECT_TRUE(saw_max);
 }
 
+TEST(GenerateUniformTest, DeterministicBySeed) {
+  Rng a(3), b(3), c(4);
+  PointStore first = GenerateUniformStore(64, 3, 1023, &a);
+  EXPECT_EQ(first, GenerateUniformStore(64, 3, 1023, &b));
+  EXPECT_FALSE(first == GenerateUniformStore(64, 3, 1023, &c));
+}
+
 class PerturbTest : public ::testing::TestWithParam<MetricKind> {};
 
 TEST_P(PerturbTest, StaysWithinRadiusAndDomain) {
