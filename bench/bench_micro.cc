@@ -12,6 +12,7 @@
 #include "core/sync_dataset.h"
 #include "core/sync_server.h"
 #include "emd/emd.h"
+#include "emd/repair_kernels.h"
 #include "hashing/hash64.h"
 #include "lsh/batch_kernels.h"
 #include "hashing/kindependent.h"
@@ -525,25 +526,66 @@ void BM_EmdKAll(benchmark::State& state) {
 }
 BENCHMARK(BM_EmdKAll)->Arg(32)->Arg(64);
 
-void BM_RepairMatch(benchmark::State& state) {
-  // Algorithm 1's repair step at the emd_large_diff / serve_churn shapes:
-  // the decoded X_B (rows, copies of S_B points as in a real exchange)
-  // matched at minimum l2 cost into all of S_B (cols), dim 16.
+/// Algorithm 1's repair inputs at the emd_large_diff / serve_churn shapes:
+/// the decoded X_B (rows, copies of S_B points as in a real exchange) and
+/// all of S_B (cols), dim 16, both drawn from seed 18.
+struct RepairInputs {
+  PointStore s_b;
+  PointStore x_b;
+};
+
+RepairInputs MakeRepairInputs(const benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
   const size_t cols = static_cast<size_t>(state.range(1));
   Rng rng(18);
-  PointStore s_b = GenerateUniformStore(cols, 16, 1023, &rng);
-  PointStore x_b(16);
-  for (size_t r = 0; r < rows; ++r) x_b.Append(s_b[rng.Below(cols)]);
+  RepairInputs in{GenerateUniformStore(cols, 16, 1023, &rng), PointStore(16)};
+  for (size_t r = 0; r < rows; ++r) in.x_b.Append(in.s_b[rng.Below(cols)]);
+  return in;
+}
+
+void BM_RepairMatch(benchmark::State& state) {
+  // The whole repair step: the l2 distance matrix, then the matching.
+  const RepairInputs in = MakeRepairInputs(state);
   Metric metric(MetricKind::kL2);
   for (auto _ : state) {
     AssignmentResult assignment =
-        MinCostAssignment(DistanceMatrix(x_b, s_b, metric));
+        MinCostAssignment(DistanceMatrix(in.x_b, in.s_b, metric));
     benchmark::DoNotOptimize(assignment.row_to_col.data());
     benchmark::DoNotOptimize(assignment.cost);
   }
 }
 BENCHMARK(BM_RepairMatch)
+    ->Args({256, 8192})
+    ->Args({48, 32768})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_DistanceMatrix(benchmark::State& state) {
+  // The repair's first half alone.
+  const RepairInputs in = MakeRepairInputs(state);
+  Metric metric(MetricKind::kL2);
+  for (auto _ : state) {
+    CostMatrix cost = DistanceMatrix(in.x_b, in.s_b, metric);
+    benchmark::DoNotOptimize(cost.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DistanceMatrix)
+    ->Args({256, 8192})
+    ->Args({48, 32768})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_MinCostAssignment(benchmark::State& state) {
+  // The repair's second half alone, on the matrix the first half builds.
+  const RepairInputs in = MakeRepairInputs(state);
+  const CostMatrix cost =
+      DistanceMatrix(in.x_b, in.s_b, Metric(MetricKind::kL2));
+  for (auto _ : state) {
+    AssignmentResult assignment = MinCostAssignment(cost);
+    benchmark::DoNotOptimize(assignment.row_to_col.data());
+    benchmark::DoNotOptimize(assignment.cost);
+  }
+}
+BENCHMARK(BM_MinCostAssignment)
     ->Args({256, 8192})
     ->Args({48, 32768})
     ->Unit(benchmark::kMillisecond);
@@ -812,6 +854,9 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("rsr_cpu_features", rsr::CpuFeatureString());
   benchmark::AddCustomContext("rsr_dispatch",
                               rsr::lsh_internal::ActiveBatchKernelName());
+  benchmark::AddCustomContext(
+      "rsr_repair_dispatch",
+      rsr::emd_internal::RepairArmName(rsr::emd_internal::ActiveRepairArm()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

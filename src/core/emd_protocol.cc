@@ -121,7 +121,10 @@ Result<EmdProtocolReport> EmdReceiver::Reconcile(
     Status decode_status =
         table.DecodeInto(max_pairs, max_per_side, &bob_coins, &decoded);
     EmdLevelOutcome& outcome = report.levels[level - 1];
-    if (decode_status.ok()) {
+    // Bob's deletions are his own points, so an honest level decodes at most
+    // n of them. More (a forged message, possible when 2k > n) leave X_B no
+    // matching into S_B: the level counts as not decoded.
+    if (decode_status.ok() && decoded.deleted.size() <= n) {
       outcome.decoded = true;
       outcome.pairs_alice = decoded.inserted.size();
       outcome.pairs_bob = decoded.deleted.size();

@@ -1,17 +1,56 @@
 #include "emd/assignment.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
+#include "emd/repair_kernels.h"
+#include "util/cpu_features.h"
 #include "util/logging.h"
 
 namespace rsr {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The scalar scan of columns [begin, end), continuing from *best: the
+/// reference's loop body with the previous scan's minv[j] -= delta folded
+/// into the read of minv[j].
+void ScanColumns(const emd_internal::HungarianScan& s, size_t begin,
+                 size_t end, emd_internal::ScanMin* best) {
+  for (size_t j = begin; j < end; ++j) {
+    if (s.used[j]) continue;
+    const double cur = s.cost_row[j - 1] - s.u_i0 - s.v[j];
+    double m = s.first ? kInf : s.minv[j] - s.pending;
+    if (cur < m) {
+      m = cur;
+      s.way[j] = s.j0;
+    }
+    s.minv[j] = m;
+    if (m < best->delta) {
+      best->delta = m;
+      best->j1 = j;
+    }
+  }
+}
+
 }  // namespace
 
-AssignmentResult MinCostAssignment(const CostMatrix& cost) {
+namespace emd_internal {
+
+RepairArm ActiveRepairArm() {
+  static const RepairArm arm =
+      kAvx2RepairKernelsCompiled && CpuSupportsAvx2() && !ForceScalarKernels()
+          ? RepairArm::kAvx2
+          : RepairArm::kScalar;
+  return arm;
+}
+
+const char* RepairArmName(RepairArm arm) {
+  return arm == RepairArm::kAvx2 ? "avx2" : "scalar";
+}
+
+AssignmentResult MinCostAssignmentOn(RepairArm arm, const CostMatrix& cost) {
   size_t rows = cost.size();
   RSR_CHECK(rows >= 1);
   size_t cols = cost[0].size();
@@ -22,45 +61,42 @@ AssignmentResult MinCostAssignment(const CostMatrix& cost) {
   std::vector<double> u(rows + 1, 0.0), v(cols + 1, 0.0);
   std::vector<size_t> match_col(cols + 1, 0);  // col -> row (0 = unmatched)
   std::vector<size_t> way(cols + 1, 0);
-  // Per-row search state, reset for each row instead of reallocated.
+  // Per-row search state. minv needs no reset: a row's first scan does not
+  // read it. `used` is cleared through `tree`, the row's used columns.
   std::vector<double> minv(cols + 1);
-  std::vector<char> used(cols + 1);
+  std::vector<int64_t> used(cols + 1, 0);
+  std::vector<size_t> tree;
+  tree.reserve(rows + 1);
 
   for (size_t i = 1; i <= rows; ++i) {
     match_col[0] = i;
     size_t j0 = 0;
-    std::fill(minv.begin(), minv.end(), kInf);
-    std::fill(used.begin(), used.end(), 0);
+    double pending = 0.0;
+    bool first = true;
     do {
-      used[j0] = 1;
+      used[j0] = -1;
+      tree.push_back(j0);
       const size_t i0 = match_col[j0];
-      // The scan reads one cost row and one row potential throughout.
-      const double* cost_row = cost[i0 - 1].data();
-      const double u_i0 = u[i0];
-      size_t j1 = 0;
-      double delta = kInf;
-      for (size_t j = 1; j <= cols; ++j) {
-        if (used[j]) continue;
-        double cur = cost_row[j - 1] - u_i0 - v[j];
-        if (cur < minv[j]) {
-          minv[j] = cur;
-          way[j] = j0;
-        }
-        if (minv[j] < delta) {
-          delta = minv[j];
-          j1 = j;
-        }
+      const HungarianScan scan{cost[i0 - 1].data(), u[i0], pending, first,
+                               j0, used.data(), v.data(), minv.data(),
+                               way.data()};
+      ScanMin best{kInf, 0};
+      size_t j = 1;
+      if (arm == RepairArm::kAvx2) j = ScanColumnsAvx2(scan, cols + 1, &best);
+      ScanColumns(scan, j, cols + 1, &best);
+      // Each tree column holds a different row, so the order is free.
+      for (size_t t : tree) {
+        u[match_col[t]] += best.delta;
+        v[t] -= best.delta;
       }
-      for (size_t j = 0; j <= cols; ++j) {
-        if (used[j]) {
-          u[match_col[j]] += delta;
-          v[j] -= delta;
-        } else {
-          minv[j] -= delta;
-        }
-      }
-      j0 = j1;
+      // The unused minv[j] -= delta waits for the next scan, and a row's
+      // last scan needs none.
+      pending = best.delta;
+      first = false;
+      j0 = best.j1;
     } while (match_col[j0] != 0);
+    for (size_t t : tree) used[t] = 0;
+    tree.clear();
     do {
       size_t j1 = way[j0];
       match_col[j0] = match_col[j1];
@@ -80,6 +116,13 @@ AssignmentResult MinCostAssignment(const CostMatrix& cost) {
     result.cost += cost[r][static_cast<size_t>(result.row_to_col[r])];
   }
   return result;
+}
+
+}  // namespace emd_internal
+
+AssignmentResult MinCostAssignment(const CostMatrix& cost) {
+  return emd_internal::MinCostAssignmentOn(emd_internal::ActiveRepairArm(),
+                                           cost);
 }
 
 PartialMatchingResult MinCostPartialCosts(const CostMatrix& cost) {

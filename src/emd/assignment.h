@@ -33,7 +33,15 @@ struct AssignmentResult {
 /// Arithmetic contract: the e-maxx Hungarian with potentials u (rows) and
 /// v (columns). Rows are inserted in index order; each scan computes the
 /// reduced cost as (cost[i0][j] - u[i0]) - v[j] in that order, and among
-/// equal minima the lowest column index wins (strict `<`). The result,
+/// equal minima the lowest column index wins (strict `<`), its minv being
+/// the delta. Every u, v and minv value is the e-maxx one: the potentials
+/// are updated over the row's tree columns only (each holds a different
+/// row, so order is free), and the e-maxx minv[j] -= delta of the unused
+/// columns is done by the next scan as it reads minv[j] (a row's last scan
+/// has no next). The AVX2 arm (emd/repair_kernels.h) scans 4 columns per
+/// vector, each lane keeping its minimum and the lowest column reaching
+/// it, and takes delta from the lowest such column among the lanes, so
+/// both arms pick the same column and the same double. The result,
 /// including which of several optimal matchings is returned, is a
 /// deterministic function of the matrix, and `cost` is the sum of the
 /// matched entries in row order. Scratch is O(cols) per call.

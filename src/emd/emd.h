@@ -19,15 +19,20 @@ namespace rsr {
 /// Builds the dense distance matrix cost[i][j] = f(x_i, y_j).
 ///
 /// Arithmetic contract: every entry is bit-identical to
-/// metric.Distance(x.row(i), y.row(j), dim), for every input. Each row of x is
-/// computed against blocks of 8 rows of y with 8 independent accumulators
-/// (the tail columns one at a time), and each pair runs the row kernel's
-/// exact operations in coordinate order: l2 takes the int64 difference,
-/// converts it to double, squares and adds it to a double sum starting at
-/// 0.0, then takes sqrt; l1 sums |int64 difference| and Hamming counts
+/// metric.Distance(x.row(i), y.row(j), dim), for every input and on either
+/// kernel arm (emd/repair_kernels.h). Each pair runs the row kernel's exact
+/// operations in coordinate order: l2 takes the int64 difference, converts
+/// it to the nearest double, squares and adds it to a double sum starting
+/// at 0.0, then takes sqrt; l1 sums |int64 difference| and Hamming counts
 /// unequal coordinates, both in exact integer arithmetic (an l1 sum past
-/// 2^63 wraps modulo 2^64) converted to double once. There is one code
-/// path per metric; no input range selects another.
+/// 2^63 wraps modulo 2^64) converted to double once. The scalar arm runs
+/// each row of x against blocks of 8 rows of y with 8 independent
+/// accumulators. The AVX2 arm transposes each block of 8 rows of y once and
+/// runs every row of x against it, one column per 64-bit lane; its int64 to
+/// double conversion splits the value into exact high and low doubles and
+/// rounds once, as cvtsi2sd does, for every int64. Columns past the last
+/// full block take the scalar loop on both arms. Neither arm has a second
+/// path that some input range selects.
 CostMatrix DistanceMatrix(const PointStore& x, const PointStore& y,
                           const Metric& metric);
 

@@ -7,8 +7,8 @@
 // runtime (util/cpu_features.h) — except the bit-identity tests, which pin
 // scalar == AVX2 on every family regardless of the dispatch decision.
 //
-// The definitions live in batch_kernels_avx2.cc, the one translation unit
-// CMake compiles with -mavx2 (and -ffp-contract=off, so no multiply-add is
+// The definitions live in batch_kernels_avx2.cc, which CMake compiles with
+// -mavx2 (and -ffp-contract=off, so no multiply-add is
 // ever contracted into an FMA the scalar reference does not perform). When
 // that TU is built without AVX2 (non-x86 target, unsupported compiler),
 // kAvx2KernelsCompiled is false and these symbols forward to the scalar

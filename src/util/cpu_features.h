@@ -1,16 +1,19 @@
 // Runtime CPU feature detection and the SIMD dispatch policy.
 //
-// The batch kernels (lsh/batch_kernels.h) ship a portable scalar reference
-// plus AVX2 implementations compiled into a separate translation unit with
-// -mavx2 (CMakeLists.txt gates that on an x86-64 GNU/Clang toolchain). One
-// binary runs everywhere: the dispatcher probes the CPU once at startup and
-// selects the widest implementation the host supports, so no part of the
-// portable build ever executes an instruction the CPU lacks.
+// Two kernel sets ship a portable scalar reference plus AVX2
+// implementations, each compiled into its own translation unit with -mavx2
+// (CMakeLists.txt gates that on an x86-64 GNU/Clang toolchain): the LSH
+// batch kernels (lsh/batch_kernels.h, lsh/batch_kernels_avx2.cc) and the
+// repair kernels (emd/repair_kernels.h, emd/repair_kernels_avx2.cc). One
+// binary runs everywhere: each dispatcher probes the CPU once and selects
+// the widest implementation the host supports, so no part of the portable
+// build ever executes an instruction the CPU lacks.
 //
-// Policy, decided once per process (thread-safe static init):
+// Policy, decided once per process and kernel set (thread-safe static init):
 //   AVX2 kernels run iff
-//     (a) the AVX2 translation unit was compiled with AVX2 enabled
-//         (lsh_internal::kAvx2KernelsCompiled),
+//     (a) that set's AVX2 translation unit was compiled with AVX2 enabled
+//         (lsh_internal::kAvx2KernelsCompiled,
+//         emd_internal::kAvx2RepairKernelsCompiled),
 //     (b) CPUID reports AVX2 support (CpuSupportsAvx2), and
 //     (c) the RSR_FORCE_SCALAR environment override is not set.
 //   Anything else falls back to the scalar reference kernels.
@@ -20,8 +23,8 @@
 // ci/build_and_test.sh). Read once, at the first dispatch decision.
 //
 // Both paths are bit-identical by construction — the AVX2 kernels preserve
-// each point's scalar operation order — so the override is a coverage and
-// debugging knob, never a correctness one.
+// each point's (or matrix column's) scalar operation order — so the
+// override is a coverage and debugging knob, never a correctness one.
 #ifndef RSR_UTIL_CPU_FEATURES_H_
 #define RSR_UTIL_CPU_FEATURES_H_
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,8 @@
 #include "core/emd_sketch.h"
 #include "emd/emd.h"
 #include "hashing/hash64.h"
+#include "sketch/riblt.h"
+#include "util/wire.h"
 #include "workload/generators.h"
 
 namespace rsr {
@@ -186,6 +189,65 @@ TEST(EmdStepTest, MessagesAloneCarryAnAdaptiveExchange) {
     EXPECT_LT(*std::min_element(stepped->level_cells.begin(),
                                 stepped->level_cells.end()),
               stepped->derived.cells);
+  }
+}
+
+// A hostile sender can subtract points from its tables. With k > n / 2 the
+// per-side decode cap 2k exceeds n, so such a message can decode more
+// deleted points than Bob has; no matching of X_B into S_B exists then, and
+// the level must count as not decoded instead of reaching the matcher.
+TEST(EmdStepTest, ForgedDeletionsBeyondNFailInsteadOfAborting) {
+  Rng rng(41);
+  const PointStore bob_points = GenerateUniformStore(4, 2, 63, &rng);
+  PointStore forged(2);
+  for (Coord c = 0; c < 6; ++c) {
+    const Coord row[2] = {100 + c, 100 - c};  // outside [0, 63]: not Bob's
+    forged.Append(row);
+  }
+  for (WireCodec codec : {WireCodec::kClassic, WireCodec::kCompact}) {
+    EmdProtocolParams params = BaseParams(MetricKind::kL1, 2, 255, 4, 42);
+    params.d1 = 1;
+    params.d2 = 16;
+    params.codec = codec;
+    auto derived = DeriveEmdParameters(params, bob_points.size());
+    ASSERT_TRUE(derived.ok());
+    const EmdHashes hashes = MakeEmdHashes(params, *derived);
+    const std::vector<size_t> prefix_lens = EmdPrefixLens(*derived);
+    const std::vector<uint64_t> bob_keys =
+        EvaluateEmdLevelKeys(bob_points, hashes, prefix_lens, 1);
+    const std::vector<uint64_t> forged_keys =
+        EvaluateEmdLevelKeys(forged, hashes, prefix_lens, 1);
+
+    // Alice's tables: Bob's own points, minus six she does not hold.
+    ByteWriter message;
+    if (codec != WireCodec::kClassic) WriteWireHeader(codec, &message);
+    size_t oversized_levels = 0;
+    for (size_t l = 0; l < derived->levels; ++l) {
+      Riblt table(EmdLevelRibltParams(params, derived->cells, l + 1));
+      table.InsertMany(std::span<const uint64_t>(bob_keys.data() + l * 4, 4),
+                       bob_points);
+      table.DeleteMany(
+          std::span<const uint64_t>(forged_keys.data() + l * 6, 6), forged);
+      table.WriteTo(&message, codec);
+      // What Bob's decode of this level yields: the six forged points.
+      Riblt diff = table;
+      diff.DeleteMany(std::span<const uint64_t>(bob_keys.data() + l * 4, 4),
+                      bob_points);
+      Rng coins(7);
+      auto decoded = diff.Decode(4 * params.k, 2 * params.k, &coins);
+      if (decoded.ok() && decoded->deleted.size() > bob_points.size()) {
+        ++oversized_levels;
+      }
+    }
+    ASSERT_GT(oversized_levels, 0u) << "the forged message must decode";
+
+    const EmdReceiver bob(bob_points, params, *derived, hashes);
+    auto report = bob.Reconcile(message.buffer());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->failure);
+    for (const EmdLevelOutcome& outcome : report->levels) {
+      EXPECT_FALSE(outcome.decoded);
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -182,11 +183,52 @@ TEST(RepairOracleTest, DistanceMatrixMatchesPerPairDistanceBitForBit) {
   }
 }
 
+/// Column counts 1-9, 15, 17, 31 and 33: below, at and past each vector
+/// width of the kernels (4-wide scans, 8-column distance blocks), so every
+/// tail length runs.
+constexpr size_t kTailColCounts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 17, 31, 33};
+
+TEST(RepairOracleTest, DistanceMatrixMatchesAtFullRangeAndEveryColumnTail) {
+  // INT64_MAX: coordinate differences span all of int64 but its minimum,
+  // so the int64 -> double conversion meets every exponent and rounds.
+  const Coord deltas[] = {std::numeric_limits<Coord>::max(), 1023};
+  const size_t dims[] = {1, 4, 16};
+  Rng rng(35);
+  for (MetricKind kind :
+       {MetricKind::kHamming, MetricKind::kL1, MetricKind::kL2}) {
+    const Metric metric(kind);
+    for (Coord delta : deltas) {
+      for (size_t dim : dims) {
+        for (size_t cols : kTailColCounts) {
+          PointStore x = ExtremeStore(3, dim, delta, &rng);
+          PointStore y = ExtremeStore(cols, dim, delta, &rng);
+          const CostMatrix cost = DistanceMatrix(x, y, metric);
+          for (size_t i = 0; i < x.size(); ++i) {
+            for (size_t j = 0; j < cols; ++j) {
+              const double want =
+                  TextbookDistance(kind, x.row(i), y.row(j), dim);
+              ASSERT_TRUE(SameBits(cost[i][j], want))
+                  << metric.Name() << " delta " << delta << " dim " << dim
+                  << " cols " << cols << " pair (" << i << ", " << j
+                  << "): " << cost[i][j] << " vs " << want;
+              ASSERT_TRUE(
+                  SameBits(want, metric.Distance(x.row(i), y.row(j), dim)));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+constexpr size_t kAssignmentColCounts[] = {1, 2, 7, 16, 33, 64};
+
 /// Compares both routines on `reps` matrices of every shape rows x cols
 /// with rows in {1, cols / 2, cols}, entries drawn by `draw`.
 template <typename Draw>
-void ExpectSameAssignments(const char* what, Draw draw) {
-  const size_t col_counts[] = {1, 2, 7, 16, 33, 64};
+void ExpectSameAssignments(
+    const char* what, Draw draw,
+    std::span<const size_t> col_counts = kAssignmentColCounts) {
   for (size_t cols : col_counts) {
     for (size_t rows : {size_t{1}, cols / 2, cols}) {
       if (rows == 0) continue;
@@ -218,6 +260,31 @@ TEST(RepairOracleTest, AssignmentMatchesReferenceOnTieHeavyMatrices) {
   Rng rng(34);
   ExpectSameAssignments("ties",
                         [&] { return static_cast<double>(rng.Below(3)); });
+}
+
+TEST(RepairOracleTest, AssignmentMatchesReferenceAtEveryColumnTail) {
+  Rng rng(36);
+  ExpectSameAssignments(
+      "real", [&] { return rng.UniformDouble() * 100.0; }, kTailColCounts);
+  ExpectSameAssignments(
+      "ties", [&] { return static_cast<double>(rng.Below(3)); },
+      kTailColCounts);
+}
+
+TEST(RepairOracleTest, AssignmentMatchesReferenceOnDuplicatedRepairRows) {
+  // The repair's shape: X_B rows are copies of S_B points. Drawing 64 rows
+  // from 16 points makes four rows compete for each zero-cost column, so
+  // rows are inserted through long augmenting paths.
+  Rng rng(37);
+  const PointStore s_b = ExtremeStore(1024, 8, 1023, &rng);
+  PointStore x_b(8);
+  for (size_t r = 0; r < 64; ++r) x_b.Append(s_b[rng.Below(16)]);
+  const CostMatrix cost = DistanceMatrix(x_b, s_b, Metric(MetricKind::kL2));
+  const AssignmentResult got = MinCostAssignment(cost);
+  const AssignmentResult want = ReferenceMinCostAssignment(cost);
+  EXPECT_EQ(got.row_to_col, want.row_to_col);
+  EXPECT_TRUE(SameBits(got.cost, want.cost))
+      << got.cost << " vs " << want.cost;
 }
 
 }  // namespace

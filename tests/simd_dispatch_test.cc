@@ -1,5 +1,6 @@
 // Runtime CPU dispatch and scalar-vs-AVX2 bit-identity for the batch
-// kernels (lsh/batch_kernels*.{h,cc}, util/cpu_features.h).
+// kernels (lsh/batch_kernels*.{h,cc}, util/cpu_features.h) and the repair
+// kernels (emd/repair_kernels*.{h,cc}).
 //
 // The AVX2 entry points are called DIRECTLY here — not through the
 // dispatcher — so the vector code is exercised even when the suite runs
@@ -8,13 +9,20 @@
 // dims {1, 3, 7, 8, 64, 65, 257, 1024}, batch sizes straddling every
 // 4/8/16-way unroll boundary, output strides > 1, the column-major pipeline
 // layout against the row-major scalar reference, and all four LSH families
-// end-to-end against the virtual Eval reference.
+// end-to-end against the virtual Eval reference. The repair arms are
+// compared the same way, each arm chosen explicitly: distance matrices at
+// every column tail up to the full int64 range, and assignments on real,
+// tie-heavy and signed-zero matrices.
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "emd/repair_kernels.h"
 #include "lsh/batch_kernels.h"
 #include "lsh/batch_kernels_avx2.h"
 #include "lsh/bit_sampling.h"
@@ -181,6 +189,140 @@ TEST(SimdDispatchTest, AllFamiliesBatchPathsMatchEvalAcrossDims) {
         got.assign(n, kSentinel);
         fn->EvalColsBatch(cols.data(), col_stride, n, dim, got.data(), 1);
         EXPECT_EQ(got, want) << family->Name() << " EvalColsBatch dim " << dim;
+      }
+    }
+  }
+}
+
+// As above, for the repair kernels' dispatch.
+TEST(SimdDispatchTest, RepairDispatchMatchesCpuAndOverride) {
+  const bool expect_avx2 = emd_internal::kAvx2RepairKernelsCompiled &&
+                           CpuSupportsAvx2() && !ForceScalarKernels();
+  EXPECT_STREQ(emd_internal::RepairArmName(emd_internal::ActiveRepairArm()),
+               expect_avx2 ? "avx2" : "scalar");
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+constexpr size_t kRepairCols[] = {1,  2,  3,  4,  5,  6,  7, 8,
+                                  9, 15, 16, 17, 31, 33, 64};
+
+/// The AVX2 repair arm runs only where the CPU has AVX2; where the TU was
+/// built without it, kAvx2 runs the scalar loops and the comparisons pass
+/// trivially.
+bool Avx2ArmRunnable() {
+  return !emd_internal::kAvx2RepairKernelsCompiled || CpuSupportsAvx2();
+}
+
+TEST(SimdDispatchTest, RepairAvx2EntryPointsCoverTheirColumns) {
+  if (!Avx2ArmRunnable()) GTEST_SKIP() << "CPU lacks AVX2";
+  const bool compiled = emd_internal::kAvx2RepairKernelsCompiled;
+  Rng rng(51);
+  for (size_t cols : kRepairCols) {
+    const PointStore x = GenerateUniformStore(2, 3, 15, &rng);
+    const PointStore y = GenerateUniformStore(cols, 3, 15, &rng);
+    CostMatrix cost(2, std::vector<double>(cols));
+    double* rows[2] = {cost[0].data(), cost[1].data()};
+    std::vector<Coord> block(emd_internal::kDistanceBlockCols * 3);
+    EXPECT_EQ(emd_internal::FillDistanceBlocksAvx2(
+                  MetricKind::kL2, x.coord_data(), 2, y.coord_data(), cols, 3,
+                  block.data(), rows),
+              compiled ? cols - cols % emd_internal::kDistanceBlockCols : 0)
+        << cols;
+
+    std::vector<double> v(cols + 1, 0.0), minv(cols + 1);
+    std::vector<int64_t> used(cols + 1, 0);
+    std::vector<size_t> way(cols + 1, 0);
+    const emd_internal::HungarianScan scan{
+        cost[0].data(), 0.0,         0.0,         true,      0,
+        used.data(),    v.data(),    minv.data(), way.data()};
+    emd_internal::ScanMin best{std::numeric_limits<double>::infinity(), 0};
+    EXPECT_EQ(emd_internal::ScanColumnsAvx2(scan, cols + 1, &best),
+              compiled ? 1 + cols - cols % 4 : 1)
+        << cols;
+  }
+}
+
+/// Coordinates from {0, delta, uniform [0, delta]}, as repair_oracle_test
+/// draws them: the extremes are the largest differences to convert.
+PointStore RepairStore(size_t n, size_t dim, Coord delta, Rng* rng) {
+  PointStore store(dim);
+  for (size_t i = 0; i < n; ++i) {
+    Coord* row = store.AppendRow();
+    for (size_t c = 0; c < dim; ++c) {
+      const uint64_t pick = rng->Below(3);
+      row[c] = pick == 0   ? 0
+               : pick == 1 ? delta
+                           : static_cast<Coord>(rng->Below(
+                                 static_cast<uint64_t>(delta) + 1));
+    }
+  }
+  return store;
+}
+
+TEST(SimdDispatchTest, RepairDistanceMatrixAvx2BitIdenticalToScalar) {
+  if (!Avx2ArmRunnable()) GTEST_SKIP() << "CPU lacks AVX2";
+  const Coord deltas[] = {1, 1023, (Coord{1} << 53) + 1,
+                          std::numeric_limits<Coord>::max()};
+  Rng rng(52);
+  for (MetricKind kind :
+       {MetricKind::kHamming, MetricKind::kL1, MetricKind::kL2}) {
+    const Metric metric(kind);
+    for (Coord delta : deltas) {
+      for (size_t dim : {size_t{1}, size_t{3}, size_t{8}, size_t{17}}) {
+        for (size_t cols : kRepairCols) {
+          const PointStore x = RepairStore(3, dim, delta, &rng);
+          const PointStore y = RepairStore(cols, dim, delta, &rng);
+          const CostMatrix want = emd_internal::DistanceMatrixOn(
+              emd_internal::RepairArm::kScalar, x, y, metric);
+          const CostMatrix got = emd_internal::DistanceMatrixOn(
+              emd_internal::RepairArm::kAvx2, x, y, metric);
+          for (size_t i = 0; i < x.size(); ++i) {
+            for (size_t j = 0; j < cols; ++j) {
+              ASSERT_TRUE(SameBits(got[i][j], want[i][j]))
+                  << metric.Name() << " delta " << delta << " dim " << dim
+                  << " cols " << cols << " pair (" << i << ", " << j
+                  << "): " << got[i][j] << " vs " << want[i][j];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdDispatchTest, RepairAssignmentAvx2IdenticalToScalar) {
+  if (!Avx2ArmRunnable()) GTEST_SKIP() << "CPU lacks AVX2";
+  Rng rng(53);
+  // Signed zeros: +0.0 and -0.0 compare equal, so the reduced costs tie
+  // across lanes and the lowest column must win in both arms.
+  const double zero_pool[] = {0.0, -0.0, 1.0, 2.0};
+  const struct {
+    const char* what;
+    std::function<double()> draw;
+  } kinds[] = {
+      {"real", [&] { return rng.UniformDouble() * 100.0; }},
+      {"ties", [&] { return static_cast<double>(rng.Below(3)); }},
+      {"signed zeros", [&] { return zero_pool[rng.Below(4)]; }},
+  };
+  for (const auto& kind : kinds) {
+    for (size_t cols : kRepairCols) {
+      for (size_t rows : {size_t{1}, (cols + 1) / 2, cols}) {
+        CostMatrix cost(rows, std::vector<double>(cols));
+        for (auto& row : cost) {
+          for (double& c : row) c = kind.draw();
+        }
+        const AssignmentResult want = emd_internal::MinCostAssignmentOn(
+            emd_internal::RepairArm::kScalar, cost);
+        const AssignmentResult got = emd_internal::MinCostAssignmentOn(
+            emd_internal::RepairArm::kAvx2, cost);
+        EXPECT_EQ(got.row_to_col, want.row_to_col)
+            << kind.what << " " << rows << "x" << cols;
+        EXPECT_TRUE(SameBits(got.cost, want.cost))
+            << kind.what << " " << rows << "x" << cols << ": " << got.cost
+            << " vs " << want.cost;
       }
     }
   }
