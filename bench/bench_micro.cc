@@ -502,6 +502,65 @@ BENCHMARK(BM_RibltFold)
     ->Arg(1 << 14)
     ->Unit(benchmark::kMicrosecond);
 
+/// The A->B message of the emd_large_diff workload: three level tables of
+/// 9216 cells (c q^2 k at c = 4, q = 3, k = 256; 27,648 cells in all), each
+/// holding all 8192 of Alice's points (dim 16, delta 1023) under random
+/// keys, as a cold adaptive build at exact sizes serves them.
+std::vector<Riblt> LargeDiffTables() {
+  RibltParams params;
+  params.num_cells = 9216;
+  params.dim = 16;
+  params.delta = 1023;
+  Rng rng(19);
+  const PointStore points = GenerateUniformStore(8192, 16, 1023, &rng);
+  std::vector<uint64_t> keys(points.size());
+  std::vector<Riblt> tables;
+  for (uint64_t level = 1; level <= 3; ++level) {
+    params.seed = level;
+    for (uint64_t& key : keys) key = rng.Next();
+    tables.emplace_back(params);
+    tables.back().InsertMany(keys, points);
+  }
+  return tables;
+}
+
+void BM_RibltCompactWriteTo(benchmark::State& state) {
+  // Alice's encode of the whole message into a reused writer.
+  const std::vector<Riblt> tables = LargeDiffTables();
+  ByteWriter out;
+  for (auto _ : state) {
+    out.Clear();
+    for (const Riblt& table : tables) {
+      table.WriteTo(&out, WireCodec::kCompact);
+    }
+    benchmark::DoNotOptimize(out.buffer().data());
+  }
+  state.counters["bytes"] = static_cast<double>(out.size_bytes());
+}
+BENCHMARK(BM_RibltCompactWriteTo)->Unit(benchmark::kMillisecond);
+
+void BM_RibltCompactReadFrom(benchmark::State& state) {
+  // Bob's parse of the same message, one fresh table per level.
+  const std::vector<Riblt> tables = LargeDiffTables();
+  ByteWriter message;
+  for (const Riblt& table : tables) {
+    table.WriteTo(&message, WireCodec::kCompact);
+  }
+  for (auto _ : state) {
+    ByteReader reader(message.buffer());
+    for (const Riblt& table : tables) {
+      auto parsed =
+          Riblt::ReadFrom(&reader, table.params(), WireCodec::kCompact);
+      if (!parsed.ok()) {
+        state.SkipWithError("message did not parse");
+        return;
+      }
+      benchmark::DoNotOptimize(parsed->params());
+    }
+  }
+}
+BENCHMARK(BM_RibltCompactReadFrom)->Unit(benchmark::kMillisecond);
+
 void BM_EmdExact(benchmark::State& state) {
   Rng rng(14);
   size_t n = static_cast<size_t>(state.range(0));
@@ -544,12 +603,12 @@ RepairInputs MakeRepairInputs(const benchmark::State& state) {
 }
 
 void BM_RepairMatch(benchmark::State& state) {
-  // The whole repair step: the l2 distance matrix, then the matching.
+  // The whole repair step as the protocol runs it: the matching, each l2
+  // cost row computed when the Hungarian scans it.
   const RepairInputs in = MakeRepairInputs(state);
   Metric metric(MetricKind::kL2);
   for (auto _ : state) {
-    AssignmentResult assignment =
-        MinCostAssignment(DistanceMatrix(in.x_b, in.s_b, metric));
+    AssignmentResult assignment = MinCostMatching(in.x_b, in.s_b, metric);
     benchmark::DoNotOptimize(assignment.row_to_col.data());
     benchmark::DoNotOptimize(assignment.cost);
   }
@@ -560,7 +619,7 @@ BENCHMARK(BM_RepairMatch)
     ->Unit(benchmark::kMillisecond);
 
 void BM_DistanceMatrix(benchmark::State& state) {
-  // The repair's first half alone.
+  // The matrix wrapper over the repair's distance rows.
   const RepairInputs in = MakeRepairInputs(state);
   Metric metric(MetricKind::kL2);
   for (auto _ : state) {
@@ -575,7 +634,7 @@ BENCHMARK(BM_DistanceMatrix)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MinCostAssignment(benchmark::State& state) {
-  // The repair's second half alone, on the matrix the first half builds.
+  // The matrix wrapper over the repair's Hungarian, on a held matrix.
   const RepairInputs in = MakeRepairInputs(state);
   const CostMatrix cost =
       DistanceMatrix(in.x_b, in.s_b, Metric(MetricKind::kL2));

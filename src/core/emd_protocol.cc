@@ -167,17 +167,25 @@ Result<EmdProtocolReport> EmdReceiver::Reconcile(
 
   std::vector<char> removed(n, 0);
   if (!x_b.empty()) {
-    // Min-cost matching of X_B (rows) into S_B (columns).
-    CostMatrix cost = DistanceMatrix(x_b, bob, metric);
-    AssignmentResult assignment = MinCostAssignment(cost);
+    // Min-cost matching of X_B (rows) into S_B (columns), one cost row at
+    // a time.
+    AssignmentResult assignment = MinCostMatching(x_b, bob, metric);
     if (x_a->size() < x_b.size()) {
       // Remove only |X_A| of the matched points so |S'_B| stays n. Keep the
       // pairs with the largest matching cost unmatched (least confident).
+      // Each matched cost is recomputed: Metric::Distance is the matching's
+      // cost entry, bit for bit (emd/emd.h).
+      std::vector<double> matched(x_b.size());
+      for (size_t r = 0; r < x_b.size(); ++r) {
+        matched[r] = metric.Distance(
+            x_b.row(r),
+            bob.row(static_cast<size_t>(assignment.row_to_col[r])),
+            bob.dim());
+      }
       std::vector<size_t> order(x_b.size());
       for (size_t r = 0; r < x_b.size(); ++r) order[r] = r;
       std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return cost[a][static_cast<size_t>(assignment.row_to_col[a])] <
-               cost[b][static_cast<size_t>(assignment.row_to_col[b])];
+        return matched[a] < matched[b];
       });
       report.kept_in_y_b = x_b.size() - x_a->size();
       for (size_t r = 0; r < x_a->size(); ++r) {

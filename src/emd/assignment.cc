@@ -50,12 +50,10 @@ const char* RepairArmName(RepairArm arm) {
   return arm == RepairArm::kAvx2 ? "avx2" : "scalar";
 }
 
-AssignmentResult MinCostAssignmentOn(RepairArm arm, const CostMatrix& cost) {
-  size_t rows = cost.size();
+std::vector<int> MinCostAssignmentOn(RepairArm arm, size_t rows, size_t cols,
+                                     CostRowFn row) {
   RSR_CHECK(rows >= 1);
-  size_t cols = cost[0].size();
   RSR_CHECK(rows <= cols);
-  for (const auto& row : cost) RSR_CHECK_EQ(row.size(), cols);
 
   // Hungarian with potentials, 1-indexed (e-maxx formulation), O(r^2 c).
   std::vector<double> u(rows + 1, 0.0), v(cols + 1, 0.0);
@@ -77,9 +75,9 @@ AssignmentResult MinCostAssignmentOn(RepairArm arm, const CostMatrix& cost) {
       used[j0] = -1;
       tree.push_back(j0);
       const size_t i0 = match_col[j0];
-      const HungarianScan scan{cost[i0 - 1].data(), u[i0], pending, first,
-                               j0, used.data(), v.data(), minv.data(),
-                               way.data()};
+      const HungarianScan scan{row(i0 - 1), u[i0],       pending,
+                               first,       j0,          used.data(),
+                               v.data(),    minv.data(), way.data()};
       ScanMin best{kInf, 0};
       size_t j = 1;
       if (arm == RepairArm::kAvx2) j = ScanColumnsAvx2(scan, cols + 1, &best);
@@ -104,15 +102,25 @@ AssignmentResult MinCostAssignmentOn(RepairArm arm, const CostMatrix& cost) {
     } while (j0 != 0);
   }
 
-  AssignmentResult result;
-  result.row_to_col.assign(rows, -1);
+  std::vector<int> row_to_col(rows, -1);
   for (size_t j = 1; j <= cols; ++j) {
     if (match_col[j] != 0) {
-      result.row_to_col[match_col[j] - 1] = static_cast<int>(j - 1);
+      row_to_col[match_col[j] - 1] = static_cast<int>(j - 1);
     }
   }
+  for (int col : row_to_col) RSR_CHECK(col >= 0);
+  return row_to_col;
+}
+
+AssignmentResult MinCostAssignmentOn(RepairArm arm, const CostMatrix& cost) {
+  const size_t rows = cost.size();
+  RSR_CHECK(rows >= 1);
+  const size_t cols = cost[0].size();
+  for (const auto& cost_row : cost) RSR_CHECK_EQ(cost_row.size(), cols);
+  const auto row = [&cost](size_t i) { return cost[i].data(); };
+  AssignmentResult result;
+  result.row_to_col = MinCostAssignmentOn(arm, rows, cols, CostRowFn(row));
   for (size_t r = 0; r < rows; ++r) {
-    RSR_CHECK(result.row_to_col[r] >= 0);
     result.cost += cost[r][static_cast<size_t>(result.row_to_col[r])];
   }
   return result;

@@ -45,6 +45,12 @@ struct AssignmentResult {
 /// including which of several optimal matchings is returned, is a
 /// deterministic function of the matrix, and `cost` is the sum of the
 /// matched entries in row order. Scratch is O(cols) per call.
+///
+/// The Hungarian reads the matrix one row per scan, and only through a row
+/// source (emd_internal::MinCostAssignmentOn in emd/repair_kernels.h); this
+/// function is the row source over a held matrix. The repair's row source
+/// computes each row when it is scanned instead (MinCostMatching in
+/// emd/emd.h), and gets the same result.
 AssignmentResult MinCostAssignment(const CostMatrix& cost);
 
 struct PartialMatchingResult {

@@ -16,7 +16,11 @@
 
 namespace rsr {
 
-/// Builds the dense distance matrix cost[i][j] = f(x_i, y_j).
+/// Builds the dense distance matrix cost[i][j] = f(x_i, y_j), row by row
+/// through the repair's distance entry (emd/repair_kernels.h): row i is
+/// "d(x_i, y) into an n-double buffer". For the evaluation oracles, the
+/// tests and benchmarks; the repair itself (MinCostMatching) never holds
+/// the matrix.
 ///
 /// Arithmetic contract: every entry is bit-identical to
 /// metric.Distance(x.row(i), y.row(j), dim), for every input and on either
@@ -26,15 +30,26 @@ namespace rsr {
 /// at 0.0, then takes sqrt; l1 sums |int64 difference| and Hamming counts
 /// unequal coordinates, both in exact integer arithmetic (an l1 sum past
 /// 2^63 wraps modulo 2^64) converted to double once. The scalar arm runs
-/// each row of x against blocks of 8 rows of y with 8 independent
-/// accumulators. The AVX2 arm transposes each block of 8 rows of y once and
-/// runs every row of x against it, one column per 64-bit lane; its int64 to
+/// the row of x against blocks of 8 rows of y with 8 independent
+/// accumulators. The AVX2 arm runs it against y transposed once per call
+/// into blocks of 8 columns, one column per 64-bit lane; its int64 to
 /// double conversion splits the value into exact high and low doubles and
 /// rounds once, as cvtsi2sd does, for every int64. Columns past the last
 /// full block take the scalar loop on both arms. Neither arm has a second
 /// path that some input range selects.
 CostMatrix DistanceMatrix(const PointStore& x, const PointStore& y,
                           const Metric& metric);
+
+/// Algorithm 1's repair matching: the minimum-cost assignment of every row
+/// of x to a distinct row of y under `metric`. Returns exactly what
+/// MinCostAssignment(DistanceMatrix(x, y, metric)) returns (row_to_col, and
+/// cost bit for bit: the matched entries summed in row order), but never
+/// holds the |x| x |y| matrix: the Hungarian computes each cost row when it
+/// scans it, into one |y|-double buffer, and a row scanned again is
+/// computed again, bit for bit. Working memory is O(|y| * dim). Requires
+/// 1 <= |x| <= |y| and equal dimensions.
+AssignmentResult MinCostMatching(const PointStore& x, const PointStore& y,
+                                 const Metric& metric);
 
 /// Exact EMD; requires |x| == |y| >= 1.
 double EmdExact(const PointStore& x, const PointStore& y,

@@ -92,42 +92,27 @@ struct HammingLanes {
   static __m256d Finish(Acc sum) { return Int64ToDouble(sum); }
 };
 
+/// One row of distances against DistanceRows' transposed blocks: for each
+/// block of 8 columns, every coordinate of x is broadcast and run against
+/// that coordinate of the 8 columns, in two 4-lane accumulators.
 template <typename Lanes>
-void DistanceBlockRows(const Coord* x, size_t x_rows, size_t dim,
-                       const Coord* block, size_t col,
-                       double* const* out_rows) {
-  for (size_t i = 0; i < x_rows; ++i) {
-    const Coord* xi = x + i * dim;
+size_t FillRow(const Coord* x, const Coord* blocks, size_t cols, size_t dim,
+               double* out) {
+  const size_t full = cols - cols % kDistanceBlockCols;
+  for (size_t col = 0; col < full; col += kDistanceBlockCols) {
+    const Coord* block = blocks + col * dim;
     typename Lanes::Acc lo = Lanes::Start(dim);
     typename Lanes::Acc hi = Lanes::Start(dim);
     for (size_t c = 0; c < dim; ++c) {
-      const __m256i xc = _mm256_set1_epi64x(xi[c]);
+      const __m256i xc = _mm256_set1_epi64x(x[c]);
       const Coord* yc = block + c * kDistanceBlockCols;
       lo = Lanes::Add(lo, xc,
                       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yc)));
       hi = Lanes::Add(
           hi, xc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yc + 4)));
     }
-    _mm256_storeu_pd(out_rows[i] + col, Lanes::Finish(lo));
-    _mm256_storeu_pd(out_rows[i] + col + 4, Lanes::Finish(hi));
-  }
-}
-
-template <typename Lanes>
-size_t FillBlocks(const Coord* x, size_t x_rows, const Coord* y,
-                  size_t y_rows, size_t dim, Coord* block,
-                  double* const* out_rows) {
-  const size_t full = y_rows - y_rows % kDistanceBlockCols;
-  for (size_t col = 0; col < full; col += kDistanceBlockCols) {
-    // Transpose the block once (block[c * 8 + k] = coordinate c of column
-    // col + k) so every x row reads one coordinate of 8 columns per load.
-    for (size_t k = 0; k < kDistanceBlockCols; ++k) {
-      const Coord* yk = y + (col + k) * dim;
-      for (size_t c = 0; c < dim; ++c) {
-        block[c * kDistanceBlockCols + k] = yk[c];
-      }
-    }
-    DistanceBlockRows<Lanes>(x, x_rows, dim, block, col, out_rows);
+    _mm256_storeu_pd(out + col, Lanes::Finish(lo));
+    _mm256_storeu_pd(out + col + 4, Lanes::Finish(hi));
   }
   return full;
 }
@@ -208,17 +193,16 @@ size_t ScanColumns(const HungarianScan& s, size_t end, ScanMin* best) {
 
 }  // namespace
 
-size_t FillDistanceBlocksAvx2(MetricKind kind, const Coord* x, size_t x_rows,
-                              const Coord* y, size_t y_rows, size_t dim,
-                              Coord* block, double* const* out_rows) {
+size_t FillDistanceRowAvx2(MetricKind kind, const Coord* x,
+                           const Coord* blocks, size_t cols, size_t dim,
+                           double* out) {
   switch (kind) {
     case MetricKind::kHamming:
-      return FillBlocks<HammingLanes>(x, x_rows, y, y_rows, dim, block,
-                                      out_rows);
+      return FillRow<HammingLanes>(x, blocks, cols, dim, out);
     case MetricKind::kL1:
-      return FillBlocks<L1Lanes>(x, x_rows, y, y_rows, dim, block, out_rows);
+      return FillRow<L1Lanes>(x, blocks, cols, dim, out);
     case MetricKind::kL2:
-      return FillBlocks<L2Lanes>(x, x_rows, y, y_rows, dim, block, out_rows);
+      return FillRow<L2Lanes>(x, blocks, cols, dim, out);
   }
   return 0;
 }
@@ -240,8 +224,8 @@ namespace emd_internal {
 
 const bool kAvx2RepairKernelsCompiled = false;
 
-size_t FillDistanceBlocksAvx2(MetricKind, const Coord*, size_t, const Coord*,
-                              size_t, size_t, Coord*, double* const*) {
+size_t FillDistanceRowAvx2(MetricKind, const Coord*, const Coord*, size_t,
+                           size_t, double*) {
   return 0;
 }
 

@@ -1,7 +1,7 @@
 // The per-pair arithmetic of the three metrics, defined once. Both the row
 // kernels (HammingDistance / L1Distance / L2Distance, and so
-// Metric::Distance) and the scalar arm of the blocked DistanceMatrix
-// (emd/emd.cc) are built from these definitions, so a matrix entry and a
+// Metric::Distance) and the scalar arm of the repair's blocked distance row
+// (emd/emd.cc) are built from these definitions, so a cost entry and a
 // per-pair distance are the same double by construction: each pair sums
 // Term over its coordinates in order from a zero accumulator, then applies
 // Finish. The AVX2 arm (emd/repair_kernels_avx2.cc) performs the same

@@ -14,7 +14,9 @@
 //     and codec, which pins the estimator round and which message carries
 //     the wire header.
 // The multiscale cases pin RunMultiscaleEmdProtocol's chosen interval, its
-// S'_B and every interval's transcript.
+// S'_B and every interval's transcript. SmallerSenderKeepsCostliestMatches
+// is the one case with kept_in_y_b > 0, so it pins the order of the
+// repair's matched costs.
 // Every case pins its codec explicitly: the classic cases and their
 // `Compact` twins check the same bytes on the compact CI leg
 // (RSR_WIRE_CODEC=compact) as on the default one.
@@ -230,6 +232,43 @@ Observed RunStaticSession(WireCodec codec) {
   return out;
 }
 
+/// A static exchange through the two steps, with Alice holding two points
+/// fewer than Bob. A complete decode drains every count, so an exchange
+/// between equal-size sets always decodes |X_A| == |X_B|; here X_B has more
+/// rows than X_A, and the repair removes only the |X_A| cheapest matches
+/// (kept_in_y_b > 0), which pins the order of the matched costs. With d2
+/// set, the derived parameters do not depend on n, so both parties derive
+/// the same ones.
+Observed RunSmallerSender() {
+  const MetricKind metric = MetricKind::kL2;
+  NoisyPairStoreWorkload in = MakeInputs(metric, 19);
+  PointStore alice = in.alice;
+  alice.Truncate(alice.size() - 2);
+  const EmdProtocolParams params =
+      MakeParams(metric, alice.dim(), 255, /*adaptive=*/false);
+  auto derived = DeriveEmdParameters(params, in.bob.size());
+  RSR_CHECK(derived.ok());
+  const EmdHashes hashes = MakeEmdHashes(params, *derived);
+  const EmdReceiver bob(in.bob, params, *derived, hashes);
+  EmdSender sender = EmdSender::Cold(alice, params, *derived, hashes);
+  ByteWriter message;
+  RSR_CHECK(sender.WriteTables(&message).ok());
+  auto report = bob.Reconcile(message.buffer());
+  RSR_CHECK(report.ok());
+  RSR_CHECK(!report->failure);
+  EXPECT_GT(report->kept_in_y_b, 0u);
+
+  const std::vector<size_t> prefix_lens = EmdPrefixLens(*derived);
+  Observed out;
+  out.digests.alice_keys =
+      DigestOf(EvaluateEmdLevelKeys(alice, hashes, prefix_lens, 1));
+  out.digests.bob_keys =
+      DigestOf(EvaluateEmdLevelKeys(in.bob, hashes, prefix_lens, 1));
+  out.digests.message = DigestOf(message.buffer());
+  FillReportDigests(*report, &out);
+  return out;
+}
+
 TEST(EmdGoldenTest, StaticL1) {
   ExpectGolden(RunOneShot(MetricKind::kL1, false),
                Golden{
@@ -417,6 +456,19 @@ TEST(EmdGoldenTest, StaticSessionL2Compact) {
                    0xb0601bd35520398fULL,
                    0x44b86eb9025ac510ULL,
                    0xa23a1f0e8c536683ULL});
+}
+
+// The only case whose repair keeps matched points in S'_B: the order of the
+// matched costs decides which of them stay.
+TEST(EmdGoldenTest, SmallerSenderKeepsCostliestMatches) {
+  ExpectGolden(RunSmallerSender(),
+               Golden{
+                   0x789495eb11281ac6ULL,
+                   0xa303fa05a40419b4ULL,
+                   0x5f07550f4141fad9ULL,
+                   0xa2b09060251d8b7fULL,
+                   0xe3950d9e18735a01ULL,
+                   0xaeefa0ccc8feb754ULL});
 }
 
 /// RunMultiscaleEmdProtocol over [d1, d2] with interval ratio 4: the chosen

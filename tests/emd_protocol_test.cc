@@ -705,5 +705,53 @@ TEST(EmdProtocolTest, OutputAssemblyAllocationsDoNotGrowWithN) {
   EXPECT_LT(large - small, 64) << "n=512: " << small << ", n=4096: " << large;
 }
 
+/// Heap allocations of one warm RunEmdProtocol over a 2048-point noisy
+/// pair that differs only in `outliers` far points per side (L2, dim 16,
+/// k = 64, D1 = 8, D2 = 8192), and the decoded |X_B| in *x_b_rows; -1 on
+/// failure.
+long long WarmRepairAllocations(size_t outliers, size_t* x_b_rows) {
+  NoisyPairConfig config;
+  config.metric = MetricKind::kL2;
+  config.dim = 16;
+  config.delta = 1023;
+  config.n = 2048;
+  config.outliers = outliers;
+  config.noise = 0.0;
+  config.outlier_dist = 200;
+  config.seed = 517;
+  auto workload = GenerateNoisyPairStore(config);
+  if (!workload.ok()) return -1;
+  EmdProtocolParams params = BaseParams(MetricKind::kL2, 16, 1023, 64, 518);
+  params.d1 = 8;
+  params.d2 = 8192;
+  auto warm = RunEmdProtocol(workload->alice, workload->bob, params);
+  if (!warm.ok() || warm->failure) return -1;
+  const long long before = testing::AllocationCount();
+  auto report = RunEmdProtocol(workload->alice, workload->bob, params);
+  const long long count = testing::AllocationCount() - before;
+  if (!report.ok() || report->failure) return -1;
+  *x_b_rows = report->x_b.size();
+  return count;
+}
+
+TEST(EmdProtocolTest, RepairAllocationsDoNotGrowWithXB) {
+  // The repair computes each cost row when the Hungarian scans it, into one
+  // buffer: eight times the decoded rows may not cost an allocation per
+  // row (a held |X_B| x n matrix costs one per row, 56 more here). The
+  // decode's arenas and key vectors grow by doubling at every decoded
+  // level, 24 allocations more at 64 rows.
+  size_t small_rows = 0;
+  size_t large_rows = 0;
+  const long long small = WarmRepairAllocations(8, &small_rows);
+  const long long large = WarmRepairAllocations(64, &large_rows);
+  ASSERT_GT(small, 0);
+  ASSERT_GT(large, 0);
+  ASSERT_GE(large_rows, small_rows + 48)
+      << "|X_B| " << small_rows << " vs " << large_rows;
+  EXPECT_LT(large - small, 40)
+      << "|X_B| = " << small_rows << ": " << small << ", |X_B| = "
+      << large_rows << ": " << large;
+}
+
 }  // namespace
 }  // namespace rsr

@@ -1,26 +1,35 @@
-// Oracles for Algorithm 1's repair step (DistanceMatrix + MinCostAssignment).
+// Oracles for Algorithm 1's repair step (MinCostMatching, and the
+// DistanceMatrix + MinCostAssignment wrappers over the same kernels).
 //
 // DistanceMatrix computes blocks of pairs side by side; each entry must still
 // equal the per-pair Metric::Distance bit for bit, and both must equal the
 // metric written out plainly. MinCostAssignment must
 // return exactly what the straightforward e-maxx Hungarian returns, including
 // which of several optimal matchings it picks (its lowest-index tie-break
-// decides which of Bob's points are replaced).
+// decides which of Bob's points are replaced). The repair's Hungarian reads
+// its cost rows from a row source that computes each row when it is
+// scanned, into one buffer; it must return the same, on both kernel arms,
+// also when it scans a row more than once.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "emd/assignment.h"
 #include "emd/emd.h"
+#include "emd/repair_kernels.h"
 #include "geometry/metric.h"
 #include "geometry/point_store.h"
 #include "util/logging.h"
+#include "util/cpu_features.h"
 #include "util/random.h"
 
 namespace rsr {
@@ -285,6 +294,150 @@ TEST(RepairOracleTest, AssignmentMatchesReferenceOnDuplicatedRepairRows) {
   EXPECT_EQ(got.row_to_col, want.row_to_col);
   EXPECT_TRUE(SameBits(got.cost, want.cost))
       << got.cost << " vs " << want.cost;
+}
+
+// ---- The row-source Hungarian and the matrix-free repair ---------------
+
+using emd_internal::RepairArm;
+
+/// Both kernel arms where this CPU can run them; kAvx2 built without AVX2
+/// code generation runs the scalar loops.
+std::vector<RepairArm> RunnableArms() {
+  std::vector<RepairArm> arms = {RepairArm::kScalar};
+  if (!emd_internal::kAvx2RepairKernelsCompiled || CpuSupportsAvx2()) {
+    arms.push_back(RepairArm::kAvx2);
+  }
+  return arms;
+}
+
+/// A row source like the repair's: every call writes the requested row
+/// into the one buffer (so a stale row pointer would read another row's
+/// costs) and counts the scans.
+struct CountingRows {
+  const CostMatrix& cost;
+  mutable std::vector<double> buffer = std::vector<double>(cost[0].size());
+  mutable size_t scans = 0;
+  const double* operator()(size_t i) const {
+    ++scans;
+    std::copy(cost[i].begin(), cost[i].end(), buffer.begin());
+    return buffer.data();
+  }
+};
+
+/// The row-source Hungarian on `arm` against the reference on `cost`;
+/// returns the number of scans.
+size_t ExpectRowSourceMatchesReference(RepairArm arm, const CostMatrix& cost,
+                                       const std::string& what) {
+  const CountingRows rows{cost};
+  const std::vector<int> got = emd_internal::MinCostAssignmentOn(
+      arm, cost.size(), cost[0].size(), emd_internal::CostRowFn(rows));
+  EXPECT_EQ(got, ReferenceMinCostAssignment(cost).row_to_col)
+      << what << " on " << emd_internal::RepairArmName(arm);
+  EXPECT_GE(rows.scans, cost.size()) << what;
+  return rows.scans;
+}
+
+TEST(RepairOracleTest, RowSourceAssignmentMatchesReferenceOnBothArms) {
+  Rng rng(38);
+  // Signed zeros: +0.0 and -0.0 compare equal, so the lowest column must
+  // win whichever of them it holds.
+  const double zero_pool[] = {0.0, -0.0, 1.0, 2.0};
+  const struct {
+    const char* what;
+    std::function<double()> draw;
+  } kinds[] = {
+      {"real", [&] { return rng.UniformDouble() * 100.0; }},
+      {"ties", [&] { return static_cast<double>(rng.Below(3)); }},
+      {"signed zeros", [&] { return zero_pool[rng.Below(4)]; }},
+  };
+  size_t scans = 0;
+  size_t rows_inserted = 0;
+  for (RepairArm arm : RunnableArms()) {
+    for (const auto& kind : kinds) {
+      for (size_t cols : kTailColCounts) {
+        for (size_t rows : {size_t{1}, (cols + 1) / 2, cols}) {
+          CostMatrix cost(rows, std::vector<double>(cols));
+          for (auto& row : cost) {
+            for (double& c : row) c = kind.draw();
+          }
+          scans += ExpectRowSourceMatchesReference(
+              arm, cost,
+              std::string(kind.what) + " " + std::to_string(rows) + "x" +
+                  std::to_string(cols));
+          rows_inserted += rows;
+        }
+      }
+    }
+  }
+  // Tie-heavy matrices insert rows through augmenting paths, which scan
+  // rows already matched once more.
+  EXPECT_GT(scans, rows_inserted);
+}
+
+/// The duplicated-rows repair shape of AssignmentMatchesReferenceOn-
+/// DuplicatedRepairRows: 64 X_B rows drawn from 16 S_B points.
+struct DuplicatedRows {
+  PointStore s_b;
+  PointStore x_b;
+};
+
+DuplicatedRows MakeDuplicatedRows(size_t dim, Coord delta, Rng* rng) {
+  DuplicatedRows in{ExtremeStore(1024, dim, delta, rng), PointStore(dim)};
+  for (size_t r = 0; r < 64; ++r) in.x_b.Append(in.s_b[rng->Below(16)]);
+  return in;
+}
+
+TEST(RepairOracleTest, RowSourceAssignmentRescansRowsBitForBit) {
+  // Four rows compete for each zero-cost column, so most rows are scanned
+  // again while later rows are inserted; each rescan must see the same
+  // row, recomputed.
+  Rng rng(37);
+  const DuplicatedRows in = MakeDuplicatedRows(8, 1023, &rng);
+  const CostMatrix cost =
+      DistanceMatrix(in.x_b, in.s_b, Metric(MetricKind::kL2));
+  for (RepairArm arm : RunnableArms()) {
+    const size_t scans =
+        ExpectRowSourceMatchesReference(arm, cost, "duplicated rows");
+    EXPECT_GT(scans, 2 * in.x_b.size()) << "rows are rescanned";
+  }
+}
+
+TEST(RepairOracleTest, MatrixFreeRepairMatchesReferenceOnBothArms) {
+  // MinCostMatching computes each cost row when it is scanned and sums
+  // Metric::Distance over the matched pairs; the reference runs on the
+  // held matrix. Every recomputed matched cost (the repair sorts by them)
+  // must be the matrix entry, bit for bit.
+  Rng rng(39);
+  for (MetricKind kind :
+       {MetricKind::kHamming, MetricKind::kL1, MetricKind::kL2}) {
+    const Metric metric(kind);
+    for (Coord delta : {Coord{1023}, std::numeric_limits<Coord>::max()}) {
+      for (size_t dim : {size_t{3}, size_t{16}}) {
+        const DuplicatedRows in = MakeDuplicatedRows(dim, delta, &rng);
+        const CostMatrix cost = DistanceMatrix(in.x_b, in.s_b, metric);
+        const AssignmentResult want = ReferenceMinCostAssignment(cost);
+        for (RepairArm arm : RunnableArms()) {
+          const AssignmentResult got =
+              emd_internal::MinCostMatchingOn(arm, in.x_b, in.s_b, metric);
+          const char* arm_name = emd_internal::RepairArmName(arm);
+          ASSERT_EQ(got.row_to_col, want.row_to_col)
+              << metric.Name() << " delta " << delta << " dim " << dim
+              << " on " << arm_name;
+          EXPECT_TRUE(SameBits(got.cost, want.cost))
+              << metric.Name() << " delta " << delta << " dim " << dim
+              << " on " << arm_name << ": " << got.cost << " vs "
+              << want.cost;
+          for (size_t r = 0; r < in.x_b.size(); ++r) {
+            const size_t col = static_cast<size_t>(got.row_to_col[r]);
+            ASSERT_TRUE(SameBits(
+                metric.Distance(in.x_b.row(r), in.s_b.row(col), dim),
+                cost[r][col]))
+                << metric.Name() << " row " << r;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 // layout against the row-major scalar reference, and all four LSH families
 // end-to-end against the virtual Eval reference. The repair arms are
 // compared the same way, each arm chosen explicitly: distance matrices at
-// every column tail up to the full int64 range, and assignments on real,
-// tie-heavy and signed-zero matrices.
+// every column tail up to the full int64 range, assignments on real,
+// tie-heavy and signed-zero matrices, and the matrix-free repair matching,
+// whose Hungarian computes each cost row when it scans it (and again when
+// it rescans it).
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -222,13 +224,13 @@ TEST(SimdDispatchTest, RepairAvx2EntryPointsCoverTheirColumns) {
   Rng rng(51);
   for (size_t cols : kRepairCols) {
     const PointStore x = GenerateUniformStore(2, 3, 15, &rng);
-    const PointStore y = GenerateUniformStore(cols, 3, 15, &rng);
+    // Transposed columns, as DistanceRows lays them out; only the count of
+    // covered columns is checked here.
+    const PointStore blocks = GenerateUniformStore(cols, 3, 15, &rng);
     CostMatrix cost(2, std::vector<double>(cols));
-    double* rows[2] = {cost[0].data(), cost[1].data()};
-    std::vector<Coord> block(emd_internal::kDistanceBlockCols * 3);
-    EXPECT_EQ(emd_internal::FillDistanceBlocksAvx2(
-                  MetricKind::kL2, x.coord_data(), 2, y.coord_data(), cols, 3,
-                  block.data(), rows),
+    EXPECT_EQ(emd_internal::FillDistanceRowAvx2(MetricKind::kL2, x.row(0),
+                                                blocks.coord_data(), cols, 3,
+                                                cost[0].data()),
               compiled ? cols - cols % emd_internal::kDistanceBlockCols : 0)
         << cols;
 
@@ -323,6 +325,39 @@ TEST(SimdDispatchTest, RepairAssignmentAvx2IdenticalToScalar) {
         EXPECT_TRUE(SameBits(got.cost, want.cost))
             << kind.what << " " << rows << "x" << cols << ": " << got.cost
             << " vs " << want.cost;
+      }
+    }
+  }
+}
+
+TEST(SimdDispatchTest, RepairMatchingAvx2IdenticalToScalar) {
+  if (!Avx2ArmRunnable()) GTEST_SKIP() << "CPU lacks AVX2";
+  Rng rng(54);
+  for (MetricKind kind :
+       {MetricKind::kHamming, MetricKind::kL1, MetricKind::kL2}) {
+    const Metric metric(kind);
+    for (Coord delta : {Coord{3}, Coord{1023},
+                        std::numeric_limits<Coord>::max()}) {
+      for (size_t cols : kRepairCols) {
+        // X_B rows are copies of S_B rows, a few of them repeated, so rows
+        // compete for columns and some are scanned more than once.
+        const PointStore y = RepairStore(cols, 5, delta, &rng);
+        for (size_t rows : {size_t{1}, (cols + 1) / 2, cols}) {
+          PointStore x(5);
+          for (size_t r = 0; r < rows; ++r) {
+            x.Append(y[rng.Below((cols + 1) / 2)]);
+          }
+          const AssignmentResult want = emd_internal::MinCostMatchingOn(
+              emd_internal::RepairArm::kScalar, x, y, metric);
+          const AssignmentResult got = emd_internal::MinCostMatchingOn(
+              emd_internal::RepairArm::kAvx2, x, y, metric);
+          EXPECT_EQ(got.row_to_col, want.row_to_col)
+              << metric.Name() << " delta " << delta << " " << rows << "x"
+              << cols;
+          EXPECT_TRUE(SameBits(got.cost, want.cost))
+              << metric.Name() << " delta " << delta << " " << rows << "x"
+              << cols << ": " << got.cost << " vs " << want.cost;
+        }
       }
     }
   }

@@ -7,6 +7,10 @@
 //   - BuildEmdSketches running on several threads at once over one const
 //     store, each with its own worker threads, stays byte-identical to a
 //     single-threaded build.
+// The repair keeps its scratch per call too (emd/repair_kernels.h: the
+// transposed S_B, one cost row, the Hungarian's state), so
+// EmdReceiver::Reconcile on one const receiver is reentrant: concurrent
+// calls on one message give the single-threaded report.
 // The ThreadSanitizer CI leg runs this suite (-R 'Sync|Reentrancy').
 #include <cstdint>
 #include <thread>
@@ -14,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/emd_protocol.h"
 #include "core/emd_sketch.h"
 #include "sketch/riblt.h"
 #include "util/random.h"
@@ -136,6 +141,68 @@ TEST(SketchReentrancyTest, ConcurrentLevelTableBuildsMatchSequentialBytes) {
           got.push_back(Bytes(estimator));
         }
         if (got == want) ++matches[t];
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(matches[t], 3) << "thread " << t;
+  }
+}
+
+TEST(RepairReentrancyTest, ConcurrentReconcileOnOneConstReceiverMatches) {
+  // Alice holds two points fewer than Bob, so X_B has more rows than X_A
+  // and the repair also sorts the recomputed matched costs (kept_in_y_b).
+  NoisyPairConfig config;
+  config.metric = MetricKind::kL2;
+  config.dim = 16;
+  config.delta = kDelta;
+  config.n = 1024;
+  config.outliers = 24;
+  config.noise = 0.0;
+  config.outlier_dist = 200;
+  config.seed = 35;
+  auto in = GenerateNoisyPairStore(config);
+  ASSERT_TRUE(in.ok());
+  PointStore alice = in->alice;
+  alice.Truncate(alice.size() - 2);
+  EmdProtocolParams params;
+  params.metric = MetricKind::kL2;
+  params.dim = 16;
+  params.delta = kDelta;
+  params.k = 32;
+  params.d1 = 8;
+  params.d2 = 8192;
+  params.seed = 36;
+  params.num_threads = 1;
+  auto derived = DeriveEmdParameters(params, in->bob.size());
+  ASSERT_TRUE(derived.ok());
+  const EmdHashes hashes = MakeEmdHashes(params, *derived);
+  const EmdReceiver receiver(in->bob, params, *derived, hashes);
+  EmdSender sender = EmdSender::Cold(alice, params, *derived, hashes);
+  ByteWriter message;
+  ASSERT_TRUE(sender.WriteTables(&message).ok());
+
+  auto want = receiver.Reconcile(message.buffer());
+  ASSERT_TRUE(want.ok());
+  ASSERT_FALSE(want->failure);
+  ASSERT_GT(want->kept_in_y_b, 0u);
+  const auto same = [&](const EmdProtocolReport& got) {
+    return got.failure == want->failure &&
+           got.decoded_level == want->decoded_level &&
+           got.x_a == want->x_a && got.x_b == want->x_b &&
+           got.s_b_prime == want->s_b_prime &&
+           got.trimmed_from_x_a == want->trimmed_from_x_a &&
+           got.kept_in_y_b == want->kept_in_y_b;
+  };
+
+  std::vector<int> matches(kThreads, 0);
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int rep = 0; rep < 3; ++rep) {
+        auto got = receiver.Reconcile(message.buffer());
+        if (got.ok() && same(*got)) ++matches[t];
       }
     });
   }
