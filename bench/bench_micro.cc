@@ -602,10 +602,43 @@ RepairInputs MakeRepairInputs(const benchmark::State& state) {
   return in;
 }
 
-void BM_RepairMatch(benchmark::State& state) {
-  // The whole repair step as the protocol runs it: the matching, each l2
-  // cost row computed when the Hungarian scans it.
-  const RepairInputs in = MakeRepairInputs(state);
+/// Whether every row of x equals a row of y, each value at most as often
+/// as y holds it: then MinCostMatching's exact-copy pass assigns every row
+/// and the Hungarian does not run (emd/emd.h).
+bool EveryRowIsACopy(const PointStore& x, const PointStore& y) {
+  for (size_t r = 0; r < x.size(); ++r) {
+    size_t in_x = 0;
+    size_t in_y = 0;
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (x[i] == x[r]) ++in_x;
+    }
+    for (size_t j = 0; j < y.size(); ++j) {
+      if (y[j] == x[r]) ++in_y;
+    }
+    if (in_x > in_y) return false;
+  }
+  return true;
+}
+
+/// MakeRepairInputs' S_B with X_B drawn without replacement, as an honest
+/// decode with no value error gives it: every row a different S_B point.
+RepairInputs MakeExactRepairInputs(const benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const size_t cols = static_cast<size_t>(state.range(1));
+  Rng rng(18);
+  RepairInputs in{GenerateUniformStore(cols, 16, 1023, &rng), PointStore(16)};
+  std::vector<size_t> index(cols);
+  for (size_t j = 0; j < cols; ++j) index[j] = j;
+  for (size_t r = 0; r < rows; ++r) {
+    std::swap(index[r], index[r + rng.Below(cols - r)]);
+    in.x_b.Append(in.s_b[index[r]]);
+  }
+  RSR_CHECK(EveryRowIsACopy(in.x_b, in.s_b));
+  return in;
+}
+
+/// The whole repair step as the protocol runs it, MinCostMatching under l2.
+void TimeRepairMatch(benchmark::State& state, const RepairInputs& in) {
   Metric metric(MetricKind::kL2);
   for (auto _ : state) {
     AssignmentResult assignment = MinCostMatching(in.x_b, in.s_b, metric);
@@ -613,7 +646,46 @@ void BM_RepairMatch(benchmark::State& state) {
     benchmark::DoNotOptimize(assignment.cost);
   }
 }
+
+void BM_RepairMatch(benchmark::State& state) {
+  // X_B drawn with replacement. At 256 x 8192 some S_B point is drawn
+  // twice, so the exact-copy pass gives up and the Hungarian runs, each
+  // cost row computed when it is scanned; at 48 x 32768 no point is, and
+  // the exact-copy pass matches every row.
+  TimeRepairMatch(state, MakeRepairInputs(state));
+}
 BENCHMARK(BM_RepairMatch)
+    ->Args({256, 8192})
+    ->Args({48, 32768})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_RepairMatchExact(benchmark::State& state) {
+  // Every X_B row a different S_B point: the exact-copy pass alone.
+  TimeRepairMatch(state, MakeExactRepairInputs(state));
+}
+BENCHMARK(BM_RepairMatchExact)
+    ->Args({256, 8192})
+    ->Args({48, 32768})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_RepairMatchValueError(benchmark::State& state) {
+  // BM_RepairMatchExact's rows with one coordinate each moved by 1, as
+  // value error moves a decoded row: no row equals an S_B point, so the
+  // exact-copy pass gives up and the Hungarian runs.
+  RepairInputs in = MakeExactRepairInputs(state);
+  Rng rng(19);
+  PointStore moved(16);
+  for (size_t r = 0; r < in.x_b.size(); ++r) {
+    Coord* row = moved.AppendRow();
+    std::copy_n(in.x_b.row(r), 16, row);
+    const size_t c = rng.Below(16);
+    row[c] = row[c] == 1023 ? 1022 : row[c] + 1;
+    for (size_t j = 0; j < in.s_b.size(); ++j) RSR_CHECK(in.s_b[j] != moved[r]);
+  }
+  in.x_b = std::move(moved);
+  TimeRepairMatch(state, in);
+}
+BENCHMARK(BM_RepairMatchValueError)
     ->Args({256, 8192})
     ->Args({48, 32768})
     ->Unit(benchmark::kMillisecond);

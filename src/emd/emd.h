@@ -43,11 +43,32 @@ CostMatrix DistanceMatrix(const PointStore& x, const PointStore& y,
 /// Algorithm 1's repair matching: the minimum-cost assignment of every row
 /// of x to a distinct row of y under `metric`. Returns exactly what
 /// MinCostAssignment(DistanceMatrix(x, y, metric)) returns (row_to_col, and
-/// cost bit for bit: the matched entries summed in row order), but never
-/// holds the |x| x |y| matrix: the Hungarian computes each cost row when it
-/// scans it, into one |y|-double buffer, and a row scanned again is
-/// computed again, bit for bit. Working memory is O(|y| * dim). Requires
-/// 1 <= |x| <= |y| and equal dimensions.
+/// cost bit for bit: the matched entries summed in row order, each
+/// recomputed with metric.Distance), but never holds the |x| x |y| matrix.
+/// Requires 1 <= |x| <= |y| and equal dimensions.
+///
+/// Two paths, one result. First an exact-copy pass: x's distinct rows go
+/// into a hash table of at most |x| values, one scan of y in column order
+/// gives each row of y equal to a value (coordinates compared; the hash
+/// only finds the slot) to the next row of x with that value, in row
+/// order, and the scan stops once every row of x has a column. It runs for
+/// l2 and Hamming always, and for l1 only when every coordinate of x and y
+/// lies in [0, M] with dim * M < 2^63; past that an l1 sum can wrap to a
+/// negative cost (see DistanceMatrix above), which the Hungarian
+/// prefers to an equal row. If every row of x gets a column, that is the
+/// result, in O(|y| * dim + |x| * dim) time. This is the Hungarian's own
+/// answer: every cost is >= 0 and is 0 exactly between equal rows, and a
+/// zero-cost assignment exists, so each delta of the e-maxx scans is
+/// exactly 0.0 and the potentials stay 0; each inserted row then ends at
+/// the lowest-index free column of its own value, and the k-th copy of a
+/// value in x's row order gets the k-th equal row of y in column order.
+/// An honest decode with no value error (every decoded X_B row one of
+/// Bob's points, each at most as often as S_B holds it) takes this path.
+///
+/// Otherwise the Hungarian runs in full and computes each cost row when it
+/// scans it, into one |y|-double buffer; a row scanned again is computed
+/// again, bit for bit. Its working memory is O(|y| * dim), the kAvx2 arm's
+/// transposed y included.
 AssignmentResult MinCostMatching(const PointStore& x, const PointStore& y,
                                  const Metric& metric);
 

@@ -19,10 +19,11 @@
 // assignment.h); tests/simd_dispatch_test.cc pins arm against arm and
 // tests/repair_oracle_test.cc pins both against plain references.
 //
-// Working memory of one repair is O(n * dim + n): the kAvx2 arm's
-// transposed copy of S_B, one cost row and the Hungarian's per-column
-// state. Nothing here is shared between calls, so concurrent repairs need
-// no locking.
+// Neither kernel runs when MinCostMatching's exact-copy pass (emd.h)
+// matches every X_B row to an equal S_B row. Otherwise the working memory
+// of one repair is O(n * dim + n): the kAvx2 arm's transposed copy of
+// S_B, one cost row and the Hungarian's per-column state. Nothing here is
+// shared between calls, so concurrent repairs need no locking.
 #ifndef RSR_EMD_REPAIR_KERNELS_H_
 #define RSR_EMD_REPAIR_KERNELS_H_
 

@@ -705,24 +705,44 @@ TEST(EmdProtocolTest, OutputAssemblyAllocationsDoNotGrowWithN) {
   EXPECT_LT(large - small, 64) << "n=512: " << small << ", n=4096: " << large;
 }
 
+/// Whether every row of x equals a row of y, each value at most as often
+/// as y holds it: then MinCostMatching's exact-copy pass assigns every row
+/// and the Hungarian does not run (emd/emd.h).
+bool EveryRowIsACopy(const PointStore& x, const PointStore& y) {
+  for (size_t r = 0; r < x.size(); ++r) {
+    size_t in_x = 0;
+    size_t in_y = 0;
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (x[i] == x[r]) ++in_x;
+    }
+    for (size_t j = 0; j < y.size(); ++j) {
+      if (y[j] == x[r]) ++in_y;
+    }
+    if (in_x > in_y) return false;
+  }
+  return true;
+}
+
 /// Heap allocations of one warm RunEmdProtocol over a 2048-point noisy
-/// pair that differs only in `outliers` far points per side (L2, dim 16,
-/// k = 64, D1 = 8, D2 = 8192), and the decoded |X_B| in *x_b_rows; -1 on
-/// failure.
-long long WarmRepairAllocations(size_t outliers, size_t* x_b_rows) {
+/// pair that differs in `outliers` far points per side and is perturbed by
+/// `noise` (L2, dim 16, k = 64, D1 = `d1`, D2 = 8192), and the decoded
+/// |X_B| in *x_b_rows; -1 on failure. *x_b_copies tells whether every
+/// decoded X_B row is a copy of a row of S_B (EveryRowIsACopy).
+long long WarmRepairAllocations(size_t outliers, double noise, double d1,
+                                size_t* x_b_rows, bool* x_b_copies) {
   NoisyPairConfig config;
   config.metric = MetricKind::kL2;
   config.dim = 16;
   config.delta = 1023;
   config.n = 2048;
   config.outliers = outliers;
-  config.noise = 0.0;
+  config.noise = noise;
   config.outlier_dist = 200;
   config.seed = 517;
   auto workload = GenerateNoisyPairStore(config);
   if (!workload.ok()) return -1;
   EmdProtocolParams params = BaseParams(MetricKind::kL2, 16, 1023, 64, 518);
-  params.d1 = 8;
+  params.d1 = d1;
   params.d2 = 8192;
   auto warm = RunEmdProtocol(workload->alice, workload->bob, params);
   if (!warm.ok() || warm->failure) return -1;
@@ -731,6 +751,7 @@ long long WarmRepairAllocations(size_t outliers, size_t* x_b_rows) {
   const long long count = testing::AllocationCount() - before;
   if (!report.ok() || report->failure) return -1;
   *x_b_rows = report->x_b.size();
+  *x_b_copies = EveryRowIsACopy(report->x_b, workload->bob);
   return count;
 }
 
@@ -739,18 +760,117 @@ TEST(EmdProtocolTest, RepairAllocationsDoNotGrowWithXB) {
   // buffer: eight times the decoded rows may not cost an allocation per
   // row (a held |X_B| x n matrix costs one per row, 56 more here). The
   // decode's arenas and key vectors grow by doubling at every decoded
-  // level, 24 allocations more at 64 rows.
+  // level, 24 allocations more at 64 rows. This honest exchange decodes
+  // copies of Bob's points, which the exact-copy pass matches;
+  // RepairAllocationsDoNotGrowWithXBUnderValueError runs the Hungarian.
   size_t small_rows = 0;
   size_t large_rows = 0;
-  const long long small = WarmRepairAllocations(8, &small_rows);
-  const long long large = WarmRepairAllocations(64, &large_rows);
+  bool small_copies = false;
+  bool large_copies = false;
+  const long long small =
+      WarmRepairAllocations(8, 0.0, 8, &small_rows, &small_copies);
+  const long long large =
+      WarmRepairAllocations(64, 0.0, 8, &large_rows, &large_copies);
   ASSERT_GT(small, 0);
   ASSERT_GT(large, 0);
+  EXPECT_TRUE(small_copies && large_copies);
   ASSERT_GE(large_rows, small_rows + 48)
       << "|X_B| " << small_rows << " vs " << large_rows;
   EXPECT_LT(large - small, 40)
       << "|X_B| = " << small_rows << ": " << small << ", |X_B| = "
       << large_rows << ": " << large;
+}
+
+TEST(EmdProtocolTest, RepairAllocationsDoNotGrowWithXBUnderValueError) {
+  // RepairAllocationsDoNotGrowWithXB with every point moved by up to 1
+  // (and D1 = 64 to match): the decoded X_B carries value error, so the
+  // exact-copy pass gives up and the Hungarian computes every cost row,
+  // under the same bound.
+  size_t small_rows = 0;
+  size_t large_rows = 0;
+  bool small_copies = true;
+  bool large_copies = true;
+  const long long small =
+      WarmRepairAllocations(8, 1.0, 64, &small_rows, &small_copies);
+  const long long large =
+      WarmRepairAllocations(64, 1.0, 64, &large_rows, &large_copies);
+  ASSERT_GT(small, 0);
+  ASSERT_GT(large, 0);
+  ASSERT_FALSE(small_copies) << "|X_B| " << small_rows;
+  ASSERT_FALSE(large_copies) << "|X_B| " << large_rows;
+  ASSERT_GE(large_rows, small_rows + 48)
+      << "|X_B| " << small_rows << " vs " << large_rows;
+  EXPECT_LT(large - small, 40)
+      << "|X_B| = " << small_rows << ": " << small << ", |X_B| = "
+      << large_rows << ": " << large;
+}
+
+/// The decoded X_B of one RunEmdProtocol and whether each of its rows is a
+/// copy of a row of S_B (EveryRowIsACopy).
+struct DecodedCopies {
+  size_t rows = 0;
+  bool copies = false;
+};
+
+DecodedCopies DecodeAndCheckCopies(const NoisyPairConfig& config,
+                                   const EmdProtocolParams& params) {
+  auto workload = GenerateNoisyPairStore(config);
+  EXPECT_TRUE(workload.ok());
+  if (!workload.ok()) return {};
+  auto report = RunEmdProtocol(workload->alice, workload->bob, params);
+  EXPECT_TRUE(report.ok() && !report->failure);
+  if (!report.ok() || report->failure) return {};
+  return {report->x_b.size(), EveryRowIsACopy(report->x_b, workload->bob)};
+}
+
+TEST(EmdProtocolTest, HonestLargeDiffDecodesOnlyCopiesOfBobsPoints) {
+  // The emd_large_diff exchange at its reduced shape (n = 1024, 32
+  // outliers, k = 32, D1 = 64, D2 = 256, adaptive, compact): without noise
+  // every decoded X_B row is one of Bob's points, so the repair takes the
+  // exact-copy pass instead of the Hungarian.
+  for (uint64_t seed : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
+    NoisyPairConfig config;
+    config.metric = MetricKind::kL2;
+    config.dim = 16;
+    config.delta = 1023;
+    config.n = 1024;
+    config.outliers = 32;
+    config.seed = HashCombine(seed, 0);
+    EmdProtocolParams params = BaseParams(MetricKind::kL2, 16, 1023, 32, seed);
+    params.d1 = 64;
+    params.d2 = 256;
+    params.adaptive.enabled = true;
+    params.adaptive.rounding = CellRounding::kExact;
+    params.codec = WireCodec::kCompact;
+    const DecodedCopies decoded = DecodeAndCheckCopies(config, params);
+    EXPECT_GE(decoded.rows, config.outliers) << "seed " << seed;
+    EXPECT_TRUE(decoded.copies) << "seed " << seed;
+  }
+}
+
+TEST(EmdProtocolTest, NoisyWidePriorDecodesValueError) {
+  // The emd_wide_prior exchange at its reduced shape (n = 256, 8 outliers,
+  // noise 2, k = 8, D1 = 8, D2 = 8192, classic): near-but-unequal points
+  // share keys at the decoded level, so some X_B row is not one of Bob's
+  // points and the repair falls back to the Hungarian.
+  for (uint64_t seed : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
+    NoisyPairConfig config;
+    config.metric = MetricKind::kL2;
+    config.dim = 16;
+    config.delta = 1023;
+    config.n = 256;
+    config.outliers = 8;
+    config.noise = 2;
+    config.outlier_dist = 200;
+    config.seed = HashCombine(seed, 0);
+    EmdProtocolParams params = BaseParams(MetricKind::kL2, 16, 1023, 8, seed);
+    params.d1 = 8;
+    params.d2 = 8192;
+    params.codec = WireCodec::kClassic;
+    const DecodedCopies decoded = DecodeAndCheckCopies(config, params);
+    EXPECT_GT(decoded.rows, 0u) << "seed " << seed;
+    EXPECT_FALSE(decoded.copies) << "seed " << seed;
+  }
 }
 
 }  // namespace

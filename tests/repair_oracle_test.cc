@@ -9,7 +9,10 @@
 // decides which of Bob's points are replaced). The repair's Hungarian reads
 // its cost rows from a row source that computes each row when it is
 // scanned, into one buffer; it must return the same, on both kernel arms,
-// also when it scans a row more than once.
+// also when it scans a row more than once. MinCostMatching first tries an
+// exact-copy pass, which must return the reference's answer whenever every
+// X_B row has an equal S_B row left, and leave every other input, the
+// wrapping l1 pair included, to the Hungarian.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -438,6 +441,157 @@ TEST(RepairOracleTest, MatrixFreeRepairMatchesReferenceOnBothArms) {
       }
     }
   }
+}
+
+// ---- The exact-copy pass of MinCostMatching ------------------------------
+
+/// S_B with repeated values: `distinct` ExtremeStore draws, value v held
+/// 1 + v % 3 times, in a shuffled row order. Small deltas add repeats of
+/// their own.
+PointStore StoreWithRepeats(size_t distinct, size_t dim, Coord delta,
+                            Rng* rng) {
+  const PointStore values = ExtremeStore(distinct, dim, delta, rng);
+  std::vector<size_t> order;
+  for (size_t v = 0; v < distinct; ++v) order.insert(order.end(), 1 + v % 3, v);
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng->Below(i)]);
+  }
+  PointStore store(dim);
+  for (size_t v : order) store.Append(values[v]);
+  return store;
+}
+
+/// `rows` distinct row indices of `s_b`, in a random order: a sub-multiset
+/// of S_B, as an honest decode without value error gives X_B.
+PointStore SubMultiset(const PointStore& s_b, size_t rows, Rng* rng) {
+  std::vector<size_t> index(s_b.size());
+  for (size_t i = 0; i < index.size(); ++i) index[i] = i;
+  for (size_t i = 0; i < rows; ++i) {
+    std::swap(index[i], index[i + rng->Below(index.size() - i)]);
+  }
+  PointStore x_b(s_b.dim());
+  for (size_t i = 0; i < rows; ++i) x_b.Append(s_b[index[i]]);
+  return x_b;
+}
+
+/// MinCostMatching on every runnable arm against the reference on the
+/// held matrix: row_to_col, and cost bit for bit.
+void ExpectMatchingMatchesReference(const PointStore& x_b,
+                                    const PointStore& s_b,
+                                    const Metric& metric,
+                                    const std::string& what) {
+  const AssignmentResult want =
+      ReferenceMinCostAssignment(DistanceMatrix(x_b, s_b, metric));
+  for (RepairArm arm : RunnableArms()) {
+    const AssignmentResult got =
+        emd_internal::MinCostMatchingOn(arm, x_b, s_b, metric);
+    EXPECT_EQ(got.row_to_col, want.row_to_col)
+        << metric.Name() << " " << what << " on "
+        << emd_internal::RepairArmName(arm);
+    EXPECT_TRUE(SameBits(got.cost, want.cost))
+        << metric.Name() << " " << what << " on "
+        << emd_internal::RepairArmName(arm) << ": " << got.cost << " vs "
+        << want.cost;
+  }
+}
+
+constexpr Coord kPassDeltas[] = {1, 1023, std::numeric_limits<Coord>::max()};
+
+TEST(RepairOracleTest, ExactCopyPassMatchesReferenceOnSubMultisets) {
+  // Every X_B row is an S_B row, each value at most as often as S_B holds
+  // it: the pass assigns every row (the l1 guard sends delta = INT64_MAX
+  // to the Hungarian). rows = |S_B| takes every copy of every value;
+  // fewer rows leave S_B more copies of some values than X_B holds.
+  Rng rng(40);
+  for (MetricKind kind :
+       {MetricKind::kHamming, MetricKind::kL1, MetricKind::kL2}) {
+    const Metric metric(kind);
+    for (Coord delta : kPassDeltas) {
+      for (size_t dim : {size_t{1}, size_t{3}, size_t{16}}) {
+        for (size_t distinct : {size_t{1}, size_t{4}, size_t{21}}) {
+          const PointStore s_b = StoreWithRepeats(distinct, dim, delta, &rng);
+          for (size_t rows : {size_t{1}, s_b.size() / 2, s_b.size()}) {
+            if (rows == 0) continue;
+            for (int rep = 0; rep < 3; ++rep) {
+              const PointStore x_b = SubMultiset(s_b, rows, &rng);
+              const AssignmentResult want =
+                  ReferenceMinCostAssignment(DistanceMatrix(x_b, s_b, metric));
+              if (kind != MetricKind::kL1 || delta != kPassDeltas[2]) {
+                ASSERT_EQ(want.cost, 0.0) << "X_B is a sub-multiset";
+              }
+              ExpectMatchingMatchesReference(
+                  x_b, s_b, metric,
+                  "delta " + std::to_string(delta) + " dim " +
+                      std::to_string(dim) + " " + std::to_string(rows) +
+                      "x" + std::to_string(s_b.size()));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RepairOracleTest, ExactCopyPassFallsBackToTheHungarian) {
+  // Inputs the pass cannot assign in full. Each is the Hungarian's to
+  // decide, and the result must still be the reference's.
+  Rng rng(41);
+  for (MetricKind kind :
+       {MetricKind::kHamming, MetricKind::kL1, MetricKind::kL2}) {
+    const Metric metric(kind);
+    for (Coord delta : kPassDeltas) {
+      for (size_t dim : {size_t{1}, size_t{3}, size_t{16}}) {
+        const PointStore s_b = StoreWithRepeats(21, dim, delta, &rng);
+        const std::string shape =
+            "delta " + std::to_string(delta) + " dim " + std::to_string(dim);
+        for (size_t rows : {size_t{1}, size_t{8}, s_b.size()}) {
+          // One row moved by 1 in one coordinate, inside [0, delta]. At
+          // small deltas the moved row may equal another value of S_B.
+          const PointStore moved = SubMultiset(s_b, rows, &rng);
+          PointStore x_b(dim);
+          const size_t r = rng.Below(rows);
+          for (size_t i = 0; i < rows; ++i) {
+            Coord* row = x_b.AppendRow();
+            std::copy(moved.row(i), moved.row(i) + dim, row);
+            if (i != r) continue;
+            const size_t c = rng.Below(dim);
+            row[c] = row[c] == delta ? delta - 1 : row[c] + 1;
+          }
+          ExpectMatchingMatchesReference(
+              x_b, s_b, metric,
+              shape + " one row moved, " + std::to_string(rows) + " rows");
+        }
+        // One value once more in X_B than S_B holds it.
+        const PointRef value = s_b[rng.Below(s_b.size())];
+        size_t copies = 0;
+        for (size_t j = 0; j < s_b.size(); ++j) {
+          if (s_b[j] == value) ++copies;
+        }
+        ASSERT_LT(copies, s_b.size()) << shape;
+        PointStore x_b(dim);
+        for (size_t i = 0; i <= copies; ++i) x_b.Append(value);
+        ExpectMatchingMatchesReference(x_b, s_b, metric,
+                                       shape + " one value repeated");
+      }
+    }
+  }
+}
+
+TEST(RepairOracleTest, ExactCopyPassLeavesWrappingL1ToTheHungarian) {
+  // (M, M) against (0, 0) sums 2^64 - 2, which L1Pair reads as -2: the
+  // Hungarian takes that column, not the equal row after it.
+  const Coord m = std::numeric_limits<Coord>::max();
+  PointStore s_b(2);
+  s_b.Append(Point(std::vector<Coord>{0, 0}));
+  s_b.Append(Point(std::vector<Coord>{m, m}));
+  PointStore x_b(2);
+  x_b.Append(Point(std::vector<Coord>{m, m}));
+  const Metric metric(MetricKind::kL1);
+  const AssignmentResult want =
+      ReferenceMinCostAssignment(DistanceMatrix(x_b, s_b, metric));
+  ASSERT_EQ(want.row_to_col, std::vector<int>{0});
+  ASSERT_EQ(want.cost, -2.0);
+  ExpectMatchingMatchesReference(x_b, s_b, metric, "wrapping pair");
 }
 
 }  // namespace

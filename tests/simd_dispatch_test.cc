@@ -15,6 +15,7 @@
 // tie-heavy and signed-zero matrices, and the matrix-free repair matching,
 // whose Hungarian computes each cost row when it scans it (and again when
 // it rescans it).
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -346,6 +347,52 @@ TEST(SimdDispatchTest, RepairMatchingAvx2IdenticalToScalar) {
           PointStore x(5);
           for (size_t r = 0; r < rows; ++r) {
             x.Append(y[rng.Below((cols + 1) / 2)]);
+          }
+          const AssignmentResult want = emd_internal::MinCostMatchingOn(
+              emd_internal::RepairArm::kScalar, x, y, metric);
+          const AssignmentResult got = emd_internal::MinCostMatchingOn(
+              emd_internal::RepairArm::kAvx2, x, y, metric);
+          EXPECT_EQ(got.row_to_col, want.row_to_col)
+              << metric.Name() << " delta " << delta << " " << rows << "x"
+              << cols;
+          EXPECT_TRUE(SameBits(got.cost, want.cost))
+              << metric.Name() << " delta " << delta << " " << rows << "x"
+              << cols << ": " << got.cost << " vs " << want.cost;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdDispatchTest, RepairMatchingWithValueErrorAvx2IdenticalToScalar) {
+  // RepairMatchingAvx2IdenticalToScalar's draws with one coordinate of
+  // every X_B row moved by 1, as value error moves a decoded row. Its own
+  // rows = 1 draws are exact copies, which MinCostMatching matches without
+  // the Hungarian; here some row has no equal in S_B, so both arms run it.
+  if (!Avx2ArmRunnable()) GTEST_SKIP() << "CPU lacks AVX2";
+  Rng rng(55);
+  for (MetricKind kind :
+       {MetricKind::kHamming, MetricKind::kL1, MetricKind::kL2}) {
+    const Metric metric(kind);
+    for (Coord delta : {Coord{3}, Coord{1023},
+                        std::numeric_limits<Coord>::max()}) {
+      for (size_t cols : kRepairCols) {
+        const PointStore y = RepairStore(cols, 5, delta, &rng);
+        for (size_t rows : {size_t{1}, (cols + 1) / 2, cols}) {
+          // Row 0 is drawn again until it has no equal in S_B.
+          PointStore x(5);
+          for (size_t r = 0; r < rows; ++r) {
+            Coord* row = x.AppendRow();
+            bool in_y = true;
+            while (in_y) {
+              std::copy_n(y.row(rng.Below((cols + 1) / 2)), 5, row);
+              const size_t c = rng.Below(5);
+              row[c] = row[c] == delta ? delta - 1 : row[c] + 1;
+              in_y = false;
+              for (size_t j = 0; r == 0 && j < cols; ++j) {
+                in_y |= y[j] == x[r];
+              }
+            }
           }
           const AssignmentResult want = emd_internal::MinCostMatchingOn(
               emd_internal::RepairArm::kScalar, x, y, metric);
