@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/emd_protocol.h"
+#include "core/emd_sketch.h"
 #include "core/gap_protocol.h"
 #include "core/sync_dataset.h"
 #include "core/sync_server.h"
@@ -187,6 +188,126 @@ void BM_PairwisePrefixesWide(benchmark::State& state) {
                           static_cast<int64_t>(kRows));
 }
 BENCHMARK(BM_PairwisePrefixesWide)->Unit(benchmark::kMillisecond);
+
+/// The level-key shapes of the three EMD workloads of bench/e2e (l2,
+/// dim 16, delta 1023): the party's row count, the protocol parameters that
+/// derive s and the level count, and the s and level count they must derive.
+struct EmdKeyShape {
+  size_t n;
+  size_t k;
+  double d1;
+  double d2;
+  bool adaptive;
+  CellRounding rounding;
+  size_t s;
+  size_t levels;
+};
+constexpr EmdKeyShape kWideKeys{1024, 8, 8, 8192, false, CellRounding::kExact,
+                                3073, 11};
+constexpr EmdKeyShape kLargeKeys{8192, 256, 64, 256, true,
+                                 CellRounding::kExact, 82, 3};
+constexpr EmdKeyShape kChurnKeys{32768, 64, 16, 64, true,
+                                 CellRounding::kDivisorLadder, 21, 3};
+
+/// One party's key inputs at an EMD workload shape: uniform rows, the hashes
+/// the protocol derives, and the prefix lengths. CHECK-fails if the shape no
+/// longer derives its recorded s and level count.
+struct EmdKeyInputs {
+  PointStore points;
+  EmdHashes hashes;
+  std::vector<size_t> prefix_lens;
+};
+
+EmdKeyInputs MakeEmdKeyInputs(const EmdKeyShape& shape) {
+  EmdProtocolParams params;
+  params.metric = MetricKind::kL2;
+  params.dim = 16;
+  params.delta = 1023;
+  params.k = shape.k;
+  params.d1 = shape.d1;
+  params.d2 = shape.d2;
+  params.adaptive.enabled = shape.adaptive;
+  params.adaptive.rounding = shape.rounding;
+  params.seed = 29;
+  const EmdDerived derived =
+      DeriveEmdParameters(params, shape.n).ValueOrDie();
+  RSR_CHECK(derived.s == shape.s && derived.levels == shape.levels);
+  Rng rng(31);
+  PointStore points = GenerateUniformStore(shape.n, 16, 1023, &rng);
+  return EmdKeyInputs{std::move(points), MakeEmdHashes(params, derived),
+                      EmdPrefixLens(derived)};
+}
+
+void BM_PairwisePrefixesWideReal(benchmark::State& state) {
+  // BM_PairwisePrefixesWide's loop over the bucket ids the protocol hashes:
+  // the 2-stable cells of 1024 uniform rows under the emd_wide_prior draws.
+  // Uniform random words make the same code read about twice as slow, so
+  // this is the figure the key derivation pays.
+  const EmdKeyInputs in = MakeEmdKeyInputs(kWideKeys);
+  EvalMatrix evals;
+  EvaluateAllInto(in.points, in.hashes.draws, /*num_threads=*/1, &evals);
+  const PairwiseVectorHash& h = in.hashes.level_key_hash;
+  const std::vector<size_t>& lens = in.prefix_lens;
+  const size_t s = evals.cols();
+  std::vector<uint64_t> keys(evals.rows() * lens.size());
+  h.Reserve(s);
+  for (auto _ : state) {
+    for (size_t r = 0; r < evals.rows(); ++r) {
+      h.EvalPrefixes(evals.row(r), lens.data(), lens.size(),
+                     keys.data() + r * lens.size());
+    }
+    benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(evals.rows()));
+}
+BENCHMARK(BM_PairwisePrefixesWideReal)->Unit(benchmark::kMillisecond);
+
+void BM_PairwisePrefixesRowsWide(benchmark::State& state) {
+  // The same keys through EvalPrefixesRows, on the dispatched arm (four rows
+  // per AVX2 vector; rsr_key_dispatch in the context), written level-major
+  // and masked as the protocol stores them.
+  const EmdKeyInputs in = MakeEmdKeyInputs(kWideKeys);
+  EvalMatrix evals;
+  EvaluateAllInto(in.points, in.hashes.draws, /*num_threads=*/1, &evals);
+  const PairwiseVectorHash& h = in.hashes.level_key_hash;
+  const std::vector<size_t>& lens = in.prefix_lens;
+  const size_t n = evals.rows();
+  std::vector<uint64_t> keys(n * lens.size());
+  h.Reserve(evals.cols());
+  for (auto _ : state) {
+    h.EvalPrefixesRows(evals.data(), n, evals.cols(), lens.data(),
+                       lens.size(), kEmdLevelKeyMask, n, keys.data());
+    benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_PairwisePrefixesRowsWide)->Unit(benchmark::kMillisecond);
+
+void BM_EmdLevelKeys(benchmark::State& state, EmdKeyShape shape) {
+  // One party's whole key derivation (EvaluateEmdLevelKeys: packed 2-stable
+  // cells and prefix keys, one row block at a time) at an e2e EMD shape:
+  // wide = emd_wide_prior, large = emd_large_diff, churn = a serve_churn
+  // client's full set.
+  const EmdKeyInputs in = MakeEmdKeyInputs(shape);
+  for (auto _ : state) {
+    std::vector<uint64_t> keys =
+        EvaluateEmdLevelKeys(in.points, in.hashes, in.prefix_lens, 1);
+    benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(shape.n));
+}
+BENCHMARK_CAPTURE(BM_EmdLevelKeys, wide, kWideKeys)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EmdLevelKeys, large, kLargeKeys)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EmdLevelKeys, churn, kChurnKeys)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PairwiseEvalBatchShort(benchmark::State& state) {
   // The Gap protocol's slot hashes: m = 4 entries per row out of an
@@ -988,6 +1109,9 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext(
       "rsr_repair_dispatch",
       rsr::emd_internal::RepairArmName(rsr::emd_internal::ActiveRepairArm()));
+  benchmark::AddCustomContext(
+      "rsr_key_dispatch",
+      rsr::hashing_internal::KeyArmName(rsr::hashing_internal::ActiveKeyArm()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -7,7 +7,8 @@
 # a table of headline medians from earlier snapshots (README.md there).
 #
 # Layer groups: the key hash (BM_PairwisePrefixes*,
-# BM_PairwiseEvalBatchShort), batch LSH (BM_EvaluateAll*,
+# BM_PairwiseEvalBatchShort), one party's whole EMD key derivation at the
+# e2e shapes (BM_EmdLevelKeys/*), batch LSH (BM_EvaluateAll*,
 # BM_StoreEvaluateAll), sketches (BM_Iblt*, BM_Riblt*), repair matching
 # (BM_RepairMatch, BM_Emd*), the Gap path's key build, range check,
 # set-of-sets reconciliation and far detection (BM_GapKeys, BM_InDomainAll,

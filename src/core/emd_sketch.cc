@@ -22,8 +22,12 @@ EmdHashes MakeEmdHashes(const EmdProtocolParams& params,
   std::vector<std::unique_ptr<LshFunction>> draws =
       DrawMany(*family, derived.s, &shared);
   PairwiseVectorHash level_key_hash = PairwiseVectorHash::Draw(&shared);
+  PackedDotCells dot_cells;
+  if (const auto* pstable = dynamic_cast<const PStableFamily*>(family.get())) {
+    dot_cells = pstable->Pack(draws);
+  }
   return EmdHashes{std::move(family), std::move(draws),
-                   std::move(level_key_hash)};
+                   std::move(level_key_hash), std::move(dot_cells)};
 }
 
 std::vector<size_t> EmdPrefixLens(const EmdDerived& derived) {
@@ -45,37 +49,17 @@ RibltParams EmdLevelRibltParams(const EmdProtocolParams& params,
   return level_params;
 }
 
-namespace {
-
-/// Masked level keys of `count` evaluation rows (row r at
-/// evals + r * evals_cols), written as rows [row0, row0 + count) of the
-/// level-major n-row key array `out`.
-void WriteLevelKeys(const uint64_t* evals, size_t evals_cols, size_t count,
-                    const PairwiseVectorHash& level_key_hash,
-                    const std::vector<size_t>& prefix_lens, size_t row0,
-                    size_t n, uint64_t* out) {
-  const size_t t = prefix_lens.size();
-  // Per-row scratch stays on the stack for any realistic level count
-  // (t = ceil(log2(D2/D1)) + 1), keeping the warm incremental path
-  // allocation-free; deeper ladders spill to the heap.
-  constexpr size_t kInlineLevels = 64;
-  uint64_t inline_keys[kInlineLevels];
-  std::vector<uint64_t> heap_keys;
-  uint64_t* row_keys = inline_keys;
-  if (t > kInlineLevels) {
-    heap_keys.resize(t);
-    row_keys = heap_keys.data();
-  }
-  for (size_t r = 0; r < count; ++r) {
-    level_key_hash.EvalPrefixes(evals + r * evals_cols, prefix_lens.data(), t,
-                                row_keys);
-    for (size_t level = 0; level < t; ++level) {
-      out[level * n + row0 + r] = row_keys[level] & kEmdLevelKeyMask;
-    }
+void EvaluateEmdRowsInto(const PointStore& points, size_t row_begin,
+                         size_t row_count, const EmdHashes& hashes,
+                         size_t num_threads, EvalMatrix* out) {
+  if (hashes.dot_cells.count() > 0) {
+    EvaluateRowsInto(points, row_begin, row_count, hashes.dot_cells,
+                     num_threads, out);
+  } else {
+    EvaluateRowsInto(points, row_begin, row_count, hashes.draws, num_threads,
+                     out);
   }
 }
-
-}  // namespace
 
 void ComputeEmdLevelKeysInto(const EvalMatrix& evals,
                              const PairwiseVectorHash& level_key_hash,
@@ -86,8 +70,9 @@ void ComputeEmdLevelKeysInto(const EvalMatrix& evals,
   if (t == 0 || n == 0) return;
   level_key_hash.Reserve(prefix_lens.back());  // thread safety
   ParallelShards(n, num_threads, [&](size_t begin, size_t end) {
-    WriteLevelKeys(evals.data() + begin * evals.cols(), evals.cols(),
-                   end - begin, level_key_hash, prefix_lens, begin, n, out);
+    level_key_hash.EvalPrefixesRows(
+        evals.data() + begin * evals.cols(), end - begin, evals.cols(),
+        prefix_lens.data(), t, kEmdLevelKeyMask, n, out + begin);
   });
 }
 
@@ -117,9 +102,11 @@ std::vector<uint64_t> EvaluateEmdLevelKeys(
     EvalMatrix evals;
     for (size_t b = begin; b < end; b += block) {
       const size_t len = std::min(block, end - b);
-      EvaluateRowsInto(points, b, len, hashes.draws, 1, &evals);
-      WriteLevelKeys(evals.data(), s, len, hashes.level_key_hash, prefix_lens,
-                     b, n, keys.data());
+      EvaluateEmdRowsInto(points, b, len, hashes, 1, &evals);
+      hashes.level_key_hash.EvalPrefixesRows(evals.data(), len, s,
+                                             prefix_lens.data(), t,
+                                             kEmdLevelKeyMask, n,
+                                             keys.data() + b);
     }
   });
   return keys;

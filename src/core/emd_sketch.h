@@ -44,12 +44,17 @@ struct EmdHashes {
   std::unique_ptr<MlshFamily> family;
   std::vector<std::unique_ptr<LshFunction>> draws;
   PairwiseVectorHash level_key_hash;
+  /// The 2-stable (l2) draws packed for one kernel call per row block
+  /// (PStableFamily::Pack); empty (count() == 0) for the l1 and Hamming
+  /// families, whose draws are evaluated one by one.
+  PackedDotCells dot_cells;
 };
 
 /// Derives the shared hash state. Consumes the seed's RNG stream in the
 /// protocol's historical order (DrawMany, then PairwiseVectorHash::Draw), so
 /// every consumer — one-shot protocol, prebuilt server, incremental dataset —
-/// keys points identically.
+/// keys points identically. Packing the 2-stable draws afterwards consumes
+/// nothing.
 EmdHashes MakeEmdHashes(const EmdProtocolParams& params,
                         const EmdDerived& derived);
 
@@ -63,12 +68,21 @@ std::vector<size_t> EmdPrefixLens(const EmdDerived& derived);
 RibltParams EmdLevelRibltParams(const EmdProtocolParams& params,
                                 size_t num_cells, size_t level);
 
+/// The MLSH evaluations of rows [row_begin, row_begin + row_count) of
+/// `points` under hashes.draws, into *out: through the packed 2-stable table
+/// when there is one, else one batch call per draw (EvaluateRowsInto). Every
+/// EMD key derivation evaluates its rows here.
+void EvaluateEmdRowsInto(const PointStore& points, size_t row_begin,
+                         size_t row_count, const EmdHashes& hashes,
+                         size_t num_threads, EvalMatrix* out);
+
 /// All masked level keys of every evaluated row, level-major:
 /// out[level * n + i] is row i's key at 1-based level `level + 1`. One
-/// EvalPrefixes pass per row covers every level, sharded over rows. `out`
-/// must hold prefix_lens.size() * evals.rows() entries; with t <= 64 levels
-/// the call performs no heap allocation (per-row scratch lives on the
-/// stack), which is what keeps SyncDataset's warm insert allocation-free.
+/// PairwiseVectorHash::EvalPrefixesRows pass covers every level of a shard
+/// of rows and writes straight into `out`, which must hold
+/// prefix_lens.size() * evals.rows() entries. The call performs no heap
+/// allocation, which is what keeps SyncDataset's warm insert
+/// allocation-free.
 void ComputeEmdLevelKeysInto(const EvalMatrix& evals,
                              const PairwiseVectorHash& level_key_hash,
                              const std::vector<size_t>& prefix_lens,

@@ -200,8 +200,8 @@ void SyncDataset::ApplyInserts(std::span<const uint64_t> insert_keys) {
 
   // One pass through the dispatched batch kernels over the appended tail;
   // the pipeline converts only the rows it evaluates, O(m · dim).
-  EvaluateRowsInto(rows_, n0, m, hashes_.draws, params_.num_threads,
-                   &eval_scratch_);
+  EvaluateEmdRowsInto(rows_, n0, m, hashes_, params_.num_threads,
+                      &eval_scratch_);
   batch_keys_.resize(t * m);
   ComputeEmdLevelKeysInto(eval_scratch_, hashes_.level_key_hash,
                           sketches_.prefix_lens, params_.num_threads,

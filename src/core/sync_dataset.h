@@ -70,11 +70,11 @@ class SyncDataset {
   uint64_t KeyOf(PointRef row) const;
 
   /// Inserts one row: hashes it once through the dispatched batch kernels
-  /// (EvaluateRowsInto over the appended tail), derives its level keys, and
-  /// applies +1 cell updates to every level table and estimator. Returns the
-  /// row's key. InvalidArgument if the key is already present; the dataset
-  /// is unchanged on error. Warm calls (capacity Reserved, a same-shape
-  /// mutation seen before, num_threads <= 1, levels <= 64) perform zero heap
+  /// (EvaluateEmdRowsInto over the appended tail), derives its level keys,
+  /// and applies +1 cell updates to every level table and estimator. Returns
+  /// the row's key. InvalidArgument if the key is already present; the
+  /// dataset is unchanged on error. Warm calls (capacity Reserved, a
+  /// same-shape mutation seen before, num_threads <= 1) perform zero heap
   /// allocations.
   Result<uint64_t> Insert(PointRef row);
 

@@ -1,6 +1,8 @@
 #include "hashing/pairwise.h"
 
 #include "hashing/hash64.h"
+#include "hashing/pairwise_avx2.h"
+#include "util/cpu_features.h"
 
 namespace rsr {
 
@@ -65,7 +67,44 @@ unsigned __int128 LengthTerm(uint64_t salt, size_t len) {
   return static_cast<unsigned __int128>(salt) * Mod61(len);
 }
 
+/// The scalar prefix walk shared by EvalPrefixes and the scalar rows of
+/// EvalPrefixesRows: one pass along row v, where sum holds b plus the terms
+/// of the first `done` entries, and each requested length extends it and
+/// calls emit(l, key of prefix l).
+template <typename Emit>
+[[gnu::always_inline]] inline void WalkPrefixes(const uint64_t* coeffs,
+                                                uint64_t b, uint64_t salt,
+                                                const uint64_t* v,
+                                                const size_t* lens,
+                                                size_t num_prefixes,
+                                                Emit emit) {
+  uint64_t sum = b;
+  size_t done = 0;
+  for (size_t l = 0; l < num_prefixes; ++l) {
+    RSR_DCHECK(lens[l] >= done);  // lens must be nondecreasing
+    sum = Accumulate(coeffs + done, v + done, lens[l] - done, sum);
+    done = lens[l];
+    emit(l, Mod61(sum + LengthTerm(salt, done)));
+  }
+}
+
 }  // namespace
+
+namespace hashing_internal {
+
+KeyArm ActiveKeyArm() {
+  static const KeyArm arm =
+      kAvx2PairwiseCompiled && CpuSupportsAvx2() && !ForceScalarKernels()
+          ? KeyArm::kAvx2
+          : KeyArm::kScalar;
+  return arm;
+}
+
+const char* KeyArmName(KeyArm arm) {
+  return arm == KeyArm::kAvx2 ? "avx2" : "scalar";
+}
+
+}  // namespace hashing_internal
 
 PairwiseVectorHash PairwiseVectorHash::Draw(Rng* rng) {
   PairwiseVectorHash h(rng->Fork());
@@ -93,16 +132,31 @@ void PairwiseVectorHash::EvalPrefixes(const uint64_t* v, const size_t* lens,
                                       uint64_t* out) const {
   if (num_prefixes == 0) return;
   EnsureMultipliers(lens[num_prefixes - 1]);
+  WalkPrefixes(coeffs_.data(), b_, length_salt_, v, lens, num_prefixes,
+               [out](size_t l, uint64_t key) { out[l] = key; });
+}
+
+void PairwiseVectorHash::EvalPrefixesRowsOn(hashing_internal::KeyArm arm,
+                                            const uint64_t* rows, size_t count,
+                                            size_t row_stride,
+                                            const size_t* lens,
+                                            size_t num_prefixes, uint64_t mask,
+                                            size_t out_n, uint64_t* out) const {
+  if (num_prefixes == 0 || count == 0) return;
+  EnsureMultipliers(lens[num_prefixes - 1]);
   const uint64_t* coeffs = coeffs_.data();
-  // One walk along the prefix chain: sum holds b plus the terms of the first
-  // `done` entries, and each requested length extends it and emits its key.
-  uint64_t sum = b_;
-  size_t done = 0;
-  for (size_t t = 0; t < num_prefixes; ++t) {
-    RSR_DCHECK(lens[t] >= done);  // lens must be nondecreasing
-    sum = Accumulate(coeffs + done, v + done, lens[t] - done, sum);
-    done = lens[t];
-    out[t] = Mod61(sum + LengthTerm(length_salt_, done));
+  size_t r = 0;
+  if (arm == hashing_internal::KeyArm::kAvx2) {
+    r = hashing_internal::PrefixRowsAvx2(coeffs, b_, length_salt_, rows,
+                                         count, row_stride, lens, num_prefixes,
+                                         mask, out_n, out);
+  }
+  for (; r < count; ++r) {
+    uint64_t* row_out = out + r;
+    WalkPrefixes(coeffs, b_, length_salt_, rows + r * row_stride, lens,
+                 num_prefixes, [row_out, mask, out_n](size_t l, uint64_t key) {
+                   row_out[l * out_n] = key & mask;
+                 });
   }
 }
 

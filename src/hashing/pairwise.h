@@ -36,6 +36,19 @@ inline uint64_t Mod61(unsigned __int128 x) {
   return r;
 }
 
+namespace hashing_internal {
+
+/// The arm that computes PairwiseVectorHash::EvalPrefixesRows. kAvx2 iff
+/// pairwise_avx2.cc was compiled with AVX2 codegen, CPUID reports AVX2 and
+/// RSR_FORCE_SCALAR is unset (util/cpu_features.h); decided once per
+/// process. Both arms write the same keys bit for bit.
+enum class KeyArm { kScalar, kAvx2 };
+KeyArm ActiveKeyArm();
+/// "avx2" or "scalar".
+const char* KeyArmName(KeyArm arm);
+
+}  // namespace hashing_internal
+
 /// Pairwise-independent hash of fixed-length vectors of 64-bit values.
 /// Lazily extends the multiplier list so one instance can hash prefixes of
 /// any length (used by the EMD protocol's per-level prefix keys).
@@ -61,6 +74,24 @@ class PairwiseVectorHash {
   /// bit-identical to per-prefix Eval.
   void EvalPrefixes(const uint64_t* v, const size_t* lens, size_t num_prefixes,
                     uint64_t* out) const;
+
+  /// Every prefix key of `count` rows (row r at rows + r * row_stride),
+  /// written level-major: out[l * out_n + r] = EvalPrefixes(row r)[l] & mask
+  /// for l < num_prefixes, with lens as in EvalPrefixes. The active arm
+  /// (hashing_internal::ActiveKeyArm) hashes four rows per AVX2 vector; rows
+  /// left after the last group of four, and every row on the scalar arm, run
+  /// EvalPrefixes' own walk. No scratch is allocated.
+  void EvalPrefixesRows(const uint64_t* rows, size_t count, size_t row_stride,
+                        const size_t* lens, size_t num_prefixes, uint64_t mask,
+                        size_t out_n, uint64_t* out) const {
+    EvalPrefixesRowsOn(hashing_internal::ActiveKeyArm(), rows, count,
+                       row_stride, lens, num_prefixes, mask, out_n, out);
+  }
+  /// EvalPrefixesRows on a chosen arm (the tests pin arm against arm).
+  void EvalPrefixesRowsOn(hashing_internal::KeyArm arm, const uint64_t* rows,
+                          size_t count, size_t row_stride, const size_t* lens,
+                          size_t num_prefixes, uint64_t mask, size_t out_n,
+                          uint64_t* out) const;
 
   /// Batch fixed-length eval over rows of a flat row-major matrix:
   /// out[i] = Eval(rows + i * row_stride, len) (first `len` entries of each

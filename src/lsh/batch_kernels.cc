@@ -32,18 +32,30 @@ void DotCellColsScalar(const double* cols, size_t col_stride, size_t n,
       n, direction, dim, offset, w, out, out_stride);
 }
 
+void DotCellsManyScalar(const double* cols, size_t col_stride, size_t n,
+                        size_t dim, const double* directions,
+                        const double* offsets, size_t count, double w,
+                        uint64_t* out, size_t out_stride) {
+  DotCellsManyBatch(
+      [cols, col_stride](size_t i) { return ColRowView{cols + i, col_stride}; },
+      n, directions, offsets, count, dim, w, out, out_stride);
+}
+
 struct KernelTable {
   decltype(&GridHashColsScalar) grid_cols;
   decltype(&DotCellColsScalar) dot_cols;
+  decltype(&DotCellsManyScalar) dot_many;
   const char* name;
 };
 
 const KernelTable& ActiveKernels() {
   static const KernelTable table = [] {
     if (kAvx2KernelsCompiled && CpuSupportsAvx2() && !ForceScalarKernels()) {
-      return KernelTable{GridHashColsAvx2, DotCellColsAvx2, "avx2"};
+      return KernelTable{GridHashColsAvx2, DotCellColsAvx2, DotCellsManyAvx2,
+                         "avx2"};
     }
-    return KernelTable{GridHashColsScalar, DotCellColsScalar, "scalar"};
+    return KernelTable{GridHashColsScalar, DotCellColsScalar,
+                       DotCellsManyScalar, "scalar"};
   }();
   return table;
 }
@@ -62,6 +74,13 @@ void DotCellCols(const double* cols, size_t col_stride, size_t n, size_t dim,
                  uint64_t* out, size_t out_stride) {
   ActiveKernels().dot_cols(cols, col_stride, n, dim, direction, offset, w, out,
                            out_stride);
+}
+
+void DotCellsMany(const double* cols, size_t col_stride, size_t n, size_t dim,
+                  const double* directions, const double* offsets,
+                  size_t count, double w, uint64_t* out, size_t out_stride) {
+  ActiveKernels().dot_many(cols, col_stride, n, dim, directions, offsets,
+                           count, w, out, out_stride);
 }
 
 const char* ActiveBatchKernelName() { return ActiveKernels().name; }

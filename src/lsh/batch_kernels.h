@@ -117,6 +117,20 @@ inline void DotCellBatch(RowFn row, size_t n, const double* direction,
   }
 }
 
+/// Many 2-stable draws over one point set: for every g < count,
+/// out[i*stride + g] = DotCellBatch's cell of point i under direction
+/// directions + g * dim and offset offsets[g], bit for bit (one DotCellBatch
+/// pass per draw).
+template <typename RowFn>
+inline void DotCellsManyBatch(RowFn row, size_t n, const double* directions,
+                              const double* offsets, size_t count, size_t dim,
+                              double w, uint64_t* out, size_t out_stride) {
+  for (size_t g = 0; g < count; ++g) {
+    DotCellBatch(row, n, directions + g * dim, dim, offsets[g], w, out + g,
+                 out_stride);
+  }
+}
+
 /// Column accessor adapter: presents column-major storage
 /// (cols[j * col_stride + i] == point i's coordinate j) to the row-templated
 /// kernels above, making the scalar column reference literally the same
@@ -146,6 +160,15 @@ void GridHashCols(const double* cols, size_t col_stride, size_t n, size_t dim,
 void DotCellCols(const double* cols, size_t col_stride, size_t n, size_t dim,
                  const double* direction, double offset, double w,
                  uint64_t* out, size_t out_stride);
+
+/// Every draw of a PackedDotCells table (lsh/pstable.h: directions count x
+/// dim, offsets, one w) over one column block in one call, writing point i's
+/// cell under draw g to out[i * out_stride + g]: the row-major block of an
+/// evaluation matrix when out_stride == count. Each cell is DotCellCols'
+/// bit for bit.
+void DotCellsMany(const double* cols, size_t col_stride, size_t n, size_t dim,
+                  const double* directions, const double* offsets,
+                  size_t count, double w, uint64_t* out, size_t out_stride);
 
 /// The dispatch decision actually in effect: "avx2" or "scalar". Recorded in
 /// bench metadata and pinned by simd_dispatch_test (an AVX2 host without the

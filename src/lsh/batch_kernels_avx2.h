@@ -35,6 +35,10 @@ void GridHashColsAvx2(const double* cols, size_t col_stride, size_t n,
 void DotCellColsAvx2(const double* cols, size_t col_stride, size_t n,
                      size_t dim, const double* direction, double offset,
                      double w, uint64_t* out, size_t out_stride);
+void DotCellsManyAvx2(const double* cols, size_t col_stride, size_t n,
+                      size_t dim, const double* directions,
+                      const double* offsets, size_t count, double w,
+                      uint64_t* out, size_t out_stride);
 
 }  // namespace lsh_internal
 }  // namespace rsr

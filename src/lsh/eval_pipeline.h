@@ -16,6 +16,7 @@
 
 #include "geometry/point_store.h"
 #include "lsh/lsh_family.h"
+#include "lsh/pstable.h"
 
 namespace rsr {
 
@@ -79,6 +80,15 @@ void EvaluateRowsInto(
     const PointStore& points, size_t row_begin, size_t row_count,
     const std::vector<std::unique_ptr<LshFunction>>& functions,
     size_t num_threads, EvalMatrix* out);
+
+/// Packed 2-stable variant: fills *out (row_count x packed.count()) with
+/// the cells of rows [row_begin, row_begin + row_count) under every packed
+/// draw, one lsh_internal::DotCellsMany call per row block instead of one
+/// virtual call per (draw, block). Bit-identical to EvaluateRowsInto over
+/// the functions the table was packed from (PStableFamily::Pack).
+void EvaluateRowsInto(const PointStore& points, size_t row_begin,
+                      size_t row_count, const PackedDotCells& packed,
+                      size_t num_threads, EvalMatrix* out);
 
 }  // namespace rsr
 

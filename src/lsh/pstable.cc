@@ -40,6 +40,10 @@ class PStableFunction : public LshFunction {
                               offset_, w_, out, out_stride);
   }
 
+  const std::vector<double>& direction() const { return direction_; }
+  double offset() const { return offset_; }
+  double w() const { return w_; }
+
  private:
   std::vector<double> direction_;
   double offset_;
@@ -58,6 +62,23 @@ std::unique_ptr<LshFunction> PStableFamily::Draw(Rng* rng) const {
   for (auto& g : direction) g = rng->Gaussian();
   double offset = rng->UniformDouble() * w_;
   return std::make_unique<PStableFunction>(std::move(direction), offset, w_);
+}
+
+PackedDotCells PStableFamily::Pack(
+    const std::vector<std::unique_ptr<LshFunction>>& draws) const {
+  PackedDotCells packed;
+  packed.dim = dim_;
+  packed.w = w_;
+  packed.directions.reserve(draws.size() * dim_);
+  packed.offsets.reserve(draws.size());
+  for (const auto& draw : draws) {
+    const auto* fn = dynamic_cast<const PStableFunction*>(draw.get());
+    RSR_CHECK(fn != nullptr && fn->w() == w_);
+    packed.directions.insert(packed.directions.end(), fn->direction().begin(),
+                             fn->direction().end());
+    packed.offsets.push_back(fn->offset());
+  }
+  return packed;
 }
 
 double PStableFamily::CollisionProbability(double dist) const {

@@ -9,9 +9,26 @@
 #ifndef RSR_LSH_PSTABLE_H_
 #define RSR_LSH_PSTABLE_H_
 
+#include <memory>
+#include <vector>
+
 #include "lsh/lsh_family.h"
 
 namespace rsr {
+
+/// The parameters of `count` drawn 2-stable functions packed into one
+/// table, the input of lsh_internal::DotCellsMany: function g has direction
+/// directions[g * dim + j] (j < dim) and offset offsets[g], and all share w.
+/// The protocols evaluate every draw of a row block with one kernel call
+/// over this table instead of one virtual call per draw.
+struct PackedDotCells {
+  size_t dim = 0;
+  double w = 0;
+  std::vector<double> directions;  // count x dim, row-major
+  std::vector<double> offsets;     // count
+
+  size_t count() const { return offsets.size(); }
+};
 
 class PStableFamily : public MlshFamily {
  public:
@@ -25,6 +42,11 @@ class PStableFamily : public MlshFamily {
   MlshParams mlsh_params() const override;
 
   double w() const { return w_; }
+
+  /// Packs functions drawn from this family (by Draw; CHECK-fails on any
+  /// other function). Copies their parameters and draws nothing.
+  PackedDotCells Pack(
+      const std::vector<std::unique_ptr<LshFunction>>& draws) const;
 
  private:
   size_t dim_;

@@ -1,6 +1,8 @@
 // Unit tests for hashing/: mixers, pairwise and k-independent families,
-// checksums.
+// checksums, and both arms of the four-row prefix-key kernel.
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -8,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/emd_sketch.h"
 #include "hashing/checksum.h"
 #include "hashing/hash64.h"
 #include "hashing/kindependent.h"
 #include "hashing/pairwise.h"
+#include "hashing/pairwise_avx2.h"
+#include "util/cpu_features.h"
 #include "util/random.h"
 
 namespace rsr {
@@ -323,6 +328,142 @@ TEST(PairwiseVectorTest, EvalBatchMatchesTextbookDefinition) {
     for (size_t r = 0; r < rows.size(); ++r) {
       ASSERT_EQ(out[r], ref.Key(rows[r].data(), len))
           << "row " << r << " len " << len;
+    }
+  }
+}
+
+// ------------------------------------------- four-row prefix kernel --
+
+using hashing_internal::KeyArm;
+
+/// The arms a test can run here: the AVX2 arm whenever the CPU can execute
+/// it (built without AVX2 codegen it hashes no row and the scalar walk runs
+/// them all, so it is runnable too). Called directly, not through the
+/// dispatcher, so the vector code runs under RSR_FORCE_SCALAR=1 as well.
+std::vector<KeyArm> RunnableKeyArms() {
+  std::vector<KeyArm> arms = {KeyArm::kScalar};
+  if (!hashing_internal::kAvx2PairwiseCompiled || CpuSupportsAvx2()) {
+    arms.push_back(KeyArm::kAvx2);
+  }
+  return arms;
+}
+
+/// ExtremeRows plus rows of p + 1, 2^63 and small negative int64 bucket ids
+/// (2-stable cells below zero), alone and mixed.
+std::vector<std::vector<uint64_t>> KernelRows(size_t len, Rng* rng) {
+  std::vector<std::vector<uint64_t>> rows = ExtremeRows(len, rng);
+  const uint64_t specials[] = {kMersenne61 + 1, uint64_t{1} << 63,
+                               ~uint64_t{0} - 6, static_cast<uint64_t>(-2),
+                               static_cast<uint64_t>(-1000)};
+  for (uint64_t special : specials) rows.emplace_back(len, special);
+  std::vector<uint64_t> mixed(len);
+  for (uint64_t& v : mixed) v = specials[rng->Below(5)];
+  rows.push_back(std::move(mixed));
+  return rows;
+}
+
+/// Prefix lists with 0, duplicates, more than 64 prefixes, and runs of
+/// 31, 32, 33, 63, 64, 65 and 3073 entries between boundaries, which
+/// straddle the vector arm's 32-entry fold schedule.
+std::vector<std::vector<size_t>> KernelPrefixLists() {
+  std::vector<std::vector<size_t>> lists;
+  std::vector<size_t> runs = {0, 0, 1, 2, 3, 3, 4, 5, 8};
+  for (size_t run : std::vector<size_t>{31, 32, 33, 63, 64, 65, 3073}) {
+    runs.push_back(runs.back() + run);
+  }
+  runs.push_back(runs.back());
+  lists.push_back(std::move(runs));
+  std::vector<size_t> many;  // 0..70 and a duplicated 100: t = 73 > 64
+  for (size_t len = 0; len <= 70; ++len) many.push_back(len);
+  many.insert(many.end(), {100, 100});
+  lists.push_back(std::move(many));
+  lists.push_back({0});
+  lists.push_back({3073});
+  return lists;
+}
+
+TEST(PairwiseVectorTest, EvalPrefixesRowsMatchesTextbookOnBothArms) {
+  Rng rng(26);
+  PairwiseVectorHash h = PairwiseVectorHash::Draw(&rng);
+  const std::vector<std::vector<size_t>> prefix_lists = KernelPrefixLists();
+  size_t max_len = 0;
+  for (const auto& lens : prefix_lists) max_len = std::max(max_len, lens.back());
+  TextbookVectorHash ref(h, max_len);
+  const std::vector<std::vector<uint64_t>> pool = KernelRows(max_len, &rng);
+  // Row r of a batch is pool row r % |pool|, laid out with a stride larger
+  // than every prefix.
+  const size_t stride = max_len + 5;
+  std::vector<uint64_t> matrix(17 * stride, 0);
+  for (size_t r = 0; r < 17; ++r) {
+    std::copy(pool[r % pool.size()].begin(), pool[r % pool.size()].end(),
+              matrix.begin() + static_cast<std::ptrdiff_t>(r * stride));
+  }
+  constexpr uint64_t kSentinel = 0x5eed5eed5eed5eedULL;
+  for (const auto& lens : prefix_lists) {
+    // want[l][r]: the textbook key of pool row r at lens[l].
+    std::vector<std::vector<uint64_t>> want(lens.size());
+    for (size_t l = 0; l < lens.size(); ++l) {
+      for (size_t r = 0; r < 17; ++r) {
+        want[l].push_back(ref.Key(matrix.data() + r * stride, lens[l]));
+      }
+    }
+    for (uint64_t mask : {~uint64_t{0}, kEmdLevelKeyMask}) {
+      for (size_t count : std::vector<size_t>{0, 1, 3, 4, 5, 7, 8, 9, 17}) {
+        for (KeyArm arm : RunnableKeyArms()) {
+          // out_n = count + 2: the two columns past each level stay put.
+          const size_t out_n = count + 2;
+          std::vector<uint64_t> out(lens.size() * out_n, kSentinel);
+          h.EvalPrefixesRowsOn(arm, matrix.data(), count, stride, lens.data(),
+                               lens.size(), mask, out_n, out.data());
+          for (size_t l = 0; l < lens.size(); ++l) {
+            for (size_t r = 0; r < out_n; ++r) {
+              const uint64_t expect =
+                  r < count ? want[l][r] & mask : kSentinel;
+              ASSERT_EQ(out[l * out_n + r], expect)
+                  << hashing_internal::KeyArmName(arm) << " count " << count
+                  << " row " << r << " len " << lens[l] << " mask " << mask;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PairwiseVectorTest, PrefixRowsAvx2ExactAtMaximalTerms) {
+  if (hashing_internal::kAvx2PairwiseCompiled && !CpuSupportsAvx2()) {
+    GTEST_SKIP() << "CPU lacks AVX2";
+  }
+  // Every multiplier, b and salt at p - 1 and every entry at 2^64 - 1
+  // (reduced entry 2^61 + 6, its largest): each step adds the largest
+  // limb products the kernel's bounds allow, over runs on both sides of
+  // each fold.
+  constexpr size_t kLen = 3073 + 65;
+  const uint64_t p = kMersenne61;
+  const std::vector<uint64_t> coeffs(kLen, p - 1);
+  const std::vector<size_t> lens = {0, 31, 63, 96, 160, 224, 289, 3073, kLen};
+  std::vector<uint64_t> rows(8 * kLen, ~uint64_t{0});
+  for (size_t j = 0; j < kLen; ++j) rows[kLen + j] = p - 1;  // row 1
+  std::vector<uint64_t> out(lens.size() * 8, 0);
+  const size_t done = hashing_internal::PrefixRowsAvx2(
+      coeffs.data(), p - 1, p - 1, rows.data(), 8, kLen, lens.data(),
+      lens.size(), ~uint64_t{0}, 8, out.data());
+  if (!hashing_internal::kAvx2PairwiseCompiled) {
+    EXPECT_EQ(done, 0u);
+    return;
+  }
+  ASSERT_EQ(done, 8u);
+  for (size_t r = 0; r < 8; ++r) {
+    const unsigned __int128 pp = p;
+    unsigned __int128 sum = p - 1;
+    size_t j = 0;
+    for (size_t l = 0; l < lens.size(); ++l) {
+      for (; j < lens[l]; ++j) {
+        sum = (sum + (p - 1) * (rows[r * kLen + j] % pp) % pp) % pp;
+      }
+      const uint64_t want =
+          static_cast<uint64_t>((sum + (p - 1) * (lens[l] % pp) % pp) % pp);
+      ASSERT_EQ(out[l * 8 + r], want) << "row " << r << " len " << lens[l];
     }
   }
 }

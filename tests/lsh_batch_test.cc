@@ -1,7 +1,8 @@
 // Exhaustive scalar-vs-batch equivalence for the LSH evaluation pipeline.
 //
 // The batch paths (LshFunction::EvalCoordBatch/EvalColsBatch, EvaluateAllInto,
-// PairwiseVectorHash::EvalPrefixes/EvalBatch) are pure re-schedulings of the
+// the packed 2-stable EvaluateRowsInto, PairwiseVectorHash::EvalPrefixes/
+// EvalPrefixesRows/EvalBatch) are pure re-schedulings of the
 // scalar reference implementations: every bucket id, prefix key, and protocol
 // transcript must be bit-identical for every family, seed, stride, and thread
 // count. These tests pin that contract.
@@ -309,6 +310,66 @@ TEST(LshBatchTest, BlockedEmdLevelKeysMatchFullMatrix) {
                     reference)
               << "s " << derived->s << " n " << n << " threads " << threads;
         }
+      }
+    }
+  }
+}
+
+// The whole EMD key derivation — packed 2-stable cells and the four-row
+// prefix kernel on the dispatched arms — against the scalar reference it
+// replaces: virtual LshFunction::Eval per (row, draw), then one
+// PairwiseVectorHash::Eval per level. Parameters are those of the three
+// EMD workloads of bench/e2e (emd_wide_prior, emd_large_diff and
+// serve_churn: l2, dim 16, delta 1023), at row counts that fill the
+// four-row groups exactly, leave a tail, and fit in one block.
+TEST(LshBatchTest, EmdLevelKeysMatchScalarEvalAtWorkloadShapes) {
+  struct Shape {
+    size_t k;
+    double d1;
+    double d2;
+    bool adaptive;
+    CellRounding rounding;
+  };
+  const Shape shapes[] = {{8, 8, 8192, false, CellRounding::kExact},
+                          {256, 64, 256, true, CellRounding::kExact},
+                          {64, 16, 64, true, CellRounding::kDivisorLadder}};
+  for (const Shape& shape : shapes) {
+    for (size_t n : {size_t{1024}, size_t{1000}, size_t{37}}) {
+      EmdProtocolParams params;
+      params.metric = MetricKind::kL2;
+      params.dim = 16;
+      params.delta = 1023;
+      params.k = shape.k;
+      params.d1 = shape.d1;
+      params.d2 = shape.d2;
+      params.adaptive.enabled = shape.adaptive;
+      params.adaptive.rounding = shape.rounding;
+      params.seed = 1000 + n;
+      auto derived = DeriveEmdParameters(params, n);
+      ASSERT_TRUE(derived.ok());
+      const EmdHashes hashes = MakeEmdHashes(params, *derived);
+      ASSERT_EQ(hashes.dot_cells.count(), derived->s);
+      const std::vector<size_t> prefix_lens = EmdPrefixLens(*derived);
+      const size_t t = prefix_lens.size();
+      Rng rng(n + shape.k);
+      const PointStore store = GenerateUniformStore(n, 16, 1023, &rng);
+      std::vector<uint64_t> want(t * n);
+      std::vector<uint64_t> cells(derived->s);
+      for (size_t i = 0; i < n; ++i) {
+        const Point x = store.MakePoint(i);
+        for (size_t g = 0; g < derived->s; ++g) {
+          cells[g] = hashes.draws[g]->Eval(x);
+        }
+        for (size_t l = 0; l < t; ++l) {
+          want[l * n + i] =
+              hashes.level_key_hash.Eval(cells, prefix_lens[l]) &
+              kEmdLevelKeyMask;
+        }
+      }
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+        ASSERT_EQ(EvaluateEmdLevelKeys(store, hashes, prefix_lens, threads),
+                  want)
+            << "s " << derived->s << " n " << n << " threads " << threads;
       }
     }
   }

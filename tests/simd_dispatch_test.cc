@@ -1,6 +1,7 @@
 // Runtime CPU dispatch and scalar-vs-AVX2 bit-identity for the batch
 // kernels (lsh/batch_kernels*.{h,cc}, util/cpu_features.h) and the repair
-// kernels (emd/repair_kernels*.{h,cc}).
+// kernels (emd/repair_kernels*.{h,cc}); the level-key kernel's arms are
+// compared in hashing_test.cc.
 //
 // The AVX2 entry points are called DIRECTLY here — not through the
 // dispatcher — so the vector code is exercised even when the suite runs
@@ -26,6 +27,8 @@
 #include <gtest/gtest.h>
 
 #include "emd/repair_kernels.h"
+#include "hashing/pairwise.h"
+#include "hashing/pairwise_avx2.h"
 #include "lsh/batch_kernels.h"
 #include "lsh/batch_kernels_avx2.h"
 #include "lsh/bit_sampling.h"
@@ -57,6 +60,15 @@ TEST(SimdDispatchTest, DispatchMatchesCpuAndOverride) {
                            CpuSupportsAvx2() && !ForceScalarKernels();
   EXPECT_STREQ(lsh_internal::ActiveBatchKernelName(),
                expect_avx2 ? "avx2" : "scalar");
+}
+
+// The level-key prefix hash (hashing/pairwise.cc) follows the same rule.
+TEST(SimdDispatchTest, KeyDispatchMatchesCpuAndOverride) {
+  const bool expect_avx2 = hashing_internal::kAvx2PairwiseCompiled &&
+                           CpuSupportsAvx2() && !ForceScalarKernels();
+  EXPECT_STREQ(
+      hashing_internal::KeyArmName(hashing_internal::ActiveKeyArm()),
+      expect_avx2 ? "avx2" : "scalar");
 }
 
 struct KernelInputs {
@@ -151,6 +163,59 @@ TEST(SimdDispatchTest, Avx2KernelsBitIdenticalToScalarReference) {
         ExpectStridedMatch(got, dot_cols_want, n, stride, "DotCellCols", dim);
         ExpectStridedMatch(dot_cols_want, want, n, stride, "DotCellColsRef",
                            dim);
+      }
+    }
+  }
+}
+
+// DotCellsMany: every packed draw over one column block into a row-major
+// block. The AVX2 arm tiles four draws by eight (or four) points and
+// converts in-range cells without the per-lane round trip, so the test
+// crosses every tile and tail boundary (draw counts 1, 2, 5 and 3073; 1-33
+// points) and includes scales whose cells leave the +-2^51 fast range.
+TEST(SimdDispatchTest, DotCellsManyAvx2BitIdenticalToScalar) {
+  constexpr size_t kManyDims[] = {1, 3, 7, 8, 16, 64, 65};
+  for (size_t dim : kManyDims) {
+    for (size_t count : {size_t{1}, size_t{2}, size_t{5}, size_t{3073}}) {
+      // The out-of-range scales on the small tables only: 3073 draws at
+      // every dim and point count already cost the most.
+      const std::vector<double> scales =
+          count == 3073 ? std::vector<double>{17.25}
+                        : std::vector<double>{17.25, 1e-12, 1e-300};
+      for (double w : scales) {
+        Rng rng(dim * 131 + count);
+        std::vector<double> directions(count * dim);
+        std::vector<double> offsets(count);
+        for (double& d : directions) d = rng.Gaussian();
+        for (double& o : offsets) o = rng.UniformDouble() * 17.25;
+        for (size_t n = 1; n <= 33; ++n) {
+          const KernelInputs in = MakeInputs(n, dim, /*col_pad=*/1, n + dim);
+          // Row stride count + 1: the column after each row stays put.
+          const size_t out_stride = count + 1;
+          std::vector<uint64_t> want(n * out_stride, kSentinel);
+          std::vector<uint64_t> got(want);
+          lsh_internal::DotCellsManyBatch(
+              [&in](size_t i) {
+                return ColRowView{in.cols.data() + i, in.col_stride};
+              },
+              n, directions.data(), offsets.data(), count, dim, w,
+              want.data(), out_stride);
+          lsh_internal::DotCellsManyAvx2(in.cols.data(), in.col_stride, n,
+                                         dim, directions.data(),
+                                         offsets.data(), count, w, got.data(),
+                                         out_stride);
+          ASSERT_EQ(got, want) << "dim " << dim << " draws " << count
+                               << " w " << w << " n " << n;
+          // The draw-major reference is DotCellBatch per draw.
+          std::vector<uint64_t> one(n, kSentinel);
+          const size_t g = count - 1;
+          lsh_internal::DotCellBatch(
+              [&in, dim](size_t i) { return in.flat.data() + i * dim; }, n,
+              directions.data() + g * dim, dim, offsets[g], w, one.data(), 1);
+          for (size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(want[i * out_stride + g], one[i]) << "point " << i;
+          }
+        }
       }
     }
   }
