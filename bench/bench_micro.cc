@@ -242,7 +242,8 @@ void BM_PairwisePrefixesWideReal(benchmark::State& state) {
   // BM_PairwisePrefixesWide's loop over the bucket ids the protocol hashes:
   // the 2-stable cells of 1024 uniform rows under the emd_wide_prior draws.
   // Uniform random words make the same code read about twice as slow, so
-  // this is the figure the key derivation pays.
+  // this, not BM_PairwisePrefixesWide, is the scalar walk's cost on the
+  // protocol's inputs.
   const EmdKeyInputs in = MakeEmdKeyInputs(kWideKeys);
   EvalMatrix evals;
   EvaluateAllInto(in.points, in.hashes.draws, /*num_threads=*/1, &evals);

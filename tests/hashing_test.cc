@@ -434,10 +434,10 @@ TEST(PairwiseVectorTest, PrefixRowsAvx2ExactAtMaximalTerms) {
   if (hashing_internal::kAvx2PairwiseCompiled && !CpuSupportsAvx2()) {
     GTEST_SKIP() << "CPU lacks AVX2";
   }
-  // Every multiplier, b and salt at p - 1 and every entry at 2^64 - 1
-  // (reduced entry 2^61 + 6, its largest): each step adds the largest
-  // limb products the kernel's bounds allow, over runs on both sides of
-  // each fold.
+  // Every multiplier, b and salt at p - 1. Row 1's entries are p - 1, whose
+  // limbs make p00 and mid their largest; every other row's are 2^64 - 1,
+  // reduced to 2^61 + 6, whose high limb makes p11 (and so H's growth per
+  // entry) its largest. The prefixes put runs on both sides of each fold.
   constexpr size_t kLen = 3073 + 65;
   const uint64_t p = kMersenne61;
   const std::vector<uint64_t> coeffs(kLen, p - 1);
