@@ -6,7 +6,7 @@ express, because they are about *this* library's poison-propagation and
 bounded-work discipline rather than the C++ language:
 
   reader-check   Every function that calls a ByteReader getter
-                 (GetU8/GetVarint64/GetBits/...) must consult the reader's
+                 (GetU8/GetVarint64/GetBitRun/...) must consult the reader's
                  sticky error state (status()/failed()/
                  FinishAndCheckConsumed()) or explicitly poison it
                  (Invalidate()) before returning — a getter's return value
@@ -70,10 +70,12 @@ from dataclasses import dataclass, field
 RULES = ("reader-check", "bounds-check", "bounded-peel", "zero-alloc")
 
 # ByteReader getters (util/serialize.h). GetBytes included: it writes into a
-# caller buffer but still silently no-ops on a poisoned reader.
+# caller buffer but still silently no-ops on a poisoned reader. GetBitRun
+# included: it skips its unpacker on a short buffer or bad padding, leaving
+# the caller's cells unfilled, and only the sticky state says so.
 READER_GETTERS = (
     "GetU8|GetU16|GetU32|GetU64|GetVarint64|GetVarint128|"
-    "GetSignedVarint64|GetBytes|GetBits|GetBits128"
+    "GetSignedVarint64|GetBytes|GetBitRun"
 )
 GETTER_CALL_RE = re.compile(
     r"\b([A-Za-z_]\w*)\s*(?:->|\.)\s*(?:%s)\s*\(" % READER_GETTERS

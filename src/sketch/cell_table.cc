@@ -1,5 +1,6 @@
 #include "sketch/cell_table.h"
 
+#include <bit>
 #include <vector>
 
 #include "hashing/kindependent.h"
@@ -53,12 +54,16 @@ void WriteCellBitmap(ByteWriter* w, const uint8_t* flags, size_t m) {
   }
 }
 
-const uint8_t* ReadCellBitmap(ByteReader* r, size_t m, bool sparse) {
+const uint8_t* ReadCellBitmap(ByteReader* r, size_t m, bool sparse,
+                              size_t* num_included) {
   flag_pool.assign(m, 1);
   uint8_t* const included = flag_pool.data();
+  *num_included = m;
   if (!sparse) return included;
+  size_t count = 0;
   for (size_t base = 0; base < m; base += 8) {
     const uint8_t bits = r->GetU8();
+    count += static_cast<size_t>(std::popcount(bits));
     for (size_t i = 0; i < 8; ++i) {
       if (base + i < m) {
         included[base + i] = (bits >> i) & 1;
@@ -67,6 +72,7 @@ const uint8_t* ReadCellBitmap(ByteReader* r, size_t m, bool sparse) {
       }
     }
   }
+  *num_included = count;
   return included;
 }
 

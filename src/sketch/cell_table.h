@@ -173,10 +173,14 @@ struct FieldRange {
   }
 };
 
-/// Wire width of a signed 64-bit field's offsets (wrapping spread hi - lo).
+/// Wire width of a signed 64-bit field's offsets from lo when its values
+/// lie in [lo, hi] (wrapping spread hi - lo).
+inline int SpreadBits(int64_t lo, int64_t hi) {
+  return static_cast<int>(std::bit_width(static_cast<uint64_t>(hi) -
+                                         static_cast<uint64_t>(lo)));
+}
 inline int SpreadBits(const FieldRange<int64_t>& r) {
-  return static_cast<int>(std::bit_width(static_cast<uint64_t>(r.hi) -
-                                         static_cast<uint64_t>(r.lo)));
+  return SpreadBits(r.lo, r.hi);
 }
 
 /// The calling thread's m per-cell inclusion flags, zeroed. Compact writers
@@ -187,10 +191,13 @@ uint8_t* CellFlags(size_t m);
 void WriteCellBitmap(ByteWriter* w, const uint8_t* flags, size_t m);
 
 /// Returns the calling thread's m inclusion flags: parsed from the bitmap
-/// when `sparse`, all set otherwise. Nonzero padding past cell m poisons the
-/// reader (two distinct streams would decode identically, which breaks
-/// canonical round trips); callers check r->status() after.
-const uint8_t* ReadCellBitmap(ByteReader* r, size_t m, bool sparse);
+/// when `sparse`, all set otherwise; *num_included counts the set flags
+/// (the cells whose fields the table's bit run carries). Nonzero padding
+/// past cell m poisons the reader (two distinct streams would decode
+/// identically, which breaks canonical round trips); callers check
+/// r->status() after.
+const uint8_t* ReadCellBitmap(ByteReader* r, size_t m, bool sparse,
+                              size_t* num_included);
 
 }  // namespace sketch_internal
 }  // namespace rsr

@@ -310,15 +310,18 @@ void Iblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   w->PutU8(static_cast<uint8_t>(key_bits));
   w->PutU8(static_cast<uint8_t>(key_shift));
   if (sparse) sketch_internal::WriteCellBitmap(w, included_cells, m);
-  for (size_t c = 0; c < m; ++c) {
-    if (sparse && !included_cells[c]) continue;
-    w->PutBits(static_cast<uint64_t>(counts[c]) -
+  const size_t cells_shipped = sparse ? n_included : m;
+  const size_t cell_bits = static_cast<size_t>(cnt_bits + key_bits + chk_bits);
+  w->PutBitRun(cells_shipped * cell_bits, [&](BitRunWriter& bits) {
+    for (size_t c = 0; c < m; ++c) {
+      if (sparse && !included_cells[c]) continue;
+      bits.Put(static_cast<uint64_t>(counts[c]) -
                    static_cast<uint64_t>(cnt_base),
                cnt_bits);
-    w->PutBits(keys[c] >> key_shift, key_bits);
-    w->PutBits(checksums[c] & wire_mask, chk_bits);
-  }
-  w->AlignToByte();
+      bits.Put(keys[c] >> key_shift, key_bits);
+      bits.Put(checksums[c] & wire_mask, chk_bits);
+    }
+  });
   if (value_size > 0) {
     for (size_t c = 0; c < m; ++c) {
       if (sparse && !included_cells[c]) continue;
@@ -368,17 +371,20 @@ Result<Iblt> Iblt::ReadFrom(ByteReader* r, const IbltParams& params,
     return Status::Corruption("invalid compact IBLT header");
   }
   const uint64_t wire_mask = sketch_internal::LowBits<uint64_t>(chk_bits);
+  size_t n_included = 0;
   const uint8_t* const included =
-      sketch_internal::ReadCellBitmap(r, m, /*sparse=*/mode == 1);
+      sketch_internal::ReadCellBitmap(r, m, /*sparse=*/mode == 1, &n_included);
   RSR_RETURN_NOT_OK(r->status());
-  for (size_t c = 0; c < m; ++c) {
-    if (!included[c]) continue;
-    counts[c] = static_cast<int64_t>(static_cast<uint64_t>(cnt_base) +
-                                     r->GetBits(cnt_bits));
-    keys[c] = r->GetBits(key_bits) << key_shift;
-    checksums[c] = r->GetBits(chk_bits);
-  }
-  r->AlignToByte();
+  const size_t cell_bits = static_cast<size_t>(cnt_bits + key_bits + chk_bits);
+  r->GetBitRun(n_included * cell_bits, [&](BitRunReader& bits) {
+    for (size_t c = 0; c < m; ++c) {
+      if (!included[c]) continue;
+      counts[c] = static_cast<int64_t>(static_cast<uint64_t>(cnt_base) +
+                                       bits.Get(cnt_bits));
+      keys[c] = bits.Get(key_bits) << key_shift;
+      checksums[c] = bits.Get(chk_bits);
+    }
+  });
   if (value_size > 0) {
     uint8_t* values = table.ValueXors();
     for (size_t c = 0; c < m; ++c) {

@@ -436,8 +436,8 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   //   mode u8 (bit0 sparse, bit1 values-mod) · chk_bits u8 ·
   //   cnt_base svarint + cnt_bits u8 · key_base varint128 + key_bits u8 ·
   //   values-mod ? (wv u8) : per-dim (val_mu svarint + val_base svarint +
-  //   val_bits u8) · [bitmap] · bitstream (cnt Δ, key Δ, chk residue,
-  //   val residual Δs or mod residues per included cell) · zero-pad to byte.
+  //   val_bits u8) · [bitmap] · one bit run (cnt Δ, key Δ, chk residue,
+  //   val residual Δs or mod residues per included cell; zero-padded byte).
   const int chk_bits = RibltCompactChecksumBits(m, checksum_mask_);
   const U128 wire_mask = sketch_internal::LowBits<U128>(chk_bits);
 
@@ -462,51 +462,85 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
                   static_cast<int64_t>(total_cnt);
     }
   }
+  const int64_t* const mu = val_mu.data();
   auto val_resid = [&](size_t c, size_t j) {
     return static_cast<int64_t>(
         static_cast<uint64_t>(value_sums_[c * dim + j]) -
-        static_cast<uint64_t>(counts_[c]) *
-            static_cast<uint64_t>(val_mu[j]));
+        static_cast<uint64_t>(counts_[c]) * static_cast<uint64_t>(mu[j]));
   };
 
-  uint8_t* const included = sketch_internal::CellFlags(m);
   // Field ranges over all cells (dense candidate) and over included cells
-  // (sparse candidate).
-  using sketch_internal::FieldRange;
-  using sketch_internal::SpreadBits;
-  FieldRange<int64_t> cnt_d, cnt_s;
-  FieldRange<U128> key_d, key_s;
-  static thread_local std::vector<FieldRange<int64_t>> val_d, val_s;
-  val_d.assign(dim, {});
-  val_s.assign(dim, {});
+  // (sparse candidate), flat per field so the cell loops carry no "empty"
+  // state: dense ranges start at cell 0, and an empty sparse range is
+  // [0, 0]. One pass finds the dense ranges and the inclusion flags; the
+  // sparse ranges need a second pass only when some cell is excluded, and
+  // otherwise equal the dense ones. Value ranges live in one pool as
+  // [dense lo | dense hi | sparse lo | sparse hi], dim entries each.
+  uint8_t* const included = sketch_internal::CellFlags(m);
+  static thread_local std::vector<int64_t> val_ranges;
+  val_ranges.resize(4 * dim);
+  int64_t* const lo_d = val_ranges.data();
+  int64_t* const hi_d = lo_d + dim;
+  int64_t* const lo_s = hi_d + dim;
+  int64_t* const hi_s = lo_s + dim;
+  int64_t cnt_lo_d = counts_[0], cnt_hi_d = counts_[0];
+  U128 key_lo_d = key_sums_[0], key_hi_d = key_sums_[0];
+  for (size_t j = 0; j < dim; ++j) lo_d[j] = hi_d[j] = val_resid(0, j);
   size_t n_included = 0;
   for (size_t c = 0; c < m; ++c) {
     const int64_t* vs = &value_sums_[c * dim];
-    cnt_d.Add(counts_[c]);
-    key_d.Add(key_sums_[c]);
-    for (size_t j = 0; j < dim; ++j) val_d[j].Add(val_resid(c, j));
-    bool nonzero = counts_[c] != 0 || key_sums_[c] != 0 ||
-                   (checksum_sums_[c] & wire_mask) != 0;
-    if (!nonzero) {
+    const int64_t cnt = counts_[c];
+    const uint64_t cnt_u = static_cast<uint64_t>(cnt);
+    cnt_lo_d = std::min(cnt_lo_d, cnt);
+    cnt_hi_d = std::max(cnt_hi_d, cnt);
+    key_lo_d = std::min(key_lo_d, key_sums_[c]);
+    key_hi_d = std::max(key_hi_d, key_sums_[c]);
+    uint64_t val_bits_set = 0;
+    for (size_t j = 0; j < dim; ++j) {
+      const int64_t r = static_cast<int64_t>(
+          static_cast<uint64_t>(vs[j]) - cnt_u * static_cast<uint64_t>(mu[j]));
+      lo_d[j] = std::min(lo_d[j], r);
+      hi_d[j] = std::max(hi_d[j], r);
+      val_bits_set |= static_cast<uint64_t>(vs[j]);
+    }
+    const bool nonzero = cnt != 0 || key_sums_[c] != 0 ||
+                         (checksum_sums_[c] & wire_mask) != 0 ||
+                         (val_bits_set & value_mask_) != 0;
+    included[c] = nonzero ? 1 : 0;
+    n_included += nonzero ? 1 : 0;
+  }
+  int64_t cnt_lo_s = cnt_lo_d, cnt_hi_s = cnt_hi_d;
+  U128 key_lo_s = key_lo_d, key_hi_s = key_hi_d;
+  std::copy_n(lo_d, 2 * dim, lo_s);
+  if (n_included < m) {
+    cnt_lo_s = cnt_hi_s = 0;
+    key_lo_s = key_hi_s = 0;
+    std::fill_n(lo_s, 2 * dim, 0);
+    bool first = true;
+    for (size_t c = 0; c < m; ++c) {
+      if (!included[c]) continue;
+      if (first) {
+        cnt_lo_s = cnt_hi_s = counts_[c];
+        key_lo_s = key_hi_s = key_sums_[c];
+        for (size_t j = 0; j < dim; ++j) lo_s[j] = hi_s[j] = val_resid(c, j);
+        first = false;
+      }
+      cnt_lo_s = std::min(cnt_lo_s, counts_[c]);
+      cnt_hi_s = std::max(cnt_hi_s, counts_[c]);
+      key_lo_s = std::min(key_lo_s, key_sums_[c]);
+      key_hi_s = std::max(key_hi_s, key_sums_[c]);
       for (size_t j = 0; j < dim; ++j) {
-        if ((static_cast<uint64_t>(vs[j]) & value_mask_) != 0) {
-          nonzero = true;
-          break;
-        }
+        const int64_t r = val_resid(c, j);
+        lo_s[j] = std::min(lo_s[j], r);
+        hi_s[j] = std::max(hi_s[j], r);
       }
     }
-    if (!nonzero) continue;
-    included[c] = 1;
-    ++n_included;
-    cnt_s.Add(counts_[c]);
-    key_s.Add(key_sums_[c]);
-    for (size_t j = 0; j < dim; ++j) val_s[j].Add(val_resid(c, j));
   }
-
-  const int cnt_bits_d = SpreadBits(cnt_d);
-  const int cnt_bits_s = SpreadBits(cnt_s);
-  const int key_bits_d = BitWidth128(key_d.hi - key_d.lo);
-  const int key_bits_s = BitWidth128(key_s.hi - key_s.lo);
+  using sketch_internal::SpreadBits;
+  const int cnt_bits_d = SpreadBits(cnt_lo_d, cnt_hi_d);
+  const int cnt_bits_s = SpreadBits(cnt_lo_s, cnt_hi_s);
+  const int key_bits_d = BitWidth128(key_hi_d - key_lo_d);
+  const int key_bits_s = BitWidth128(key_hi_s - key_lo_s);
   const size_t base_bits_d =
       static_cast<size_t>(cnt_bits_d + key_bits_d + chk_bits);
   const size_t base_bits_s =
@@ -523,20 +557,20 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   size_t val_for_bits_d = 0, val_for_bits_s = 0;
   size_t val_for_hdr = 0;
   for (size_t j = 0; j < dim; ++j) {
-    val_for_bits_d += static_cast<size_t>(SpreadBits(val_d[j]));
-    val_for_bits_s += static_cast<size_t>(SpreadBits(val_s[j]));
+    val_for_bits_d += static_cast<size_t>(SpreadBits(lo_d[j], hi_d[j]));
+    val_for_bits_s += static_cast<size_t>(SpreadBits(lo_s[j], hi_s[j]));
     val_for_hdr += SignedVarint64Size(val_mu[j]) + 1;
   }
   size_t val_for_hdr_d = val_for_hdr, val_for_hdr_s = val_for_hdr;
   for (size_t j = 0; j < dim; ++j) {
-    val_for_hdr_d += SignedVarint64Size(val_d[j].lo);
-    val_for_hdr_s += SignedVarint64Size(val_s[j].lo);
+    val_for_hdr_d += SignedVarint64Size(lo_d[j]);
+    val_for_hdr_s += SignedVarint64Size(lo_s[j]);
   }
   const size_t val_mod_bits = dim * static_cast<size_t>(wv_mod);
   const size_t hdr_d =
-      2 + SignedVarint64Size(cnt_d.lo) + 1 + Varint128Size(key_d.lo) + 1;
-  const size_t hdr_s = 2 + SignedVarint64Size(cnt_s.lo) + 1 +
-                       Varint128Size(key_s.lo) + 1 + (m + 7) / 8;
+      2 + SignedVarint64Size(cnt_lo_d) + 1 + Varint128Size(key_lo_d) + 1;
+  const size_t hdr_s = 2 + SignedVarint64Size(cnt_lo_s) + 1 +
+                       Varint128Size(key_lo_s) + 1 + (m + 7) / 8;
   // Four candidates: {dense, sparse} x {FoR values, mod values}; exact byte
   // counts, deterministic preference order on ties.
   const size_t size_df =
@@ -550,11 +584,16 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   const bool sparse = best != size_df && best != size_dm;
   const bool vmod = sparse ? best != size_sf : (best != size_df);
 
-  const int64_t cnt_base = sparse ? cnt_s.lo : cnt_d.lo;
+  const int64_t cnt_base = sparse ? cnt_lo_s : cnt_lo_d;
   const int cnt_bits = sparse ? cnt_bits_s : cnt_bits_d;
-  const U128 key_base = sparse ? key_s.lo : key_d.lo;
+  const U128 key_base = sparse ? key_lo_s : key_lo_d;
   const int key_bits = sparse ? key_bits_s : key_bits_d;
-  const std::vector<FieldRange<int64_t>>& val = sparse ? val_s : val_d;
+  const int64_t* const val_lo = sparse ? lo_s : lo_d;
+  const int64_t* const val_hi = sparse ? hi_s : hi_d;
+  const size_t cells_shipped = sparse ? n_included : m;
+  const size_t cell_bits =
+      (sparse ? base_bits_s : base_bits_d) +
+      (vmod ? val_mod_bits : (sparse ? val_for_bits_s : val_for_bits_d));
   const uint64_t wv_mask = sketch_internal::LowBits<uint64_t>(wv_mod);
 
   // The candidate sizes above are exact, so one reserve covers the whole
@@ -567,39 +606,43 @@ void Riblt::WriteTo(ByteWriter* w, WireCodec codec) const {
   w->PutU8(static_cast<uint8_t>(cnt_bits));
   w->PutVarint128(key_base);
   w->PutU8(static_cast<uint8_t>(key_bits));
-  static thread_local std::vector<uint8_t> val_bits;
-  val_bits.assign(dim, 0);
+  static thread_local std::vector<int> val_bits;
+  val_bits.resize(dim);
   if (vmod) {
     w->PutU8(static_cast<uint8_t>(wv_mod));
   } else {
     for (size_t j = 0; j < dim; ++j) {
-      val_bits[j] = static_cast<uint8_t>(SpreadBits(val[j]));
+      val_bits[j] = SpreadBits(val_lo[j], val_hi[j]);
       w->PutSignedVarint64(val_mu[j]);
-      w->PutSignedVarint64(val[j].lo);
-      w->PutU8(val_bits[j]);
+      w->PutSignedVarint64(val_lo[j]);
+      w->PutU8(static_cast<uint8_t>(val_bits[j]));
     }
   }
   if (sparse) sketch_internal::WriteCellBitmap(w, included, m);
-  for (size_t c = 0; c < m; ++c) {
-    if (sparse && !included[c]) continue;
-    w->PutBits(static_cast<uint64_t>(counts_[c]) -
-                   static_cast<uint64_t>(cnt_base),
-               cnt_bits);
-    w->PutBits128(key_sums_[c] - key_base, key_bits);
-    w->PutBits(static_cast<uint64_t>(checksum_sums_[c] & wire_mask),
+  const int* const vbits = val_bits.data();
+  w->PutBitRun(cells_shipped * cell_bits, [&](BitRunWriter& bits) {
+    for (size_t c = 0; c < m; ++c) {
+      if (sparse && !included[c]) continue;
+      const uint64_t cnt_u = static_cast<uint64_t>(counts_[c]);
+      bits.Put(cnt_u - static_cast<uint64_t>(cnt_base), cnt_bits);
+      bits.Put128(key_sums_[c] - key_base, key_bits);
+      bits.Put(static_cast<uint64_t>(checksum_sums_[c] & wire_mask),
                chk_bits);
-    const int64_t* vs = &value_sums_[c * dim];
-    for (size_t j = 0; j < dim; ++j) {
+      const int64_t* vs = &value_sums_[c * dim];
       if (vmod) {
-        w->PutBits(static_cast<uint64_t>(vs[j]) & wv_mask, wv_mod);
+        for (size_t j = 0; j < dim; ++j) {
+          bits.Put(static_cast<uint64_t>(vs[j]) & wv_mask, wv_mod);
+        }
       } else {
-        w->PutBits(static_cast<uint64_t>(val_resid(c, j)) -
-                       static_cast<uint64_t>(val[j].lo),
-                   val_bits[j]);
+        for (size_t j = 0; j < dim; ++j) {
+          bits.Put(static_cast<uint64_t>(vs[j]) -
+                       cnt_u * static_cast<uint64_t>(mu[j]) -
+                       static_cast<uint64_t>(val_lo[j]),
+                   vbits[j]);
+        }
       }
     }
-  }
-  w->AlignToByte();
+  });
 }
 
 Result<Riblt> Riblt::ReadFrom(ByteReader* r, const RibltParams& params,
@@ -660,34 +703,48 @@ Result<Riblt> Riblt::ReadFrom(ByteReader* r, const RibltParams& params,
     }
   }
   const U128 wire_mask = sketch_internal::LowBits<U128>(chk_bits);
-  const uint8_t* const included =
-      sketch_internal::ReadCellBitmap(r, m, /*sparse=*/(mode & 1) != 0);
+  size_t n_included = 0;
+  const uint8_t* const included = sketch_internal::ReadCellBitmap(
+      r, m, /*sparse=*/(mode & 1) != 0, &n_included);
   RSR_RETURN_NOT_OK(r->status());
-  for (size_t c = 0; c < m; ++c) {
-    if (!included[c]) continue;
-    table.counts_[c] = static_cast<int64_t>(
-        static_cast<uint64_t>(cnt_base) + r->GetBits(cnt_bits));
-    table.key_sums_[c] = key_base + r->GetBits128(key_bits);
-    table.checksum_sums_[c] = static_cast<U128>(r->GetBits(chk_bits));
-    int64_t* vs = &table.value_sums_[c * dim];
-    if (vmod) {
-      // Raw residues mod 2^wv; stored zero-extended. The narrowed value
-      // mask (set below) makes every downstream comparison/extraction run
-      // in the wire's residue ring.
-      for (size_t j = 0; j < dim; ++j) {
-        vs[j] = static_cast<int64_t>(r->GetBits(wv_mod));
-      }
-    } else {
-      for (size_t j = 0; j < dim; ++j) {
-        // Residual + count * slope: exact inverse of the writer's predictor.
-        vs[j] = static_cast<int64_t>(
-            static_cast<uint64_t>(val_base[j]) + r->GetBits(val_bits[j]) +
-            static_cast<uint64_t>(table.counts_[c]) *
-                static_cast<uint64_t>(val_mu[j]));
+  size_t cell_bits = static_cast<size_t>(cnt_bits + key_bits + chk_bits);
+  for (size_t j = 0; j < dim; ++j) {
+    cell_bits += static_cast<size_t>(vmod ? wv_mod : val_bits[j]);
+  }
+  int64_t* const counts = table.counts_.data();
+  U128* const key_sums = table.key_sums_.data();
+  U128* const checksum_sums = table.checksum_sums_.data();
+  int64_t* const value_sums = table.value_sums_.data();
+  const int64_t* const mu = val_mu.data();
+  const int64_t* const base = val_base.data();
+  const uint8_t* const vbits = val_bits.data();
+  r->GetBitRun(n_included * cell_bits, [&](BitRunReader& bits) {
+    for (size_t c = 0; c < m; ++c) {
+      if (!included[c]) continue;
+      const uint64_t cnt_u =
+          static_cast<uint64_t>(cnt_base) + bits.Get(cnt_bits);
+      counts[c] = static_cast<int64_t>(cnt_u);
+      key_sums[c] = key_base + bits.Get128(key_bits);
+      checksum_sums[c] = static_cast<U128>(bits.Get(chk_bits));
+      int64_t* vs = &value_sums[c * dim];
+      if (vmod) {
+        // Raw residues mod 2^wv; stored zero-extended. The narrowed value
+        // mask (set below) makes every downstream comparison/extraction run
+        // in the wire's residue ring.
+        for (size_t j = 0; j < dim; ++j) {
+          vs[j] = static_cast<int64_t>(bits.Get(wv_mod));
+        }
+      } else {
+        for (size_t j = 0; j < dim; ++j) {
+          // Residual + count * slope: exact inverse of the writer's
+          // predictor.
+          vs[j] = static_cast<int64_t>(static_cast<uint64_t>(base[j]) +
+                                       bits.Get(vbits[j]) +
+                                       cnt_u * static_cast<uint64_t>(mu[j]));
+        }
       }
     }
-  }
-  r->AlignToByte();
+  });
   RSR_RETURN_NOT_OK(r->status());
   table.checksum_mask_ &= wire_mask;
   if (vmod) {

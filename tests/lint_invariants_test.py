@@ -53,6 +53,14 @@ class ReaderCheckTest(unittest.TestCase):
     def test_good_patterns_all_pass(self):
         self.assertEqual(lint_fixture("good_reader_check.cc"), [])
 
+    def test_bad_flags_unchecked_bit_run(self):
+        findings = lint_fixture("bad_reader_check_bit_run.cc")
+        self.assertEqual(rules_of(findings), ["reader-check"])
+        self.assertIn("ReadCells", findings[0].message)
+
+    def test_good_checked_bit_run_passes(self):
+        self.assertEqual(lint_fixture("good_reader_check_bit_run.cc"), [])
+
 
 class BoundsCheckTest(unittest.TestCase):
     def test_bad_flags_unvalidated_counts(self):
