@@ -19,21 +19,26 @@ namespace rsr {
 constexpr uint64_t kMersenne61 = (uint64_t{1} << 61) - 1;
 
 /// x mod 2^61-1, exact for every x < 2^125. Inline: this is the innermost
-/// step of every hash evaluation in the library.
+/// step of every hash evaluation in the library, and it has no
+/// data-dependent branch (on uniform hash inputs a conditional subtract is
+/// a coin flip the predictor loses half the time).
 /// Proof: write x = hi * 2^61 + lo with lo < 2^61; x < 2^125 makes hi < 2^64,
 /// so the cast below keeps all of it. Since 2^61 = 1 (mod p),
-/// x = hi + lo = (hi >> 61) + (hi & p) + lo (mod p), and that sum r is at most
-/// 7 + 2p < 3p, so two conditional subtractions leave the canonical residue.
+/// x = hi + lo = (hi >> 61) + (hi & p) + lo (mod p), and that first fold r is
+/// at most 7 + 2p = 2^62 + 5. Folding r again the same way keeps it congruent
+/// and leaves r <= p + 1: if r < 2^61 it is unchanged and at most p; if
+/// 2^61 <= r < 2^62 it becomes (r - 2^61) + 1 <= p + 1; if r >= 2^62 it
+/// becomes (r - 2^62) + 2 <= 7. So r is p or p + 1 exactly when r + 1 has
+/// bit 61 set, and (r + ((r + 1) >> 61)) & p maps p to 0, p + 1 to 1 and
+/// every r < p to itself: the canonical residue.
 /// For x >= 2^125 the cast drops 8 * (x >> 125) (mod p), which is never 0,
 /// so the result is wrong.
 inline uint64_t Mod61(unsigned __int128 x) {
-  // Fold twice: each fold removes 61 bits.
   uint64_t lo = static_cast<uint64_t>(x & kMersenne61);
   uint64_t hi = static_cast<uint64_t>(x >> 61);
   uint64_t r = lo + (hi & kMersenne61) + (hi >> 61);
-  if (r >= kMersenne61) r -= kMersenne61;
-  if (r >= kMersenne61) r -= kMersenne61;
-  return r;
+  r = (r & kMersenne61) + (r >> 61);
+  return (r + ((r + 1) >> 61)) & kMersenne61;
 }
 
 namespace hashing_internal {

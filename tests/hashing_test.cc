@@ -92,6 +92,42 @@ TEST(PairwiseTest, Mod61ExactBelow2To125) {
   }
 }
 
+TEST(PairwiseTest, Mod61ExactAtFoldEdges) {
+  // Mod61 folds x = hi * 2^61 + lo to r = lo + (hi & p) + (hi >> 61), which
+  // reaches 2p + 7, folds r again to at most p + 1 and maps p and p + 1 to
+  // their residues without a branch (pairwise.h). These inputs put the
+  // first fold in [2p - 6, 2p + 7], and with it the second on each of p and
+  // p + 1 (p + 2 and above cannot occur).
+  const uint64_t p = kMersenne61;
+  const unsigned __int128 p128 = p;
+  int first_fold_top = 0, second_fold_at_p = 0, second_fold_at_p1 = 0;
+  for (uint64_t lo = p - 3; lo <= p; ++lo) {
+    for (uint64_t hi_low = p - 3; hi_low <= p; ++hi_low) {
+      for (uint64_t k = 0; k < 8; ++k) {
+        const uint64_t hi = (k << 61) | hi_low;
+        const unsigned __int128 x =
+            (static_cast<unsigned __int128>(hi) << 61) | lo;
+        const uint64_t first = lo + (hi & p) + (hi >> 61);
+        const uint64_t second = (first & p) + (first >> 61);
+        if (first >= 2 * p && first <= 2 * p + 7) ++first_fold_top;
+        if (second == p) ++second_fold_at_p;
+        if (second == p + 1) ++second_fold_at_p1;
+        ASSERT_LE(second, p + 1);
+        ASSERT_EQ(Mod61(x), static_cast<uint64_t>(x % p128))
+            << "lo " << lo << " hi " << hi;
+      }
+    }
+  }
+  EXPECT_GE(first_fold_top, 8);  // at least lo = hi & p = p, each k
+  EXPECT_GT(second_fold_at_p, 0);
+  EXPECT_GT(second_fold_at_p1, 0);
+  // Single-word inputs at the boundary.
+  for (uint64_t x : {p - 1, p, p + 1, p + 2, 2 * p - 1, 2 * p, 2 * p + 1,
+                     ~uint64_t{0} - 1, ~uint64_t{0}}) {
+    EXPECT_EQ(Mod61(x), x % p) << x;
+  }
+}
+
 TEST(PairwiseTest, OutputBelowPrime) {
   // The vector family reduces mod p = 2^61 - 1: every key is a canonical
   // residue, including for entries >= p.
