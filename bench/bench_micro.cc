@@ -472,6 +472,30 @@ void BM_IbltUpdateMany(benchmark::State& state) {
 }
 BENCHMARK(BM_IbltUpdateMany)->Args({1024, 512})->Args({7878, 45056});
 
+void BM_CellsOf(benchmark::State& state) {
+  // Index derivation alone: the range(0) = q cells of each of 4096 uniform
+  // keys at the 7878-cell element-table shape (CellMap::CellsOf: the shared
+  // key powers, one Mod61 polynomial and one FastDiv61 remainder per
+  // subtable), with no cell traffic. The per-key rate is items_per_second.
+  const int q = static_cast<int>(state.range(0));
+  const sketch_internal::CellMap map(7878, q, /*seed=*/6, /*salt=*/1);
+  std::vector<uint64_t> keys(4096);
+  Rng rng(61);
+  for (auto& k : keys) k = rng.Next();
+  size_t cells[sketch_internal::kMaxHashes];
+  for (auto _ : state) {
+    size_t sink = 0;
+    for (uint64_t key : keys) {
+      map.CellsOf(key, cells);
+      for (int j = 0; j < q; ++j) sink ^= cells[j];
+    }
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(keys.size()));
+}
+BENCHMARK(BM_CellsOf)->Arg(3)->Arg(4);
+
 void BM_IbltInsertKv(benchmark::State& state) {
   // Keyed-value path: 32-byte payload XORed through the raw span API.
   IbltParams params;
@@ -646,10 +670,17 @@ std::vector<Riblt> LargeDiffTables() {
   return tables;
 }
 
+/// The byte count of LargeDiffTables() under the compact codec. Both
+/// compact benches CHECK it in setup, so a change to the tables or to the
+/// codec's layout cannot silently change what they time.
+constexpr size_t kLargeDiffCompactBytes = 982236;
+
 void BM_RibltCompactWriteTo(benchmark::State& state) {
   // Alice's encode of the whole message into a reused writer.
   const std::vector<Riblt> tables = LargeDiffTables();
   ByteWriter out;
+  for (const Riblt& table : tables) table.WriteTo(&out, WireCodec::kCompact);
+  RSR_CHECK_EQ(out.size_bytes(), kLargeDiffCompactBytes);
   for (auto _ : state) {
     out.Clear();
     for (const Riblt& table : tables) {
@@ -668,6 +699,7 @@ void BM_RibltCompactReadFrom(benchmark::State& state) {
   for (const Riblt& table : tables) {
     table.WriteTo(&message, WireCodec::kCompact);
   }
+  RSR_CHECK_EQ(message.size_bytes(), kLargeDiffCompactBytes);
   for (auto _ : state) {
     ByteReader reader(message.buffer());
     for (const Riblt& table : tables) {
