@@ -104,34 +104,28 @@ class RefReader {
   RefReader(const std::vector<uint8_t>& buf, size_t pos)
       : buf_(buf), pos_(pos) {}
 
-  /// One byte-level field: fails the reader if bits are pending.
-  template <typename F>
-  auto Bytes(F&& read) {
-    if (avail_ != 0) failed_ = true;
-    const size_t left = failed_ ? 0 : buf_.size() - pos_;
-    ByteReader r(buf_.data() + pos_, left);
-    if (failed_) r.Invalidate();
-    auto v = read(r);
-    if (r.failed()) failed_ = true;
-    pos_ += left - r.remaining();
+  uint8_t GetU8() {
+    ByteReader r = Begin();
+    const uint8_t v = r.GetU8();
+    End(r);
     return v;
   }
-
-
-  uint8_t GetU8() {
-    return Bytes([](ByteReader& r) { return r.GetU8(); });
-  }
   int64_t GetSignedVarint64() {
-    return Bytes([](ByteReader& r) { return r.GetSignedVarint64(); });
+    ByteReader r = Begin();
+    const int64_t v = r.GetSignedVarint64();
+    End(r);
+    return v;
   }
   U128 GetVarint128() {
-    return Bytes([](ByteReader& r) { return r.GetVarint128(); });
+    ByteReader r = Begin();
+    const U128 v = r.GetVarint128();
+    End(r);
+    return v;
   }
   void GetBytes(uint8_t* out, size_t len) {
-    Bytes([&](ByteReader& r) {
-      r.GetBytes(out, len);
-      return 0;
-    });
+    ByteReader r = Begin();
+    r.GetBytes(out, len);
+    End(r);
   }
 
   uint64_t GetBits(int nbits) {
@@ -175,6 +169,20 @@ class RefReader {
   size_t pos() const { return pos_; }
 
  private:
+  /// A reader over the unread bytes for one byte-level field: poisoned if
+  /// this reader failed or has bits pending.
+  ByteReader Begin() {
+    if (avail_ != 0) failed_ = true;
+    ByteReader r(buf_.data() + pos_, failed_ ? 0 : buf_.size() - pos_);
+    if (failed_) r.Invalidate();
+    return r;
+  }
+  /// Moves past the bytes r consumed and takes on its failure.
+  void End(const ByteReader& r) {
+    if (r.failed()) failed_ = true;
+    pos_ = buf_.size() - r.remaining();
+  }
+
   const std::vector<uint8_t>& buf_;
   size_t pos_;
   bool failed_ = false;
